@@ -11,6 +11,14 @@ Finite truncation cannot see the whole ray, so every product carries a
 certification flag. The tail bound is combinatorial: if a geodesic has
 crossed j pairwise strongly separated walls, any wall it crosses later is
 separated from the base by at least j-1 of them.
+
+Every product reads a ray through one index per (ray, depth), kept in a
+single bounded cache: the walls in crossing order and their positions, the
+count L(t) of earlier walls not crossing wall t (a lower bound on its
+distance from the base), the strong-separation relation among the walls,
+the greedy separated chains and the tail bound. Only the walls are computed
+when the index is built; each relation is filled on first use and
+memoised, so a pair of walls is tested at most once.
 """
 
 from __future__ import annotations
@@ -31,13 +39,11 @@ from .raag import (
 )
 from .walls import (
     Wall,
+    crosses,
     strongly_separated,
-    crossing_count,
     wall_distance,
     wall_of_edge,
     walls_separating_point_from_wall,
-    WallsCross,
-    crosses,
 )
 
 DEFAULT_DEPTH = 40
@@ -215,62 +221,93 @@ def _representative_letters(ray: BoundaryRay, depth: int):
     raise InvalidRay("representative does not stabilize at this depth")
 
 
+class _RayIndex:
+    """The walls of one ray at one depth and the relations among them that
+    the products read. Built once per (ray, depth) by _ray_index; the
+    relations are filled in place on first use and memoised, so a query
+    pays only for the pairs it touches. Not safe for concurrent filling
+    from several threads."""
+
+    __slots__ = ("walls", "pos", "_lower", "_known", "_sep", "_chains")
+
+    def __init__(self, walls: tuple[Wall, ...]):
+        self.walls = walls
+        self.pos = {w: t for t, w in enumerate(walls)}
+        assert len(self.pos) == len(walls), "geodesic crossed a wall twice"
+        self._lower: list[Optional[int]] = [None] * len(walls)
+        # bit j of _known[i] / _sep[i], i < j: pair tested / strongly separated
+        self._known = [0] * len(walls)
+        self._sep = [0] * len(walls)
+        self._chains: dict[Optional[int], tuple[int, ...]] = {}
+
+    def lower(self, t: int) -> int:
+        """L(t): how many earlier walls do not cross wall t. Each of them
+        separates the base from wall t, so L(t) <= wall_distance(base, t)."""
+        low = self._lower[t]
+        if low is None:
+            w = self.walls[t]
+            low = sum(1 for s in range(t) if not crosses(self.walls[s], w))
+            self._lower[t] = low
+        return low
+
+    def separated(self, i: int, j: int) -> bool:
+        """Whether walls i < j are strongly separated."""
+        bit = 1 << j
+        if not self._known[i] & bit:
+            if strongly_separated(self.walls[i], self.walls[j]):
+                self._sep[i] |= bit
+            self._known[i] |= bit
+        return bool(self._sep[i] & bit)
+
+    def chain(self, r: Optional[int]) -> tuple[int, ...]:
+        """Greedy longest chain of wall indices with consecutive pairs
+        strongly separated and index gaps < r (r None = unbounded)."""
+        if r not in self._chains:
+            self._chains[r] = _chain_indices(self, r)
+        return self._chains[r]
+
+    @property
+    def tail_bound(self) -> int:
+        """Any wall crossed after these has at least this many walls between
+        it and the base: pairwise strongly separated chain walls can share
+        no crossing wall, so a later wall crosses at most one of them."""
+        return max(0, len(self.chain(None)) - 1)
+
+
 @lru_cache(maxsize=4096)
-def _ray_walls_cached(ray: BoundaryRay, depth: int) -> tuple[Wall, ...]:
-    letters = _representative_letters(ray, depth)
+def _ray_index(ray: BoundaryRay, depth: int) -> _RayIndex:
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth == 0:
+        return _RayIndex(())
     out = []
     v = ray.base
-    for letter in letters:
+    for letter in _representative_letters(ray, depth):
         out.append(wall_of_edge(v, letter))
         v = v.append_letter(letter.gen, letter.sign)
-    walls = tuple(out)
-    assert len(set(walls)) == len(walls), "geodesic crossed a wall twice"
-    return walls
+    return _RayIndex(tuple(out))
 
 
 def ray_walls(ray: BoundaryRay, depth: int) -> tuple[Wall, ...]:
     """Walls dual to the first `depth` edges of the representative from
     ray.base, in crossing order."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth == 0:
-        return ()
-    return _ray_walls_cached(ray, depth)
+    return _ray_index(ray, depth).walls
 
 
-def _chain_indices(walls: Sequence[Wall], n: int, r: Optional[int]) -> list[int]:
-    """Greedy longest chain of wall indices with consecutive pairs certified
-    n-separated and index gaps < r (r None = unbounded). Crossing points of
-    walls i and j on a geodesic are |i-j| apart."""
+def _chain_indices(index: _RayIndex, r: Optional[int]) -> tuple[int, ...]:
+    """Greedy longest chain from every start, the first longest winning.
+    Crossing points of walls i and j on a geodesic are |i-j| apart."""
     best: list[int] = []
-    for start in range(len(walls)):
+    for start in range(len(index.walls)):
         chain = [start]
-        for t in range(start + 1, len(walls)):
+        for t in range(start + 1, len(index.walls)):
             if r is not None and t - chain[-1] >= r:
-                continue
-            a, b = walls[chain[-1]], walls[t]
-            if n == 0:
-                ok = strongly_separated(a, b)
-            else:
-                try:
-                    count, certified = crossing_count(a, b)
-                except WallsCross:
-                    continue
-                ok = certified and count <= n
-            if ok:
+                break  # chain[-1] stays put, so every later t is too far
+            if index.separated(chain[-1], t):
                 chain.append(t)
         if len(chain) > len(best):
             best = chain
-    return best
-
-
-@lru_cache(maxsize=4096)
-def _tail_bound(walls: tuple[Wall, ...]) -> int:
-    """Any wall crossed after these has at least this many walls between it
-    and the base: pairwise strongly separated chain walls can share no
-    crossing wall, so a later wall crosses at most one of them."""
-    chain = _chain_indices(walls, 0, None)
-    return max(0, len(chain) - 1)
+    return tuple(best)
 
 
 def _check_same_base(x: BoundaryRay, e: BoundaryRay) -> None:
@@ -290,30 +327,22 @@ def bracket_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductVal
     exact wall-distance computations.
     """
     _check_same_base(xi, eta)
-    wx = ray_walls(xi, depth)
-    we = ray_walls(eta, depth)
-    sx, se = set(wx), set(we)
-    o = xi.base
-    sym: list[tuple[int, Wall]] = []
-    for t, w in enumerate(wx):
-        if w not in se:
-            sym.append((t, w))
-    for t, w in enumerate(we):
-        if w not in sx:
-            sym.append((t, w))
+    ix = _ray_index(xi, depth)
+    ie = _ray_index(eta, depth)
+    sym = [(ix, t) for t, w in enumerate(ix.walls) if w not in ie.pos]
+    sym += [(ie, t) for t, w in enumerate(ie.walls) if w not in ix.pos]
     if not sym:
         return ProductValue(math.inf, xi.same_point_structurally(eta), depth)
 
+    o = xi.base
     best = None
-    for t, w in sym:
-        owner = wx if w in sx else we
-        lower = sum(1 for s in range(t) if not crosses(owner[s], w))
-        if best is not None and lower >= best:
+    for owner, t in sym:
+        if best is not None and owner.lower(t) >= best:
             continue
-        d = wall_distance(o, w)
+        d = wall_distance(o, owner.walls[t])
         if best is None or d < best:
             best = d
-    tail = min(_tail_bound(wx), _tail_bound(we))
+    tail = min(ix.tail_bound, ie.tail_bound)
     return ProductValue(best, best < tail, depth)
 
 
@@ -326,27 +355,26 @@ def gromov_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductValu
     each barrier, forcing the other ray through a wall it provably avoids.
     """
     _check_same_base(xi, eta)
-    wx = ray_walls(xi, depth)
-    we = ray_walls(eta, depth)
-    sx, se = set(wx), set(we)
-    common = sx & se
+    ix = _ray_index(xi, depth)
+    ie = _ray_index(eta, depth)
+    common = ix.pos.keys() & ie.pos.keys()
     value = len(common)
 
-    def barrier_after(own: Sequence[Wall], other_set) -> bool:
+    def barrier_after(own: _RayIndex, other: _RayIndex) -> bool:
         last = -1
-        for t, w in enumerate(own):
+        for t, w in enumerate(own.walls):
             if w in common:
                 last = t
         prev = None
-        for t in range(last + 1, len(own)):
-            if own[t] in other_set:
+        for t in range(last + 1, len(own.walls)):
+            if own.walls[t] in other.pos:
                 return False  # unexpected late common wall; stay uncertified
-            if prev is not None and strongly_separated(own[prev], own[t]):
+            if prev is not None and own.separated(prev, t):
                 return True
             prev = t
         return False
 
-    certified = barrier_after(wx, se) and barrier_after(we, sx)
+    certified = barrier_after(ix, ie) and barrier_after(ie, ix)
     return ProductValue(value, certified, depth)
 
 
@@ -401,12 +429,11 @@ def hyp_member(xi: BoundaryRay, walls: Iterable[Wall], depth: int) -> bool:
     distance from the base is below the ray's tail bound; otherwise the
     depth cannot decide and UncertifiedDepth is raised.
     """
-    ordered = ray_walls(xi, depth)
-    wset = set(ordered)
-    missing = [w for w in walls if w not in wset]
+    index = _ray_index(xi, depth)
+    missing = [w for w in walls if w not in index.pos]
     if not missing:
         return True
-    tail = _tail_bound(ordered)
+    tail = index.tail_bound
     o = xi.base
     for w in missing:
         if wall_distance(o, w) >= tail:
@@ -421,9 +448,15 @@ def find_separated_chain(
 ) -> SeparatedChain:
     """Greedy longest chain among the ray's walls with consecutive pairs
     certified n-separated and crossing points less than r apart. A chain
-    needs at least two walls; otherwise the empty chain is returned."""
-    walls = ray_walls(xi, depth)
-    idx = _chain_indices(walls, n, r)
+    needs at least two walls; otherwise the empty chain is returned.
+
+    Two disjoint walls of a RAAG are crossed by no wall or by infinitely
+    many (see walls.crossing_count), so for every n >= 0 a pair is certified
+    n-separated exactly when it is strongly separated, and the chain is the
+    n = 0 chain. A negative n admits no pair."""
+    index = _ray_index(xi, depth)
+    walls = index.walls
+    idx = index.chain(r) if n >= 0 else ()
     if len(idx) < 2:
         return SeparatedChain((), (), n, r)
     gaps = tuple(idx[k + 1] - idx[k] for k in range(len(idx) - 1))
@@ -439,8 +472,7 @@ def refine_to_single_wall(
     """The first chain wall crossed after all input walls such that every
     input wall separates the base from it; then any ray through it crosses
     all the inputs."""
-    ray = ray_walls(xi, depth)
-    pos = {w: t for t, w in enumerate(ray)}
+    pos = _ray_index(xi, depth).pos
     inputs = list(walls)
     for w in inputs:
         if w not in pos:

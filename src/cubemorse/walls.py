@@ -210,24 +210,20 @@ def crosses(h1: Wall, h2: Wall) -> bool:
     """
     if h1 == h2:
         return False
-    graph = h1.graph
-    if not graph.adjacent(h1.gen, h2.gen):
+    if not h1.graph.adjacent(h1.gen, h2.gen):
         return False
-    t = h1.base.inverse() * h2.base
-    _, kept = _strip_left(graph, t.syllables, graph.adj_mask[h1.gen])
-    kept, _ = _strip_right(graph, kept, graph.adj_mask[h2.gen])
-    return not kept
+    return not _stripped_middle(h1, h2)
 
 
-def _separator_support(h1: Wall, h2: Wall) -> frozenset[int]:
-    """Generators of the stripped middle of nf(b1^-1 b2): what remains
-    between the two carriers after pulling off everything either carrier
-    coset can absorb."""
+def _stripped_middle(h1: Wall, h2: Wall) -> tuple:
+    """Syllables of nf(b1^-1 b2) after left-stripping ⟨lk g1⟩ and then
+    right-stripping ⟨lk g2⟩: what remains between the two carriers after
+    pulling off everything either carrier coset can absorb."""
     graph = h1.graph
     t = h1.base.inverse() * h2.base
     _, kept = _strip_left(graph, t.syllables, graph.adj_mask[h1.gen])
     kept, _ = _strip_right(graph, kept, graph.adj_mask[h2.gen])
-    return frozenset(g for g, _ in kept)
+    return kept
 
 
 def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int]:
@@ -241,7 +237,7 @@ def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int]:
     witness wall along its own generator axis).
     """
     graph = h1.graph
-    sep = _separator_support(h1, h2)
+    sep = {g for g, _ in _stripped_middle(h1, h2)}
     out = set()
     for g in graph.link(h1.gen) & graph.link(h2.gen):
         if all(graph.adjacent(g, s) for s in sep):

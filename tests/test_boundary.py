@@ -98,6 +98,8 @@ class TestRayBasics:
 
     def test_ray_walls_depth_zero(self, z3z):
         assert ray_walls(ray(z3z, "|d"), 0) == ()
+        with pytest.raises(ValueError):
+            ray_walls(ray(z3z, "|d"), -1)
 
     def test_rebased_ray_reanchors(self, z3z):
         # from base c^-2 the representative of a^-1 b^-1 d^inf climbs back

@@ -1,0 +1,133 @@
+"""The per-ray wall index behind the boundary products, checked against
+brute force over walls.crosses / walls.strongly_separated."""
+
+import random
+
+import pytest
+
+from cubemorse.boundary import (
+    BoundaryRay,
+    _ray_index,
+    bracket_product,
+    find_separated_chain,
+    gromov_product,
+    ray_walls,
+    validate_ray,
+)
+from cubemorse.walls import crosses, crossing_count, strongly_separated
+
+GAMMA_PERIOD = "b c c d c b b a".split()
+ROTATIONS = [" ".join(GAMMA_PERIOD[i:] + GAMMA_PERIOD[:i]) for i in range(8)]
+Z3Z_PERIODS = ["d", "a d", "b d", "a^2 d", "d^2"]
+HAND_PICKED = {
+    "z3z": ["a^4|d", "|d", "|a", "a^2 c^-1|b d", "c^-1 a|d^2"],
+    "ck": ["|b c c d c b b a", "b c|a d", "|a d^2", "a^-1|a^-1 d", "|a^6 d"],
+}
+
+
+def oracle_lower(walls, t):
+    return sum(1 for s in range(t) if not crosses(walls[s], walls[t]))
+
+
+def oracle_chain(walls, r):
+    """The walls-tuple greedy: longest chain from every start, consecutive
+    pairs strongly separated, index gaps < r (None = unbounded)."""
+    best = []
+    for start in range(len(walls)):
+        chain = [start]
+        for t in range(start + 1, len(walls)):
+            if r is not None and t - chain[-1] >= r:
+                continue
+            if strongly_separated(walls[chain[-1]], walls[t]):
+                chain.append(t)
+        if len(chain) > len(best):
+            best = chain
+    return tuple(best)
+
+
+def morse_pool(graph, periods, rng, want):
+    """Random valid rays with a separated chain of at least three walls,
+    drawn as the acceptance gate's AC2 draws them."""
+    pool = []
+    while len(pool) < want:
+        prefix = " ".join(
+            f"{rng.choice(graph.generators)}^{rng.choice((-2, -1, 1, 2))}"
+            for _ in range(rng.randrange(0, 4))
+        )
+        try:
+            r = BoundaryRay.from_text(graph, f"{prefix}|{rng.choice(periods)}")
+        except ValueError:
+            continue
+        if validate_ray(r, 40) and len(find_separated_chain(r, 0, 5, 40)) >= 3:
+            pool.append(r)
+    return pool
+
+
+@pytest.fixture(scope="module")
+def rays(z3z, ck):
+    rng = random.Random(4242)
+    out = {
+        "z3z": morse_pool(z3z, Z3Z_PERIODS, rng, 5),
+        "ck": morse_pool(ck, ROTATIONS, rng, 5),
+    }
+    for name, graph in (("z3z", z3z), ("ck", ck)):
+        out[name] += [BoundaryRay.from_text(graph, t) for t in HAND_PICKED[name]]
+    return out
+
+
+@pytest.mark.parametrize("depth", [16, 40])
+def test_index_matches_brute_force(rays, depth):
+    rng = random.Random(depth)
+    for pool in rays.values():
+        for ray in pool:
+            index = _ray_index(ray, depth)
+            walls = ray_walls(ray, depth)
+            assert index.walls == walls
+            assert index.pos == {w: t for t, w in enumerate(walls)}
+            # the memo must not depend on which question filled it first
+            queries = [("lower", t) for t in range(len(walls))]
+            queries += [("chain", r) for r in (None, 2, 5)] + [("tail", None)]
+            rng.shuffle(queries)
+            for kind, arg in queries:
+                if kind == "lower":
+                    assert index.lower(arg) == oracle_lower(walls, arg)
+                elif kind == "chain":
+                    assert index.chain(arg) == oracle_chain(walls, arg)
+                else:
+                    want = max(0, len(oracle_chain(walls, None)) - 1)
+                    assert index.tail_bound == want
+
+
+def test_products_cold_equal_warm(rays):
+    pairs = [
+        (pool[i], pool[j])
+        for pool in rays.values()
+        for i in range(len(pool))
+        for j in range(len(pool))
+        if i != j
+    ][::3]
+
+    def products(p, q):
+        b, g = bracket_product(p, q, 40), gromov_product(p, q, 40)
+        return (b.value, b.certified, g.value, g.certified)
+
+    cold = []
+    for p, q in pairs:
+        _ray_index.cache_clear()
+        cold.append(products(p, q))
+    for pool in rays.values():
+        for ray in pool:
+            _ray_index(ray, 40).tail_bound
+    warm = [products(p, q) for p, q in reversed(pairs)][::-1]
+    assert cold == warm
+
+
+def test_chain_same_for_every_n(rays):
+    # a RAAG crossing count is 0 or infinite, and only 0 is certified, so
+    # n-separated for n >= 0 means strongly separated
+    for pool in rays.values():
+        for ray in pool:
+            chains = [find_separated_chain(ray, n, 5, 40) for n in (0, 1, 2)]
+            assert len({(c.walls, c.gaps) for c in chains}) == 1
+            for h1, h2 in zip(chains[0].walls, chains[0].walls[1:]):
+                assert crossing_count(h1, h2) == (0, True)
