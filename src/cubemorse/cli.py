@@ -236,10 +236,18 @@ def _cmd_separated(args):
     }, certified
 
 
+def _separated_chain(args, ray: BoundaryRay):
+    # crossing points on a geodesic are at least 1 apart and chain gaps stay
+    # below r, so r < 2 admits no pair; a negative n is no separation at all
+    if args.n < 0 or args.r < 2:
+        raise CLIError(f"need --n >= 0 and --r >= 2, got --n {args.n} --r {args.r}")
+    return find_separated_chain(ray, args.n, args.r, args.depth)
+
+
 def _cmd_chain(args):
     graph = _load_graph(args.graph)
     ray = _ray(graph, args.ray)
-    chain = find_separated_chain(ray, args.n, args.r, args.depth)
+    chain = _separated_chain(args, ray)
     return {
         "length": _num(len(chain), True),
         "walls": [h.text() for h in chain.walls],
@@ -299,7 +307,7 @@ def _cmd_refine(args):
     graph = _load_graph(args.graph)
     ray = _ray(graph, args.ray)
     hs = [_wall(graph, w) for w in (args.wall1, args.wall2)]
-    chain = find_separated_chain(ray, args.n, args.r, args.depth)
+    chain = _separated_chain(args, ray)
     try:
         k = refine_to_single_wall(ray, hs, chain, args.depth)
     except (ChainExhausted, ValueError) as exc:

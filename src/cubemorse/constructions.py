@@ -10,13 +10,11 @@ sensitivity and small cancellation experiments.
 
 from __future__ import annotations
 
+import decimal
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
-
-import mpmath
 
 from .boundary import BoundaryRay, fellow_travel_radius
 from .raag import (
@@ -124,17 +122,6 @@ class SublinearFn:
             return f"power {self.a} {self.alpha}"
         return f"log {self.a}"
 
-    def approx(self, r) -> float:
-        """Float value for display only; comparisons go through cmp_at."""
-        r = Fraction(r)
-        if self.kind == "constant":
-            return float(self.a)
-        if self.kind == "power":
-            if r == 0:
-                return float(self.a) if self.alpha == 0 else 0.0
-            return float(self.a) * float(r) ** float(self.alpha)
-        return float(self.a) * float(mpmath.log(1 + mpmath.mpf(r.numerator) / r.denominator))
-
     def cmp_at(self, r, m) -> int:
         """Sign of rho(r) - m, exact. r must be >= 0."""
         r = Fraction(r)
@@ -208,16 +195,21 @@ def _log_cmp(r: Fraction, target: Fraction) -> int:
     """Sign of log(1+r) - target for r > 0 and rational target.
 
     log(1+r) is irrational for rational r > 0, so the difference is never
-    zero and precision escalation terminates."""
-    dps = 30
-    while dps <= 4000:
-        with mpmath.workdps(dps):
-            v = mpmath.log(1 + mpmath.mpf(r.numerator) / r.denominator)
-            t = mpmath.mpf(target.numerator) / target.denominator
-            diff = v - t
-            if abs(diff) > mpmath.mpf(10) ** (10 - dps):
-                return 1 if diff > 0 else -1
-        dps *= 2
+    zero and precision escalation terminates. At p digits the five
+    correctly rounded steps below each err by at most half a unit in the
+    last place of a value no larger than the largest operand, so the sign
+    is certain once |diff| exceeds 10**(adjusted + 3 - p)."""
+    prec = 30
+    while prec <= 4000:
+        ctx = decimal.Context(prec=prec)
+        hi = ctx.ln(r.numerator + r.denominator)
+        lo = ctx.ln(r.denominator)
+        t = ctx.divide(target.numerator, target.denominator)
+        diff = ctx.subtract(ctx.subtract(hi, lo), t)
+        adjusted = max(hi.adjusted(), lo.adjusted(), t.adjusted())
+        if abs(diff) > decimal.Decimal(10) ** (adjusted + 3 - prec):
+            return 1 if diff > 0 else -1
+        prec *= 2
     raise ArithmeticError("log comparison did not resolve")
 
 
@@ -329,26 +321,23 @@ def build_croke_kleiner() -> CrokeKleiner:
 
 
 @dataclass(frozen=True)
-class Flat:
-    """Coset base * <g1, g2> of a commuting pair: a combinatorial plane.
-
-    The stored base is the coset's gate at the identity, so two handles
-    for the same flat compare and hash equal."""
+class _Coset:
+    """Coset base * <gens>, with the stored base normalized to the coset's
+    gate at the identity, so two handles for the same coset compare and
+    hash equal. Subclasses validate their generators, then call this
+    __post_init__."""
 
     base: GroupElement
-    gens: tuple[int, int]
 
     def __post_init__(self) -> None:
-        g1, g2 = self.gens
-        graph = self.base.graph
-        if g1 == g2 or not graph.adjacent(g1, g2):
-            raise ConfigError("flat generators must be distinct and commuting")
-        if g2 < g1:
-            object.__setattr__(self, "gens", (g2, g1))
         gate_el, _ = coset_gate_and_distance(
-            self.base, graph.mask_of(self.gens), GroupElement.identity(graph)
+            self.base, self.mask, GroupElement.identity(self.graph)
         )
         object.__setattr__(self, "base", gate_el)
+
+    @property
+    def _gens(self) -> tuple[int, ...]:
+        raise NotImplementedError
 
     @property
     def graph(self) -> DefiningGraph:
@@ -356,12 +345,7 @@ class Flat:
 
     @property
     def mask(self) -> int:
-        return self.graph.mask_of(self.gens)
-
-    @property
-    def type_tag(self) -> str:
-        names = frozenset(self.graph.generators[g] for g in self.gens)
-        return _FLAT_TYPES.get(names, "?")
+        return self.graph.mask_of(self._gens)
 
     def distance_to(self, x: GroupElement) -> int:
         return coset_gate_and_distance(self.base, self.mask, x)[1]
@@ -370,17 +354,41 @@ class Flat:
         return self.distance_to(x) == 0
 
     def is_cut_by(self, h: Wall) -> bool:
-        """Whether h separates two vertices of this flat.
+        """Whether h separates two vertices of this coset.
 
-        A wall meets a flat in a full line, constant in the commuting
-        coordinate, so one long test line in the wall's own direction
-        decides it."""
-        if h.gen not in self.gens:
+        Only walls in one of the coset's directions can. Such a wall meets
+        a flat in a full line, constant in the commuting coordinate, so one
+        long test line in the wall's own direction decides it."""
+        if h.gen not in self._gens:
             return False
         T = h.base.length + self.base.length + 2
         lo = self.base.append_run(h.gen, -T)
         hi = self.base.append_run(h.gen, T)
         return side(h, lo) != side(h, hi)
+
+
+@dataclass(frozen=True)
+class Flat(_Coset):
+    """Coset base * <g1, g2> of a commuting pair: a combinatorial plane."""
+
+    gens: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        g1, g2 = self.gens
+        if g1 == g2 or not self.graph.adjacent(g1, g2):
+            raise ConfigError("flat generators must be distinct and commuting")
+        if g2 < g1:
+            object.__setattr__(self, "gens", (g2, g1))
+        super().__post_init__()
+
+    @property
+    def _gens(self) -> tuple[int, int]:
+        return self.gens
+
+    @property
+    def type_tag(self) -> str:
+        names = frozenset(self.graph.generators[g] for g in self.gens)
+        return _FLAT_TYPES.get(names, "?")
 
     def __repr__(self) -> str:
         names = "".join(sorted(self.graph.generators[g] for g in self.gens))
@@ -388,43 +396,19 @@ class Flat:
 
 
 @dataclass(frozen=True)
-class Line:
-    """Coset base * <gen>: a combinatorial line, base normalized as in Flat."""
+class Line(_Coset):
+    """Coset base * <gen>: a combinatorial line."""
 
-    base: GroupElement
     gen: int
 
     def __post_init__(self) -> None:
-        graph = self.base.graph
-        if not 0 <= self.gen < len(graph.generators):
+        if not 0 <= self.gen < len(self.graph.generators):
             raise ConfigError("line generator out of range")
-        gate_el, _ = coset_gate_and_distance(
-            self.base, graph.mask_of((self.gen,)), GroupElement.identity(graph)
-        )
-        object.__setattr__(self, "base", gate_el)
+        super().__post_init__()
 
     @property
-    def graph(self) -> DefiningGraph:
-        return self.base.graph
-
-    @property
-    def mask(self) -> int:
-        return self.graph.mask_of((self.gen,))
-
-    def distance_to(self, x: GroupElement) -> int:
-        return coset_gate_and_distance(self.base, self.mask, x)[1]
-
-    def contains(self, x: GroupElement) -> bool:
-        return self.distance_to(x) == 0
-
-    def is_cut_by(self, h: Wall) -> bool:
-        # only walls in the line's own direction can separate line points
-        if h.gen != self.gen:
-            return False
-        T = h.base.length + self.base.length + 2
-        lo = self.base.append_run(self.gen, -T)
-        hi = self.base.append_run(self.gen, T)
-        return side(h, lo) != side(h, hi)
+    def _gens(self) -> tuple[int]:
+        return (self.gen,)
 
     def __repr__(self) -> str:
         return f"Line({self.base.text()!r}, {self.graph.generators[self.gen]})"
@@ -460,10 +444,6 @@ class GammaPath:
     @property
     def L(self) -> int:
         return len(self.flats)
-
-    @cached_property
-    def wall_set(self) -> frozenset:
-        return frozenset(self.walls)
 
     def runpath(self) -> RunPath:
         runs = tuple((lt.gen, lt.sign) for lt in self.letters)

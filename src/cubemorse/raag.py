@@ -109,14 +109,6 @@ class DefiningGraph:
     def full_mask(self) -> int:
         return (1 << len(self.generators)) - 1
 
-    @cached_property
-    def nonstar_mask(self) -> tuple[int, ...]:
-        # generators that neither commute with g nor equal g
-        return tuple(
-            self.full_mask & ~self.adj_mask[g] & ~(1 << g)
-            for g in range(len(self.generators))
-        )
-
     def gen_index(self, name: str) -> int:
         try:
             return self.index[name]
@@ -346,33 +338,17 @@ def _fold(graph: DefiningGraph, items: Iterable[tuple[int, int]]) -> tuple:
     return tuple(out)
 
 
-def _strip_right(graph: DefiningGraph, syllables, gens_mask: int):
-    """Split off the maximal removable suffix whose generators lie in
-    gens_mask. Returns (kept, removed), both canonical, with
-    element == kept * removed and kept the minimal representative of the
-    left coset element*<gens>."""
-    kept_rev: list = []
-    removed_rev: list = []
-    kept_mask = 0
-    full = graph.full_mask
-    for gen, exp in reversed(syllables):
-        blockers = full & ~graph.adj_mask[gen]  # includes gen itself
-        if (gens_mask >> gen) & 1 and not (kept_mask & blockers):
-            removed_rev.append((gen, exp))
-        else:
-            kept_rev.append((gen, exp))
-            kept_mask |= 1 << gen
-    return tuple(reversed(kept_rev)), tuple(reversed(removed_rev))
-
-
 def _strip_left(graph: DefiningGraph, syllables, gens_mask: int):
-    """Mirror of _strip_right: (removed, kept) with element == removed * kept."""
+    """Split off the maximal removable prefix whose generators lie in
+    gens_mask. Returns (removed, kept) with element == removed * kept and
+    kept a geodesic word for the minimal representative of the right coset
+    <gens>*element. Neither half need be in normal form."""
     kept: list = []
     removed: list = []
     kept_mask = 0
     full = graph.full_mask
     for gen, exp in syllables:
-        blockers = full & ~graph.adj_mask[gen]
+        blockers = full & ~graph.adj_mask[gen]  # includes gen itself
         if (gens_mask >> gen) & 1 and not (kept_mask & blockers):
             removed.append((gen, exp))
         else:
@@ -381,10 +357,19 @@ def _strip_left(graph: DefiningGraph, syllables, gens_mask: int):
     return tuple(removed), tuple(kept)
 
 
+def _strip_right(graph: DefiningGraph, syllables, gens_mask: int):
+    """Mirror of _strip_left on the reversed word: (kept, removed) with
+    element == kept * removed. On canonical input kept is canonical too,
+    the minimal representative of the left coset element*<gens>; removed,
+    a word in the masked generators, need not be."""
+    removed, kept = _strip_left(graph, syllables[::-1], gens_mask)
+    return kept[::-1], removed[::-1]
+
+
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     """A RAAG element in canonical form. Do not call the constructor with
-    non-canonical syllables; use normal_form, multiply, or the methods."""
+    non-canonical syllables; use normal_form, *, or the methods."""
 
     graph: DefiningGraph
     syllables: tuple[tuple[int, int], ...]
@@ -422,10 +407,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    @cached_property
-    def support(self) -> frozenset[int]:
-        return frozenset(g for g, _ in self.syllables)
-
     def gen_exponent_sum(self, gen: int) -> int:
         # abelianized exponent; representative-independent
         return sum(e for g, e in self.syllables if g == gen)
@@ -441,11 +422,7 @@ class GroupElement:
         return Word(self.graph, LetterSeq(self.syllables))
 
     def text(self) -> str:
-        out = []
-        for g, e in self.syllables:
-            name = self.graph.generators[g]
-            out.append(name if e == 1 else f"{name}^{e}")
-        return " ".join(out)
+        return _runs_to_text(self.graph, self.syllables)
 
     def __str__(self) -> str:
         return self.text()
@@ -500,14 +477,6 @@ def normal_form(w, graph: DefiningGraph | None = None) -> GroupElement:
         w = parse_word(w, graph)
     graph = w.graph
     return GroupElement(graph, _fold(graph, w.letters.runs))
-
-
-def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
-    return x * y
-
-
-def invert(x: GroupElement) -> GroupElement:
-    return x.inverse()
 
 
 def is_geodesic(w: Word, graph: DefiningGraph | None = None) -> bool:

@@ -133,6 +133,12 @@ def _star_frame(graph: DefiningGraph, start: GroupElement, g: int):
     return (g, kept), level
 
 
+def _run_interval(m: int, e: int) -> tuple[int, int]:
+    """Levels of the walls crossed by a run of signed length e that starts
+    at level m, as an inclusive interval."""
+    return (m, m + e - 1) if e > 0 else (m + e, m - 1)
+
+
 def _odd_count(intervals) -> int:
     """Integers covered by an odd number of the inclusive intervals."""
     events = []
@@ -162,8 +168,7 @@ def walk_wall_count(graph: DefiningGraph, segments: Iterable[tuple]) -> int:
         if e == 0:
             continue
         key, m = _star_frame(graph, start, g)
-        lo, hi = (m, m + e - 1) if e > 0 else (m + e, m - 1)
-        clusters.setdefault(key, []).append((lo, hi))
+        clusters.setdefault(key, []).append(_run_interval(m, e))
     return sum(_odd_count(ivs) for ivs in clusters.values())
 
 
@@ -196,17 +201,26 @@ def _moving_interval(kind: str, m: int, e: int, u: int):
         return (m + u, m + A - 1) if e > 0 else (m - A, m - 1 - u)
     if u <= 0:
         return None
-    return (m, m + u - 1) if e > 0 else (m - u, m - 1)
+    return _run_interval(m, u if e > 0 else -u)
+
+
+def _endpoint_pos(kind: str, m: int, e: int, u: int) -> int:
+    if kind == "tail":
+        return m + u if e > 0 else m - 1 - u
+    return m + u - 1 if e > 0 else m - u
+
+
+def _solve_endpoint(kind: str, m: int, e: int, y: int) -> int:
+    if kind == "tail":
+        return y - m if e > 0 else m - 1 - y
+    return y - m + 1 if e > 0 else m - y
 
 
 def _breakpoints(kind: str, m: int, e: int, lo_u: int, hi_u: int, fixed) -> list[int]:
     cands = {lo_u, hi_u}
     for lo, hi in fixed:
         for y in (lo, hi):
-            if kind == "tail":
-                base = (y - m) if e > 0 else (m - 1 - y)
-            else:
-                base = (y - m + 1) if e > 0 else (m - y)
+            base = _solve_endpoint(kind, m, e, y)
             for du in (-1, 0, 1):
                 u = base + du
                 if lo_u < u < hi_u:
@@ -225,18 +239,6 @@ def _min_1d(alpha, lam, fixed, kind, m, e, lo_u, hi_u):
         if best is None or val < best:
             best, arg = val, u
     return best, arg
-
-
-def _endpoint_pos(kind: str, m: int, e: int, u: int) -> int:
-    if kind == "tail":
-        return m + u if e > 0 else m - 1 - u
-    return m + u - 1 if e > 0 else m - u
-
-
-def _solve_endpoint(kind: str, m: int, e: int, y: int) -> int:
-    if kind == "tail":
-        return y - m if e > 0 else m - 1 - y
-    return y - m + 1 if e > 0 else m - y
 
 
 def _min_2d(alpha, lam_u, lam_w, fixed, spec_u, spec_w, exclude_corner=False):
@@ -308,6 +310,13 @@ class _ClusterTable:
 
     def odd_of(self, key) -> int:
         return self.odd.get(key, 0)
+
+    def copy(self) -> "_ClusterTable":
+        out = _ClusterTable()
+        out.lists = {k: list(v) for k, v in self.lists.items()}
+        out.odd = dict(self.odd)
+        out.total = self.total
+        return out
 
 
 @dataclass(frozen=True)
@@ -390,8 +399,7 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
             if val < best:
                 best = val
                 witness = (offsets[i] + u, offsets[j] + w)
-            lo, hi = (m_j, m_j + e_j - 1) if e_j > 0 else (m_j + e_j, m_j - 1)
-            table.add(key_j, (lo, hi))
+            table.add(key_j, _run_interval(m_j, e_j))
 
     return QuasiGeodesicReport(best >= 0, K, C, best, witness, evaluations)
 
@@ -413,28 +421,20 @@ def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
     v = p1.origin
     for g, e in (p1.origin.inverse() * p2.origin).syllables:
         key, m = _star_frame(graph, v, g)
-        lo, hi = (m, m + e - 1) if e > 0 else (m + e, m - 1)
-        outer.add(key, (lo, hi))
+        outer.add(key, _run_interval(m, e))
         v = v.append_run(g, e)
 
     for i, (g_i, e_i) in enumerate(runs1):
         if i > 0:
-            gp, ep = p1.runs[i - 1]
             key_p, m_p = p1._frames[i - 1]
-            lo, hi = (m_p, m_p + ep - 1) if ep > 0 else (m_p + ep, m_p - 1)
-            outer.add(key_p, (lo, hi))
+            outer.add(key_p, _run_interval(m_p, p1.runs[i - 1][1]))
         key_i, m_i = p1._frames[i] if g_i is not None else (None, 0)
         A = abs(e_i)
-        inner = _ClusterTable()
-        inner.lists = {k: list(v) for k, v in outer.lists.items()}
-        inner.odd = dict(outer.odd)
-        inner.total = outer.total
+        inner = outer.copy()
         for j, (g_j, e_j) in enumerate(runs2):
             if j > 0:
-                gp, ep = p2.runs[j - 1]
                 key_p, m_p = p2._frames[j - 1]
-                lo, hi = (m_p, m_p + ep - 1) if ep > 0 else (m_p + ep, m_p - 1)
-                inner.add(key_p, (lo, hi))
+                inner.add(key_p, _run_interval(m_p, p2.runs[j - 1][1]))
             key_j, m_j = p2._frames[j] if g_j is not None else (None, 0)
             B = abs(e_j)
             if g_i is None and g_j is None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 from .raag import (
     DefiningGraph,
@@ -106,35 +106,6 @@ class Wall:
 
     def __repr__(self) -> str:
         return f"Wall({self.text()})"
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    wall: Wall
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise WordError(f"halfspace sign must be +-1, got {self.sign}")
-
-    def __repr__(self) -> str:
-        return f"Halfspace({self.wall.text()}, {'+' if self.sign > 0 else '-'})"
-
-
-@dataclass(frozen=True, eq=False)
-class Ultrafilter:
-    """A finite restriction of a vertex ultrafilter: wall -> chosen side."""
-
-    assignments: dict
-
-    def side_of(self, wall: Wall) -> int:
-        return self.assignments[wall]
-
-    def halfspaces(self) -> tuple[Halfspace, ...]:
-        return tuple(Halfspace(w, s) for w, s in self.assignments.items())
-
-    def __len__(self) -> int:
-        return len(self.assignments)
 
 
 # --- coset arithmetic --------------------------------------------------------
@@ -442,8 +413,3 @@ def extend_path(
         new_letters.append((g, s))
         last_gen = g
     return Word(graph, new_letters)
-
-
-def sigma(y: Vertex, walls: Iterable[Wall]) -> Ultrafilter:
-    """The restriction of the vertex ultrafilter of y to the given walls."""
-    return Ultrafilter({w: side(w, y) for w in walls})

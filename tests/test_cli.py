@@ -137,6 +137,18 @@ class TestExitCodes:
     def test_uncertified_is_two(self, capsys):
         assert run(GOLDEN_CASES["metric_shallow"]) == 2
 
+    @pytest.mark.parametrize("command", ["chain", "refine"])
+    @pytest.mark.parametrize("flags", [["--n", "-1"], ["--r", "1"], ["--r", "0"], ["--r", "-3"]])
+    def test_impossible_chain_bounds(self, command, flags, capsys):
+        argv = [command, "--graph", CK, "--ray", "|b c c d c b b a"] + flags
+        if command == "refine":
+            argv += ["1@b", "b@c"]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_error_goes_to_stderr(self, capsys):
         code = run(["bogus"])
         captured = capsys.readouterr()
@@ -208,3 +220,17 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "a b c" in proc.stdout
+
+
+def test_cli_import_needs_only_stdlib():
+    # site hooks load modules at start-up, so only the import's own count
+    code = (
+        "import sys; before = set(sys.modules); import cubemorse.cli; "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - {'cubemorse'} - set(sys.stdlib_module_names)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
 """Gauges, the diagonal geodesic, the escape path, and its certificates."""
 
+import decimal
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from cubemorse.constructions import (
     Line,
     PreconditionFailed,
     SublinearFn,
+    _log_cmp,
     as_gauge,
     build_beta,
     build_croke_kleiner,
@@ -131,6 +135,73 @@ class TestSublinearFn:
         R = f.threshold(slope)
         for r in (R, R + 1, 4 * R + 7):
             assert f.cmp_at(r, slope * r) <= 0
+
+
+def exp_cmp(x: Fraction, p: int) -> int:
+    """Sign of x - e**p for rational x and integer p >= 1, from the Taylor
+    partial sums S_N of e**p alone: S_N < e**p, and once N + 2 > 2p the
+    tail e**p - S_N is at most twice the next term."""
+    term = total = Fraction(1)
+    n = 0
+    while True:
+        n += 1
+        term = term * p / n
+        total += term
+        if x < total:
+            return -1
+        if n + 2 > 2 * p and x > total + 2 * term * p / (n + 1):
+            return 1
+
+
+def e_minus_1_convergents(count: int) -> list[Fraction]:
+    # e - 1 = [1; 1, 2, 1, 1, 4, 1, 1, 6, ...]
+    quotients = [1] + [2 * (i + 1) // 3 if i % 3 == 2 else 1 for i in range(1, count)]
+    h, h0, k, k0 = 1, 0, 0, 1
+    out = []
+    for a in quotients:
+        h, h0 = a * h + h0, h
+        k, k0 = a * k + k0, k
+        out.append(Fraction(h, k))
+    return out
+
+
+class TestLogCmpOracle:
+    """_log_cmp(r, p/q) against sign((1+r)**q - e**p) in rationals only."""
+
+    @staticmethod
+    def check(r: Fraction, target: Fraction) -> None:
+        expected = exp_cmp((1 + r) ** target.denominator, target.numerator)
+        assert _log_cmp(r, target) == expected, (r, target)
+
+    def test_seeded_grid(self):
+        rng = random.Random(2019)
+        for _ in range(1000):
+            r = Fraction(rng.randint(1, 2000), rng.randint(1, 500))
+            q = rng.randint(1, 30)
+            # half the targets sit next to q*log(1+r), the rest anywhere
+            if rng.random() < 0.5:
+                p = max(1, round(q * math.log1p(float(r))) + rng.randint(-1, 1))
+            else:
+                p = rng.randint(1, 40)
+            self.check(r, Fraction(p, q))
+
+    def test_e_minus_1_convergents_at_target_1(self):
+        # log(1+r) - 1 has the sign of r - (e-1): the convergents alternate
+        # around e - 1 and close in on it fast
+        convergents = e_minus_1_convergents(22)
+        for r in convergents:
+            self.check(r, Fraction(1))
+        assert [_log_cmp(r, Fraction(1)) for r in convergents[:4]] == [-1, 1, -1, 1]
+
+    def test_near_ties_need_escalation(self):
+        # r within 10**-digits of exp(p/q) - 1; the two closer ties need
+        # more than the starting 30 digits
+        for p, q in ((1, 1), (2, 3), (5, 7)):
+            for digits in (20, 45, 100):
+                ctx = decimal.Context(prec=digits + 10)
+                tie = ctx.subtract(ctx.exp(ctx.divide(p, q)), 1)
+                r = Fraction(tie.quantize(decimal.Decimal(10) ** -digits, context=ctx))
+                self.check(r, Fraction(p, q))
 
 
 class TestKappa:

@@ -16,12 +16,13 @@ from cubemorse.raag import (
     Word,
     WordError,
     ZeroExponent,
+    _fold,
     _pile_key,
+    _strip_left,
+    _strip_right,
     bfs_oracle_distance,
     distance,
-    invert,
     is_geodesic,
-    multiply,
     normal_form,
     parse_word,
 )
@@ -164,23 +165,23 @@ class TestGroupOps:
     def test_multiply_cancels(self, z3z):
         x = normal_form("a d", z3z)
         y = normal_form("d^-1 b", z3z)
-        assert multiply(x, y).text() == "a b"
+        assert (x * y).text() == "a b"
 
     def test_invert(self, z3z):
         x = normal_form("a d b^2", z3z)
-        assert invert(x).text() == "b^-2 d^-1 a^-1"
-        assert multiply(x, invert(x)).is_identity
+        assert x.inverse().text() == "b^-2 d^-1 a^-1"
+        assert (x * x.inverse()).is_identity
 
     def test_pow(self, z3z):
         x = normal_form("a d", z3z)
         assert (x**3) == x * x * x
-        assert (x**-2) == invert(x) * invert(x)
+        assert (x**-2) == x.inverse() * x.inverse()
         assert (x**0).is_identity
         assert (normal_form("d", z3z) ** (10**12)).length == 10**12
 
     def test_mixed_graphs_rejected(self, z3z, ck):
         with pytest.raises(MixedGraphs):
-            multiply(normal_form("a", z3z), normal_form("a", ck))
+            normal_form("a", z3z) * normal_form("a", ck)
         with pytest.raises(MixedGraphs):
             distance(normal_form("a", z3z), normal_form("a", ck))
 
@@ -198,8 +199,8 @@ class TestGroupOps:
     @given(a=letters_st)
     def test_inverse_involution(self, z3z, a):
         x = elem(z3z, a)
-        assert invert(invert(x)) == x
-        assert (x * invert(x)).is_identity
+        assert x.inverse().inverse() == x
+        assert (x * x.inverse()).is_identity
 
 
 class TestBfsOracle:
@@ -234,3 +235,50 @@ class TestBfsOracle:
         same_nf = normal_form(Word(z3z, a)) == normal_form(Word(z3z, b))
         same_pile = _pile_key(z3z, a) == _pile_key(z3z, b)
         assert same_nf == same_pile
+
+
+@st.composite
+def random_graphs(draw):
+    """Defining graphs on 2-6 generators with arbitrary edge sets."""
+    names = "abcdef"[: draw(st.integers(2, 6))]
+    pairs = [[g, h] for i, g in enumerate(names) for h in names[i + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, k in zip(pairs, keep) if k]
+    return DefiningGraph.from_data({"generators": list(names), "edges": edges})
+
+
+def draw_strip_case(data, fixtures):
+    """A graph (a fixture or a random one), an element and a generator mask."""
+    graph = data.draw(st.sampled_from(fixtures) | random_graphs())
+    n = len(graph.generators)
+    letters = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))), max_size=14)
+    )
+    mask = data.draw(st.integers(0, graph.full_mask))
+    return graph, normal_form(Word(graph, letters)), mask
+
+
+def assert_split(graph, x, head, tail, removed, mask):
+    # neither half need be in normal form, so the product is refolded
+    assert GroupElement(graph, _fold(graph, head + tail)) == x
+    assert all((mask >> g) & 1 for g, _ in removed)
+
+
+class TestStrip:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_strip_right_contract(self, z3z, ck, data):
+        graph, x, mask = draw_strip_case(data, (z3z, ck))
+        kept, removed = _strip_right(graph, x.syllables, mask)
+        assert_split(graph, x, kept, removed, removed, mask)
+        assert _strip_right(graph, kept, mask) == (kept, ())
+        # Wall names its carrier coset by this kept half, so it is canonical
+        assert _fold(graph, kept) == kept
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_strip_left_contract(self, z3z, ck, data):
+        graph, x, mask = draw_strip_case(data, (z3z, ck))
+        removed, kept = _strip_left(graph, x.syllables, mask)
+        assert_split(graph, x, removed, kept, removed, mask)
+        assert _strip_left(graph, kept, mask) == ((), kept)
