@@ -11,6 +11,7 @@ sensitivity and small cancellation experiments.
 from __future__ import annotations
 
 import decimal
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .raag import (
     normal_form,
     parse_word,
 )
-from .runpaths import RunPath, certify_quasigeodesic_runs
+from .runpaths import RunPath, certify_quasigeodesic_runs, set_distance_knots
 from .walls import (
     DEFAULT_BALL_CAP,
     Wall,
@@ -1010,62 +1011,38 @@ def check_divergence_dichotomy(
     d >= (t - T0)/(2K') - 2(C' + kappa) pointwise; residual_min is the
     exact minimum slack of that bound.
 
-    Distances are maintained exactly: d(beta_t, Z_T) changes by one per
-    step of beta, with the sign decided by which side of the step's wall
-    Z_T lies on, and the side pattern along Z flips only where Z itself
-    crosses that wall."""
+    The distance t -> d(beta_t, Z) is exact and run-scale: it is linear on
+    the integers between the knots of set_distance_knots, so T0, the
+    maximum and residual_min are read off the knots, the run ends and
+    T0 + 1."""
     rho = as_gauge(rho)
     Kp = Fraction(K_prime)
     Cp = Fraction(C_prime)
     kap = kappa(rho, Kp, Cp)
     kap2 = kappa_prime(rho, Kp, Cp)
 
-    zverts = [Z.vertex_at(T) for T in range(Z.length + 1)]
-    flips: dict[Wall, list[int]] = {}
-    for T in range(Z.length):
-        seglist = Z.segments_between(T, T + 1)
-        (start, g, e) = seglist[0]
-        h = wall_of_edge(start, Letter(g, 1 if e > 0 else -1))
-        flips.setdefault(h, []).append(T)
-
-    b = beta.vertex_at(0)
-    D = [distance(b, zv) for zv in zverts]
-    d_list = [min(D)]
-    if d_list[0] > kap:
+    knots = set_distance_knots(beta, Z)
+    if knots[0][1] > kap:
         raise PreconditionFailed(
-            f"path starts at distance {d_list[0]} > kappa = {kap} from Z"
+            f"path starts at distance {knots[0][1]} > kappa = {kap} from Z"
         )
-
-    nz = len(zverts)
-    for g, e in beta.runs:
-        s = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            h = wall_of_edge(b, Letter(g, s))
-            sb = side(h, b)
-            cur = side(h, zverts[0])
-            cuts = flips.get(h, [])
-            start = 0
-            for T in cuts + [nz - 1]:
-                stop = T + 1
-                delta = 1 if cur == sb else -1
-                for i in range(start, stop):
-                    D[i] += delta
-                start = stop
-                cur = -cur
-            b = b.append_letter(g, s)
-            d_list.append(min(D))
-
-    end = len(d_list) - 1
-    T0 = max(t for t, dt in enumerate(d_list) if dt <= kap)
-    max_d = max(d_list)
+    end = beta.length
+    max_d = max(d for _, d in knots)
+    k = max(n for n, (_, d) in enumerate(knots) if d <= kap)
+    t, d = knots[k]
+    # past the last knot within kappa the distance climbs at slope +1, so
+    # it leaves the kappa neighbourhood before the next knot
+    T0 = t if t == end else t + math.floor(kap - d)
     if max_d <= kap2 and T0 == end:
         return DichotomyReport(1, kap, kap2, T0, max_d, True, None, beta.length, Z.length)
     residual_min: Optional[Fraction] = None
-    for t in range(T0 + 1, end + 1):
-        bound = Fraction(t - T0, 1) / (2 * Kp) - 2 * (Cp + kap)
-        r = Fraction(d_list[t]) - bound
-        if residual_min is None or r < residual_min:
-            residual_min = r
+    if T0 < end:
+        candidates = [(T0 + 1, d + T0 + 1 - t)] + [kn for kn in knots[k + 1:] if kn[0] > T0 + 1]
+        for t, dt in candidates:
+            bound = Fraction(t - T0, 1) / (2 * Kp) - 2 * (Cp + kap)
+            r = Fraction(dt) - bound
+            if residual_min is None or r < residual_min:
+                residual_min = r
     bound_ok = residual_min is None or residual_min >= 0
     return DichotomyReport(2, kap, kap2, T0, max_d, bound_ok, residual_min, beta.length, Z.length)
 

@@ -433,10 +433,7 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if self.graph is not other.graph and self.graph != other.graph:
             raise MixedGraphs("cannot multiply over different defining graphs")
-        out = list(self.syllables)
-        for gen, exp in other.syllables:
-            _append_syllable(self.graph, out, gen, exp)
-        return GroupElement(self.graph, tuple(out))
+        return self.append_syllables(other.syllables)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(
@@ -458,6 +455,14 @@ class GroupElement:
 
     def append_letter(self, gen: int, sign: int) -> "GroupElement":
         return self.append_run(gen, sign)
+
+    def append_syllables(self, syllables) -> "GroupElement":
+        """self times the element spelled by nonzero (gen, exp) syllables,
+        which need not be canonical: the engine refolds them one by one."""
+        out = list(self.syllables)
+        for gen, exp in syllables:
+            _append_syllable(self.graph, out, gen, exp)
+        return GroupElement(self.graph, tuple(out))
 
     def append_run(self, gen: int, exp: int) -> "GroupElement":
         if exp == 0:

@@ -21,10 +21,17 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional
 
 from .raag import DefiningGraph, GroupElement, Word, WordError, _strip_right
+
+
+class CertificateViolation(RuntimeError):
+    """A proof obligation behind a certified value failed. This is a fault
+    in the program, not in its input, and no `python -O` run skips it."""
 
 
 @dataclass(frozen=True)
@@ -344,6 +351,10 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
     (K-1)*(t-s) + C, minimized at gap 1. Across runs the margin restricted
     to a cell is piecewise linear in each sliding endpoint, minimized at
     breakpoints. Requires K >= 1 and C >= 0.
+
+    The cells are evaluated on integers: with D the common denominator of
+    K and C, D times the margin is (D*K)*d + D*C - D*(t-s). min_margin is
+    an int when K and C are ints and a Fraction otherwise.
     """
     if K < 1 or C < 0:
         raise ValueError("need K >= 1 and C >= 0")
@@ -352,56 +363,101 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
     if R == 0:
         return QuasiGeodesicReport(True, K, C, C, (0, 0), 0)
 
+    Kq, Cq = Fraction(K), Fraction(C)
+    D = lcm(Kq.denominator, Cq.denominator)
+    Kd, Cd = int(Kq * D), int(Cq * D)
     offsets = path._offsets
-    frames = path._frames
+    frames = _interned(path._frames, {})
     evaluations = 1
     # pairs inside one run: geodesic, minimum at gap 1
-    best = (K - 1) + C
+    best = (Kd - D) + Cd
     witness = (offsets[0], offsets[0] + 1)
 
     for i in range(R):
-        g_i, e_i = runs[i]
+        e_i = runs[i][1]
         key_i, m_i = frames[i]
         A = abs(e_i)
         table = _ClusterTable()
         for j in range(i + 1, R):
-            g_j, e_j = runs[j]
+            e_j = runs[j][1]
             key_j, m_j = frames[j]
             B = abs(e_j)
-            c0 = C - (offsets[j] - offsets[i])
+            c0 = Cd - D * (offsets[j] - offsets[i])
             adjacent = j == i + 1  # cell touches the degenerate pair s == t
             if key_i != key_j:
                 rest = table.total - table.odd_of(key_i) - table.odd_of(key_j)
                 li, lj = table.get(key_i), table.get(key_j)
-                vw, w = _min_1d(K, -1, lj, "head", m_j, e_j, 0, B)
+                vw, w = _min_1d(Kd, -D, lj, "head", m_j, e_j, 0, B)
                 if not adjacent:
-                    vu, u = _min_1d(K, 1, li, "tail", m_i, e_i, 0, A)
-                    val = K * rest + c0 + vu + vw
+                    vu, u = _min_1d(Kd, D, li, "tail", m_i, e_i, 0, A)
+                    val = Kd * rest + c0 + vu + vw
                 else:
                     # exclude (u=A, w=0): u <= A-1 with any w, or u = A with w >= 1
-                    vu1, u1 = _min_1d(K, 1, li, "tail", m_i, e_i, 0, A - 1)
+                    vu1, u1 = _min_1d(Kd, D, li, "tail", m_i, e_i, 0, A - 1)
                     cand1 = vu1 + vw, (u1, w)
-                    vuA = K * _odd_count(li) + A
-                    vw2, w2 = _min_1d(K, -1, lj, "head", m_j, e_j, 1, B)
+                    vuA = Kd * _odd_count(li) + D * A
+                    vw2, w2 = _min_1d(Kd, -D, lj, "head", m_j, e_j, 1, B)
                     cand2 = vuA + vw2, (A, w2)
                     (vm, (u, w)) = min(cand1, cand2, key=lambda c: c[0])
-                    val = K * rest + c0 + vm
+                    val = Kd * rest + c0 + vm
                 evaluations += 2
             else:
                 rest = table.total - table.odd_of(key_i)
                 vm, (u, w) = _min_2d(
-                    K, 1, -1, table.get(key_i),
+                    Kd, D, -D, table.get(key_i),
                     ("tail", m_i, e_i, A), ("head", m_j, e_j, B),
                     exclude_corner=adjacent,
                 )
-                val = K * rest + c0 + vm
+                val = Kd * rest + c0 + vm
                 evaluations += 1
             if val < best:
                 best = val
                 witness = (offsets[i] + u, offsets[j] + w)
             table.add(key_j, _run_interval(m_j, e_j))
 
-    return QuasiGeodesicReport(best >= 0, K, C, best, witness, evaluations)
+    margin = best if isinstance(K, int) and isinstance(C, int) else Fraction(best, D)
+    return QuasiGeodesicReport(best >= 0, K, C, margin, witness, evaluations)
+
+
+def _interned(frames, ids: dict) -> list:
+    """frames with each cluster key replaced by a small int from ids: the
+    keys hold whole syllable tuples and are rehashed on every lookup."""
+    return [(ids.setdefault(key, len(ids)), m) for key, m in frames]
+
+
+def _pair_tables(p1: RunPath, p2: RunPath, ends: bool):
+    """The interned frames of p1 and p2, and a walk over every pair of run
+    starts. The walk yields (i, j, table), where table holds the clusters
+    of the walk from p1's vertex at offset i back to p1's origin, across
+    the connector, and along p2 to its vertex at offset j, so table.total
+    is the distance between the two vertices. With ends, i and j also take
+    the last index, the paths' endpoints; without, an empty path still
+    yields its origin. The table is reused: read it before advancing."""
+    ids: dict = {}
+    f1 = _interned(p1._frames, ids)
+    f2 = _interned(p2._frames, ids)
+
+    def walk():
+        outer = _ClusterTable()
+        v = p1.origin
+        for g, e in (p1.origin.inverse() * p2.origin).syllables:
+            key, m = _star_frame(p1.graph, v, g)
+            outer.add(ids.setdefault(key, len(ids)), _run_interval(m, e))
+            v = v.append_run(g, e)
+        R1, R2 = len(p1.runs), len(p2.runs)
+        n1, n2 = (R1 + 1, R2 + 1) if ends else (max(R1, 1), max(R2, 1))
+        for i in range(n1):
+            if i > 0:
+                key, m = f1[i - 1]
+                outer.add(key, _run_interval(m, p1.runs[i - 1][1]))
+            inner = outer.copy()
+            for j in range(n2):
+                if j > 0:
+                    key, m = f2[j - 1]
+                    inner.add(key, _run_interval(m, p2.runs[j - 1][1]))
+                yield i, j, inner
+
+    return f1, f2, walk()
 
 
 def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
@@ -411,56 +467,121 @@ def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
     connector, then forward to p2(t); only the two head partials move with
     (s, t), so each run-pair cell is minimized at breakpoints.
     """
-    graph = p1.graph
     best = path_pair_distance(p1, 0, p2, 0)
     arg = (0, 0)
 
     runs1 = p1.runs or ((None, 0),)
     runs2 = p2.runs or ((None, 0),)
-    outer = _ClusterTable()
-    v = p1.origin
-    for g, e in (p1.origin.inverse() * p2.origin).syllables:
-        key, m = _star_frame(graph, v, g)
-        outer.add(key, _run_interval(m, e))
-        v = v.append_run(g, e)
-
-    for i, (g_i, e_i) in enumerate(runs1):
-        if i > 0:
-            key_p, m_p = p1._frames[i - 1]
-            outer.add(key_p, _run_interval(m_p, p1.runs[i - 1][1]))
-        key_i, m_i = p1._frames[i] if g_i is not None else (None, 0)
+    f1, f2, walk = _pair_tables(p1, p2, ends=False)
+    for i, j, inner in walk:
+        g_i, e_i = runs1[i]
+        g_j, e_j = runs2[j]
+        key_i, m_i = f1[i] if g_i is not None else (None, 0)
+        key_j, m_j = f2[j] if g_j is not None else (None, 0)
         A = abs(e_i)
-        inner = outer.copy()
-        for j, (g_j, e_j) in enumerate(runs2):
-            if j > 0:
-                key_p, m_p = p2._frames[j - 1]
-                inner.add(key_p, _run_interval(m_p, p2.runs[j - 1][1]))
-            key_j, m_j = p2._frames[j] if g_j is not None else (None, 0)
-            B = abs(e_j)
-            if g_i is None and g_j is None:
-                val, u, w = inner.total, 0, 0
-            elif g_i is None:
-                rest = inner.total - inner.odd_of(key_j)
-                vw, w = _min_1d(1, 0, inner.get(key_j), "head", m_j, e_j, 0, B)
-                val, u = rest + vw, 0
-            elif g_j is None:
-                rest = inner.total - inner.odd_of(key_i)
-                vu, u = _min_1d(1, 0, inner.get(key_i), "head", m_i, e_i, 0, A)
-                val, w = rest + vu, 0
-            elif key_i != key_j:
-                rest = inner.total - inner.odd_of(key_i) - inner.odd_of(key_j)
-                vu, u = _min_1d(1, 0, inner.get(key_i), "head", m_i, e_i, 0, A)
-                vw, w = _min_1d(1, 0, inner.get(key_j), "head", m_j, e_j, 0, B)
-                val = rest + vu + vw
-            else:
-                rest = inner.total - inner.odd_of(key_i)
-                vm, (u, w) = _min_2d(
-                    1, 0, 0, inner.get(key_i),
-                    ("head", m_i, e_i, A), ("head", m_j, e_j, B),
-                )
-                val = rest + vm
-            if val < best:
-                best = val
-                arg = (p1._offsets[i] + u if g_i is not None else 0,
-                       p2._offsets[j] + w if g_j is not None else 0)
+        B = abs(e_j)
+        if g_i is None and g_j is None:
+            val, u, w = inner.total, 0, 0
+        elif g_i is None:
+            rest = inner.total - inner.odd_of(key_j)
+            vw, w = _min_1d(1, 0, inner.get(key_j), "head", m_j, e_j, 0, B)
+            val, u = rest + vw, 0
+        elif g_j is None:
+            rest = inner.total - inner.odd_of(key_i)
+            vu, u = _min_1d(1, 0, inner.get(key_i), "head", m_i, e_i, 0, A)
+            val, w = rest + vu, 0
+        elif key_i != key_j:
+            rest = inner.total - inner.odd_of(key_i) - inner.odd_of(key_j)
+            vu, u = _min_1d(1, 0, inner.get(key_i), "head", m_i, e_i, 0, A)
+            vw, w = _min_1d(1, 0, inner.get(key_j), "head", m_j, e_j, 0, B)
+            val = rest + vu + vw
+        else:
+            rest = inner.total - inner.odd_of(key_i)
+            vm, (u, w) = _min_2d(
+                1, 0, 0, inner.get(key_i),
+                ("head", m_i, e_i, A), ("head", m_j, e_j, B),
+            )
+            val = rest + vm
+        if val < best:
+            best = val
+            arg = (p1._offsets[i] + u if g_i is not None else 0,
+                   p2._offsets[j] + w if g_j is not None else 0)
     return best, arg[0], arg[1]
+
+
+# --- distance from a path to a vertex set ----------------------------------------
+#
+# A run is a geodesic segment of the convex line start·<g>, so by the gate
+# property its u-th vertex lies at distance c + |u - a| from any vertex z,
+# with a = (d0 - dA + A)/2 and c = (d0 + dA - A)/2 read off the distances d0,
+# dA from z to the run's two ends. The distance to a set is the lower
+# envelope of these V shapes: slopes +-1, so it is linear on the integers
+# between its apexes and the crossings of neighbouring V's.
+
+
+def _envelope_knots(vees, A: int) -> list[tuple[int, int]]:
+    """Knots (u, value) of u -> min over (a, c) in vees of c + |u - a| on
+    [0, A], every apex a lying in [0, A]. Between consecutive knots the
+    function is linear on the integers, with slope -1, 0 or +1."""
+    env: list = []
+    for a, c in sorted(vees):
+        # (a2, c2) lies above (a1, c1) everywhere iff c2 - c1 >= |a2 - a1|
+        if env and c - env[-1][1] >= a - env[-1][0]:
+            continue
+        while env and env[-1][1] - c >= a - env[-1][0]:
+            env.pop()
+        env.append((a, c))
+    out: list = []
+
+    def push(u: int, value: int) -> None:
+        if not out or u > out[-1][0]:
+            out.append((u, value))
+
+    a, c = env[0]
+    push(0, c + a)
+    for (a1, c1), (a2, c2) in zip(env, env[1:]):
+        push(a1, c1)
+        # the rising side of a1's V meets the falling side of a2's at s/2
+        s = a1 + a2 + c2 - c1
+        push(s // 2, c1 + s // 2 - a1)
+        push(s - s // 2, c2 + a2 - (s - s // 2))
+    a, c = env[-1]
+    push(a, c)
+    push(A, c + A - a)
+    return out
+
+
+def set_distance_knots(path: RunPath, Z: RunPath) -> tuple[tuple[int, int], ...]:
+    """Exact t -> d(path(t), Z), Z the vertex set of a path, as knots
+    (t, distance) from t = 0 to path.length. Between consecutive knots the
+    distance is linear on the integers, with slope -1, 0 or +1.
+
+    Distances from every vertex of Z to every run end of path come from one
+    cluster-table walk; Z is split into unit steps, and splitting changes
+    no odd coverage, since the unit intervals of a run are disjoint and
+    union to the run's interval. Cost: one row per run of path times the
+    vertices of Z, independent of run lengths.
+    """
+    if all(abs(e) == 1 for _, e in Z.runs):
+        units = Z  # keeps Z's cached frames across calls
+    else:
+        units = RunPath(Z.origin, tuple(
+            (g, 1 if e > 0 else -1) for g, e in Z.runs for _ in range(abs(e))
+        ))
+    rows: list = [[] for _ in range(len(path.runs) + 1)]
+    for i, _, table in _pair_tables(path, units, ends=True)[2]:
+        rows[i].append(table.total)
+    knots = [(0, min(rows[0]))]
+    for i, (_, e) in enumerate(path.runs):
+        A = abs(e)
+        vees = []
+        for T, (d0, dA) in enumerate(zip(rows[i], rows[i + 1])):
+            if (d0 + dA - A) % 2 or abs(d0 - dA) > A:
+                raise CertificateViolation(
+                    f"run {i} of length {A} is not geodesic against vertex {T} of Z:"
+                    f" end distances {d0} and {dA}"
+                )
+            vees.append(((d0 - dA + A) // 2, (d0 + dA - A) // 2))
+        off = path._offsets[i]
+        knots.extend((off + u, d) for u, d in _envelope_knots(vees, A)[1:])
+    return tuple(knots)

@@ -122,7 +122,7 @@ def coset_gate_and_distance(
     """
     t = rep.inverse() * x
     removed, kept = _strip_left(rep.graph, t.syllables, gens_mask)
-    gate_el = rep * GroupElement(rep.graph, removed)
+    gate_el = rep.append_syllables(removed)
     return gate_el, sum(abs(e) for _, e in kept)
 
 
@@ -252,8 +252,8 @@ def crossing_count(
             t, _ = _strip_right(graph, kept, mask2)
             d = sum(abs(e) for _, e in t)
             if best is None or d < best[0]:
-                gate_a = r1 * GroupElement(graph, removed_u)
-                best = (d, gate_a, gate_a * GroupElement(graph, t))
+                gate_a = r1.append_syllables(removed_u)
+                best = (d, gate_a, gate_a.append_syllables(t))
     d, gate_a, gate_b = best
     radius = d + slack
     if radius > cap:

@@ -234,3 +234,31 @@ def test_cli_import_needs_only_stdlib():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+README_DICHOTOMY = ["dichotomy", "--z", "gamma:160", "--path", "beta:4,12",
+                    "--rho", "0", "--K", "8", "--C", "1"]
+
+
+def test_full_escape_path_dichotomy(capsys):
+    code, out = normalized_json(README_DICHOTOMY, capsys)
+    assert code == 0
+    rep = json.loads(out)["outputs"]
+    got = {k: rep[k]["value"] for k in ("case", "last_return", "max_distance", "residual_min")}
+    assert got == {"case": 2, "last_return": 243, "max_distance": 67484149,
+                   "residual_min": "9263/16"}
+    assert rep["bound_ok"] is True
+
+
+@pytest.mark.parametrize("argv", [README_DICHOTOMY, GOLDEN_CASES["beta"]])
+def test_reports_survive_python_O(argv):
+    # certificates are explicit checks, so stripping asserts changes nothing
+    def report(flags):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "cubemorse", "--json", *argv],
+            cwd=REPO, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return re.sub(r'"timing_s": [0-9.e+-]+', '"timing_s": 0.0', proc.stdout)
+
+    assert report(["-O"]) == report([])

@@ -1,0 +1,219 @@
+"""The run-scale divergence dichotomy against the per-step scan it replaced,
+and the distance knots it is read from."""
+
+import random
+from fractions import Fraction
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubemorse.constructions import (
+    DichotomyReport,
+    PreconditionFailed,
+    as_gauge,
+    build_beta,
+    build_gamma,
+    check_divergence_dichotomy,
+    kappa,
+    kappa_prime,
+    runpath_prefix,
+)
+from cubemorse.raag import GroupElement, Letter, distance
+from cubemorse.runpaths import CertificateViolation, RunPath, set_distance_knots
+from cubemorse.walls import side, wall_of_edge
+
+
+def dichotomy_by_steps(Z, beta, rho, K_prime, C_prime) -> DichotomyReport:
+    """Reference: step beta one letter at a time against every vertex of Z.
+
+    d(beta_t, Z_T) changes by one per step of beta, with the sign decided
+    by which side of the step's wall Z_T lies on, and the side pattern
+    along Z flips only where Z itself crosses that wall."""
+    rho = as_gauge(rho)
+    Kp = Fraction(K_prime)
+    Cp = Fraction(C_prime)
+    kap = kappa(rho, Kp, Cp)
+    kap2 = kappa_prime(rho, Kp, Cp)
+
+    zverts = [Z.vertex_at(T) for T in range(Z.length + 1)]
+    flips: dict = {}
+    for T in range(Z.length):
+        (start, g, e) = Z.segments_between(T, T + 1)[0]
+        h = wall_of_edge(start, Letter(g, 1 if e > 0 else -1))
+        flips.setdefault(h, []).append(T)
+
+    b = beta.vertex_at(0)
+    D = [distance(b, zv) for zv in zverts]
+    d_list = [min(D)]
+    if d_list[0] > kap:
+        raise PreconditionFailed(
+            f"path starts at distance {d_list[0]} > kappa = {kap} from Z"
+        )
+
+    nz = len(zverts)
+    for g, e in beta.runs:
+        s = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            h = wall_of_edge(b, Letter(g, s))
+            sb = side(h, b)
+            cur = side(h, zverts[0])
+            start = 0
+            for T in flips.get(h, []) + [nz - 1]:
+                delta = 1 if cur == sb else -1
+                for i in range(start, T + 1):
+                    D[i] += delta
+                start = T + 1
+                cur = -cur
+            b = b.append_letter(g, s)
+            d_list.append(min(D))
+
+    end = len(d_list) - 1
+    T0 = max(t for t, dt in enumerate(d_list) if dt <= kap)
+    max_d = max(d_list)
+    if max_d <= kap2 and T0 == end:
+        return DichotomyReport(1, kap, kap2, T0, max_d, True, None, beta.length, Z.length)
+    residual_min: Optional[Fraction] = None
+    for t in range(T0 + 1, end + 1):
+        bound = Fraction(t - T0, 1) / (2 * Kp) - 2 * (Cp + kap)
+        r = Fraction(d_list[t]) - bound
+        if residual_min is None or r < residual_min:
+            residual_min = r
+    bound_ok = residual_min is None or residual_min >= 0
+    return DichotomyReport(2, kap, kap2, T0, max_d, bound_ok, residual_min, beta.length, Z.length)
+
+
+def outcome(fn, *args):
+    """The report, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except PreconditionFailed as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def escape():
+    return build_gamma(160).runpath(), build_beta(4, 12).path
+
+
+@pytest.mark.parametrize("delta,flats", [(4, 12), (5, 16)])
+def test_beta_prefixes_match_the_scan(escape, delta, flats):
+    Z = escape[0]
+    beta = escape[1] if (delta, flats) == (4, 12) else build_beta(delta, flats).path
+    rng = random.Random(2019 + flats)
+    for steps in [1, 2, 243, 244] + [rng.randint(3, 900) for _ in range(4)]:
+        pre = runpath_prefix(beta, steps)
+        for K, C in ((8, 1), (1, 0), (2, 3)):
+            want = outcome(dichotomy_by_steps, Z, pre, 0, K, C)
+            assert outcome(check_divergence_dichotomy, Z, pre, 0, K, C) == want
+
+
+def test_full_escape_path(escape):
+    Z, beta = escape
+    rep = check_divergence_dichotomy(Z, beta, 0, 8, 1)
+    assert rep.case == 2
+    assert rep.T0 == 243
+    assert rep.max_distance == 67484149
+    assert rep.residual_min == Fraction(9263, 16)
+    assert rep.bound_ok
+    assert (rep.beta_steps, rep.z_steps) == (74892028, 320)
+
+
+def brute_knot_check(path, Z):
+    zverts = [Z.vertex_at(T) for T in range(Z.length + 1)]
+    want = [min(distance(path.vertex_at(t), z) for z in zverts) for t in range(path.length + 1)]
+    knots = set_distance_knots(path, Z)
+    assert knots[0][0] == 0 and knots[-1][0] == path.length
+    for (t1, d1), (t2, d2) in zip(knots, knots[1:]):
+        assert t1 < t2
+        assert abs(d2 - d1) in (0, t2 - t1)
+        for t in range(t1, t2 + 1):
+            assert want[t] == d1 + (d2 - d1) * (t - t1) // (t2 - t1)
+
+
+def runpaths_on(graph, data, origin, max_runs):
+    runs = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, len(graph.generators) - 1),
+            st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+        ),
+        max_size=max_runs,
+    ))
+    return RunPath(origin, tuple(runs))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_paths_match_the_scan(ck, z3z, data):
+    graph = data.draw(st.sampled_from([ck, z3z]))
+    one = GroupElement.identity(graph)
+    # a one-vertex Z when the draw gives no runs
+    Z = runpaths_on(graph, data, one, 5)
+    # start near Z, so the kappa precondition often holds
+    T = data.draw(st.integers(0, Z.length))
+    hop = runpaths_on(graph, data, one, 2)
+    start = Z.vertex_at(T) * hop.endpoint()
+    if data.draw(st.booleans()):
+        # retrace Z backwards and forwards, so vertices are revisited
+        back = Z.segments_between(T, 0)
+        runs = tuple((g, e) for _, g, e in back) + tuple((g, -e) for _, g, e in reversed(back))
+        beta = RunPath(Z.vertex_at(T), runs + runpaths_on(graph, data, one, 3).runs)
+    else:
+        beta = runpaths_on(graph, data, start, 6)  # may be empty
+    brute_knot_check(beta, Z)
+    for K, C in ((1, 0), (2, 1)):
+        want = outcome(dichotomy_by_steps, Z, beta, 0, K, C)
+        assert outcome(check_divergence_dichotomy, Z, beta, 0, K, C) == want
+
+
+def test_far_start_message_matches(ck):
+    Z = RunPath(GroupElement.identity(ck), ((1, 30),))
+    far = RunPath(GroupElement.identity(ck).append_run(2, 10), ((2, 3),))
+    want = outcome(dichotomy_by_steps, Z, far, 0, 1, 0)
+    assert want[0] is PreconditionFailed
+    assert outcome(check_divergence_dichotomy, Z, far, 0, 1, 0) == want
+
+
+def test_long_z_runs_split_into_unit_steps(ck):
+    one = GroupElement.identity(ck)
+    Z = RunPath(one, ((1, 7), (0, -5), (1, -3)))
+    beta = RunPath(one.append_run(2, 1), ((0, 6), (2, 2), (1, -9), (3, 4)))
+    brute_knot_check(beta, Z)
+    for K, C in ((1, 0), (2, 1)):
+        assert check_divergence_dichotomy(Z, beta, 0, K, C) == dichotomy_by_steps(Z, beta, 0, K, C)
+
+
+def test_parallel_path_breaks_the_bound(ck):
+    # beta runs beside Z at distance 4 > kappa = 3, too slowly for the bound
+    one = GroupElement.identity(ck)
+    Z = RunPath(one, ((1, 30),))
+    beta = RunPath(one, ((2, 3), (2, 1), (1, 30)))
+    rep = check_divergence_dichotomy(Z, beta, 0, 1, 0)
+    assert rep == dichotomy_by_steps(Z, beta, 0, 1, 0)
+    assert (rep.case, rep.T0, rep.max_distance, rep.bound_ok) == (2, 3, 4, False)
+    assert rep.residual_min == 4 - (Fraction(34 - 3, 2) - 6)
+
+
+def test_broken_distance_row_is_a_violation(ck, monkeypatch):
+    # a row whose end distances no geodesic run can have must be refused,
+    # not folded into a certified envelope
+    from cubemorse import runpaths
+
+    walk = runpaths._pair_tables
+
+    class Shifted:
+        def __init__(self, table):
+            self.total = table.total + 1
+
+    def corrupted(p1, p2, ends):
+        f1, f2, tables = walk(p1, p2, ends)
+        return f1, f2, (
+            (i, j, Shifted(table) if (i, j) == (1, 0) else table) for i, j, table in tables
+        )
+
+    monkeypatch.setattr(runpaths, "_pair_tables", corrupted)
+    Z = RunPath(GroupElement.identity(ck), ((1, 3),))
+    beta = RunPath(GroupElement.identity(ck), ((2, 2), (0, 1)))
+    with pytest.raises(CertificateViolation):
+        check_divergence_dichotomy(Z, beta, 0, 1, 0)

@@ -1,6 +1,7 @@
 """Run-compressed paths: exact distances and quasi-geodesic certification."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +127,15 @@ class TestMinPairDistance:
         assert got == 0 and s == 2 and t == 0
 
 
+# constants with unequal denominators, a zero C and an integer K next to a
+# fractional C: the certifier scales them to integers by their common one
+FRACTIONAL_KC = (
+    (Fraction(3, 2), Fraction(1, 3)),
+    (Fraction(7, 4), 0),
+    (2, Fraction(5, 6)),
+)
+
+
 class TestQuasiGeodesicCertification:
     def test_geodesic_is_1_0(self, ck):
         p = RunPath.from_word(parse_word("a^5 d^3 a^-2", ck))
@@ -151,7 +161,7 @@ class TestQuasiGeodesicCertification:
             for _ in range(25):
                 p = random_runpath(graph, rng, max_runs=8, max_exp=4)
                 verts = [p.vertex_at(k) for k in range(p.length + 1)]
-                for K, C in ((1, 0), (2, 1), (3, 4), (8, 8)):
+                for K, C in ((1, 0), (2, 1), (3, 4), (8, 8)) + FRACTIONAL_KC:
                     want = min(
                         K * distance(verts[s], verts[t]) + C - (t - s)
                         for s in range(p.length + 1)
@@ -159,6 +169,7 @@ class TestQuasiGeodesicCertification:
                     )
                     rep = certify_quasigeodesic_runs(p, K, C)
                     assert rep.min_margin == want
+                    assert type(rep.min_margin) is type(want)
                     assert rep.certified == (want >= 0)
                     s, t = rep.witness
                     assert s < t
@@ -182,7 +193,7 @@ class TestQuasiGeodesicCertification:
         for graph, runs in cases:
             p = RunPath(GroupElement.identity(graph), runs)
             verts = [p.vertex_at(k) for k in range(p.length + 1)]
-            for K, C in ((1, 0), (3, 2), (8, 8)):
+            for K, C in ((1, 0), (3, 2), (8, 8)) + FRACTIONAL_KC:
                 want = min(
                     K * distance(verts[s], verts[t]) + C - (t - s)
                     for s in range(p.length + 1)

@@ -10,7 +10,14 @@ import random
 
 import pytest
 
-from cubemorse.raag import GroupElement, Letter, bfs_oracle_distance, normal_form, parse_word
+from cubemorse.raag import (
+    GroupElement,
+    Letter,
+    _fold,
+    bfs_oracle_distance,
+    normal_form,
+    parse_word,
+)
 from cubemorse.walls import (
     BallCapExceeded,
     InvalidPair,
@@ -274,6 +281,46 @@ class TestCrossingCount:
         one = GroupElement.identity(ck)
         count, certified = crossing_count(Wall(one, B), Wall(one, D), slack=3)
         assert count > 0 and certified is False
+
+
+def record_noncanonical(monkeypatch) -> list:
+    """Collect the syllables of every GroupElement built with a word that
+    is not its own normal form."""
+    bad: list = []
+    init = GroupElement.__init__
+
+    def checked(self, graph, syllables):
+        init(self, graph, syllables)
+        if _fold(graph, syllables) != tuple(syllables):
+            bad.append(syllables)
+
+    monkeypatch.setattr(GroupElement, "__init__", checked)
+    return bad
+
+
+class TestCanonicalElements:
+    def test_noncanonical_strip_half_is_refolded(self, ck, monkeypatch):
+        # on ck, left-stripping {c, d} from nf(b^-3 c a^-1) keeps b^-3 a^-1,
+        # which right-stripping {c} leaves as it is, and whose normal form is
+        # a^-1 b^-3; crossing_count appends such a half to a gate
+        bad = record_noncanonical(monkeypatch)
+        half = ((B, -3), (A, -1))
+        x = normal_form("c", ck).append_syllables(half)
+        assert x == normal_form("c b^-3 a^-1", ck)
+        assert bad == []
+
+    def test_gates_and_crossing_counts(self, ck, z3z, monkeypatch):
+        # both append a strip half to a representative
+        bad = record_noncanonical(monkeypatch)
+        one = GroupElement.identity(ck)
+        for text in ("c a b", "b^-3 c a^-1", "d c^2 b a"):
+            for h in (Wall(one, A), Wall(normal_form("c", ck), B), Wall(one, D)):
+                gate(normal_form(text, ck), h)
+        assert crossing_count(Wall(one, B), Wall(one, D), slack=3)[1] is False
+        assert crossing_count(Wall(normal_form("c a", ck), B), Wall(one, D), slack=2)[1] is False
+        one = GroupElement.identity(z3z)
+        assert crossing_count(Wall(one, A), Wall(normal_form("a", z3z), A), slack=4)[1] is False
+        assert bad == []
 
 
 class TestGate:
