@@ -14,6 +14,7 @@ import decimal
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -27,7 +28,12 @@ from .raag import (
     normal_form,
     parse_word,
 )
-from .runpaths import RunPath, certify_quasigeodesic_runs, set_distance_knots
+from .runpaths import (
+    CertificateViolation,
+    RunPath,
+    certify_quasigeodesic_runs,
+    set_distance_knots,
+)
 from .walls import (
     DEFAULT_BALL_CAP,
     Wall,
@@ -463,6 +469,11 @@ class GammaPath:
     def entry_vertex(self, l: int) -> GroupElement:
         return self.vertices[2 * (l - 1)]
 
+    @cached_property
+    def _orbit(self) -> "_PeriodOrbit":
+        """The period translates of period_walls, grown on demand."""
+        return _PeriodOrbit(self.period, self.period_walls)
+
 
 def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
     """The periodic combinatorial geodesic through the flat cycle B, C, B, A."""
@@ -551,36 +562,53 @@ def _runs_bounded(h: Wall) -> bool:
     return all(abs(e) <= _ORBIT_RUN_BOUND for _, e in h.base.syllables)
 
 
+class _PeriodOrbit:
+    """The walls P^k·w for the period P and each period wall w, held for
+    k < levels and grown one period at a time. Every translate is checked
+    against the run bound and the growth bound as it enters the table."""
+
+    def __init__(self, period: GroupElement, period_walls: tuple[Wall, ...]):
+        self.period = period
+        self.period_walls = period_walls
+        self.walls: set[Wall] = set()
+        self.levels = 0
+        self._shift = GroupElement.identity(period.graph)
+
+    def cover(self, length: int) -> None:
+        """Grow the table until it holds every level k with
+        8k - slack <= length."""
+        while 8 * self.levels - _ORBIT_LENGTH_SLACK <= length:
+            floor = 8 * self.levels - _ORBIT_LENGTH_SLACK
+            for w in self.period_walls:
+                t = translate_wall(self._shift, w)
+                if not _runs_bounded(t):
+                    raise CertificateViolation(f"translate {t} violates the run bound")
+                if t.base.length < floor:
+                    raise CertificateViolation(f"translate {t} violates the growth bound")
+                self.walls.add(t)
+            self.levels += 1
+            self._shift = self._shift * self.period
+
+
 def gamma_crosses(gamma: GammaPath, h: Wall) -> bool:
     """Whether the infinite periodic extension of gamma crosses h.
 
     The crossed set is exactly the period translates of the first eight
     walls. Canonical bases of those translates keep every run exponent at
-    most 4 and gain eight letters per period up to a slack of 5; both
-    facts are asserted on every translate scanned, so a wall violating
-    the run bound is not crossed, and the scan may stop once translates
-    outgrow the target length."""
+    most 4 and gain eight letters per period up to a slack of 5. So a wall
+    violating the run bound is not crossed, and translates at levels k
+    with 8k - 5 > |h.base| are all longer than h. Membership is a lookup
+    in gamma._orbit, the table of translates held once per GammaPath and
+    grown up to that horizon; both bounds are checked on each translate
+    when it enters the table, and a failure raises CertificateViolation.
+    The answer does not depend on how far earlier queries grew it."""
     if h.graph is not gamma.ck.graph:
         raise ValueError("wall belongs to a different group")
     if not _runs_bounded(h):
         return False
-    target = h.base.length
-    shift = GroupElement.identity(gamma.ck.graph)
-    k = 0
-    while 8 * k - _ORBIT_LENGTH_SLACK <= target:
-        for w in gamma.period_walls:
-            t = translate_wall(shift, w)
-            assert _runs_bounded(t), "translate run bound violated"
-            assert t.base.length >= 8 * k - _ORBIT_LENGTH_SLACK, "translate growth bound violated"
-            if t == h:
-                return True
-        k += 1
-        shift = shift * gamma.period
-    # one level past the horizon, to witness that lengths have escaped
-    for w in gamma.period_walls:
-        t = translate_wall(shift, w)
-        assert _runs_bounded(t) and t.base.length > target
-    return False
+    orbit = gamma._orbit
+    orbit.cover(h.base.length)
+    return h in orbit.walls
 
 
 # --- the flat-hopping quasi-geodesic ------------------------------------------
@@ -682,7 +710,8 @@ def build_beta(
             kept = [
                 s for s, h in candidates.items() if side(h, v_prev) == side(h, w_prev)
             ]
-        assert len(kept) == 1, f"escape direction ambiguous in flat {l}"
+        if len(kept) != 1:
+            raise CertificateViolation(f"escape direction ambiguous in flat {l}")
         p_sign = kept[0]
         designated = candidates[p_sign]
         mid = v_prev.append_run(p_gen, p_sign * N)
@@ -699,10 +728,12 @@ def build_beta(
             q_kept = [
                 s for s in (1, -1) if wall_of_edge(mid, Letter(q_gen, s)) == shared
             ]
-        assert len(q_kept) == 1, f"connector direction ambiguous in flat {l}"
+        if len(q_kept) != 1:
+            raise CertificateViolation(f"connector direction ambiguous in flat {l}")
         q_sign = q_kept[0]
         end = mid.append_run(q_gen, q_sign * M)
-        assert line_l.contains(end), "segment endpoint missed the exit line"
+        if not line_l.contains(end):
+            raise CertificateViolation(f"segment {l} endpoint missed the exit line")
 
         # locally geodesic seams: p*q*p from the previous segment start
         if segments:
@@ -791,8 +822,10 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
                 if len(H_p) >= delta + 3:
                     break
         for h in H_p:
-            assert side(h, v_prev) == side(h, seg.mid)
-            assert side(h, o) != side(h, v_prev)
+            if side(h, v_prev) != side(h, seg.mid):
+                raise CertificateViolation(f"segment {l}: escape run crosses {h}")
+            if side(h, o) == side(h, v_prev):
+                raise CertificateViolation(f"segment {l}: {h} does not separate the escape run")
 
         H_q: list[Wall] = []
         x = v_prev
@@ -804,8 +837,10 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
                 if len(H_q) >= delta + 1:
                     break
         for h in H_q:
-            assert side(h, seg.mid) == side(h, seg.end)
-            assert side(h, o) != side(h, seg.mid)
+            if side(h, seg.mid) != side(h, seg.end):
+                raise CertificateViolation(f"segment {l}: connector run crosses {h}")
+            if side(h, o) == side(h, seg.mid):
+                raise CertificateViolation(f"segment {l}: {h} does not separate the connector run")
 
         cert = SegmentCertificate(l, len(H_p), len(H_q))
         certs.append(cert)

@@ -12,7 +12,10 @@ Everything here reduces to coset arithmetic on normal forms:
   - membership of t in ⟨S1⟩·⟨S2⟩ holds iff left-stripping S1 then
     right-stripping S2 empties t (one round suffices);
   - the gate of x on r·⟨S⟩ is r times the stripped-off prefix of nf(r^-1 x),
-    and the strip remainder length is the distance to the coset.
+    and the strip remainder length is the distance to the coset;
+  - x lies on the + side of a wall [b·⟨lk g⟩, g] iff g^+ is a left descent
+    of nf(b^-1 x), read off as the first syllable left after stripping
+    ⟨lk g⟩ from it.
 
 Transversality of two walls is coset intersection of their carriers, so it
 is decided exactly, with no search. The number of walls transverse to two
@@ -130,16 +133,22 @@ def wall_gate_and_distance(x: GroupElement, h: Wall) -> tuple[GroupElement, int,
     """(gate vertex, distance, side) of x relative to the carrier of h.
 
     side is which carrier coset the gate lies in: -1 for the base side,
-    +1 for the base·gen side. The two coset distances always differ by
-    exactly one, so the nearer coset is also the side of x.
+    +1 for the base·gen side. One product and one strip decide all three:
+    left-strip lk(g) from t = nf(base^-1 x). x is on the + side exactly
+    when the kept half starts with a positive g syllable; then g^+ is a
+    left descent of t, and the carrier's other coset base·g·⟨lk g⟩ is one
+    step nearer. Only lk(g) commutes with g, and the strip leaves no lk(g)
+    syllable that could move to the front, so a g descent of the kept half
+    can only be its first syllable. The gate is base·removed, times g on the + side, and the
+    distance is |kept|, minus one on the + side.
     """
-    mask = h.graph.adj_mask[h.gen]
-    gate_minus, d_minus = coset_gate_and_distance(h.base, mask, x)
-    gate_plus, d_plus = coset_gate_and_distance(h.plus_rep, mask, x)
-    assert abs(d_minus - d_plus) == 1, "wall does not separate its sides"
-    if d_minus < d_plus:
-        return gate_minus, d_minus, -1
-    return gate_plus, d_plus, 1
+    graph = h.graph
+    t = h.base.inverse() * x
+    removed, kept = _strip_left(graph, t.syllables, graph.adj_mask[h.gen])
+    d = sum(abs(e) for _, e in kept)
+    if kept and kept[0][0] == h.gen and kept[0][1] > 0:
+        return h.base.append_syllables(removed + ((h.gen, 1),)), d - 1, 1
+    return h.base.append_syllables(removed), d, -1
 
 
 # --- operations --------------------------------------------------------------

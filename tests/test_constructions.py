@@ -3,19 +3,26 @@
 import decimal
 import math
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubemorse import constructions
 from cubemorse.constructions import (
+    _ORBIT_LENGTH_SLACK,
     ConfigError,
     Flat,
     Line,
     PreconditionFailed,
     SublinearFn,
     _log_cmp,
+    _runs_bounded,
     as_gauge,
     build_beta,
     build_croke_kleiner,
@@ -32,9 +39,11 @@ from cubemorse.constructions import (
     translate_wall,
     verify_separation,
 )
-from cubemorse.raag import GroupElement, distance
-from cubemorse.runpaths import RunPath
-from cubemorse.walls import BallCapExceeded, Wall, walls_between
+from cubemorse.raag import GroupElement, Word, distance, normal_form
+from cubemorse.runpaths import CertificateViolation, RunPath
+from cubemorse.walls import BallCapExceeded, Wall, side, walls_between
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +372,47 @@ class TestGammaCrosses:
         with pytest.raises(ValueError):
             gamma_crosses(gamma12, h)
 
+    def test_matches_scan_on_certificate_walls(self, ckg, monkeypatch):
+        # every wall that build_beta and verify_separation ask about
+        asked: set = set()
+        real_crosses, real_side = constructions.gamma_crosses, constructions.side
+
+        def crosses_recorded(gamma, h):
+            asked.add(h)
+            return real_crosses(gamma, h)
+
+        def side_recorded(h, x):
+            asked.add(h)
+            return real_side(h, x)
+
+        monkeypatch.setattr(constructions, "gamma_crosses", crosses_recorded)
+        monkeypatch.setattr(constructions, "side", side_recorded)
+        for delta, L in ((4, 12), (6, 41)):
+            verify_separation(build_beta(delta, L, ck=ckg))
+        monkeypatch.undo()
+        assert sum(map(_runs_bounded, asked)) > 100
+        crossed = assert_scan_agrees(ckg, asked, random.Random(41))
+        assert 0 < crossed < len(asked)
+
+    def test_matches_scan_on_orbit_translates(self, ckg):
+        gamma = build_gamma(8, ckg)
+        walls = [orbit_translate(gamma, k, idx) for k in range(41) for idx in range(8)]
+        assert_scan_agrees(ckg, walls, random.Random(40))
+
+    def test_matches_scan_on_bounded_random_walls(self, ckg):
+        # random walls near the orbit: a period power, then a short detour
+        rng = random.Random(2026)
+        gamma = build_gamma(8, ckg)
+        walls = []
+        while len(walls) < 400:
+            k = rng.randrange(12)
+            detour = [(rng.randrange(4), rng.choice((1, -1))) for _ in range(rng.randrange(6))]
+            base = orbit_translate(gamma, k, rng.randrange(8)).base
+            h = Wall(base * normal_form(Word(ckg.graph, detour)), rng.randrange(4))
+            if _runs_bounded(h):
+                walls.append(h)
+        assert 0 < assert_scan_agrees(ckg, walls, rng) < len(set(walls))
+
 
 class TestBeta:
     def test_rejects_small_delta(self):
@@ -482,6 +532,67 @@ class TestSeparation:
                 assert min(distance(x, w) for w in win.vertices) >= 4
 
 
+def flip_nth_side(monkeypatch, n):
+    """Make constructions.side give the wrong answer on its n-th call."""
+    calls = []
+
+    def flipped(h, x):
+        calls.append(h)
+        s = side(h, x)
+        return -s if len(calls) == n + 1 else s
+
+    monkeypatch.setattr(constructions, "side", flipped)
+
+
+class TestSeparationChecks:
+    # verify_separation asks four sides per certificate wall: (start, mid)
+    # and (o, start) for the escape run, then (mid, end) and (o, mid) for
+    # the connector run. Segment 2's escape run has 7 walls.
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (0, "escape run crosses"),
+            (2, "does not separate the escape run"),
+            (28, "connector run crosses"),
+            (30, "does not separate the connector run"),
+        ],
+    )
+    def test_flipped_side_raises(self, beta12, monkeypatch, n, message):
+        assert verify_separation(beta12).segments[0].p_wall_count == 7
+        flip_nth_side(monkeypatch, n)
+        with pytest.raises(CertificateViolation, match=message):
+            verify_separation(beta12)
+
+    def test_flipped_side_raises_under_python_O(self):
+        script = textwrap.dedent(
+            """
+            from cubemorse import constructions
+            from cubemorse.runpaths import CertificateViolation
+            beta = constructions.build_beta(4, 12)
+            real, calls = constructions.side, []
+            def flipped(h, x):
+                calls.append(h)
+                return -real(h, x) if len(calls) == 1 else real(h, x)
+            constructions.side = flipped
+            try:
+                constructions.verify_separation(beta)
+            except CertificateViolation as e:
+                print("raised:", e)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], cwd=REPO, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: segment 2: escape run crosses"), proc.stdout
+
+    def test_escape_ambiguity_raises(self, monkeypatch):
+        # a gamma that crosses every wall leaves case 3 no escape direction
+        monkeypatch.setattr(constructions, "gamma_crosses", lambda gamma, h: True)
+        with pytest.raises(CertificateViolation, match="escape direction ambiguous in flat 1"):
+            build_beta(4, 4)
+
+
 class TestCertifyQuasigeodesic:
     def test_beta_at_eight_one(self, beta12):
         rep = certify_quasigeodesic(beta12.path, 8, 1)
@@ -597,15 +708,64 @@ class TestDichotomy:
             runpath_prefix(beta12.path, 0)
 
 
+def orbit_translate(gamma, k, idx):
+    """period^k applied to the idx-th period wall."""
+    shift = GroupElement.identity(gamma.ck.graph)
+    for _ in range(k):
+        shift = shift * gamma.period
+    return translate_wall(shift, gamma.period_walls[idx])
+
+
 @given(k=st.integers(0, 5), idx=st.integers(0, 7))
 @settings(max_examples=30, deadline=None)
 def test_orbit_translates_always_cross(k, idx):
     gamma = build_gamma(8)
+    assert gamma_crosses(gamma, orbit_translate(gamma, k, idx))
+
+
+def gamma_crosses_by_scan(gamma, h) -> bool:
+    """Reference: scan the period translates level by level until their
+    bases outgrow h's, then check one level past that horizon."""
+    if h.graph is not gamma.ck.graph:
+        raise ValueError("wall belongs to a different group")
+    if not _runs_bounded(h):
+        return False
+    target = h.base.length
     shift = GroupElement.identity(gamma.ck.graph)
-    for _ in range(k):
+    k = 0
+    while 8 * k - _ORBIT_LENGTH_SLACK <= target:
+        for w in gamma.period_walls:
+            t = translate_wall(shift, w)
+            assert _runs_bounded(t)
+            assert t.base.length >= 8 * k - _ORBIT_LENGTH_SLACK
+            if t == h:
+                return True
+        k += 1
         shift = shift * gamma.period
-    h = translate_wall(shift, gamma.period_walls[idx])
-    assert gamma_crosses(gamma, h)
+    for w in gamma.period_walls:
+        t = translate_wall(shift, w)
+        assert _runs_bounded(t) and t.base.length > target
+    return False
+
+
+def assert_scan_agrees(ck, walls, rng):
+    """gamma_crosses equals the scan on a fresh gamma, whatever order the
+    table grows in: shuffled with the longest wall first, so every later
+    query meets a table grown past its own horizon, and then shortest
+    first on another fresh gamma, so the table grows one query at a time.
+    Returns how many of the walls are crossed."""
+    walls = list(dict.fromkeys(walls))
+    rng.shuffle(walls)
+    longest = max(walls, key=lambda h: h.base.length)
+    walls.remove(longest)
+    walls.insert(0, longest)
+    gamma = build_gamma(8, ck)
+    want = {h: gamma_crosses_by_scan(gamma, h) for h in walls}
+    assert [gamma_crosses(gamma, h) for h in walls] == [want[h] for h in walls]
+    gamma = build_gamma(8, ck)
+    ascending = sorted(walls, key=lambda h: h.base.length)
+    assert [gamma_crosses(gamma, h) for h in ascending] == [want[h] for h in ascending]
+    return sum(want.values())
 
 
 @given(data=st.data())

@@ -9,10 +9,13 @@ oracle.
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cubemorse.raag import (
     GroupElement,
     Letter,
+    Word,
     _fold,
     bfs_oracle_distance,
     normal_form,
@@ -25,6 +28,7 @@ from cubemorse.walls import (
     Wall,
     WallsCross,
     ball,
+    coset_gate_and_distance,
     crosses,
     crossing_count,
     extend_path,
@@ -35,7 +39,9 @@ from cubemorse.walls import (
     wall_of_edge,
     walls_between,
     walls_separating_point_from_wall,
+    wall_gate_and_distance,
 )
+from test_raag import random_graphs
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -200,6 +206,55 @@ class TestSide:
             probe = set(walls_between(rng.choice(verts), rng.choice(verts)))
             for h in between | probe:
                 assert (h in between) == (side(h, x) != side(h, y))
+
+
+def wall_gate_and_distance_by_cosets(x, h):
+    """Reference: gates on both carrier cosets, keeping the nearer one. The
+    two coset distances differ by exactly one, since h separates the
+    cosets."""
+    mask = h.graph.adj_mask[h.gen]
+    gate_minus, d_minus = coset_gate_and_distance(h.base, mask, x)
+    gate_plus, d_plus = coset_gate_and_distance(h.plus_rep, mask, x)
+    assert abs(d_minus - d_plus) == 1
+    if d_minus < d_plus:
+        return gate_minus, d_minus, -1
+    return gate_plus, d_plus, 1
+
+
+def draw_element(data, graph, max_letters=12):
+    n = len(graph.generators)
+    letters = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))),
+            max_size=max_letters,
+        )
+    )
+    return normal_form(Word(graph, letters))
+
+
+class TestOneProductSide:
+    @seed(2026)
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_two_coset_oracle(self, z3z, ck, data):
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        h = Wall(draw_element(data, graph), data.draw(st.integers(0, len(graph.generators) - 1)))
+        x = draw_element(data, graph)
+        want = wall_gate_and_distance_by_cosets(x, h)
+        assert wall_gate_and_distance(x, h) == want
+        assert (gate(x, h), wall_distance(x, h), side(h, x)) == want
+
+    @seed(2027)
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_side_change_rule(self, z3z, ck, data):
+        # h separates x from y iff their sides differ, for the walls between
+        # them and for walls between two unrelated vertices
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        x, y, u, v = (draw_element(data, graph, 8) for _ in range(4))
+        between = set(walls_between(x, y))
+        for h in between | set(walls_between(u, v)):
+            assert (h in between) == (side(h, x) != side(h, y))
 
 
 class TestCrosses:
