@@ -2,7 +2,8 @@
 
 Reports are aligned text by default or a single JSON document with
 --json. Exit codes: 0 for a certified result, 2 for a result the chosen
-truncation could not certify, 1 for input errors.
+truncation could not certify, 1 for input errors, 3 for a failed proof
+obligation (CertificateViolation), a fault of the program.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .constructions import (
     verify_separation,
 )
 from .raag import DefiningGraph, GroupElement, distance, normal_form, parse_word
-from .runpaths import RunPath
+from .runpaths import CertificateViolation, RunPath
 from .walls import (
     DEFAULT_BALL_CAP,
     DEFAULT_SLACK,
@@ -601,6 +602,9 @@ def run(argv: list[str]) -> int:
         }
         _emit(report, args.json)
         return 0 if certified else 2
+    except CertificateViolation as exc:
+        print(f"error: certificate violation: {exc}", file=sys.stderr)
+        return 3
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -295,13 +295,6 @@ _CK_DATA = {
     "edges": [["a", "b"], ["b", "c"], ["c", "d"]],
 }
 
-_FLAT_TYPES = {
-    frozenset(("a", "b")): "A",
-    frozenset(("b", "c")): "B",
-    frozenset(("c", "d")): "C",
-}
-
-
 @dataclass(frozen=True)
 class CrokeKleiner:
     """The RAAG on the path a-b-c-d with wall families named by generator."""
@@ -391,11 +384,6 @@ class Flat(_Coset):
     @property
     def _gens(self) -> tuple[int, int]:
         return self.gens
-
-    @property
-    def type_tag(self) -> str:
-        names = frozenset(self.graph.generators[g] for g in self.gens)
-        return _FLAT_TYPES.get(names, "?")
 
     def __repr__(self) -> str:
         names = "".join(sorted(self.graph.generators[g] for g in self.gens))
@@ -524,14 +512,35 @@ def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
         tuple(period_walls),
     )
     for l in range(1, L + 1):
-        f = gp.flats[l - 1]
-        pw = gp.piece_walls(l)
-        assert all(f.is_cut_by(h) for h in pw) and len(pw) <= 3
-        assert f.contains(gp.vertices[2 * l - 1]) and f.contains(gp.vertices[2 * l])
-        assert gp.lines[l - 1].contains(gp.vertices[2 * l])
+        assert _flat_layout_holds(gp, l), f"flat {l} is laid out wrongly"
     if L >= 4:
         assert gp.walls[:8] == gp.period_walls
     return gp
+
+
+def _flat_layout_holds(gamma: GammaPath, l: int) -> bool:
+    """Flat l is cut by its two piece walls and holds the path's two steps
+    in it, and its exit line holds the second.
+
+    Cuts and memberships are invariant under left translation, so they
+    are tested on the translate by the flat's entry vertex^-1: the local
+    flat, the local piece walls, the two local steps and the local exit
+    line are short words, and only the translation itself reads the long
+    ones."""
+    u = gamma.entry_vertex(l).inverse()
+    f = gamma.flats[l - 1]
+    flat = Flat(u * f.base, f.gens)
+    pw = tuple(translate_wall(u, h) for h in gamma.piece_walls(l))
+    step1 = u * gamma.vertices[2 * l - 1]
+    step2 = u * gamma.vertices[2 * l]
+    ln = gamma.lines[l - 1]
+    return (
+        all(flat.is_cut_by(h) for h in pw)
+        and len(pw) <= 3
+        and flat.contains(step1)
+        and flat.contains(step2)
+        and Line(u * ln.base, ln.gen).contains(step2)
+    )
 
 
 def line_wall_count(gamma: GammaPath, l: int) -> int:
@@ -655,9 +664,6 @@ class BetaReport:
     @property
     def total_length(self) -> int:
         return sum(s.length for s in self.segments)
-
-    def segment_lengths(self) -> tuple[int, ...]:
-        return tuple(s.length for s in self.segments)
 
 
 def build_beta(
@@ -785,6 +791,23 @@ class SeparationReport:
         return min(c.separation for c in self.segments)
 
 
+def _uncrossed_steps(
+    gamma: GammaPath, start: GroupElement, g: int, s: int, steps: int, want: int
+) -> list[tuple[int, Wall]]:
+    """(k, wall) for the first `want` of the first `steps` edges along g^s
+    from start whose walls gamma does not cross; k counts the steps."""
+    out: list[tuple[int, Wall]] = []
+    x = start
+    for k in range(steps):
+        h = wall_of_edge(x, Letter(g, s))
+        x = x.append_letter(g, s)
+        if not gamma_crosses(gamma, h):
+            out.append((k, h))
+            if len(out) >= want:
+                break
+    return out
+
+
 def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> SeparationReport:
     """Certify that every vertex of segment l >= 2 keeps distance >= delta
     from every vertex of the periodic gamma.
@@ -796,50 +819,56 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     run is covered by walls cutting the entry line between the segment
     start and gamma; the connector run by the escape run's own walls.
     Single-direction runs change sides only across walls in their own
-    direction, so the endpoint side checks certify whole runs."""
+    direction, so the endpoint side checks certify whole runs.
+
+    The side checks run in the segment's frame. Which side of a wall a
+    vertex lies on is invariant under left translation, so each segment
+    is translated by its start^-1: the start becomes 1, the end of the
+    escape run p^N and the segment's end p^N q^M, and the k-th wall
+    along a direction g^s from the start becomes the wall of the edge
+    from g^(s*k). Only gamma's basepoint becomes a long word, one inverse
+    per segment. gamma_crosses reads gamma's global orbit table, so it
+    takes the walls in place."""
     delta = beta.delta if delta is None else delta
     gamma = beta.gamma
-    o = gamma.ck.origin
+    one = gamma.ck.origin
+    # the frames share their short walls, so each is built once per call
+    local_walls: dict[tuple[int, int, int], Wall] = {}
+
+    def local_wall(g: int, s: int, k: int) -> Wall:
+        h = local_walls.get((g, s, k))
+        if h is None:
+            h = local_walls[g, s, k] = wall_of_edge(one.append_run(g, s * k), Letter(g, s))
+        return h
+
     ok = True
     certs: list[SegmentCertificate] = []
     for seg in beta.segments[1:]:
         l = seg.index
-        v_prev = seg.start
-        w_prev = gamma.entry_vertex(l)
+        o = seg.start.inverse()  # gamma's basepoint, in the segment's frame
         line_prev = gamma.lines[l - 2]
-        assert line_prev.contains(v_prev)
         lg = line_prev.gen
-        budget = distance(v_prev, w_prev)
-        toward = 1 if distance(v_prev.append_letter(lg, 1), w_prev) < budget else -1
+        assert Line(o * line_prev.base, lg).contains(one)
+        w_prev = o * gamma.entry_vertex(l)
+        budget = w_prev.length
+        toward = 1 if distance(one.append_letter(lg, 1), w_prev) < budget else -1
+        mid = one.append_run(seg.p_gen, seg.p_sign * seg.N)
+        end = mid.append_run(seg.q_gen, seg.q_sign * seg.M)
 
-        H_p: list[Wall] = []
-        x = v_prev
-        for _ in range(budget):
-            h = wall_of_edge(x, Letter(lg, toward))
-            x = x.append_letter(lg, toward)
-            if not gamma_crosses(gamma, h):
-                H_p.append(h)
-                if len(H_p) >= delta + 3:
-                    break
-        for h in H_p:
-            if side(h, v_prev) != side(h, seg.mid):
+        H_p = _uncrossed_steps(gamma, seg.start, lg, toward, budget, delta + 3)
+        for k, h in H_p:
+            hl = local_wall(lg, toward, k)
+            if side(hl, one) != side(hl, mid):
                 raise CertificateViolation(f"segment {l}: escape run crosses {h}")
-            if side(h, o) == side(h, v_prev):
+            if side(hl, o) == side(hl, one):
                 raise CertificateViolation(f"segment {l}: {h} does not separate the escape run")
 
-        H_q: list[Wall] = []
-        x = v_prev
-        for _ in range(seg.N):
-            h = wall_of_edge(x, Letter(seg.p_gen, seg.p_sign))
-            x = x.append_letter(seg.p_gen, seg.p_sign)
-            if not gamma_crosses(gamma, h):
-                H_q.append(h)
-                if len(H_q) >= delta + 1:
-                    break
-        for h in H_q:
-            if side(h, seg.mid) != side(h, seg.end):
+        H_q = _uncrossed_steps(gamma, seg.start, seg.p_gen, seg.p_sign, seg.N, delta + 1)
+        for k, h in H_q:
+            hl = local_wall(seg.p_gen, seg.p_sign, k)
+            if side(hl, mid) != side(hl, end):
                 raise CertificateViolation(f"segment {l}: connector run crosses {h}")
-            if side(h, o) == side(h, seg.mid):
+            if side(hl, o) == side(hl, mid):
                 raise CertificateViolation(f"segment {l}: {h} does not separate the connector run")
 
         cert = SegmentCertificate(l, len(H_p), len(H_q))
@@ -1259,10 +1288,6 @@ class Example23:
 
     def ray_end(self, i: int) -> str:
         return f"r{i}.{6 * self.f_values[i] + self.tail}"
-
-    def ray_vertices(self, i: int) -> tuple[str, ...]:
-        n = 6 * self.f_values[i] + self.tail
-        return (f"a{i}",) + tuple(f"r{i}.{k}" for k in range(1, n + 1))
 
 
 def build_example23(f, i_max: int, tail: int) -> Example23:

@@ -355,6 +355,12 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
     The cells are evaluated on integers: with D the common denominator of
     K and C, D times the margin is (D*K)*d + D*C - D*(t-s). min_margin is
     an int when K and C are ints and a Fraction otherwise.
+
+    The 1-D cell minima are memoised for the length of the call. _min_1d
+    is a pure function of its arguments, and a run's fixed list only
+    changes when a later run of its cluster enters the table, so most
+    cells ask a minimisation an earlier cell already answered; the
+    argmin order, and with it the witness, is unchanged.
     """
     if K < 1 or C < 0:
         raise ValueError("need K >= 1 and C >= 0")
@@ -369,6 +375,15 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
     offsets = path._offsets
     frames = _interned(path._frames, {})
     evaluations = 1
+    minima: dict = {}
+
+    def min_1d(lam, fixed, kind, m, e, lo_u, hi_u):
+        key = (lam, tuple(fixed), kind, m, e, lo_u, hi_u)
+        got = minima.get(key)
+        if got is None:
+            got = minima[key] = _min_1d(Kd, lam, fixed, kind, m, e, lo_u, hi_u)
+        return got
+
     # pairs inside one run: geodesic, minimum at gap 1
     best = (Kd - D) + Cd
     witness = (offsets[0], offsets[0] + 1)
@@ -387,16 +402,16 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
             if key_i != key_j:
                 rest = table.total - table.odd_of(key_i) - table.odd_of(key_j)
                 li, lj = table.get(key_i), table.get(key_j)
-                vw, w = _min_1d(Kd, -D, lj, "head", m_j, e_j, 0, B)
+                vw, w = min_1d(-D, lj, "head", m_j, e_j, 0, B)
                 if not adjacent:
-                    vu, u = _min_1d(Kd, D, li, "tail", m_i, e_i, 0, A)
+                    vu, u = min_1d(D, li, "tail", m_i, e_i, 0, A)
                     val = Kd * rest + c0 + vu + vw
                 else:
                     # exclude (u=A, w=0): u <= A-1 with any w, or u = A with w >= 1
-                    vu1, u1 = _min_1d(Kd, D, li, "tail", m_i, e_i, 0, A - 1)
+                    vu1, u1 = min_1d(D, li, "tail", m_i, e_i, 0, A - 1)
                     cand1 = vu1 + vw, (u1, w)
                     vuA = Kd * _odd_count(li) + D * A
-                    vw2, w2 = _min_1d(Kd, -D, lj, "head", m_j, e_j, 1, B)
+                    vw2, w2 = min_1d(-D, lj, "head", m_j, e_j, 1, B)
                     cand2 = vuA + vw2, (A, w2)
                     (vm, (u, w)) = min(cand1, cand2, key=lambda c: c[0])
                     val = Kd * rest + c0 + vm

@@ -40,6 +40,7 @@ from .raag import (
     _strip_left,
     _strip_right,
 )
+from .runpaths import CertificateViolation
 
 # a Vertex of the complex is exactly a group element
 Vertex = GroupElement
@@ -302,7 +303,8 @@ def walls_separating_point_from_wall(o: Vertex, k: Wall) -> tuple[Wall, ...]:
     out = tuple(
         h for h in walls_between(o, g) if h != k and not crosses(h, k)
     )
-    assert len(out) == wall_distance(o, k), "gate geodesic crossed a stray wall"
+    if len(out) != wall_distance(o, k):
+        raise CertificateViolation(f"gate geodesic from {o!r} to {k} crossed a stray wall")
     return out
 
 

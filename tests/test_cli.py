@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -262,3 +263,48 @@ def test_reports_survive_python_O(argv):
         return re.sub(r'"timing_s": [0-9.e+-]+', '"timing_s": 0.0', proc.stdout)
 
     assert report(["-O"]) == report([])
+
+
+# verify_separation asks its first side at the start of segment 2, which
+# is the identity in that segment's frame; building gamma and beta asks no
+# side at the identity, so the flip lands in the separation certificate
+FLIP_FIRST_SIDE_AT_ONE = """
+from cubemorse import constructions
+real, flips = constructions.side, []
+def flipped(h, x):
+    if x.is_identity and not flips:
+        flips.append(h)
+        return -real(h, x)
+    return real(h, x)
+constructions.side = flipped
+"""
+BETA_VIOLATION = "error: certificate violation: segment 2: escape run crosses"
+
+
+def test_certificate_violation_exits_3(monkeypatch, capsys):
+    from cubemorse import constructions
+
+    # the script replaces constructions.side; monkeypatch puts it back
+    monkeypatch.setattr(constructions, "side", constructions.side)
+    exec(FLIP_FIRST_SIDE_AT_ONE, {})
+    code = run(GOLDEN_CASES["beta"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith(BETA_VIOLATION), err
+
+
+def test_certificate_violation_exits_3_under_python_O():
+    script = FLIP_FIRST_SIDE_AT_ONE + textwrap.dedent(
+        f"""
+        import sys
+        from cubemorse.cli import run
+        sys.exit(run({GOLDEN_CASES["beta"]!r}))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], cwd=REPO, capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(BETA_VIOLATION), proc.stderr

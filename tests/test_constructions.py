@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubemorse import constructions
+from cubemorse import constructions, runpaths
 from cubemorse.constructions import (
     _ORBIT_LENGTH_SLACK,
     ConfigError,
     Flat,
     Line,
     PreconditionFailed,
+    SegmentCertificate,
+    SeparationReport,
     SublinearFn,
     _log_cmp,
     _runs_bounded,
@@ -39,9 +41,9 @@ from cubemorse.constructions import (
     translate_wall,
     verify_separation,
 )
-from cubemorse.raag import GroupElement, Word, distance, normal_form
+from cubemorse.raag import GroupElement, Letter, Word, distance, normal_form
 from cubemorse.runpaths import CertificateViolation, RunPath
-from cubemorse.walls import BallCapExceeded, Wall, side, walls_between
+from cubemorse.walls import BallCapExceeded, Wall, side, wall_of_edge, walls_between
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -532,6 +534,82 @@ class TestSeparation:
                 assert min(distance(x, w) for w in win.vertices) >= 4
 
 
+def verify_separation_by_global_frame(beta, delta=None):
+    """Reference: the separation certificate with every side check asked
+    in place, on the global walls and vertices."""
+    delta = beta.delta if delta is None else delta
+    gamma = beta.gamma
+    o = gamma.ck.origin
+    ok = True
+    certs = []
+    for seg in beta.segments[1:]:
+        l = seg.index
+        v_prev = seg.start
+        w_prev = gamma.entry_vertex(l)
+        line_prev = gamma.lines[l - 2]
+        assert line_prev.contains(v_prev)
+        lg = line_prev.gen
+        budget = distance(v_prev, w_prev)
+        toward = 1 if distance(v_prev.append_letter(lg, 1), w_prev) < budget else -1
+
+        H_p = []
+        x = v_prev
+        for _ in range(budget):
+            h = wall_of_edge(x, Letter(lg, toward))
+            x = x.append_letter(lg, toward)
+            if not gamma_crosses(gamma, h):
+                H_p.append(h)
+                if len(H_p) >= delta + 3:
+                    break
+        for h in H_p:
+            if side(h, v_prev) != side(h, seg.mid):
+                raise CertificateViolation(f"segment {l}: escape run crosses {h}")
+            if side(h, o) == side(h, v_prev):
+                raise CertificateViolation(f"segment {l}: {h} does not separate the escape run")
+
+        H_q = []
+        x = v_prev
+        for _ in range(seg.N):
+            h = wall_of_edge(x, Letter(seg.p_gen, seg.p_sign))
+            x = x.append_letter(seg.p_gen, seg.p_sign)
+            if not gamma_crosses(gamma, h):
+                H_q.append(h)
+                if len(H_q) >= delta + 1:
+                    break
+        for h in H_q:
+            if side(h, seg.mid) != side(h, seg.end):
+                raise CertificateViolation(f"segment {l}: connector run crosses {h}")
+            if side(h, o) == side(h, seg.mid):
+                raise CertificateViolation(f"segment {l}: {h} does not separate the connector run")
+
+        cert = SegmentCertificate(l, len(H_p), len(H_q))
+        certs.append(cert)
+        ok = ok and cert.separation >= delta
+    return SeparationReport(delta, tuple(certs), ok)
+
+
+class TestSeparationFrames:
+    @pytest.mark.parametrize("delta, L", [(4, 12), (5, 40), (8, 42), (6, 119)])
+    def test_segment_frames_match_global_frame(self, ckg, delta, L):
+        beta = build_beta(delta, L, ck=ckg)
+        assert verify_separation(beta) == verify_separation_by_global_frame(beta)
+
+    def test_one_long_inverse_per_segment(self, ckg, monkeypatch):
+        # only gamma's basepoint is a long word in a segment's frame
+        beta = build_beta(4, 40, ck=ckg)
+        real, long_inverses = GroupElement.inverse, []
+
+        def recorded(self):
+            if len(self.syllables) > 8:
+                long_inverses.append(self)
+            return real(self)
+
+        monkeypatch.setattr(GroupElement, "inverse", recorded)
+        rep = verify_separation(beta)
+        assert rep.ok and len(rep.segments) == 39
+        assert 0 < len(long_inverses) <= len(rep.segments)
+
+
 def flip_nth_side(monkeypatch, n):
     """Make constructions.side give the wrong answer on its n-th call."""
     calls = []
@@ -619,6 +697,27 @@ class TestCertifyQuasigeodesic:
     def test_rejects_bad_constants(self, gamma12):
         with pytest.raises(ValueError):
             certify_quasigeodesic(gamma12.runpath(), Fraction(1, 2), 0)
+
+    @pytest.mark.parametrize("delta, L, evaluations", [(6, 41, 6583), (4, 120, 57183)])
+    def test_pinned_certificates(self, ckg, delta, L, evaluations):
+        rep = certify_quasigeodesic(build_beta(delta, L, ck=ckg).path, 8, 1)
+        assert rep.certified
+        assert (rep.min_margin, rep.witness, rep.evaluations) == (
+            Fraction(15, 8), (0, 1), evaluations
+        )
+
+    def test_cell_minima_asked_once(self, ckg, monkeypatch):
+        path = build_beta(6, 41, ck=ckg).path
+        real, asked = runpaths._min_1d, []
+
+        def recorded(alpha, lam, fixed, *rest):
+            asked.append((alpha, lam, tuple(fixed), *rest))
+            return real(alpha, lam, fixed, *rest)
+
+        monkeypatch.setattr(runpaths, "_min_1d", recorded)
+        rep = certify_quasigeodesic(path, 8, 1)
+        assert rep.evaluations == 6583
+        assert 0 < len(asked) == len(set(asked))
 
 
 class TestContracting:

@@ -7,6 +7,10 @@ oracle.
 """
 
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -21,6 +25,8 @@ from cubemorse.raag import (
     normal_form,
     parse_word,
 )
+from cubemorse import walls as walls_module
+from cubemorse.runpaths import CertificateViolation
 from cubemorse.walls import (
     BallCapExceeded,
     InvalidPair,
@@ -44,6 +50,7 @@ from cubemorse.walls import (
 from test_raag import random_graphs
 
 A, B, C, D = 0, 1, 2, 3
+REPO = Path(__file__).resolve().parent.parent
 
 
 def edges_in(graph, verts):
@@ -433,6 +440,39 @@ class TestSeparatingWalls:
             for h in seps:
                 for cv in carrier_samples:
                     assert side(h, o) != side(h, cv), (o, k, h, cv)
+
+    def test_stray_wall_is_a_violation(self, z3z, monkeypatch):
+        # a carrier distance one above the gate geodesic's wall count
+        real = walls_module.wall_distance
+        monkeypatch.setattr(walls_module, "wall_distance", lambda o, k: real(o, k) + 1)
+        one = GroupElement.identity(z3z)
+        with pytest.raises(CertificateViolation, match="crossed a stray wall"):
+            walls_separating_point_from_wall(normal_form("c^-3", z3z), Wall(one, C))
+
+    def test_stray_wall_is_a_violation_under_python_O(self):
+        script = textwrap.dedent(
+            """
+            from cubemorse import walls
+            from cubemorse.raag import DefiningGraph, GroupElement, normal_form
+            from cubemorse.runpaths import CertificateViolation
+            graph = DefiningGraph.from_json("tests/data/z3z.json")
+            real = walls.wall_distance
+            walls.wall_distance = lambda o, k: real(o, k) + 1
+            one = GroupElement.identity(graph)
+            try:
+                walls.walls_separating_point_from_wall(
+                    normal_form("c^-3", graph), walls.Wall(one, 2)
+                )
+            except CertificateViolation as e:
+                print("raised:", e)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], cwd=REPO, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: gate geodesic from"), proc.stdout
+        assert "crossed a stray wall" in proc.stdout
 
 
 class TestBall:
