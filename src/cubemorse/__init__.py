@@ -1,177 +1,123 @@
 """Hyperplane combinatorics, boundary metrics, and cross ratios for the
 cube complexes of right-angled Artin groups, plus the explicit
-counterexample constructions the library exists to certify."""
+counterexample constructions the library exists to certify.
 
-from .raag import (
-    DefiningGraph,
-    GroupElement,
-    Letter,
-    LetterSeq,
-    Word,
-    bfs_oracle_distance,
-    distance,
-    is_geodesic,
-    normal_form,
-    parse_word,
-)
-from .walls import (
-    Wall,
-    ball,
-    crosses,
-    crossing_count,
-    extend_path,
-    gate,
-    side,
-    strongly_separated,
-    wall_distance,
-    wall_of_edge,
-    walls_between,
-    walls_separating_point_from_wall,
-)
-from .runpaths import (
-    CertificateViolation,
-    QuasiGeodesicReport,
-    RunPath,
-    certify_quasigeodesic_runs,
-    min_pair_distance,
-    path_pair_distance,
-    walk_wall_count,
-)
-from .boundary import (
-    BoundaryRay,
-    ProductValue,
-    SeparatedChain,
-    bracket_product,
-    cross_ratio_bfm,
-    cross_ratio_cr,
-    fellow_travel_radius,
-    find_separated_chain,
-    gromov_product,
-    hyp_member,
-    metric_d,
-    ray_walls,
-    refine_to_single_wall,
-    validate_ray,
-)
-from .constructions import (
-    BasepointRow,
-    BetaReport,
-    BetaSegment,
-    ConfigError,
-    ContractionReport,
-    CrokeKleiner,
-    DichotomyReport,
-    Example23,
-    Flat,
-    GammaPath,
-    LabeledGraph,
-    Line,
-    PreconditionFailed,
-    QuasiGeodesicCertificate,
-    SegmentCertificate,
-    SeparationReport,
-    SmallCancellationReport,
-    SublinearFn,
-    as_gauge,
-    basepoint_experiment,
-    build_beta,
-    build_croke_kleiner,
-    build_example23,
-    build_gamma,
-    certify_quasigeodesic,
-    check_contracting,
-    check_divergence_dichotomy,
-    example23_relators,
-    free_alphabet_graph,
-    gamma_crosses,
-    kappa,
-    kappa_prime,
-    runpath_prefix,
-    small_cancellation_check,
-    translate_wall,
-    verify_separation,
-)
+The package namespace is lazy: `import cubemorse` loads no submodule, and
+the first access to an exported name imports its home module (PEP 562), so
+a caller pays only for the layers it uses.
+"""
 
-__all__ = [
-    "DefiningGraph",
-    "GroupElement",
-    "Letter",
-    "LetterSeq",
-    "Word",
-    "bfs_oracle_distance",
-    "distance",
-    "is_geodesic",
-    "normal_form",
-    "parse_word",
-    "Wall",
-    "ball",
-    "crosses",
-    "crossing_count",
-    "extend_path",
-    "gate",
-    "side",
-    "strongly_separated",
-    "wall_distance",
-    "wall_of_edge",
-    "walls_between",
-    "walls_separating_point_from_wall",
-    "CertificateViolation",
-    "QuasiGeodesicReport",
-    "RunPath",
-    "certify_quasigeodesic_runs",
-    "min_pair_distance",
-    "path_pair_distance",
-    "walk_wall_count",
-    "BoundaryRay",
-    "ProductValue",
-    "SeparatedChain",
-    "bracket_product",
-    "cross_ratio_bfm",
-    "cross_ratio_cr",
-    "fellow_travel_radius",
-    "find_separated_chain",
-    "gromov_product",
-    "hyp_member",
-    "metric_d",
-    "ray_walls",
-    "refine_to_single_wall",
-    "validate_ray",
-    "BasepointRow",
-    "BetaReport",
-    "BetaSegment",
-    "ConfigError",
-    "ContractionReport",
-    "CrokeKleiner",
-    "DichotomyReport",
-    "Example23",
-    "Flat",
-    "GammaPath",
-    "LabeledGraph",
-    "Line",
-    "PreconditionFailed",
-    "QuasiGeodesicCertificate",
-    "SegmentCertificate",
-    "SeparationReport",
-    "SmallCancellationReport",
-    "SublinearFn",
-    "as_gauge",
-    "basepoint_experiment",
-    "build_beta",
-    "build_croke_kleiner",
-    "build_example23",
-    "build_gamma",
-    "certify_quasigeodesic",
-    "check_contracting",
-    "check_divergence_dichotomy",
-    "example23_relators",
-    "free_alphabet_graph",
-    "gamma_crosses",
-    "kappa",
-    "kappa_prime",
-    "runpath_prefix",
-    "small_cancellation_check",
-    "translate_wall",
-    "verify_separation",
-]
+from importlib import import_module
+
+# home module -> the public names it exports through the package
+_EXPORTS = {
+    "raag": (
+        "CertificateViolation",
+        "DefiningGraph",
+        "GroupElement",
+        "Letter",
+        "LetterSeq",
+        "Word",
+        "distance",
+        "is_geodesic",
+        "normal_form",
+        "parse_word",
+    ),
+    "walls": (
+        "Wall",
+        "ball",
+        "crosses",
+        "crossing_count",
+        "extend_path",
+        "gate",
+        "side",
+        "strongly_separated",
+        "wall_distance",
+        "wall_of_edge",
+        "walls_between",
+        "walls_separating_point_from_wall",
+    ),
+    "runpaths": (
+        "QuasiGeodesicReport",
+        "RunPath",
+        "certify_quasigeodesic_runs",
+        "min_pair_distance",
+        "path_pair_distance",
+        "walk_wall_count",
+    ),
+    "boundary": (
+        "BoundaryRay",
+        "ProductValue",
+        "SeparatedChain",
+        "bracket_product",
+        "cross_ratio_bfm",
+        "cross_ratio_cr",
+        "fellow_travel_radius",
+        "find_separated_chain",
+        "gromov_product",
+        "hyp_member",
+        "metric_d",
+        "ray_walls",
+        "refine_to_single_wall",
+        "validate_ray",
+    ),
+    "constructions": (
+        "BasepointRow",
+        "BetaReport",
+        "BetaSegment",
+        "ConfigError",
+        "ContractionReport",
+        "CrokeKleiner",
+        "DichotomyReport",
+        "Example23",
+        "Flat",
+        "GammaPath",
+        "LabeledGraph",
+        "Line",
+        "PreconditionFailed",
+        "QuasiGeodesicCertificate",
+        "SegmentCertificate",
+        "SeparationReport",
+        "SmallCancellationReport",
+        "SublinearFn",
+        "as_gauge",
+        "basepoint_experiment",
+        "build_beta",
+        "build_croke_kleiner",
+        "build_example23",
+        "build_gamma",
+        "certify_quasigeodesic",
+        "check_contracting",
+        "check_divergence_dichotomy",
+        "example23_relators",
+        "free_alphabet_graph",
+        "gamma_crosses",
+        "kappa",
+        "kappa_prime",
+        "runpath_prefix",
+        "small_cancellation_check",
+        "translate_wall",
+        "verify_separation",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # an unknown name raises, so `from cubemorse import walls` falls through
+    # to the import system and loads the submodule
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -2,8 +2,9 @@
 
 Reports are aligned text by default or a single JSON document with
 --json. Exit codes: 0 for a certified result, 2 for a result the chosen
-truncation could not certify, 1 for input errors, 3 for a failed proof
-obligation (CertificateViolation), a fault of the program.
+truncation could not certify, 1 for input errors, 3 for a fault of the
+program: a failed proof obligation (CertificateViolation) or a failed
+internal check (AssertionError).
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .boundary import (
     DEFAULT_DEPTH,
@@ -29,26 +32,14 @@ from .boundary import (
     metric_d,
     refine_to_single_wall,
 )
-from .constructions import (
-    as_gauge,
-    basepoint_experiment,
-    build_beta,
-    build_croke_kleiner,
-    build_example23,
-    build_gamma,
-    certify_quasigeodesic,
-    check_contracting,
-    check_divergence_dichotomy,
-    example23_relators,
-    kappa,
-    kappa_prime,
-    line_wall_count,
-    runpath_prefix,
-    small_cancellation_check,
-    verify_separation,
+from .raag import (
+    CertificateViolation,
+    DefiningGraph,
+    GroupElement,
+    distance,
+    normal_form,
+    parse_word,
 )
-from .raag import DefiningGraph, GroupElement, distance, normal_form, parse_word
-from .runpaths import CertificateViolation, RunPath
 from .walls import (
     DEFAULT_BALL_CAP,
     DEFAULT_SLACK,
@@ -58,6 +49,12 @@ from .walls import (
     side,
     walls_between,
 )
+
+if TYPE_CHECKING:
+    from .runpaths import RunPath
+
+# constructions and runpaths are imported inside the handlers that run them,
+# so a boundary or wall command never compiles the escape-path layers
 
 
 class CLIError(ValueError):
@@ -113,6 +110,9 @@ def _labeled_rays(graph, base, items, labels=("w", "x", "y", "z")):
 def _runpath_spec(text: str, graph) -> RunPath:
     """word:TEXT walks letters from the identity; gamma:L is the diagonal
     geodesic; beta:DELTA,L[,PREFIX] is the escape path, optionally cut."""
+    from .constructions import build_beta, build_gamma, runpath_prefix
+    from .runpaths import RunPath
+
     kind, sep, rest = text.partition(":")
     if not sep:
         kind, rest = "word", text
@@ -317,6 +317,8 @@ def _cmd_refine(args):
 
 
 def _cmd_kappa(args):
+    from .constructions import as_gauge, kappa, kappa_prime
+
     rho = as_gauge(args.rho)
     k = kappa(rho, args.K, args.C)
     kp = kappa_prime(rho, args.K, args.C)
@@ -328,6 +330,8 @@ def _cmd_kappa(args):
 
 
 def _cmd_gamma(args):
+    from .constructions import build_gamma, line_wall_count
+
     gp = build_gamma(args.flats)
     return {
         "flats": _num(args.flats, True),
@@ -341,6 +345,8 @@ def _cmd_gamma(args):
 
 
 def _cmd_beta(args):
+    from .constructions import build_beta, certify_quasigeodesic, verify_separation
+
     rep = build_beta(args.delta, args.flats)
     outputs = {
         "delta": _num(args.delta, True),
@@ -370,6 +376,8 @@ def _cmd_beta(args):
 
 
 def _cmd_contracting(args):
+    from .constructions import build_croke_kleiner, check_contracting
+
     graph = _load_graph(args.graph) if args.graph else build_croke_kleiner().graph
     path = _runpath_spec(args.path, graph)
     rep = check_contracting(
@@ -387,6 +395,8 @@ def _cmd_contracting(args):
 
 
 def _cmd_dichotomy(args):
+    from .constructions import build_croke_kleiner, check_divergence_dichotomy
+
     graph = _load_graph(args.graph) if args.graph else build_croke_kleiner().graph
     Z = _runpath_spec(args.z, graph)
     path = _runpath_spec(args.path, graph)
@@ -404,6 +414,8 @@ def _cmd_dichotomy(args):
 
 
 def _cmd_example23(args):
+    from .constructions import basepoint_experiment, build_example23
+
     ex = build_example23(args.f, args.imax, args.tail)
     rows = basepoint_experiment(ex, args.kappa)
     return {
@@ -428,6 +440,8 @@ def _cmd_example23(args):
 
 
 def _cmd_smallcancel(args):
+    from .constructions import example23_relators, small_cancellation_check
+
     rel = example23_relators(args.f, range(1, args.imax + 1))
     rep = small_cancellation_check(rel)
     return {
@@ -585,6 +599,16 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _assert_site(exc: AssertionError) -> str:
+    """Where the failed assert sits, after its message if it has one."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
+    return f"{exc} ({where})" if str(exc) else where
+
+
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -604,6 +628,9 @@ def run(argv: list[str]) -> int:
         return 0 if certified else 2
     except CertificateViolation as exc:
         print(f"error: certificate violation: {exc}", file=sys.stderr)
+        return 3
+    except AssertionError as exc:
+        print(f"error: internal check failed: {_assert_site(exc)}", file=sys.stderr)
         return 3
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .boundary import BoundaryRay, fellow_travel_radius
 from .raag import (
+    CertificateViolation,
     DefiningGraph,
     GroupElement,
     Letter,
@@ -29,7 +30,6 @@ from .raag import (
     parse_word,
 )
 from .runpaths import (
-    CertificateViolation,
     RunPath,
     certify_quasigeodesic_runs,
     set_distance_knots,
@@ -829,6 +829,11 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     from g^(s*k). Only gamma's basepoint becomes a long word, one inverse
     per segment. gamma_crosses reads gamma's global orbit table, so it
     takes the walls in place."""
+    if len(beta.segments) < 2:
+        raise ConfigError(
+            "separation is certified from segment 2 on, so it needs at least "
+            f"2 flats, got {len(beta.segments)}"
+        )
     delta = beta.delta if delta is None else delta
     gamma = beta.gamma
     one = gamma.ck.origin

@@ -26,12 +26,14 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional
 
-from .raag import DefiningGraph, GroupElement, Word, WordError, _strip_right
-
-
-class CertificateViolation(RuntimeError):
-    """A proof obligation behind a certified value failed. This is a fault
-    in the program, not in its input, and no `python -O` run skips it."""
+from .raag import (
+    CertificateViolation,
+    DefiningGraph,
+    GroupElement,
+    Word,
+    WordError,
+    _strip_right,
+)
 
 
 @dataclass(frozen=True)

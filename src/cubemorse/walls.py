@@ -32,6 +32,7 @@ from functools import cached_property
 from typing import Optional
 
 from .raag import (
+    CertificateViolation,
     DefiningGraph,
     GroupElement,
     Letter,
@@ -40,7 +41,6 @@ from .raag import (
     _strip_left,
     _strip_right,
 )
-from .runpaths import CertificateViolation
 
 # a Vertex of the complex is exactly a group element
 Vertex = GroupElement

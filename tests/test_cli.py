@@ -1,4 +1,5 @@
-"""Command line reports: golden files, exit codes, determinism."""
+"""Command line reports: golden files, exit codes, determinism, and the
+layers each command loads."""
 
 import json
 import os
@@ -308,3 +309,107 @@ def test_certificate_violation_exits_3_under_python_O():
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith(BETA_VIOLATION), proc.stderr
+
+
+def test_one_flat_beta_certify_is_bad_input(capsys):
+    code = run(["beta", "--delta", "4", "--flats", "1", "--certify"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: separation is certified from segment 2 on"), err
+
+
+def test_one_flat_beta_report(capsys):
+    code, out = normalized_json(["beta", "--delta", "4", "--flats", "1"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["certified"] is True
+    got = {k: v["value"] if isinstance(v, dict) else v for k, v in rep["outputs"].items()}
+    assert got == {
+        "delta": 4, "flats": 1, "run_lengths": [7], "connector_lengths": [1],
+        "total_length": 8, "family_sequence": "CB", "endpoint": "b c^-7",
+    }
+
+
+def test_failed_internal_check_exits_3(monkeypatch, capsys):
+    from cubemorse import constructions
+
+    monkeypatch.setattr(constructions, "_flat_layout_holds", lambda gamma, l: False)
+    code = run(GOLDEN_CASES["gamma"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal check failed: flat 1 is laid out wrongly"), err
+
+
+# --- import guards: a command loads only the layers it runs ---------------------
+
+LOADED_LAYERS = """
+import contextlib, io, json, sys
+from cubemorse.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cubemorse."))]))
+"""
+ESCAPE_LAYERS = {"cubemorse.constructions", "cubemorse.runpaths"}
+
+
+def _layers_loaded(argv: list[str]) -> tuple[int, set]:
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_LAYERS, json.dumps(argv)],
+        cwd=REPO, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+@pytest.mark.parametrize("name", ["nf", "crossratio"])
+def test_boundary_commands_skip_escape_layers(name):
+    code, modules = _layers_loaded(GOLDEN_CASES[name])
+    assert code == 0
+    assert not modules & ESCAPE_LAYERS, sorted(modules)
+
+
+def test_escape_command_loads_escape_layers():
+    code, modules = _layers_loaded(GOLDEN_CASES["beta"])
+    assert code == 0
+    assert ESCAPE_LAYERS <= modules
+
+
+def test_bare_import_loads_no_submodule():
+    code = "import sys, cubemorse; print(sorted(m for m in sys.modules if m.startswith('cubemorse.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_package_namespace_resolves_to_home_modules():
+    import importlib
+
+    import cubemorse
+
+    assert len(set(cubemorse.__all__)) == len(cubemorse.__all__)
+    for module, names in cubemorse._EXPORTS.items():
+        home = importlib.import_module(f"cubemorse.{module}")
+        for name in names:
+            assert getattr(cubemorse, name) is getattr(home, name), name
+    assert set(cubemorse.__all__) <= set(dir(cubemorse))
+    star: dict = {}
+    exec("from cubemorse import *", star)
+    assert set(cubemorse.__all__) <= set(star)
+    with pytest.raises(AttributeError):
+        cubemorse.no_such_name
+
+
+def test_certificate_violation_is_one_class():
+    import cubemorse
+    from cubemorse import cli, raag, runpaths, walls
+
+    cls = raag.CertificateViolation
+    assert runpaths.CertificateViolation is cls
+    assert walls.CertificateViolation is cls
+    assert cli.CertificateViolation is cls
+    assert cubemorse.CertificateViolation is cls

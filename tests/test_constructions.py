@@ -516,6 +516,12 @@ class TestSeparation:
         for c in rep.segments:
             assert (c.p_wall_count, c.q_wall_count) == (7, 5)
 
+    def test_one_flat_has_no_segment_to_certify(self):
+        # separation starts at segment 2, so one flat would give a vacuous
+        # report whose min_separation is a min over nothing
+        with pytest.raises(ConfigError, match="certified from segment 2 on"):
+            verify_separation(build_beta(4, 1))
+
     def test_brute_force_window_cross_check(self, beta12):
         # independent oracle: actual distances to a truncation long enough
         # that any gamma vertex beyond it is automatically far

@@ -11,21 +11,19 @@ from cubemorse.raag import (
     LetterSeq,
     MalformedExponent,
     MixedGraphs,
-    NotInBall,
     UnknownGenerator,
     Word,
     WordError,
     ZeroExponent,
     _fold,
-    _pile_key,
     _strip_left,
     _strip_right,
-    bfs_oracle_distance,
     distance,
     is_geodesic,
     normal_form,
     parse_word,
 )
+from oracles import NotInBall, _pile_key, bfs_oracle_distance
 
 letters_st = st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=12

@@ -21,7 +21,6 @@ from cubemorse.raag import (
     Letter,
     Word,
     _fold,
-    bfs_oracle_distance,
     normal_form,
     parse_word,
 )
@@ -47,6 +46,7 @@ from cubemorse.walls import (
     walls_separating_point_from_wall,
     wall_gate_and_distance,
 )
+from oracles import bfs_oracle_distance
 from test_raag import random_graphs
 
 A, B, C, D = 0, 1, 2, 3
