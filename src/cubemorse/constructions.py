@@ -25,6 +25,7 @@ from .raag import (
     GroupElement,
     Letter,
     Word,
+    _strip_right,
     distance,
     normal_form,
     parse_word,
@@ -323,17 +324,16 @@ def build_croke_kleiner() -> CrokeKleiner:
 @dataclass(frozen=True)
 class _Coset:
     """Coset base * <gens>, with the stored base normalized to the coset's
-    gate at the identity, so two handles for the same coset compare and
-    hash equal. Subclasses validate their generators, then call this
-    __post_init__."""
+    minimal representative, so two handles for the same coset compare and
+    hash equal. That representative is the coset's gate at the identity;
+    one right strip of the canonical base finds it. Subclasses validate
+    their generators, then call this __post_init__."""
 
     base: GroupElement
 
     def __post_init__(self) -> None:
-        gate_el, _ = coset_gate_and_distance(
-            self.base, self.mask, GroupElement.identity(self.graph)
-        )
-        object.__setattr__(self, "base", gate_el)
+        kept, _ = _strip_right(self.graph, self.base.syllables, self.mask)
+        object.__setattr__(self, "base", GroupElement(self.graph, kept))
 
     @property
     def _gens(self) -> tuple[int, ...]:
@@ -958,7 +958,17 @@ def check_contracting(
     united with that of y must have diameter at most rho(d(S,y)).
     Projections are exact argmin sets over S. All ordered pairs are tested
     when their number fits the budget; otherwise a seeded deterministic
-    sample is drawn and the report says so."""
+    sample is drawn and the report says so.
+
+    The exhaustive pass enumerates only pairs that can pass the gate
+    d(x,y) < d(S,y). Every y in the ball has d(S,y) <= d(y, s0) <= radius,
+    with s0 the ball's centre, so a partner of x is y = x*u with |u| below
+    top = max d(S, .) off S. One short ball of such u serves every x, and
+    |u| is d(x,y) exactly. Each x visits its partners in the order of the
+    ball, so pairs are tested, and the witness found, in the order of the
+    all-pairs loop over the ball."""
+    if max_pairs < 0:
+        raise ConfigError(f"max_pairs must be nonnegative, got {max_pairs}")
     rho = as_gauge(rho)
     sverts: list[GroupElement] = []
     for v in _path_vertices(S):
@@ -972,7 +982,8 @@ def check_contracting(
     dist_to_s: dict[GroupElement, int] = {}
     proj: dict[GroupElement, tuple[int, ...]] = {}
     for v in B:
-        ds = [distance(v, s1) for s1 in sverts]
+        v_inv = v.inverse()
+        ds = [(v_inv * s1).length for s1 in sverts]
         m = min(ds)
         dist_to_s[v] = m
         proj[v] = tuple(i for i, dv in enumerate(ds) if dv == m)
@@ -996,10 +1007,9 @@ def check_contracting(
     tested = 0
 
     def check_pair(x: GroupElement, y: GroupElement) -> None:
+        # a pair that passed the gate d(x,y) < d(S,y)
         nonlocal witness, passed, tested
         dy = dist_to_s[y]
-        if distance(x, y) >= dy:
-            return
         tested += 1
         union = set(proj[x]) | set(proj[y])
         diam = 0
@@ -1016,10 +1026,19 @@ def check_contracting(
             witness = (x.text(), y.text(), diam, dy)
 
     if exhaustive:
+        order = {v: k for k, v in enumerate(outside)}
+        top = max((dist_to_s[v] for v in outside), default=1)
+        short = ball(GroupElement.identity(B[0].graph), top - 1)
         for x in outside:
-            for y in outside:
-                if x is not y:
-                    check_pair(x, y)
+            partners = []
+            for u in short:
+                y = x * u
+                k = order.get(y)
+                if k is not None and 0 < u.length < dist_to_s[y]:
+                    partners.append(k)
+            partners.sort()
+            for k in partners:
+                check_pair(x, outside[k])
     else:
         rnd = random.Random(seed)
         for _ in range(max_pairs):
@@ -1027,7 +1046,9 @@ def check_contracting(
             j = rnd.randrange(n - 1)
             if j >= i:
                 j += 1
-            check_pair(outside[i], outside[j])
+            x, y = outside[i], outside[j]
+            if distance(x, y) < dist_to_s[y]:
+                check_pair(x, y)
 
     return ContractionReport(
         passed,

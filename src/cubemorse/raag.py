@@ -345,17 +345,19 @@ def _strip_left(graph: DefiningGraph, syllables, gens_mask: int):
     """Split off the maximal removable prefix whose generators lie in
     gens_mask. Returns (removed, kept) with element == removed * kept and
     kept a geodesic word for the minimal representative of the right coset
-    <gens>*element. Neither half need be in normal form."""
+    <gens>*element. Neither half need be in normal form. Both halves hold
+    the input's own syllable objects, so a stripped word shares them."""
     kept: list = []
     removed: list = []
     kept_mask = 0
     full = graph.full_mask
-    for gen, exp in syllables:
+    for syllable in syllables:
+        gen = syllable[0]
         blockers = full & ~graph.adj_mask[gen]  # includes gen itself
         if (gens_mask >> gen) & 1 and not (kept_mask & blockers):
-            removed.append((gen, exp))
+            removed.append(syllable)
         else:
-            kept.append((gen, exp))
+            kept.append(syllable)
             kept_mask |= 1 << gen
     return tuple(removed), tuple(kept)
 

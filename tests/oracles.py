@@ -1,21 +1,64 @@
-"""Test oracles that share no code with the library's engines.
+"""Test oracles: each answers its question by a procedure different from
+the library code it checks, and the library imports nothing from here.
 
 The piling invariant (_pile_key) and the BFS distance over literal letter
-moves decide equality and distance in a RAAG by a procedure deliberately
-different from the syllable engine in cubemorse.raag, so tests can check
-the engine against them.
+moves decide equality and distance in a RAAG without the syllable engine
+in cubemorse.raag. The others redo a fast layer's question the slow,
+direct way on top of the layers below it: gates on both carrier cosets,
+a level-by-level scan of gamma's period translates, separation asked on
+the global walls, the dichotomy stepped one letter at a time, the chain
+greedy over a plain tuple of walls, and the contraction gate asked of
+every pair. random_graphs draws the defining graphs they are run on.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+from typing import Optional
+
+from hypothesis import strategies as st
+
+from cubemorse.constructions import (
+    _ORBIT_LENGTH_SLACK,
+    ConfigError,
+    ContractionReport,
+    DichotomyReport,
+    PreconditionFailed,
+    RhoLike,
+    SegmentCertificate,
+    SeparationReport,
+    _path_vertices,
+    _runs_bounded,
+    as_gauge,
+    gamma_crosses,
+    kappa,
+    kappa_prime,
+    translate_wall,
+)
 from cubemorse.raag import (
+    CertificateViolation,
     DefiningGraph,
     GroupElement,
+    Letter,
     MixedGraphs,
     Word,
     WordError,
+    distance,
     parse_word,
 )
+from cubemorse.walls import (
+    DEFAULT_BALL_CAP,
+    ball,
+    coset_gate_and_distance,
+    crosses,
+    side,
+    strongly_separated,
+    wall_of_edge,
+)
+
+
+# --- words -------------------------------------------------------------------
 
 
 class NotInBall(ValueError):
@@ -143,3 +186,299 @@ def bfs_oracle_distance(x, y, radius: int, graph: DefiningGraph | None = None) -
         else:
             front_b = nxt
     raise NotInBall(f"distance exceeds radius {radius}")
+
+
+# --- defining graphs ---------------------------------------------------------
+
+
+@st.composite
+def random_graphs(draw):
+    """Defining graphs on 2-6 generators with arbitrary edge sets."""
+    names = "abcdef"[: draw(st.integers(2, 6))]
+    pairs = [[g, h] for i, g in enumerate(names) for h in names[i + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, k in zip(pairs, keep) if k]
+    return DefiningGraph.from_data({"generators": list(names), "edges": edges})
+
+
+# --- walls -------------------------------------------------------------------
+
+
+def wall_gate_and_distance_by_cosets(x, h):
+    """Reference: gates on both carrier cosets, keeping the nearer one. The
+    two coset distances differ by exactly one, since h separates the
+    cosets."""
+    mask = h.graph.adj_mask[h.gen]
+    gate_minus, d_minus = coset_gate_and_distance(h.base, mask, x)
+    gate_plus, d_plus = coset_gate_and_distance(h.plus_rep, mask, x)
+    assert abs(d_minus - d_plus) == 1
+    if d_minus < d_plus:
+        return gate_minus, d_minus, -1
+    return gate_plus, d_plus, 1
+
+
+def coset_base_by_gate(base: GroupElement, mask: int) -> GroupElement:
+    """Reference: the handle of base*<mask> as the coset's gate at the
+    identity, its nearest point to 1."""
+    return coset_gate_and_distance(base, mask, GroupElement.identity(base.graph))[0]
+
+
+# --- boundary chains ---------------------------------------------------------
+
+
+def oracle_lower(walls, t):
+    return sum(1 for s in range(t) if not crosses(walls[s], walls[t]))
+
+
+def oracle_chain(walls, r):
+    """The walls-tuple greedy: longest chain from every start, consecutive
+    pairs strongly separated, index gaps < r (None = unbounded)."""
+    best = []
+    for start in range(len(walls)):
+        chain = [start]
+        for t in range(start + 1, len(walls)):
+            if r is not None and t - chain[-1] >= r:
+                continue
+            if strongly_separated(walls[chain[-1]], walls[t]):
+                chain.append(t)
+        if len(chain) > len(best):
+            best = chain
+    return tuple(best)
+
+
+# --- constructions -----------------------------------------------------------
+
+
+def gamma_crosses_by_scan(gamma, h) -> bool:
+    """Reference: scan the period translates level by level until their
+    bases outgrow h's, then check one level past that horizon."""
+    if h.graph is not gamma.ck.graph:
+        raise ValueError("wall belongs to a different group")
+    if not _runs_bounded(h):
+        return False
+    target = h.base.length
+    shift = GroupElement.identity(gamma.ck.graph)
+    k = 0
+    while 8 * k - _ORBIT_LENGTH_SLACK <= target:
+        for w in gamma.period_walls:
+            t = translate_wall(shift, w)
+            assert _runs_bounded(t)
+            assert t.base.length >= 8 * k - _ORBIT_LENGTH_SLACK
+            if t == h:
+                return True
+        k += 1
+        shift = shift * gamma.period
+    for w in gamma.period_walls:
+        t = translate_wall(shift, w)
+        assert _runs_bounded(t) and t.base.length > target
+    return False
+
+
+def verify_separation_by_global_frame(beta, delta=None):
+    """Reference: the separation certificate with every side check asked
+    in place, on the global walls and vertices."""
+    delta = beta.delta if delta is None else delta
+    gamma = beta.gamma
+    o = gamma.ck.origin
+    ok = True
+    certs = []
+    for seg in beta.segments[1:]:
+        l = seg.index
+        v_prev = seg.start
+        w_prev = gamma.entry_vertex(l)
+        line_prev = gamma.lines[l - 2]
+        assert line_prev.contains(v_prev)
+        lg = line_prev.gen
+        budget = distance(v_prev, w_prev)
+        toward = 1 if distance(v_prev.append_letter(lg, 1), w_prev) < budget else -1
+
+        H_p = []
+        x = v_prev
+        for _ in range(budget):
+            h = wall_of_edge(x, Letter(lg, toward))
+            x = x.append_letter(lg, toward)
+            if not gamma_crosses(gamma, h):
+                H_p.append(h)
+                if len(H_p) >= delta + 3:
+                    break
+        for h in H_p:
+            if side(h, v_prev) != side(h, seg.mid):
+                raise CertificateViolation(f"segment {l}: escape run crosses {h}")
+            if side(h, o) == side(h, v_prev):
+                raise CertificateViolation(f"segment {l}: {h} does not separate the escape run")
+
+        H_q = []
+        x = v_prev
+        for _ in range(seg.N):
+            h = wall_of_edge(x, Letter(seg.p_gen, seg.p_sign))
+            x = x.append_letter(seg.p_gen, seg.p_sign)
+            if not gamma_crosses(gamma, h):
+                H_q.append(h)
+                if len(H_q) >= delta + 1:
+                    break
+        for h in H_q:
+            if side(h, seg.mid) != side(h, seg.end):
+                raise CertificateViolation(f"segment {l}: connector run crosses {h}")
+            if side(h, o) == side(h, seg.mid):
+                raise CertificateViolation(f"segment {l}: {h} does not separate the connector run")
+
+        cert = SegmentCertificate(l, len(H_p), len(H_q))
+        certs.append(cert)
+        ok = ok and cert.separation >= delta
+    return SeparationReport(delta, tuple(certs), ok)
+
+
+def dichotomy_by_steps(Z, beta, rho, K_prime, C_prime) -> DichotomyReport:
+    """Reference: step beta one letter at a time against every vertex of Z.
+
+    d(beta_t, Z_T) changes by one per step of beta, with the sign decided
+    by which side of the step's wall Z_T lies on, and the side pattern
+    along Z flips only where Z itself crosses that wall."""
+    rho = as_gauge(rho)
+    Kp = Fraction(K_prime)
+    Cp = Fraction(C_prime)
+    kap = kappa(rho, Kp, Cp)
+    kap2 = kappa_prime(rho, Kp, Cp)
+
+    zverts = [Z.vertex_at(T) for T in range(Z.length + 1)]
+    flips: dict = {}
+    for T in range(Z.length):
+        (start, g, e) = Z.segments_between(T, T + 1)[0]
+        h = wall_of_edge(start, Letter(g, 1 if e > 0 else -1))
+        flips.setdefault(h, []).append(T)
+
+    b = beta.vertex_at(0)
+    D = [distance(b, zv) for zv in zverts]
+    d_list = [min(D)]
+    if d_list[0] > kap:
+        raise PreconditionFailed(
+            f"path starts at distance {d_list[0]} > kappa = {kap} from Z"
+        )
+
+    nz = len(zverts)
+    for g, e in beta.runs:
+        s = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            h = wall_of_edge(b, Letter(g, s))
+            sb = side(h, b)
+            cur = side(h, zverts[0])
+            start = 0
+            for T in flips.get(h, []) + [nz - 1]:
+                delta = 1 if cur == sb else -1
+                for i in range(start, T + 1):
+                    D[i] += delta
+                start = T + 1
+                cur = -cur
+            b = b.append_letter(g, s)
+            d_list.append(min(D))
+
+    end = len(d_list) - 1
+    T0 = max(t for t, dt in enumerate(d_list) if dt <= kap)
+    max_d = max(d_list)
+    if max_d <= kap2 and T0 == end:
+        return DichotomyReport(1, kap, kap2, T0, max_d, True, None, beta.length, Z.length)
+    residual_min: Optional[Fraction] = None
+    for t in range(T0 + 1, end + 1):
+        bound = Fraction(t - T0, 1) / (2 * Kp) - 2 * (Cp + kap)
+        r = Fraction(d_list[t]) - bound
+        if residual_min is None or r < residual_min:
+            residual_min = r
+    bound_ok = residual_min is None or residual_min >= 0
+    return DichotomyReport(2, kap, kap2, T0, max_d, bound_ok, residual_min, beta.length, Z.length)
+
+
+def check_contracting_all_pairs(
+    S,
+    rho: RhoLike,
+    radius: int,
+    cap: int = DEFAULT_BALL_CAP,
+    max_pairs: int = 200_000,
+    seed: int = 0,
+) -> ContractionReport:
+    """Reference: the contraction check with the gate d(x,y) < d(S,y) asked
+    of every ordered pair of ball vertices off S.
+
+    For points x, y off S with d(x,y) < d(S,y), the projection set of x
+    united with that of y must have diameter at most rho(d(S,y)).
+    Projections are exact argmin sets over S. All ordered pairs are tested
+    when their number fits the budget; otherwise a seeded deterministic
+    sample is drawn and the report says so."""
+    rho = as_gauge(rho)
+    sverts: list[GroupElement] = []
+    for v in _path_vertices(S):
+        if v not in sverts:
+            sverts.append(v)
+    if not sverts:
+        raise ConfigError("empty set cannot be tested")
+    B = ball(sverts[0], radius, cap)
+    sset = set(sverts)
+
+    dist_to_s: dict[GroupElement, int] = {}
+    proj: dict[GroupElement, tuple[int, ...]] = {}
+    for v in B:
+        ds = [distance(v, s1) for s1 in sverts]
+        m = min(ds)
+        dist_to_s[v] = m
+        proj[v] = tuple(i for i, dv in enumerate(ds) if dv == m)
+
+    spair: dict[tuple[int, int], int] = {}
+
+    def sdist(i: int, j: int) -> int:
+        key = (i, j) if i <= j else (j, i)
+        if key not in spair:
+            spair[key] = distance(sverts[key[0]], sverts[key[1]])
+        return spair[key]
+
+    outside = [v for v in B if v not in sset]
+    n = len(outside)
+    total = n * (n - 1)
+    exhaustive = total <= max_pairs
+
+    annulus: dict[int, int] = {}
+    witness = None
+    passed = True
+    tested = 0
+
+    def check_pair(x: GroupElement, y: GroupElement) -> None:
+        nonlocal witness, passed, tested
+        dy = dist_to_s[y]
+        if distance(x, y) >= dy:
+            return
+        tested += 1
+        union = set(proj[x]) | set(proj[y])
+        diam = 0
+        for i in union:
+            for j in union:
+                if i < j:
+                    dij = sdist(i, j)
+                    if dij > diam:
+                        diam = dij
+        if diam > annulus.get(dy, -1):
+            annulus[dy] = diam
+        if passed and rho.cmp_at(dy, diam) < 0:
+            passed = False
+            witness = (x.text(), y.text(), diam, dy)
+
+    if exhaustive:
+        for x in outside:
+            for y in outside:
+                if x is not y:
+                    check_pair(x, y)
+    else:
+        rnd = random.Random(seed)
+        for _ in range(max_pairs):
+            i = rnd.randrange(n)
+            j = rnd.randrange(n - 1)
+            if j >= i:
+                j += 1
+            check_pair(outside[i], outside[j])
+
+    return ContractionReport(
+        passed,
+        radius,
+        rho.text(),
+        tested,
+        exhaustive,
+        tuple(sorted(annulus.items())),
+        witness,
+    )

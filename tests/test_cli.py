@@ -151,6 +151,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_negative_max_pairs(self, capsys):
+        # a negative budget used to test 0 pairs and report an uncertified pass
+        code = run(GOLDEN_CASES["contracting"] + ["--max-pairs", "-5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "max_pairs" in captured.err
+
     def test_error_goes_to_stderr(self, capsys):
         code = run(["bogus"])
         captured = capsys.readouterr()

@@ -15,13 +15,10 @@ from hypothesis import strategies as st
 
 from cubemorse import constructions, runpaths
 from cubemorse.constructions import (
-    _ORBIT_LENGTH_SLACK,
     ConfigError,
     Flat,
     Line,
     PreconditionFailed,
-    SegmentCertificate,
-    SeparationReport,
     SublinearFn,
     _log_cmp,
     _runs_bounded,
@@ -41,9 +38,16 @@ from cubemorse.constructions import (
     translate_wall,
     verify_separation,
 )
-from cubemorse.raag import GroupElement, Letter, Word, distance, normal_form
+from cubemorse.raag import GroupElement, Letter, Word, distance, normal_form, parse_word
 from cubemorse.runpaths import CertificateViolation, RunPath
 from cubemorse.walls import BallCapExceeded, Wall, side, wall_of_edge, walls_between
+from oracles import (
+    check_contracting_all_pairs,
+    coset_base_by_gate,
+    gamma_crosses_by_scan,
+    random_graphs,
+    verify_separation_by_global_frame,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -280,6 +284,20 @@ class TestFlatsAndLines:
         ln = Line(ckg.parse("b"), ckg.gen("c"))
         assert ln.is_cut_by(wall_of(ckg, "c^7", "c"))
         assert not ln.is_cut_by(wall_of(ckg, "b", "b"))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_handle_is_the_gate_at_the_identity(self, z3z, ck, data):
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        n = len(graph.generators)
+        letters = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2))), max_size=14)
+        )
+        base = normal_form(Word(graph, letters))
+        g = data.draw(st.integers(0, n - 1))
+        assert Line(base, g).base == coset_base_by_gate(base, 1 << g)
+        for h in sorted(graph.link(g)):
+            assert Flat(base, (g, h)).base == coset_base_by_gate(base, graph.mask_of((g, h)))
 
 
 class TestGamma:
@@ -540,60 +558,6 @@ class TestSeparation:
                 assert min(distance(x, w) for w in win.vertices) >= 4
 
 
-def verify_separation_by_global_frame(beta, delta=None):
-    """Reference: the separation certificate with every side check asked
-    in place, on the global walls and vertices."""
-    delta = beta.delta if delta is None else delta
-    gamma = beta.gamma
-    o = gamma.ck.origin
-    ok = True
-    certs = []
-    for seg in beta.segments[1:]:
-        l = seg.index
-        v_prev = seg.start
-        w_prev = gamma.entry_vertex(l)
-        line_prev = gamma.lines[l - 2]
-        assert line_prev.contains(v_prev)
-        lg = line_prev.gen
-        budget = distance(v_prev, w_prev)
-        toward = 1 if distance(v_prev.append_letter(lg, 1), w_prev) < budget else -1
-
-        H_p = []
-        x = v_prev
-        for _ in range(budget):
-            h = wall_of_edge(x, Letter(lg, toward))
-            x = x.append_letter(lg, toward)
-            if not gamma_crosses(gamma, h):
-                H_p.append(h)
-                if len(H_p) >= delta + 3:
-                    break
-        for h in H_p:
-            if side(h, v_prev) != side(h, seg.mid):
-                raise CertificateViolation(f"segment {l}: escape run crosses {h}")
-            if side(h, o) == side(h, v_prev):
-                raise CertificateViolation(f"segment {l}: {h} does not separate the escape run")
-
-        H_q = []
-        x = v_prev
-        for _ in range(seg.N):
-            h = wall_of_edge(x, Letter(seg.p_gen, seg.p_sign))
-            x = x.append_letter(seg.p_gen, seg.p_sign)
-            if not gamma_crosses(gamma, h):
-                H_q.append(h)
-                if len(H_q) >= delta + 1:
-                    break
-        for h in H_q:
-            if side(h, seg.mid) != side(h, seg.end):
-                raise CertificateViolation(f"segment {l}: connector run crosses {h}")
-            if side(h, o) == side(h, seg.mid):
-                raise CertificateViolation(f"segment {l}: {h} does not separate the connector run")
-
-        cert = SegmentCertificate(l, len(H_p), len(H_q))
-        certs.append(cert)
-        ok = ok and cert.separation >= delta
-    return SeparationReport(delta, tuple(certs), ok)
-
-
 class TestSeparationFrames:
     @pytest.mark.parametrize("delta, L", [(4, 12), (5, 40), (8, 42), (6, 119)])
     def test_segment_frames_match_global_frame(self, ckg, delta, L):
@@ -767,6 +731,78 @@ class TestContracting:
         with pytest.raises(ConfigError):
             check_contracting([], 0, 2)
 
+    @pytest.mark.parametrize("max_pairs", [-1, -5])
+    def test_negative_max_pairs_rejected(self, ckg, max_pairs):
+        with pytest.raises(ConfigError, match="max_pairs"):
+            check_contracting([ckg.origin], 0, 2, max_pairs=max_pairs)
+
+
+def contracting_cases(ckg, gamma12):
+    """The TestContracting inputs and the golden word:c^8 case, as
+    (S, rho, radius, keyword arguments)."""
+    pre = runpath_prefix(gamma12.runpath(), 8)
+    c = ckg.gen("c")
+    return {
+        "gamma_rho2": (pre, 2, 3, {}),
+        "gamma_rho3": (pre, 3, 3, {}),
+        "gamma_radius2": (pre, 3, 2, {}),
+        "flat_ray": (RunPath(ckg.origin, ((c, 8),)), 0, 3, {}),
+        "flat_ray_sampled": (RunPath(ckg.origin, ((c, 10),)), 1, 5, {"max_pairs": 20_000}),
+        "single_vertex": ([ckg.origin], 0, 2, {}),
+        "golden_word": (RunPath.from_word(parse_word("c c c c c c c c", ckg.graph)), 0, 3, {}),
+        # off the identity, a vertex's partners in ball order differ from
+        # the order of its short translations, and so does the witness
+        "offset_path": (
+            RunPath(ckg.parse("d^-1"), ((ckg.gen("b"), 2), (ckg.gen("a"), 1))), 1, 3, {}
+        ),
+    }
+
+
+@st.composite
+def contracting_inputs(draw, fixtures):
+    """A graph, a short run path or vertex list near the identity, and
+    check_contracting's arguments. max_pairs stays small, so the oracle
+    visits at most 6 000 pairs and the larger balls take the sampled
+    branch."""
+    graph = draw(st.sampled_from(fixtures) | random_graphs())
+    n = len(graph.generators)
+    syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
+    start = normal_form(Word(graph, draw(st.lists(syllable, min_size=1, max_size=2))))
+    if draw(st.booleans()):
+        S = RunPath(start, tuple(draw(st.lists(syllable, min_size=1, max_size=3))))
+    else:
+        words = draw(st.lists(st.lists(syllable, max_size=2), min_size=1, max_size=4))
+        S = [start * normal_form(Word(graph, w)) for w in words]
+    rho = f"const {draw(st.integers(0, 3))}"
+    # hypothesis favours the first choices: under the largest budget, a
+    # radius-2 ball is exhaustive on most graphs, with pairs that pass the gate
+    radius = draw(st.sampled_from((2, 3, 1, 0)))
+    max_pairs = draw(st.sampled_from((6000, 600, 60, 0)))
+    return S, rho, radius, max_pairs, draw(st.integers(0, 3))
+
+
+class TestContractingOracle:
+    """check_contracting's pruned pair enumeration against the all-pairs
+    loop it replaced: the whole report, witness included, must agree."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["gamma_rho2", "gamma_rho3", "gamma_radius2", "flat_ray",
+         "flat_ray_sampled", "single_vertex", "golden_word", "offset_path"],
+    )
+    def test_fixed_cases(self, ckg, gamma12, name):
+        S, rho, radius, kw = contracting_cases(ckg, gamma12)[name]
+        assert check_contracting(S, rho, radius, **kw) == check_contracting_all_pairs(
+            S, rho, radius, **kw
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_inputs(self, z3z, ck, data):
+        S, rho, radius, max_pairs, seed = data.draw(contracting_inputs((z3z, ck)))
+        want = check_contracting_all_pairs(S, rho, radius, max_pairs=max_pairs, seed=seed)
+        assert check_contracting(S, rho, radius, max_pairs=max_pairs, seed=seed) == want
+
 
 class TestDichotomy:
     def test_path_on_its_own_set_is_case_one(self):
@@ -826,31 +862,6 @@ def orbit_translate(gamma, k, idx):
 def test_orbit_translates_always_cross(k, idx):
     gamma = build_gamma(8)
     assert gamma_crosses(gamma, orbit_translate(gamma, k, idx))
-
-
-def gamma_crosses_by_scan(gamma, h) -> bool:
-    """Reference: scan the period translates level by level until their
-    bases outgrow h's, then check one level past that horizon."""
-    if h.graph is not gamma.ck.graph:
-        raise ValueError("wall belongs to a different group")
-    if not _runs_bounded(h):
-        return False
-    target = h.base.length
-    shift = GroupElement.identity(gamma.ck.graph)
-    k = 0
-    while 8 * k - _ORBIT_LENGTH_SLACK <= target:
-        for w in gamma.period_walls:
-            t = translate_wall(shift, w)
-            assert _runs_bounded(t)
-            assert t.base.length >= 8 * k - _ORBIT_LENGTH_SLACK
-            if t == h:
-                return True
-        k += 1
-        shift = shift * gamma.period
-    for w in gamma.period_walls:
-        t = translate_wall(shift, w)
-        assert _runs_bounded(t) and t.base.length > target
-    return False
 
 
 def assert_scan_agrees(ck, walls, rng):

@@ -3,85 +3,21 @@ and the distance knots it is read from."""
 
 import random
 from fractions import Fraction
-from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubemorse.constructions import (
-    DichotomyReport,
     PreconditionFailed,
-    as_gauge,
     build_beta,
     build_gamma,
     check_divergence_dichotomy,
-    kappa,
-    kappa_prime,
     runpath_prefix,
 )
-from cubemorse.raag import GroupElement, Letter, distance
+from cubemorse.raag import GroupElement, distance
 from cubemorse.runpaths import CertificateViolation, RunPath, set_distance_knots
-from cubemorse.walls import side, wall_of_edge
-
-
-def dichotomy_by_steps(Z, beta, rho, K_prime, C_prime) -> DichotomyReport:
-    """Reference: step beta one letter at a time against every vertex of Z.
-
-    d(beta_t, Z_T) changes by one per step of beta, with the sign decided
-    by which side of the step's wall Z_T lies on, and the side pattern
-    along Z flips only where Z itself crosses that wall."""
-    rho = as_gauge(rho)
-    Kp = Fraction(K_prime)
-    Cp = Fraction(C_prime)
-    kap = kappa(rho, Kp, Cp)
-    kap2 = kappa_prime(rho, Kp, Cp)
-
-    zverts = [Z.vertex_at(T) for T in range(Z.length + 1)]
-    flips: dict = {}
-    for T in range(Z.length):
-        (start, g, e) = Z.segments_between(T, T + 1)[0]
-        h = wall_of_edge(start, Letter(g, 1 if e > 0 else -1))
-        flips.setdefault(h, []).append(T)
-
-    b = beta.vertex_at(0)
-    D = [distance(b, zv) for zv in zverts]
-    d_list = [min(D)]
-    if d_list[0] > kap:
-        raise PreconditionFailed(
-            f"path starts at distance {d_list[0]} > kappa = {kap} from Z"
-        )
-
-    nz = len(zverts)
-    for g, e in beta.runs:
-        s = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            h = wall_of_edge(b, Letter(g, s))
-            sb = side(h, b)
-            cur = side(h, zverts[0])
-            start = 0
-            for T in flips.get(h, []) + [nz - 1]:
-                delta = 1 if cur == sb else -1
-                for i in range(start, T + 1):
-                    D[i] += delta
-                start = T + 1
-                cur = -cur
-            b = b.append_letter(g, s)
-            d_list.append(min(D))
-
-    end = len(d_list) - 1
-    T0 = max(t for t, dt in enumerate(d_list) if dt <= kap)
-    max_d = max(d_list)
-    if max_d <= kap2 and T0 == end:
-        return DichotomyReport(1, kap, kap2, T0, max_d, True, None, beta.length, Z.length)
-    residual_min: Optional[Fraction] = None
-    for t in range(T0 + 1, end + 1):
-        bound = Fraction(t - T0, 1) / (2 * Kp) - 2 * (Cp + kap)
-        r = Fraction(d_list[t]) - bound
-        if residual_min is None or r < residual_min:
-            residual_min = r
-    bound_ok = residual_min is None or residual_min >= 0
-    return DichotomyReport(2, kap, kap2, T0, max_d, bound_ok, residual_min, beta.length, Z.length)
+from oracles import dichotomy_by_steps
 
 
 def outcome(fn, *args):

@@ -23,7 +23,7 @@ from cubemorse.raag import (
     normal_form,
     parse_word,
 )
-from oracles import NotInBall, _pile_key, bfs_oracle_distance
+from oracles import NotInBall, _pile_key, bfs_oracle_distance, random_graphs
 
 letters_st = st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=12
@@ -235,16 +235,6 @@ class TestBfsOracle:
         assert same_nf == same_pile
 
 
-@st.composite
-def random_graphs(draw):
-    """Defining graphs on 2-6 generators with arbitrary edge sets."""
-    names = "abcdef"[: draw(st.integers(2, 6))]
-    pairs = [[g, h] for i, g in enumerate(names) for h in names[i + 1:]]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = [pair for pair, k in zip(pairs, keep) if k]
-    return DefiningGraph.from_data({"generators": list(names), "edges": edges})
-
-
 def draw_strip_case(data, fixtures):
     """A graph (a fixture or a random one), an element and a generator mask."""
     graph = data.draw(st.sampled_from(fixtures) | random_graphs())
@@ -280,3 +270,12 @@ class TestStrip:
         removed, kept = _strip_left(graph, x.syllables, mask)
         assert_split(graph, x, removed, kept, removed, mask)
         assert _strip_left(graph, kept, mask) == ((), kept)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_halves_share_input_syllables(self, z3z, ck, data):
+        # a wall or coset base cut from a word holds that word's own pairs
+        graph, x, mask = draw_strip_case(data, (z3z, ck))
+        ids = {id(s) for s in x.syllables}
+        for halves in (_strip_left(graph, x.syllables, mask), _strip_right(graph, x.syllables, mask)):
+            assert all(id(s) in ids for half in halves for s in half)

@@ -14,7 +14,8 @@ from cubemorse.boundary import (
     ray_walls,
     validate_ray,
 )
-from cubemorse.walls import crosses, crossing_count, strongly_separated
+from cubemorse.walls import crossing_count
+from oracles import oracle_chain, oracle_lower
 
 GAMMA_PERIOD = "b c c d c b b a".split()
 ROTATIONS = [" ".join(GAMMA_PERIOD[i:] + GAMMA_PERIOD[:i]) for i in range(8)]
@@ -23,26 +24,6 @@ HAND_PICKED = {
     "z3z": ["a^4|d", "|d", "|a", "a^2 c^-1|b d", "c^-1 a|d^2"],
     "ck": ["|b c c d c b b a", "b c|a d", "|a d^2", "a^-1|a^-1 d", "|a^6 d"],
 }
-
-
-def oracle_lower(walls, t):
-    return sum(1 for s in range(t) if not crosses(walls[s], walls[t]))
-
-
-def oracle_chain(walls, r):
-    """The walls-tuple greedy: longest chain from every start, consecutive
-    pairs strongly separated, index gaps < r (None = unbounded)."""
-    best = []
-    for start in range(len(walls)):
-        chain = [start]
-        for t in range(start + 1, len(walls)):
-            if r is not None and t - chain[-1] >= r:
-                continue
-            if strongly_separated(walls[chain[-1]], walls[t]):
-                chain.append(t)
-        if len(chain) > len(best):
-            best = chain
-    return tuple(best)
 
 
 def morse_pool(graph, periods, rng, want):

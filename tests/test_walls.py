@@ -33,7 +33,6 @@ from cubemorse.walls import (
     Wall,
     WallsCross,
     ball,
-    coset_gate_and_distance,
     crosses,
     crossing_count,
     extend_path,
@@ -46,8 +45,7 @@ from cubemorse.walls import (
     walls_separating_point_from_wall,
     wall_gate_and_distance,
 )
-from oracles import bfs_oracle_distance
-from test_raag import random_graphs
+from oracles import bfs_oracle_distance, random_graphs, wall_gate_and_distance_by_cosets
 
 A, B, C, D = 0, 1, 2, 3
 REPO = Path(__file__).resolve().parent.parent
@@ -213,19 +211,6 @@ class TestSide:
             probe = set(walls_between(rng.choice(verts), rng.choice(verts)))
             for h in between | probe:
                 assert (h in between) == (side(h, x) != side(h, y))
-
-
-def wall_gate_and_distance_by_cosets(x, h):
-    """Reference: gates on both carrier cosets, keeping the nearer one. The
-    two coset distances differ by exactly one, since h separates the
-    cosets."""
-    mask = h.graph.adj_mask[h.gen]
-    gate_minus, d_minus = coset_gate_and_distance(h.base, mask, x)
-    gate_plus, d_plus = coset_gate_and_distance(h.plus_rep, mask, x)
-    assert abs(d_minus - d_plus) == 1
-    if d_minus < d_plus:
-        return gate_minus, d_minus, -1
-    return gate_plus, d_plus, 1
 
 
 def draw_element(data, graph, max_letters=12):
