@@ -118,15 +118,27 @@ def _runpath_spec(text: str, graph) -> RunPath:
         kind, rest = "word", text
     if kind == "word":
         return RunPath.from_word(parse_word(rest, graph))
-    if kind == "gamma":
-        return build_gamma(int(rest)).runpath()
-    if kind == "beta":
+    try:
         parts = [int(p) for p in rest.split(",")]
-        if len(parts) == 2:
-            return build_beta(*parts).path
-        if len(parts) == 3:
-            return runpath_prefix(build_beta(parts[0], parts[1]).path, parts[2])
+    except ValueError:
+        parts = []
+    if kind == "gamma" and len(parts) == 1:
+        return build_gamma(parts[0]).runpath()
+    if kind == "beta" and len(parts) == 2:
+        return build_beta(*parts).path
+    if kind == "beta" and len(parts) == 3:
+        return runpath_prefix(build_beta(parts[0], parts[1]).path, parts[2])
     raise CLIError(f"bad path spec {text!r}; use word:W, gamma:L or beta:D,L[,N]")
+
+
+def fraction(text: str) -> Fraction:
+    """A --K or --C value. argparse reports a ValueError from its type as
+    bad input, but Fraction raises ZeroDivisionError for a zero
+    denominator."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
 
 
 # --- output ----------------------------------------------------------------------
@@ -557,8 +569,8 @@ def _build_parser() -> _Parser:
 
     sp = add("kappa", "trapping radius of a sublinear gauge", graph=False)
     sp.add_argument("--rho", default="0", help='gauge: "const 3", "power 2 1/2", "log 3"')
-    sp.add_argument("--K", type=Fraction, default=Fraction(1))
-    sp.add_argument("--C", type=Fraction, default=Fraction(0))
+    sp.add_argument("--K", type=fraction, default=Fraction(1))
+    sp.add_argument("--C", type=fraction, default=Fraction(0))
 
     sp = add("gamma", "periodic diagonal geodesic through the flat cycle", graph=False)
     sp.add_argument("--flats", type=int, required=True)
@@ -568,8 +580,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--flats", type=int, required=True)
     sp.add_argument("--certify", action="store_true",
                     help="run the quasi-geodesic and separation certificates")
-    sp.add_argument("--K", type=Fraction, default=Fraction(8))
-    sp.add_argument("--C", type=Fraction, default=Fraction(1))
+    sp.add_argument("--K", type=fraction, default=Fraction(8))
+    sp.add_argument("--C", type=fraction, default=Fraction(1))
 
     sp = add("contracting", "brute-force contraction check around a path")
     sp.add_argument("path", metavar="SPEC", help="word:W, gamma:L or beta:D,L[,N]")
@@ -583,8 +595,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--z", required=True, metavar="SPEC", help="contracting set path")
     sp.add_argument("--path", required=True, metavar="SPEC", help="path to classify")
     sp.add_argument("--rho", default="0")
-    sp.add_argument("--K", type=Fraction, default=Fraction(8))
-    sp.add_argument("--C", type=Fraction, default=Fraction(1))
+    sp.add_argument("--K", type=fraction, default=Fraction(8))
+    sp.add_argument("--C", type=fraction, default=Fraction(1))
 
     sp = add("example23", "glued graph basepoint experiment", graph=False)
     sp.add_argument("--f", default="poly 1 0 1", help='branch scale, e.g. "poly 1 0 1"')
@@ -632,9 +644,6 @@ def run(argv: list[str]) -> int:
     except AssertionError as exc:
         print(f"error: internal check failed: {_assert_site(exc)}", file=sys.stderr)
         return 3
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,9 @@ from .raag import (
     DefiningGraph,
     GroupElement,
     Letter,
+    LetterSeq,
     Word,
+    _runs_to_text,
     _strip_right,
     distance,
     normal_form,
@@ -1450,85 +1452,48 @@ def _invert_bytes(b: bytes) -> bytes:
     return bytes(x ^ 1 for x in reversed(b))
 
 
-def _decode_text(b: bytes, graph: DefiningGraph) -> str:
-    out = []
-    for x in b:
-        name = graph.generators[x // 2]
-        out.append(name if x % 2 == 0 else f"{name}^-1")
-    # compress runs for readability
-    compact: list[str] = []
-    run: Optional[str] = None
-    count = 0
-
-    def flush() -> None:
-        if run is None:
-            return
-        if count == 1:
-            compact.append(run)
-        elif run.endswith("^-1"):
-            compact.append(run[:-3] + f"^-{count}")
-        else:
-            compact.append(f"{run}^{count}")
-
-    for tok in out:
-        if tok == run:
-            count += 1
-        else:
-            flush()
-            run, count = tok, 1
-    flush()
-    return " ".join(compact)
-
-
 def _substrings(doubled: bytes, n: int, L: int) -> set[bytes]:
     return {doubled[k : k + L] for k in range(n)}
+
+
+def _longest(exists: Callable[[int], Optional[bytes]], hi: int) -> tuple[int, bytes]:
+    """The largest L in [0, hi] with a witness exists(L), and that witness,
+    by binary search: a witness of length L has witnesses of every shorter
+    length inside it."""
+    lo, best = 0, b""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        w = exists(mid)
+        if w is None:
+            hi = mid - 1
+        else:
+            lo, best = mid, w
+    return lo, best
 
 
 def _max_common(d1: bytes, n1: int, d2: bytes, n2: int, cap: int) -> tuple[int, bytes]:
     """Longest common cyclic substring up to cap, with one witness."""
 
     def exists(L: int) -> Optional[bytes]:
-        if L == 0:
-            return b""
         common = _substrings(d1, n1, L) & _substrings(d2, n2, L)
-        return next(iter(sorted(common))) if common else None
+        return min(common) if common else None
 
-    lo, hi = 0, cap
-    best = b""
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        w = exists(mid)
-        if w is not None:
-            lo = mid
-            best = w
-        else:
-            hi = mid - 1
-    return lo, best
+    return _longest(exists, cap)
 
 
 def _max_repeated(doubled: bytes, n: int) -> tuple[int, bytes]:
     """Longest substring occurring at two distinct cyclic starts."""
 
     def exists(L: int) -> Optional[bytes]:
-        seen: dict[bytes, int] = {}
+        seen: set[bytes] = set()
         for k in range(n):
             sub = doubled[k : k + L]
             if sub in seen:
                 return sub
-            seen[sub] = k
+            seen.add(sub)
         return None
 
-    lo, hi = 0, n - 1
-    best = b""
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        w = exists(mid)
-        if w is not None:
-            lo = mid
-            best = w
-        else:
-            hi = mid - 1
-    return lo, best
+    return _longest(exists, n - 1)
 
 
 def small_cancellation_check(relators: Sequence[Word]) -> SmallCancellationReport:
@@ -1593,7 +1558,7 @@ def small_cancellation_check(relators: Sequence[Word]) -> SmallCancellationRepor
         best_ratio,
         lam,
         pair,
-        _decode_text(w, graph),
+        _runs_to_text(graph, LetterSeq((x // 2, 1 - 2 * (x % 2)) for x in w).runs),
         lengths,
         best_ratio < Fraction(1, 6),
     )

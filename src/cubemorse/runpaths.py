@@ -3,23 +3,28 @@
 A path stored as runs (gen, exp) can have astronomically many edges but only
 a handful of runs. Distances between its vertices reduce to wall-crossing
 parity: a wall separates two vertices iff any fixed walk between them crosses
-it an odd number of times. The walls a run crosses form an integer interval
-in the cluster of parallel walls sharing its ⟨star(g)⟩ coset, so counting
-odd-covered integers over interval sweeps gives exact distances in time
-polynomial in the number of runs, independent of run lengths.
+it an odd number of times. The parallel walls sharing a run's ⟨star(g)⟩
+coset form a cluster stacked at integer levels, and a run of signed length
+e from level m crosses the walls between levels m and m + e. A cluster is
+stored as the sorted levels where the parity of its crossings flips: the
+run flips m and m + e, two flips at one level cancel, and the walls crossed
+an odd number of times are those between the first and second flip, the
+third and fourth, and so on. Distances are exact in time polynomial in the
+number of runs, independent of run lengths.
 
 The certifiers exploit the same structure globally. Fix the runs containing
-the two endpoints: as the endpoints slide inside their runs, only two
-intervals move, one endpoint each, linearly. Distance restricted to such a
-cell is therefore piecewise linear with breakpoints exactly where a moving
-endpoint crosses a fixed interval endpoint, so the exact minimum over all
-vertex pairs is found by scanning run pairs and evaluating at breakpoints,
-never enumerating the path.
+the two endpoints: as the endpoints slide inside their runs, each partial
+run keeps one flip at its anchored end and moves the other one level per
+step. Distance restricted to such a cell is therefore piecewise linear,
+with breakpoints exactly where a moving level meets a flip or the other
+moving level, so the exact minimum over all vertex pairs is found by
+scanning run pairs and evaluating at breakpoints, never enumerating the
+path.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -142,43 +147,29 @@ def _star_frame(graph: DefiningGraph, start: GroupElement, g: int):
     return (g, kept), level
 
 
-def _run_interval(m: int, e: int) -> tuple[int, int]:
-    """Levels of the walls crossed by a run of signed length e that starts
-    at level m, as an inclusive interval."""
-    return (m, m + e - 1) if e > 0 else (m + e, m - 1)
+def _toggled(flips: tuple, x: int) -> tuple:
+    """flips with level x flipped once more: inserted, or cancelled."""
+    i = bisect_left(flips, x)
+    if i < len(flips) and flips[i] == x:
+        return flips[:i] + flips[i + 1:]
+    return flips[:i] + (x,) + flips[i:]
 
 
-def _odd_count(intervals) -> int:
-    """Integers covered by an odd number of the inclusive intervals."""
-    events = []
-    for lo, hi in intervals:
-        if hi < lo:
-            continue
-        events.append((lo, 1))
-        events.append((hi + 1, -1))
-    events.sort()
-    total = 0
-    depth = 0
-    prev = None
-    for x, delta in events:
-        if depth % 2 == 1:
-            total += x - prev
-        depth += delta
-        prev = x
-    return total
+def _odd(flips: tuple) -> int:
+    """Walls crossed an odd number of times: those between the first and
+    second flip, the third and fourth, and so on."""
+    return sum(flips[1::2]) - sum(flips[::2])
 
 
 def walk_wall_count(graph: DefiningGraph, segments: Iterable[tuple]) -> int:
     """Number of walls crossed an odd number of times by the walk given as
     (start vertex, gen, signed exp) segments. Equals the graph distance
     between the walk's endpoints."""
-    clusters: dict = {}
+    table = _ClusterTable()
     for start, g, e in segments:
-        if e == 0:
-            continue
-        key, m = _star_frame(graph, start, g)
-        clusters.setdefault(key, []).append(_run_interval(m, e))
-    return sum(_odd_count(ivs) for ivs in clusters.values())
+        if e:
+            table.add(*_star_frame(graph, start, g), e)
+    return table.total
 
 
 def path_pair_distance(p1: RunPath, s: int, p2: RunPath, t: int) -> int:
@@ -196,133 +187,113 @@ def path_pair_distance(p1: RunPath, s: int, p2: RunPath, t: int) -> int:
 
 # --- exact minimization over run-pair cells ---------------------------------
 #
-# A moving partial interval is the head (first u steps) or tail (last A-u
-# steps) of a run. One endpoint is fixed, the other moves one level per unit
-# of u, so odd-coverage of its cluster is piecewise linear in u with
-# breakpoints where the moving endpoint crosses a fixed endpoint.
+# A partial run is the head (first u steps) or the tail (the steps after the
+# first u) of a run of signed length e from level m. It flips two levels:
+# its anchor, m for a head and m + e for a tail, and the moving level
+# m + s*u, s the sign of e. The odd count is linear in u between the levels
+# where the moving level meets a flip, so a cell's cost is minimised at
+# those levels or at the bounds.
 
 
-def _moving_interval(kind: str, m: int, e: int, u: int):
-    A = abs(e)
-    if kind == "tail":
-        if u >= A:
-            return None
-        return (m + u, m + A - 1) if e > 0 else (m - A, m - 1 - u)
-    if u <= 0:
-        return None
-    return _run_interval(m, u if e > 0 else -u)
+def _anchored(fixed: tuple, kind: str, m: int, e: int) -> tuple:
+    """fixed with the anchor of the run's head or tail flipped."""
+    return _toggled(fixed, m if kind == "head" else m + e)
 
 
-def _endpoint_pos(kind: str, m: int, e: int, u: int) -> int:
-    if kind == "tail":
-        return m + u if e > 0 else m - 1 - u
-    return m + u - 1 if e > 0 else m - u
-
-
-def _solve_endpoint(kind: str, m: int, e: int, y: int) -> int:
-    if kind == "tail":
-        return y - m if e > 0 else m - 1 - y
-    return y - m + 1 if e > 0 else m - y
-
-
-def _breakpoints(kind: str, m: int, e: int, lo_u: int, hi_u: int, fixed) -> list[int]:
-    cands = {lo_u, hi_u}
-    for lo, hi in fixed:
-        for y in (lo, hi):
-            base = _solve_endpoint(kind, m, e, y)
-            for du in (-1, 0, 1):
-                u = base + du
-                if lo_u < u < hi_u:
-                    cands.add(u)
-    return sorted(cands)
+def _breakpoints(flips: tuple, m: int, s: int, lo_u: int, hi_u: int) -> set:
+    """lo_u, hi_u and the u between them where m + s*u meets a flip."""
+    out = {lo_u, hi_u}
+    for f in flips:
+        u = s * (f - m)
+        if lo_u < u < hi_u:
+            out.add(u)
+    return out
 
 
 def _min_1d(alpha, lam, fixed, kind, m, e, lo_u, hi_u):
-    """Exact min over u in [lo_u, hi_u] of alpha*odd(fixed+I(u)) + lam*u."""
+    """Exact min over u in [lo_u, hi_u] of alpha*odd(fixed + partial(u)) +
+    lam*u, with the smallest u attaining it."""
+    s = 1 if e > 0 else -1
+    flips = _anchored(fixed, kind, m, e)
     best = None
     arg = lo_u
-    for u in _breakpoints(kind, m, e, lo_u, hi_u, fixed):
-        iv = _moving_interval(kind, m, e, u)
-        cov = _odd_count(fixed + [iv] if iv else fixed)
-        val = alpha * cov + lam * u
+    for u in sorted(_breakpoints(flips, m, s, lo_u, hi_u)):
+        val = alpha * _odd(_toggled(flips, m + s * u)) + lam * u
         if best is None or val < best:
             best, arg = val, u
     return best, arg
 
 
 def _min_2d(alpha, lam_u, lam_w, fixed, spec_u, spec_w, exclude_corner=False):
-    """Exact min of alpha*odd(fixed+I_u(u)+I_w(w)) + lam_u*u + lam_w*w when
-    both moving intervals live in the same cluster. Candidates: breakpoints
-    against fixed endpoints and against each other's moving endpoint.
+    """Exact min of alpha*odd(fixed + partial_u(u) + partial_w(w)) +
+    lam_u*u + lam_w*w when both partial runs live in the same cluster, with
+    the lexicographically smallest (u, w) attaining it. The cost is linear
+    between the levels where a moving level meets a flip or the other
+    moving level, so the candidates are those levels and the bounds.
     exclude_corner drops the degenerate pair (u=A, w=0) where both vertices
-    coincide at the shared run boundary."""
+    coincide at the shared run boundary; its neighbours u = A-1 and w = 1
+    join the candidates."""
     kind_u, m_u, e_u, A = spec_u
     kind_w, m_w, e_w, B = spec_w
-    full_u = _moving_interval(kind_u, m_u, e_u, 0 if kind_u == "tail" else A)
-    full_w = _moving_interval(kind_w, m_w, e_w, 0 if kind_w == "tail" else B)
-    U0 = _breakpoints(kind_u, m_u, e_u, 0, A, fixed + ([full_w] if full_w else []))
-    W0 = _breakpoints(kind_w, m_w, e_w, 0, B, fixed + ([full_u] if full_u else []))
-    U = set(U0)
-    W = set(W0)
+    s_u = 1 if e_u > 0 else -1
+    s_w = 1 if e_w > 0 else -1
+    flips = _anchored(_anchored(fixed, kind_u, m_u, e_u), kind_w, m_w, e_w)
+    U = _breakpoints(flips, m_u, s_u, 0, A)
+    W = _breakpoints(flips, m_w, s_w, 0, B)
     if exclude_corner:
-        if A >= 1:
-            U.add(A - 1)
-        if B >= 1:
-            W.add(1)
-    for u in U0:
-        y = _endpoint_pos(kind_u, m_u, e_u, u)
-        for dy in (-1, 0, 1):
-            w = _solve_endpoint(kind_w, m_w, e_w, y + dy)
-            for dw in (-1, 0, 1):
-                if 0 <= w + dw <= B:
-                    W.add(w + dw)
-    for w in W0:
-        y = _endpoint_pos(kind_w, m_w, e_w, w)
-        for dy in (-1, 0, 1):
-            u = _solve_endpoint(kind_u, m_u, e_u, y + dy)
-            for du in (-1, 0, 1):
-                if 0 <= u + du <= A:
-                    U.add(u + du)
+        U.add(A - 1)
+        W.add(1)
+    # where the two moving levels meet
+    meet_w = [s_w * (m_u + s_u * u - m_w) for u in U]
+    meet_u = [s_u * (m_w + s_w * w - m_u) for w in W]
+    U.update(u for u in meet_u if 0 <= u <= A)
+    W.update(w for w in meet_w if 0 <= w <= B)
     best = None
     arg = (0, 0)
+    W = sorted(W)
     for u in sorted(U):
-        iv_u = _moving_interval(kind_u, m_u, e_u, u)
-        base = fixed + [iv_u] if iv_u else fixed
-        for w in sorted(W):
+        base = _toggled(flips, m_u + s_u * u)
+        for w in W:
             if exclude_corner and u == A and w == 0:
                 continue
-            iv_w = _moving_interval(kind_w, m_w, e_w, w)
-            cov = _odd_count(base + [iv_w] if iv_w else base)
-            val = alpha * cov + lam_u * u + lam_w * w
+            val = alpha * _odd(_toggled(base, m_w + s_w * w)) + lam_u * u + lam_w * w
             if best is None or val < best:
                 best, arg = val, (u, w)
     return best, arg
 
 
 class _ClusterTable:
-    """Fixed intervals grouped by cluster, with cached odd-coverage totals."""
+    """Each cluster's flip levels, with cached odd counts and their total."""
 
     def __init__(self) -> None:
-        self.lists: dict = {}
+        self.flips: dict = {}
         self.odd: dict = {}
         self.total = 0
 
-    def add(self, key, interval) -> None:
-        lst = self.lists.setdefault(key, [])
-        lst.append(interval)
-        new = _odd_count(lst)
-        self.total += new - self.odd.get(key, 0)
-        self.odd[key] = new
+    def add(self, key, m: int, e: int) -> None:
+        """Add a run of signed length e from level m to cluster key: it
+        flips the levels m and m + e."""
+        flips = self.flips.get(key)
+        if flips:
+            flips = _toggled(_toggled(flips, m), m + e)
+            odd = _odd(flips)
+            self.total += odd - self.odd[key]
+        else:
+            flips = (m, m + e) if e > 0 else (m + e, m)
+            odd = abs(e)
+            self.total += odd
+        self.flips[key] = flips
+        self.odd[key] = odd
 
-    def get(self, key) -> list:
-        return self.lists.get(key, [])
+    def get(self, key) -> tuple:
+        return self.flips.get(key, ())
 
     def odd_of(self, key) -> int:
         return self.odd.get(key, 0)
 
     def copy(self) -> "_ClusterTable":
         out = _ClusterTable()
-        out.lists = {k: list(v) for k, v in self.lists.items()}
+        out.flips = dict(self.flips)
         out.odd = dict(self.odd)
         out.total = self.total
         return out
@@ -359,8 +330,8 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
     an int when K and C are ints and a Fraction otherwise.
 
     The 1-D cell minima are memoised for the length of the call. _min_1d
-    is a pure function of its arguments, and a run's fixed list only
-    changes when a later run of its cluster enters the table, so most
+    is a pure function of its arguments, and a run's cluster flips only
+    change when a later run of its cluster enters the table, so most
     cells ask a minimisation an earlier cell already answered; the
     argmin order, and with it the witness, is unchanged.
     """
@@ -380,7 +351,7 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
     minima: dict = {}
 
     def min_1d(lam, fixed, kind, m, e, lo_u, hi_u):
-        key = (lam, tuple(fixed), kind, m, e, lo_u, hi_u)
+        key = (lam, fixed, kind, m, e, lo_u, hi_u)
         got = minima.get(key)
         if got is None:
             got = minima[key] = _min_1d(Kd, lam, fixed, kind, m, e, lo_u, hi_u)
@@ -412,7 +383,7 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
                     # exclude (u=A, w=0): u <= A-1 with any w, or u = A with w >= 1
                     vu1, u1 = min_1d(D, li, "tail", m_i, e_i, 0, A - 1)
                     cand1 = vu1 + vw, (u1, w)
-                    vuA = Kd * _odd_count(li) + D * A
+                    vuA = Kd * table.odd_of(key_i) + D * A
                     vw2, w2 = min_1d(-D, lj, "head", m_j, e_j, 1, B)
                     cand2 = vuA + vw2, (A, w2)
                     (vm, (u, w)) = min(cand1, cand2, key=lambda c: c[0])
@@ -430,7 +401,7 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
             if val < best:
                 best = val
                 witness = (offsets[i] + u, offsets[j] + w)
-            table.add(key_j, _run_interval(m_j, e_j))
+            table.add(key_j, m_j, e_j)
 
     margin = best if isinstance(K, int) and isinstance(C, int) else Fraction(best, D)
     return QuasiGeodesicReport(best >= 0, K, C, margin, witness, evaluations)
@@ -459,19 +430,17 @@ def _pair_tables(p1: RunPath, p2: RunPath, ends: bool):
         v = p1.origin
         for g, e in (p1.origin.inverse() * p2.origin).syllables:
             key, m = _star_frame(p1.graph, v, g)
-            outer.add(ids.setdefault(key, len(ids)), _run_interval(m, e))
+            outer.add(ids.setdefault(key, len(ids)), m, e)
             v = v.append_run(g, e)
         R1, R2 = len(p1.runs), len(p2.runs)
         n1, n2 = (R1 + 1, R2 + 1) if ends else (max(R1, 1), max(R2, 1))
         for i in range(n1):
             if i > 0:
-                key, m = f1[i - 1]
-                outer.add(key, _run_interval(m, p1.runs[i - 1][1]))
+                outer.add(*f1[i - 1], p1.runs[i - 1][1])
             inner = outer.copy()
             for j in range(n2):
                 if j > 0:
-                    key, m = f2[j - 1]
-                    inner.add(key, _run_interval(m, p2.runs[j - 1][1]))
+                    inner.add(*f2[j - 1], p2.runs[j - 1][1])
                 yield i, j, inner
 
     return f1, f2, walk()
@@ -487,27 +456,16 @@ def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
     best = path_pair_distance(p1, 0, p2, 0)
     arg = (0, 0)
 
+    # an empty path stands as one zero-length run in a cluster of its own
     runs1 = p1.runs or ((None, 0),)
     runs2 = p2.runs or ((None, 0),)
     f1, f2, walk = _pair_tables(p1, p2, ends=False)
+    f1, f2 = f1 or [(None, 0)], f2 or [(None, 0)]
     for i, j, inner in walk:
-        g_i, e_i = runs1[i]
-        g_j, e_j = runs2[j]
-        key_i, m_i = f1[i] if g_i is not None else (None, 0)
-        key_j, m_j = f2[j] if g_j is not None else (None, 0)
-        A = abs(e_i)
-        B = abs(e_j)
-        if g_i is None and g_j is None:
-            val, u, w = inner.total, 0, 0
-        elif g_i is None:
-            rest = inner.total - inner.odd_of(key_j)
-            vw, w = _min_1d(1, 0, inner.get(key_j), "head", m_j, e_j, 0, B)
-            val, u = rest + vw, 0
-        elif g_j is None:
-            rest = inner.total - inner.odd_of(key_i)
-            vu, u = _min_1d(1, 0, inner.get(key_i), "head", m_i, e_i, 0, A)
-            val, w = rest + vu, 0
-        elif key_i != key_j:
+        (key_i, m_i), e_i = f1[i], runs1[i][1]
+        (key_j, m_j), e_j = f2[j], runs2[j][1]
+        A, B = abs(e_i), abs(e_j)
+        if key_i != key_j:
             rest = inner.total - inner.odd_of(key_i) - inner.odd_of(key_j)
             vu, u = _min_1d(1, 0, inner.get(key_i), "head", m_i, e_i, 0, A)
             vw, w = _min_1d(1, 0, inner.get(key_j), "head", m_j, e_j, 0, B)
@@ -521,8 +479,7 @@ def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
             val = rest + vm
         if val < best:
             best = val
-            arg = (p1._offsets[i] + u if g_i is not None else 0,
-                   p2._offsets[j] + w if g_j is not None else 0)
+            arg = (p1._offsets[i] + u, p2._offsets[j] + w)
     return best, arg[0], arg[1]
 
 
@@ -575,8 +532,8 @@ def set_distance_knots(path: RunPath, Z: RunPath) -> tuple[tuple[int, int], ...]
 
     Distances from every vertex of Z to every run end of path come from one
     cluster-table walk; Z is split into unit steps, and splitting changes
-    no odd coverage, since the unit intervals of a run are disjoint and
-    union to the run's interval. Cost: one row per run of path times the
+    no cluster's flips, since the inner flips of a run's unit steps cancel
+    in pairs. Cost: one row per run of path times the
     vertices of Z, independent of run lengths.
     """
     if all(abs(e) == 1 for _, e in Z.runs):

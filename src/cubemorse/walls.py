@@ -193,18 +193,18 @@ def crosses(h1: Wall, h2: Wall) -> bool:
         return False
     if not h1.graph.adjacent(h1.gen, h2.gen):
         return False
-    return not _stripped_middle(h1, h2)
+    return not _stripped_middle(h1.base, h1.gen, h2.base, h2.gen)[1]
 
 
-def _stripped_middle(h1: Wall, h2: Wall) -> tuple:
-    """Syllables of nf(b1^-1 b2) after left-stripping ⟨lk g1⟩ and then
-    right-stripping ⟨lk g2⟩: what remains between the two carriers after
-    pulling off everything either carrier coset can absorb."""
-    graph = h1.graph
-    t = h1.base.inverse() * h2.base
-    _, kept = _strip_left(graph, t.syllables, graph.adj_mask[h1.gen])
-    kept, _ = _strip_right(graph, kept, graph.adj_mask[h2.gen])
-    return kept
+def _stripped_middle(r1: GroupElement, g1: int, r2: GroupElement, g2: int) -> tuple:
+    """nf(r1^-1 r2) left-stripped by ⟨lk g1⟩ and then right-stripped by
+    ⟨lk g2⟩, as (removed prefix, middle): the middle is what remains between
+    the carrier cosets r1⟨lk g1⟩ and r2⟨lk g2⟩ after pulling off everything
+    either coset can absorb, and r1·prefix is the first coset's gate."""
+    graph = r1.graph
+    removed, kept = _strip_left(graph, (r1.inverse() * r2).syllables, graph.adj_mask[g1])
+    middle, _ = _strip_right(graph, kept, graph.adj_mask[g2])
+    return removed, middle
 
 
 def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int]:
@@ -218,7 +218,7 @@ def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int]:
     witness wall along its own generator axis).
     """
     graph = h1.graph
-    sep = {g for g, _ in _stripped_middle(h1, h2)}
+    sep = {g for g, _ in _stripped_middle(h1.base, h1.gen, h2.base, h2.gen)[1]}
     out = set()
     for g in graph.link(h1.gen) & graph.link(h2.gen):
         if all(graph.adjacent(g, s) for s in sep):
@@ -252,14 +252,10 @@ def crossing_count(
         return 0, True
 
     graph = h1.graph
-    mask1 = graph.adj_mask[h1.gen]
-    mask2 = graph.adj_mask[h2.gen]
     best = None
     for r1 in h1.carrier_reps():
         for r2 in h2.carrier_reps():
-            w = r1.inverse() * r2
-            removed_u, kept = _strip_left(graph, w.syllables, mask1)
-            t, _ = _strip_right(graph, kept, mask2)
+            removed_u, t = _stripped_middle(r1, h1.gen, r2, h2.gen)
             d = sum(abs(e) for _, e in t)
             if best is None or d < best[0]:
                 gate_a = r1.append_syllables(removed_u)

@@ -7,8 +7,9 @@ in cubemorse.raag. The others redo a fast layer's question the slow,
 direct way on top of the layers below it: gates on both carrier cosets,
 a level-by-level scan of gamma's period translates, separation asked on
 the global walls, the dichotomy stepped one letter at a time, the chain
-greedy over a plain tuple of walls, and the contraction gate asked of
-every pair. random_graphs draws the defining graphs they are run on.
+greedy over a plain tuple of walls, the contraction gate asked of every
+pair, and the run-path cell minima counted wall by wall at every position.
+random_graphs draws the defining graphs they are run on.
 """
 
 from __future__ import annotations
@@ -199,6 +200,56 @@ def random_graphs(draw):
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [pair for pair, k in zip(pairs, keep) if k]
     return DefiningGraph.from_data({"generators": list(names), "edges": edges})
+
+
+# --- run-path cells ----------------------------------------------------------
+
+
+def _partial_run(kind: str, m: int, e: int, u: int) -> tuple[int, int]:
+    """The head (first u steps) or tail (the steps after the first u) of a
+    run of signed length e from level m, as (start level, signed length)."""
+    s = 1 if e > 0 else -1
+    return (m, s * u) if kind == "head" else (m + s * u, e - s * u)
+
+
+def _odd_walls(runs) -> int:
+    """Walls crossed an odd number of times by runs (start level, signed
+    length) in one cluster, counted wall by wall: a run crosses the walls
+    between levels x and x + 1 for x from its lower to its upper level."""
+    crossings: dict[int, int] = {}
+    for m, e in runs:
+        for x in range(min(m, m + e), max(m, m + e)):
+            crossings[x] = crossings.get(x, 0) + 1
+    return sum(c % 2 for c in crossings.values())
+
+
+def min_1d_by_levels(alpha, lam, runs, kind, m, e, lo_u, hi_u):
+    """Reference for runpaths._min_1d on the cluster of the fixed runs: the
+    cost alpha*odd + lam*u at every u in [lo_u, hi_u], with the smallest u
+    attaining its minimum."""
+    return min(
+        (alpha * _odd_walls(list(runs) + [_partial_run(kind, m, e, u)]) + lam * u, u)
+        for u in range(lo_u, hi_u + 1)
+    )
+
+
+def min_2d_by_levels(alpha, lam_u, lam_w, runs, spec_u, spec_w, exclude_corner=False):
+    """Reference for runpaths._min_2d: the cost at every (u, w) of the box,
+    without the corner (A, 0) when exclude_corner, and the lexicographically
+    smallest pair attaining its minimum."""
+    kind_u, m_u, e_u, A = spec_u
+    kind_w, m_w, e_w, B = spec_w
+    return min(
+        (
+            alpha * _odd_walls(list(runs) + [_partial_run(kind_u, m_u, e_u, u),
+                                             _partial_run(kind_w, m_w, e_w, w)])
+            + lam_u * u + lam_w * w,
+            (u, w),
+        )
+        for u in range(A + 1)
+        for w in range(B + 1)
+        if not (exclude_corner and (u, w) == (A, 0))
+    )
 
 
 # --- walls -------------------------------------------------------------------

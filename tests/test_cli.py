@@ -159,6 +159,29 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "max_pairs" in captured.err
 
+    @pytest.mark.parametrize("command", [
+        ["kappa"],
+        ["beta", "--delta", "4", "--flats", "12"],
+        ["dichotomy", "--graph", CK, "--z", "gamma:4", "--path", "gamma:4"],
+    ])
+    @pytest.mark.parametrize("flag, value", [("--K", "1/0"), ("--C", "2/0")])
+    def test_zero_denominator_constant(self, command, flag, value, capsys):
+        # Fraction raises ZeroDivisionError here, which argparse does not catch
+        code = run(command + [flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {flag}: invalid")
+        assert f"value: '{value}'" in captured.err
+
+    @pytest.mark.parametrize("spec", ["gamma:x", "gamma:", "beta:4,12,x"])
+    def test_non_integer_path_spec(self, spec, capsys):
+        code = run(["dichotomy", "--graph", CK, "--z", spec, "--path", "gamma:4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bad path spec '{spec}'")
+
     def test_error_goes_to_stderr(self, capsys):
         code = run(["bogus"])
         captured = capsys.readouterr()

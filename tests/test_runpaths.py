@@ -4,15 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from cubemorse.raag import GroupElement, WordError, distance, parse_word
+from cubemorse.raag import GroupElement, Word, WordError, distance, normal_form, parse_word
 from cubemorse.runpaths import (
     RunPath,
+    _ClusterTable,
+    _min_1d,
+    _min_2d,
     certify_quasigeodesic_runs,
     min_pair_distance,
     path_pair_distance,
     walk_wall_count,
 )
+
+from oracles import min_1d_by_levels, min_2d_by_levels, random_graphs
 
 
 def random_runpath(graph, rng, max_runs=14, max_exp=3):
@@ -225,3 +232,120 @@ class TestQuasiGeodesicCertification:
     def test_empty_path(self, ck):
         p = RunPath(GroupElement.identity(ck), ())
         assert certify_quasigeodesic_runs(p, 1, 0).certified
+
+
+# --- random defining graphs against brute force -----------------------------
+
+
+def draw_runpath(data, graph, max_runs, max_exp, max_origin=0):
+    n = len(graph.generators)
+    origin = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))), max_size=max_origin
+    ))
+    runs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(-max_exp, max_exp).filter(bool)),
+        max_size=max_runs,
+    ))
+    return RunPath(normal_form(Word(graph, origin)), tuple(runs))
+
+
+constants = st.sampled_from((1, 2, 3, 8)) | st.fractions(1, 4, max_denominator=6)
+slacks = st.sampled_from((0, 1, 4)) | st.fractions(0, 3, max_denominator=6)
+
+
+class TestRandomGraphOracles:
+    @seed(2101)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_distance_matches_engine(self, z3z, ck, data):
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        p = draw_runpath(data, graph, 8, 4, max_origin=4)
+        s = data.draw(st.integers(0, p.length))
+        t = data.draw(st.integers(0, p.length))
+        assert p.distance(s, t) == distance(p.vertex_at(s), p.vertex_at(t))
+
+    @seed(2102)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_matches_all_pairs(self, z3z, ck, data):
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        p = draw_runpath(data, graph, 6, 3)
+        K, C = data.draw(constants), data.draw(slacks)
+        verts = [p.vertex_at(k) for k in range(p.length + 1)]
+        margins = [
+            K * distance(verts[s], verts[t]) + C - (t - s)
+            for s in range(p.length + 1)
+            for t in range(s + 1, p.length + 1)
+        ]
+        rep = certify_quasigeodesic_runs(p, K, C)
+        if not margins:
+            assert rep.certified
+            return
+        want = min(margins)
+        assert rep.min_margin == want
+        assert rep.certified == (want >= 0)
+        s, t = rep.witness
+        assert s < t
+        assert K * distance(verts[s], verts[t]) + C - (t - s) == want
+
+    @seed(2103)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_min_pair_distance_matches_all_pairs(self, z3z, ck, data):
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        p = draw_runpath(data, graph, 4, 3, max_origin=3)
+        q = draw_runpath(data, graph, 4, 3, max_origin=3)
+        want = min(
+            distance(p.vertex_at(s), q.vertex_at(t))
+            for s in range(p.length + 1)
+            for t in range(q.length + 1)
+        )
+        got, s, t = min_pair_distance(p, q)
+        assert got == want
+        assert distance(p.vertex_at(s), q.vertex_at(t)) == want
+
+
+levels = st.integers(-6, 6)
+signed_lengths = st.integers(-6, 6).filter(bool)
+kinds = st.sampled_from(("head", "tail"))
+
+
+def draw_cluster(data):
+    """Fixed runs (start level, signed length) of one cluster, and the
+    cluster as the library stores it."""
+    runs = data.draw(st.lists(st.tuples(levels, signed_lengths), max_size=5))
+    table = _ClusterTable()
+    for m, e in runs:
+        table.add(0, m, e)
+    return runs, table.get(0)
+
+
+class TestCellMinimaAgainstLevels:
+    @seed(2104)
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_min_1d(self, data):
+        runs, flips = draw_cluster(data)
+        kind, m, e = data.draw(kinds), data.draw(levels), data.draw(signed_lengths)
+        lo = data.draw(st.integers(0, abs(e)))
+        hi = data.draw(st.integers(lo, abs(e)))
+        alpha, lam = data.draw(st.integers(1, 9)), data.draw(st.integers(-9, 9))
+        assert _min_1d(alpha, lam, flips, kind, m, e, lo, hi) == min_1d_by_levels(
+            alpha, lam, runs, kind, m, e, lo, hi
+        )
+
+    @seed(2105)
+    @given(data=st.data(), exclude_corner=st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_min_2d(self, data, exclude_corner):
+        runs, flips = draw_cluster(data)
+        specs = []
+        for _ in range(2):
+            kind, m, e = data.draw(kinds), data.draw(levels), data.draw(signed_lengths)
+            specs.append((kind, m, e, abs(e)))
+        alpha = data.draw(st.integers(1, 9))
+        lam_u, lam_w = data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9))
+        got = _min_2d(alpha, lam_u, lam_w, flips, *specs, exclude_corner=exclude_corner)
+        assert got == min_2d_by_levels(
+            alpha, lam_u, lam_w, runs, *specs, exclude_corner=exclude_corner
+        )
