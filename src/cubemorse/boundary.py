@@ -13,12 +13,11 @@ crossed j pairwise strongly separated walls, any wall it crosses later is
 separated from the base by at least j-1 of them.
 
 Every product reads a ray through one index per (ray, depth), kept in a
-single bounded cache: the walls in crossing order and their positions, the
-count L(t) of earlier walls not crossing wall t (a lower bound on its
-distance from the base), the strong-separation relation among the walls,
-the greedy separated chains and the tail bound. Only the walls are computed
-when the index is built; each relation is filled on first use and
-memoised, so a pair of walls is tested at most once.
+single bounded cache: the walls in crossing order and their positions,
+each wall's distance from the base, the strong-separation relation among
+the walls, the greedy separated chains and the tail bound. Only the walls
+are computed when the index is built; each relation is filled on first
+use and memoised, so a pair of walls is tested at most once.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .raag import (
 )
 from .walls import (
     Wall,
-    crosses,
     strongly_separated,
     wall_distance,
     wall_of_edge,
@@ -228,27 +226,33 @@ class _RayIndex:
     pays only for the pairs it touches. Not safe for concurrent filling
     from several threads."""
 
-    __slots__ = ("walls", "pos", "_lower", "_known", "_sep", "_chains")
+    __slots__ = ("base", "walls", "pos", "_dist", "_known", "_sep", "_chains")
 
-    def __init__(self, walls: tuple[Wall, ...]):
+    def __init__(self, base: GroupElement, walls: tuple[Wall, ...]):
+        self.base = base
         self.walls = walls
         self.pos = {w: t for t, w in enumerate(walls)}
         assert len(self.pos) == len(walls), "geodesic crossed a wall twice"
-        self._lower: list[Optional[int]] = [None] * len(walls)
+        self._dist: list[Optional[int]] = [None] * len(walls)
         # bit j of _known[i] / _sep[i], i < j: pair tested / strongly separated
         self._known = [0] * len(walls)
         self._sep = [0] * len(walls)
         self._chains: dict[Optional[int], tuple[int, ...]] = {}
 
-    def lower(self, t: int) -> int:
-        """L(t): how many earlier walls do not cross wall t. Each of them
-        separates the base from wall t, so L(t) <= wall_distance(base, t)."""
-        low = self._lower[t]
-        if low is None:
-            w = self.walls[t]
-            low = sum(1 for s in range(t) if not crosses(self.walls[s], w))
-            self._lower[t] = low
-        return low
+    def dist(self, t: int) -> int:
+        """wall_distance(base, wall t), memoised. The distance to the
+        convex carrier of k = wall t counts the walls separating it from
+        the base, and these are exactly the earlier ray walls not crossing
+        k. The ray's geodesic starts at the base and crosses each wall
+        once. An earlier wall h not crossing k has k's carrier on one side,
+        the far side from the base, as the geodesic crosses h before k's
+        edge; so h separates. Conversely, a separating wall is crossed
+        before k's edge and cannot cross k, which would take it through
+        the carrier."""
+        d = self._dist[t]
+        if d is None:
+            d = self._dist[t] = wall_distance(self.base, self.walls[t])
+        return d
 
     def separated(self, i: int, j: int) -> bool:
         """Whether walls i < j are strongly separated."""
@@ -279,13 +283,13 @@ def _ray_index(ray: BoundaryRay, depth: int) -> _RayIndex:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth == 0:
-        return _RayIndex(())
+        return _RayIndex(ray.base, ())
     out = []
     v = ray.base
     for letter in _representative_letters(ray, depth):
         out.append(wall_of_edge(v, letter))
         v = v.append_letter(letter.gen, letter.sign)
-    return _RayIndex(tuple(out))
+    return _RayIndex(ray.base, tuple(out))
 
 
 def ray_walls(ray: BoundaryRay, depth: int) -> tuple[Wall, ...]:
@@ -321,27 +325,19 @@ def bracket_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductVal
     """[ξ|η]_o: the least number of walls between o and a wall separating
     the two rays; +inf when no wall separates them.
 
-    Certified when the minimum is strictly below both rays' tail bounds, so
-    no unseen wall can beat it and the minimizing wall cannot be secretly
-    common. The L(t) = t - #{earlier walls crossing wall t} bound prunes
-    exact wall-distance computations.
+    The minimum runs over the walls only one ray crosses within depth,
+    each read from its own ray's index. Certified when the minimum is
+    strictly below both rays' tail bounds, so no unseen wall can beat it
+    and the minimizing wall cannot be secretly common.
     """
     _check_same_base(xi, eta)
     ix = _ray_index(xi, depth)
     ie = _ray_index(eta, depth)
-    sym = [(ix, t) for t, w in enumerate(ix.walls) if w not in ie.pos]
-    sym += [(ie, t) for t, w in enumerate(ie.walls) if w not in ix.pos]
-    if not sym:
+    dists = [ix.dist(t) for t, w in enumerate(ix.walls) if w not in ie.pos]
+    dists += [ie.dist(t) for t, w in enumerate(ie.walls) if w not in ix.pos]
+    if not dists:
         return ProductValue(math.inf, xi.same_point_structurally(eta), depth)
-
-    o = xi.base
-    best = None
-    for owner, t in sym:
-        if best is not None and owner.lower(t) >= best:
-            continue
-        d = wall_distance(o, owner.walls[t])
-        if best is None or d < best:
-            best = d
+    best = min(dists)
     tail = min(ix.tail_bound, ie.tail_bound)
     return ProductValue(best, best < tail, depth)
 
@@ -388,38 +384,32 @@ class InfiniteTerm(ValueError):
     """A cross ratio summand is +inf because two arguments coincide."""
 
 
-def _finite(p: ProductValue) -> int:
-    if p.value == math.inf:
+def _cross_ratio(
+    product: Callable[[BoundaryRay, BoundaryRay, int], ProductValue],
+    w: BoundaryRay, x: BoundaryRay, y: BoundaryRay, z: BoundaryRay, depth: int,
+) -> tuple[int, bool]:
+    """product(w,x) + product(y,z) - product(w,y) - product(x,z), with the
+    joint flag. The callers pass the product by its global name at call
+    time, so a product rebound on the module is the one used."""
+    terms = [product(a, b, depth) for a, b in ((w, x), (y, z), (w, y), (x, z))]
+    if any(t.value == math.inf for t in terms):
         raise InfiniteTerm("cross ratio undefined: a summand is infinite")
-    return p.value
+    wx, yz, wy, xz = (t.value for t in terms)
+    return wx + yz - wy - xz, all(t.certified for t in terms)
 
 
 def cross_ratio_cr(
     w: BoundaryRay, x: BoundaryRay, y: BoundaryRay, z: BoundaryRay, depth: int
 ) -> tuple[int, bool]:
     """cr_o(w,x,y,z) = [w|x] + [y|z] - [w|y] - [x|z], with joint flag."""
-    terms = (
-        bracket_product(w, x, depth),
-        bracket_product(y, z, depth),
-        bracket_product(w, y, depth),
-        bracket_product(x, z, depth),
-    )
-    value = _finite(terms[0]) + _finite(terms[1]) - _finite(terms[2]) - _finite(terms[3])
-    return value, all(t.certified for t in terms)
+    return _cross_ratio(bracket_product, w, x, y, z, depth)
 
 
 def cross_ratio_bfm(
     w: BoundaryRay, x: BoundaryRay, y: BoundaryRay, z: BoundaryRay, depth: int
 ) -> tuple[int, bool]:
     """[w,x,y,z] = (w|x) + (y|z) - (w|y) - (x|z), with joint flag."""
-    terms = (
-        gromov_product(w, x, depth),
-        gromov_product(y, z, depth),
-        gromov_product(w, y, depth),
-        gromov_product(x, z, depth),
-    )
-    value = _finite(terms[0]) + _finite(terms[1]) - _finite(terms[2]) - _finite(terms[3])
-    return value, all(t.certified for t in terms)
+    return _cross_ratio(gromov_product, w, x, y, z, depth)
 
 
 def hyp_member(xi: BoundaryRay, walls: Iterable[Wall], depth: int) -> bool:

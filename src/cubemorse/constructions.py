@@ -1030,7 +1030,7 @@ def check_contracting(
     if exhaustive:
         order = {v: k for k, v in enumerate(outside)}
         top = max((dist_to_s[v] for v in outside), default=1)
-        short = ball(GroupElement.identity(B[0].graph), top - 1)
+        short = ball(GroupElement.identity(B[0].graph), top - 1, cap)
         for x in outside:
             partners = []
             for u in short:

@@ -7,19 +7,22 @@ in cubemorse.raag. The others redo a fast layer's question the slow,
 direct way on top of the layers below it: gates on both carrier cosets,
 a level-by-level scan of gamma's period translates, separation asked on
 the global walls, the dichotomy stepped one letter at a time, the chain
-greedy over a plain tuple of walls, the contraction gate asked of every
-pair, and the run-path cell minima counted wall by wall at every position.
-random_graphs draws the defining graphs they are run on.
+greedy and the pruned bracket product over plain tuples of walls, the
+contraction gate asked of every pair, and the run-path cell minima
+counted wall by wall at every position. random_graphs draws the defining
+graphs they are run on.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional
 
 from hypothesis import strategies as st
 
+from cubemorse.boundary import ProductValue, ray_walls
 from cubemorse.constructions import (
     _ORBIT_LENGTH_SLACK,
     ConfigError,
@@ -55,6 +58,7 @@ from cubemorse.walls import (
     crosses,
     side,
     strongly_separated,
+    wall_distance,
     wall_of_edge,
 )
 
@@ -278,6 +282,7 @@ def coset_base_by_gate(base: GroupElement, mask: int) -> GroupElement:
 
 
 def oracle_lower(walls, t):
+    """How many walls before wall t do not cross it."""
     return sum(1 for s in range(t) if not crosses(walls[s], walls[t]))
 
 
@@ -295,6 +300,27 @@ def oracle_chain(walls, r):
         if len(chain) > len(best):
             best = chain
     return tuple(best)
+
+
+def bracket_product_by_lower_bound(xi, eta, depth):
+    """Reference: [xi|eta]_o over the symmetric difference of the two wall
+    tuples, skipping a wall whose oracle_lower count already reaches the
+    least exact distance found, and certified below both rays' greedy-chain
+    tail bounds. Both rays must share their base."""
+    wx, we = ray_walls(xi, depth), ray_walls(eta, depth)
+    sym = [(wx, t) for t, w in enumerate(wx) if w not in we]
+    sym += [(we, t) for t, w in enumerate(we) if w not in wx]
+    if not sym:
+        return ProductValue(math.inf, xi.same_point_structurally(eta), depth)
+    best = None
+    for walls, t in sym:
+        if best is not None and oracle_lower(walls, t) >= best:
+            continue
+        d = wall_distance(xi.base, walls[t])
+        if best is None or d < best:
+            best = d
+    tail = min(max(0, len(oracle_chain(w, None)) - 1) for w in (wx, we))
+    return ProductValue(best, best < tail, depth)
 
 
 # --- constructions -----------------------------------------------------------

@@ -4,16 +4,14 @@ layers each command loads."""
 import json
 import os
 import re
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+from childproc import REPO, run_python
 from cubemorse.cli import run
 
-REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 Z3Z = "tests/data/z3z.json"
@@ -245,12 +243,7 @@ class TestReportShape:
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubemorse", "nf", "--graph", Z3Z, "c b a"],
-        cwd=REPO,
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "cubemorse", "nf", "--graph", Z3Z, "c b a")
     assert proc.returncode == 0
     assert "a b c" in proc.stdout
 
@@ -262,9 +255,7 @@ def test_cli_import_needs_only_stdlib():
         "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
         "print(sorted(new - {'cubemorse'} - set(sys.stdlib_module_names)))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True
-    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -287,10 +278,7 @@ def test_full_escape_path_dichotomy(capsys):
 def test_reports_survive_python_O(argv):
     # certificates are explicit checks, so stripping asserts changes nothing
     def report(flags):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "cubemorse", "--json", *argv],
-            cwd=REPO, capture_output=True, text=True,
-        )
+        proc = run_python(*flags, "-m", "cubemorse", "--json", *argv)
         assert proc.returncode == 0, proc.stderr
         return re.sub(r'"timing_s": [0-9.e+-]+', '"timing_s": 0.0', proc.stdout)
 
@@ -334,12 +322,23 @@ def test_certificate_violation_exits_3_under_python_O():
         sys.exit(run({GOLDEN_CASES["beta"]!r}))
         """
     )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], cwd=REPO, capture_output=True, text=True
-    )
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith(BETA_VIOLATION), proc.stderr
+
+
+def test_contracting_honours_the_cap(tmp_path, capsys):
+    # radius 15 needs balls above the default cap of 12 on Z
+    graph = tmp_path / "z.json"
+    graph.write_text(json.dumps({"generators": ["a"], "edges": []}))
+    argv = ["contracting", "--graph", str(graph), "word:a", "--radius", "15", "--cap", "15"]
+    code, out = normalized_json(argv, capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["certified"] is True
+    assert rep["outputs"]["passed"] is True
+    assert rep["outputs"]["exhaustive"] is True
 
 
 def test_one_flat_beta_certify_is_bad_input(capsys):
@@ -386,10 +385,7 @@ ESCAPE_LAYERS = {"cubemorse.constructions", "cubemorse.runpaths"}
 
 
 def _layers_loaded(argv: list[str]) -> tuple[int, set]:
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED_LAYERS, json.dumps(argv)],
-        cwd=REPO, capture_output=True, text=True,
-    )
+    proc = run_python("-c", LOADED_LAYERS, json.dumps(argv))
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
     return code, set(modules)
@@ -410,9 +406,7 @@ def test_escape_command_loads_escape_layers():
 
 def test_bare_import_loads_no_submodule():
     code = "import sys, cubemorse; print(sorted(m for m in sys.modules if m.startswith('cubemorse.')))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True
-    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

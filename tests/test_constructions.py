@@ -3,16 +3,14 @@
 import decimal
 import math
 import random
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from childproc import run_python
 from cubemorse import constructions, runpaths
 from cubemorse.constructions import (
     ConfigError,
@@ -38,7 +36,15 @@ from cubemorse.constructions import (
     translate_wall,
     verify_separation,
 )
-from cubemorse.raag import GroupElement, Letter, Word, distance, normal_form, parse_word
+from cubemorse.raag import (
+    DefiningGraph,
+    GroupElement,
+    Letter,
+    Word,
+    distance,
+    normal_form,
+    parse_word,
+)
 from cubemorse.runpaths import CertificateViolation, RunPath
 from cubemorse.walls import BallCapExceeded, Wall, side, wall_of_edge, walls_between
 from oracles import (
@@ -48,8 +54,6 @@ from oracles import (
     random_graphs,
     verify_separation_by_global_frame,
 )
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -628,9 +632,7 @@ class TestSeparationChecks:
                 print("raised:", e)
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], cwd=REPO, capture_output=True, text=True
-        )
+        proc = run_python("-O", "-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: segment 2: escape run crosses"), proc.stdout
 
@@ -795,6 +797,14 @@ class TestContractingOracle:
         assert check_contracting(S, rho, radius, **kw) == check_contracting_all_pairs(
             S, rho, radius, **kw
         )
+
+    def test_short_ball_keeps_the_cap(self):
+        # on Z at radius 15 the short ball has radius 14, above the default cap
+        z = DefiningGraph.from_data({"generators": ["a"], "edges": []})
+        S = RunPath.from_word(parse_word("a", z))
+        want = check_contracting_all_pairs(S, 0, 15, cap=15)
+        assert want.exhaustive
+        assert check_contracting(S, 0, 15, cap=15) == want
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

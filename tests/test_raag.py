@@ -1,7 +1,7 @@
 """Word parsing, normal forms, and the independent piling/BFS oracle."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cubemorse.raag import (
@@ -150,6 +150,21 @@ class TestNormalForm:
     def test_matches_piling_oracle_path_graph(self, ck, letters):
         nf = normal_form(Word(ck, letters))
         assert _pile_key(ck, letters) == _pile_key(ck, list(nf.letters()))
+
+    @seed(2202)
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_piling_oracle_random_graphs(self, z3z, ck, data):
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        n = len(graph.generators)
+        letters = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))), max_size=14)
+        )
+        nf = normal_form(Word(graph, letters))
+        pile = _pile_key(graph, letters)
+        assert pile == _pile_key(graph, list(nf.letters()))
+        assert sum(1 for col in pile for b in col if b) == nf.length
+        assert normal_form(nf.normal) == nf
 
 
 class TestGeodesics:

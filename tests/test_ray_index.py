@@ -4,6 +4,8 @@ brute force over walls.crosses / walls.strongly_separated."""
 import random
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from cubemorse.boundary import (
     BoundaryRay,
@@ -14,8 +16,14 @@ from cubemorse.boundary import (
     ray_walls,
     validate_ray,
 )
-from cubemorse.walls import crossing_count
-from oracles import oracle_chain, oracle_lower
+from cubemorse.raag import Word, normal_form
+from cubemorse.walls import crossing_count, wall_distance
+from oracles import (
+    bracket_product_by_lower_bound,
+    oracle_chain,
+    oracle_lower,
+    random_graphs,
+)
 
 GAMMA_PERIOD = "b c c d c b b a".split()
 ROTATIONS = [" ".join(GAMMA_PERIOD[i:] + GAMMA_PERIOD[:i]) for i in range(8)]
@@ -66,12 +74,15 @@ def test_index_matches_brute_force(rays, depth):
             assert index.walls == walls
             assert index.pos == {w: t for t, w in enumerate(walls)}
             # the memo must not depend on which question filled it first
-            queries = [("lower", t) for t in range(len(walls))]
+            queries = [("dist", t) for t in range(len(walls))]
             queries += [("chain", r) for r in (None, 2, 5)] + [("tail", None)]
             rng.shuffle(queries)
             for kind, arg in queries:
-                if kind == "lower":
-                    assert index.lower(arg) == oracle_lower(walls, arg)
+                if kind == "dist":
+                    # the earlier walls not crossing wall t are exactly
+                    # the walls separating the base from its carrier
+                    want = wall_distance(ray.base, walls[arg])
+                    assert index.dist(arg) == oracle_lower(walls, arg) == want
                 elif kind == "chain":
                     assert index.chain(arg) == oracle_chain(walls, arg)
                 else:
@@ -112,3 +123,37 @@ def test_chain_same_for_every_n(rays):
             assert len({(c.walls, c.gaps) for c in chains}) == 1
             for h1, h2 in zip(chains[0].walls, chains[0].walls[1:]):
                 assert crossing_count(h1, h2) == (0, True)
+
+
+BRACKET_DEPTH = 24
+
+
+@seed(2301)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_bracket_matches_pruned_oracle(z3z, ck, data):
+    # two valid rays anchored at one base off the identity, on a fixture
+    # or a random graph; the product must not depend on the memo's state
+    graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+    n = len(graph.generators)
+    syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
+    base = normal_form(Word(graph, data.draw(st.lists(syllable, min_size=1, max_size=3))))
+    assume(not base.is_identity)
+    p, q = (
+        BoundaryRay(
+            base,
+            Word(graph, data.draw(st.lists(syllable, max_size=3))),
+            Word(graph, data.draw(st.lists(syllable, min_size=1, max_size=3))),
+        )
+        for _ in range(2)
+    )
+    assume(validate_ray(p, BRACKET_DEPTH) and validate_ray(q, BRACKET_DEPTH))
+    want = bracket_product_by_lower_bound(p, q, BRACKET_DEPTH)
+    _ray_index.cache_clear()
+    assert bracket_product(p, q, BRACKET_DEPTH) == want
+    for ray in (q, p):
+        index = _ray_index(ray, BRACKET_DEPTH)
+        for t in reversed(range(len(index.walls))):
+            index.dist(t)
+        index.tail_bound
+    assert bracket_product(p, q, BRACKET_DEPTH) == want

@@ -7,15 +7,13 @@ oracle.
 """
 
 import random
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from childproc import run_python
 from cubemorse.raag import (
     GroupElement,
     Letter,
@@ -48,7 +46,6 @@ from cubemorse.walls import (
 from oracles import bfs_oracle_distance, random_graphs, wall_gate_and_distance_by_cosets
 
 A, B, C, D = 0, 1, 2, 3
-REPO = Path(__file__).resolve().parent.parent
 
 
 def edges_in(graph, verts):
@@ -452,9 +449,7 @@ class TestSeparatingWalls:
                 print("raised:", e)
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], cwd=REPO, capture_output=True, text=True
-        )
+        proc = run_python("-O", "-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: gate geodesic from"), proc.stdout
         assert "crossed a stray wall" in proc.stdout
