@@ -62,42 +62,45 @@ _EXPORTS = {
         "validate_ray",
     ),
     "constructions": (
-        "BasepointRow",
         "BetaReport",
         "BetaSegment",
         "ConfigError",
         "ContractionReport",
         "CrokeKleiner",
         "DichotomyReport",
-        "Example23",
         "Flat",
+        "GammaFrame",
         "GammaPath",
-        "LabeledGraph",
         "Line",
         "PreconditionFailed",
         "QuasiGeodesicCertificate",
         "SegmentCertificate",
         "SeparationReport",
-        "SmallCancellationReport",
         "SublinearFn",
         "as_gauge",
-        "basepoint_experiment",
         "build_beta",
         "build_croke_kleiner",
-        "build_example23",
         "build_gamma",
         "certify_quasigeodesic",
         "check_contracting",
         "check_divergence_dichotomy",
-        "example23_relators",
-        "free_alphabet_graph",
         "gamma_crosses",
         "kappa",
         "kappa_prime",
         "runpath_prefix",
-        "small_cancellation_check",
         "translate_wall",
         "verify_separation",
+    ),
+    "example23": (
+        "BasepointRow",
+        "Example23",
+        "LabeledGraph",
+        "SmallCancellationReport",
+        "basepoint_experiment",
+        "build_example23",
+        "example23_relators",
+        "free_alphabet_graph",
+        "small_cancellation_check",
     ),
 }
 

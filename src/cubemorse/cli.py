@@ -426,7 +426,7 @@ def _cmd_dichotomy(args):
 
 
 def _cmd_example23(args):
-    from .constructions import basepoint_experiment, build_example23
+    from .example23 import basepoint_experiment, build_example23
 
     ex = build_example23(args.f, args.imax, args.tail)
     rows = basepoint_experiment(ex, args.kappa)
@@ -452,7 +452,7 @@ def _cmd_example23(args):
 
 
 def _cmd_smallcancel(args):
-    from .constructions import example23_relators, small_cancellation_check
+    from .example23 import example23_relators, small_cancellation_check
 
     rel = example23_relators(args.f, range(1, args.imax + 1))
     rep = small_cancellation_check(rel)

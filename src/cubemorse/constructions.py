@@ -3,9 +3,9 @@
 Sublinear gauges with exact escape thresholds, the path group on four
 generators with its periodic diagonal geodesic and the flat-hopping
 quasi-geodesic built against it, wall-counting separation certificates,
-a brute-force contraction checker, the divergence dichotomy for paths
-near a contracting set, and a glued labeled graph used for basepoint
-sensitivity and small cancellation experiments.
+a brute-force contraction checker, and the divergence dichotomy for
+paths near a contracting set. The glued labeled graph of Example 2.3
+lives in cubemorse.example23.
 """
 
 from __future__ import annotations
@@ -16,17 +16,15 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
-from .boundary import BoundaryRay, fellow_travel_radius
+from .boundary import BoundaryRay
 from .raag import (
     CertificateViolation,
     DefiningGraph,
     GroupElement,
     Letter,
-    LetterSeq,
-    Word,
-    _runs_to_text,
+    _fold,
     _strip_right,
     distance,
     normal_form,
@@ -461,8 +459,63 @@ class GammaPath:
 
     @cached_property
     def _orbit(self) -> "_PeriodOrbit":
-        """The period translates of period_walls, grown on demand."""
+        """The period translates of period_walls by level, grown on demand."""
         return _PeriodOrbit(self.period, self.period_walls)
+
+    def frame(self, l: int) -> "GammaFrame":
+        """The period frame of flat l (1-based)."""
+        return GammaFrame(self, (l - 1) // 4)
+
+
+def _in_frame(origin: GroupElement, x: GroupElement) -> GroupElement:
+    """origin^-1 · x, with work in the syllables after their common prefix.
+
+    Normal forms are words, so with c the longest common syllable prefix,
+    origin = c·a and x = c·b as words, and origin^-1·x = a^-1·b. The prefix
+    is found by tuple comparisons; only a and b reach the syllable engine.
+    The first probe assumes x shares all but the last few syllables."""
+    a, b = origin.syllables, x.syllables
+    lo, hi = 0, min(len(a), len(b))  # a[:lo] == b[:lo], and no longer prefix beyond hi
+    mid = max(hi - 8, 0)
+    while lo < hi:
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+        mid = (lo + hi + 1) // 2
+    inv_a = [(g, -e) for g, e in reversed(a[lo:])]
+    return GroupElement(origin.graph, _fold(origin.graph, inv_a + list(b[lo:])))
+
+
+@dataclass(frozen=True)
+class GammaFrame:
+    """gamma seen from its vertex 8k, which is P^k for the period P: the
+    frame of flats 4k+1 to 4k+4.
+
+    Left translation by P^-k keeps distances, sides, cosets and crossings,
+    and maps gamma's periodic extension onto the periodic line from level
+    -k of _PeriodOrbit. So every check about those four flats, and about
+    the escape path's segments in them, can be asked of the translates,
+    where gamma's vertices, lines and walls and the segment ends beside
+    them are words of a few syllables. local() translates one stored word
+    through its common prefix with P^k."""
+
+    gamma: GammaPath
+    k: int
+
+    @property
+    def origin(self) -> GroupElement:
+        return self.gamma.vertices[8 * self.k]
+
+    def local(self, x: GroupElement) -> GroupElement:
+        """P^-k · x."""
+        return _in_frame(self.origin, x)
+
+    def line(self, ln: Line) -> Line:
+        return Line(self.local(ln.base), ln.gen)
+
+    def wall(self, h: Wall) -> Wall:
+        return Wall(self.local(h.base), h.gen)
 
 
 def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
@@ -525,23 +578,21 @@ def _flat_layout_holds(gamma: GammaPath, l: int) -> bool:
     in it, and its exit line holds the second.
 
     Cuts and memberships are invariant under left translation, so they
-    are tested on the translate by the flat's entry vertex^-1: the local
-    flat, the local piece walls, the two local steps and the local exit
-    line are short words, and only the translation itself reads the long
-    ones."""
-    u = gamma.entry_vertex(l).inverse()
+    are tested in the flat's period frame: the stored flat, piece walls,
+    steps and exit line are each translated by P^-k, where they are short
+    words, and no step reads a long word past its common prefix with P^k."""
+    frame = gamma.frame(l)
     f = gamma.flats[l - 1]
-    flat = Flat(u * f.base, f.gens)
-    pw = tuple(translate_wall(u, h) for h in gamma.piece_walls(l))
-    step1 = u * gamma.vertices[2 * l - 1]
-    step2 = u * gamma.vertices[2 * l]
-    ln = gamma.lines[l - 1]
+    flat = Flat(frame.local(f.base), f.gens)
+    pw = tuple(frame.wall(h) for h in gamma.piece_walls(l))
+    step1 = frame.local(gamma.vertices[2 * l - 1])
+    step2 = frame.local(gamma.vertices[2 * l])
     return (
         all(flat.is_cut_by(h) for h in pw)
         and len(pw) <= 3
         and flat.contains(step1)
         and flat.contains(step2)
-        and Line(u * ln.base, ln.gen).contains(step2)
+        and frame.line(gamma.lines[l - 1]).contains(step2)
     )
 
 
@@ -561,7 +612,7 @@ def flat_wall_count(gamma: GammaPath, l: int) -> int:
 
 
 _ORBIT_RUN_BOUND = 4
-_ORBIT_LENGTH_SLACK = 5
+_ORBIT_LENGTH_SLACK = 4
 
 
 def translate_wall(g: GroupElement, h: Wall) -> Wall:
@@ -574,52 +625,109 @@ def _runs_bounded(h: Wall) -> bool:
 
 
 class _PeriodOrbit:
-    """The walls P^k·w for the period P and each period wall w, held for
-    k < levels and grown one period at a time. Every translate is checked
-    against the run bound and the growth bound as it enters the table."""
+    """The walls of gamma's bi-infinite periodic extension by level, held
+    for levels -below .. above - 1 and grown one period at a time.
+
+    Write G for the line through 1 that repeats the period word both ways,
+    G(t) for its vertices and W_t for the wall of its edge from G(t). Then
+    W_(8j+i) = P^j·w_i for the period walls w_i; that wall is at level j.
+    gamma's extension crosses the levels j >= 0, and its translate by P^-k
+    the levels j >= -k. A wall h can only be at a level j with
+    -((|h.base| + 11) // 8) <= j <= (|h.base| + 4) // 8, and only if no
+    run of h.base exceeds _ORBIT_RUN_BOUND:
+
+    - G is a geodesic. Its letters are all positive, and the exponent sum,
+      a homomorphism onto Z, bounds the length of every word for an
+      element. So the W_t are distinct, and W_s separates G(u) from G(v)
+      exactly when u <= s < v.
+    - Run bound. The normal form of G(t), and of its inverse, is reached
+      by commutations alone, which never carry a letter past one it does
+      not commute with. In the period word b c c d c b b a, repeated, a d
+      lies between the first and the last of any four b's, an a between
+      those of any four c's, a c between any two a's and an a between any
+      two d's. So no syllable of G(t) has an exponent above 3, nor does
+      the canonical base of W_t, whose syllables are some of G(t)'s.
+    - Crossings. Crossing walls have commuting generators: a and b, b and
+      c, or c and d. If W_s and W_t cross, s < t, then each W_r between
+      them crosses one of them; otherwise W_r separates their carriers,
+      which hold G(s) and G(t + 1). An a-wall crosses only b-walls, a
+      d-wall only c-walls, and every eighth wall is an a-wall (i = 7),
+      every eighth a d-wall (i = 3). So crossing a- and b-walls have no
+      d-wall between them and are at most 8 apart, and so are crossing
+      c- and d-walls, with no a-wall between. For crossing b- and c-walls,
+      every a-wall between crosses the b-wall and so lies within 8 of it;
+      as any 8 consecutive walls hold an a-wall, the two are at most 24
+      apart. P preserves crossings, so the pairs at most 24 apart from
+      i = 0..7 settle the relation: each W_t crosses at most four walls
+      before it and four after (test_gamma_line_crossings checks this).
+    - Growth bound: |base of W_t| >= |t| - 4. The canonical base is the
+      vertex of the coset G(t)<lk g> nearest 1, so its length counts the
+      walls separating 1 from that coset. The walls cutting the coset are
+      those of its lk(g) edges, and they all cross W_t. So every W_s that
+      separates 1 from G(t) and does not cross W_t separates 1 from the
+      coset. Those W_s are the W_s with 0 <= s < t when t >= 0, and with
+      t <= s < 0 when t < 0, except at most four that cross W_t. Level j
+      holds |t| >= 8j for j >= 0 and |t| >= 8|j| - 7 for j < 0, which
+      gives the window above.
+
+    Both bounds are checked again on every translate as it enters the
+    table, and a failure raises CertificateViolation."""
 
     def __init__(self, period: GroupElement, period_walls: tuple[Wall, ...]):
         self.period = period
         self.period_walls = period_walls
-        self.walls: set[Wall] = set()
-        self.levels = 0
-        self._shift = GroupElement.identity(period.graph)
+        self.levels: dict[Wall, int] = {}
+        self.above = 0
+        self.below = 0
+        self._up = GroupElement.identity(period.graph)  # P^above
+        self._down = self._up  # P^-below
+        self._back = period.inverse()
 
-    def cover(self, length: int) -> None:
-        """Grow the table until it holds every level k with
-        8k - slack <= length."""
-        while 8 * self.levels - _ORBIT_LENGTH_SLACK <= length:
-            floor = 8 * self.levels - _ORBIT_LENGTH_SLACK
-            for w in self.period_walls:
-                t = translate_wall(self._shift, w)
-                if not _runs_bounded(t):
-                    raise CertificateViolation(f"translate {t} violates the run bound")
-                if t.base.length < floor:
-                    raise CertificateViolation(f"translate {t} violates the growth bound")
-                self.walls.add(t)
-            self.levels += 1
-            self._shift = self._shift * self.period
+    def _add(self, shift: GroupElement, j: int) -> None:
+        for i, w in enumerate(self.period_walls):
+            t = translate_wall(shift, w)
+            if not _runs_bounded(t):
+                raise CertificateViolation(f"translate {t} violates the run bound")
+            if t.base.length < abs(8 * j + i) - _ORBIT_LENGTH_SLACK:
+                raise CertificateViolation(f"translate {t} violates the growth bound")
+            self.levels[t] = j
+
+    def level_of(self, h: Wall, lowest: int) -> Optional[int]:
+        """h's level if it is at least lowest, else None. Grows the table
+        over the levels from lowest that the window for |h.base| allows."""
+        n = h.base.length
+        while 8 * self.above - _ORBIT_LENGTH_SLACK <= n:
+            self._add(self._up, self.above)
+            self.above += 1
+            self._up = self._up * self.period
+        # level -(below + 1) starts at |t| = 8 * below + 1
+        while self.below < -lowest and 8 * self.below + 1 - _ORBIT_LENGTH_SLACK <= n:
+            self.below += 1
+            self._down = self._down * self._back
+            self._add(self._down, -self.below)
+        j = self.levels.get(h)
+        return j if j is not None and j >= lowest else None
 
 
-def gamma_crosses(gamma: GammaPath, h: Wall) -> bool:
-    """Whether the infinite periodic extension of gamma crosses h.
+def gamma_crosses(gamma: Union[GammaPath, GammaFrame], h: Wall) -> bool:
+    """Whether the infinite periodic extension of gamma crosses h. Given
+    a frame, P^-k·gamma, whether that translate crosses h, which is
+    whether gamma crosses P^k·h.
 
-    The crossed set is exactly the period translates of the first eight
-    walls. Canonical bases of those translates keep every run exponent at
-    most 4 and gain eight letters per period up to a slack of 5. So a wall
-    violating the run bound is not crossed, and translates at levels k
-    with 8k - 5 > |h.base| are all longer than h. Membership is a lookup
-    in gamma._orbit, the table of translates held once per GammaPath and
-    grown up to that horizon; both bounds are checked on each translate
-    when it enters the table, and a failure raises CertificateViolation.
-    The answer does not depend on how far earlier queries grew it."""
-    if h.graph is not gamma.ck.graph:
+    The crossed walls are those of levels j >= 0 of _PeriodOrbit, or
+    j >= -k in frame k. A wall violating the run bound is none of them,
+    and any other can only be at the levels of the window _PeriodOrbit
+    proves for |h.base|. Membership is a lookup in gamma._orbit, the table
+    held once per GammaPath and grown over that window; the bounds are
+    checked on each translate when it enters the table, and a failure
+    raises CertificateViolation. The answer does not depend on how far
+    earlier queries grew it."""
+    frame = gamma if isinstance(gamma, GammaFrame) else gamma.frame(1)
+    if h.graph is not frame.gamma.ck.graph:
         raise ValueError("wall belongs to a different group")
     if not _runs_bounded(h):
         return False
-    orbit = gamma._orbit
-    orbit.cover(h.base.length)
-    return h in orbit.walls
+    return frame.gamma._orbit.level_of(h, -frame.k) is not None
 
 
 # --- the flat-hopping quasi-geodesic ------------------------------------------
@@ -682,7 +790,14 @@ def build_beta(
     N_l = max(delta + 3, 5*M_l, twice the length built so far). Case 3
     picks the escape direction whose first wall gamma never crosses;
     cases 1 and 2 keep to gamma's side of the sandwiching walls and cross
-    the same connector wall as gamma does in that flat."""
+    the same connector wall as gamma does in that flat.
+
+    Every choice and check of flat l runs in its period frame (GammaFrame),
+    on the translates of the previous endpoint, of gamma's exit line, entry
+    vertex and connector wall, which are words of a few syllables. Only
+    the stored segment ends, the designated wall and the run path are
+    global. Each proof obligation raises CertificateViolation when it
+    fails, under python -O too."""
     if delta <= 3:
         raise ConfigError("need delta > 3")
     if L < 1:
@@ -702,54 +817,59 @@ def build_beta(
     for l in range(1, L + 1):
         m = (l - 1) % 4
         case = _BETA_CASES[m]
-        line_l = gamma.lines[l - 1]
         p_gen = graph.gen_index(_BETA_P_GENS[m])
         q_gen = graph.gen_index(_BETA_Q_GENS[m])
-        w_prev = gamma.entry_vertex(l)
+        frame = gamma.frame(l)
+        line_l = frame.line(gamma.lines[l - 1])
+        x = frame.local(v_prev)
 
-        M = line_l.distance_to(v_prev)
-        assert M >= 1, "previous endpoint already on the exit line"
+        M = line_l.distance_to(x)
+        if M < 1:
+            raise CertificateViolation(f"flat {l}: previous endpoint already on the exit line")
         N = max(delta + 3, 5 * M, 2 * total)
 
-        candidates = {s: wall_of_edge(v_prev, Letter(p_gen, s)) for s in (1, -1)}
+        candidates = {s: wall_of_edge(x, Letter(p_gen, s)) for s in (1, -1)}
         if case == 3:
-            kept = [s for s, h in candidates.items() if not gamma_crosses(gamma, h)]
+            kept = [s for s, h in candidates.items() if not gamma_crosses(frame, h)]
         else:
-            kept = [
-                s for s, h in candidates.items() if side(h, v_prev) == side(h, w_prev)
-            ]
+            w = frame.local(gamma.entry_vertex(l))
+            kept = [s for s, h in candidates.items() if side(h, x) == side(h, w)]
         if len(kept) != 1:
             raise CertificateViolation(f"escape direction ambiguous in flat {l}")
         p_sign = kept[0]
-        designated = candidates[p_sign]
-        mid = v_prev.append_run(p_gen, p_sign * N)
+        mid_x = x.append_run(p_gen, p_sign * N)
 
         if case == 3:
             q_kept = [
                 s
                 for s in (1, -1)
-                if line_l.distance_to(mid.append_letter(q_gen, s)) == M - 1
+                if line_l.distance_to(mid_x.append_letter(q_gen, s)) == M - 1
             ]
         else:
-            assert M == 1, "connector cases expect an adjacent exit line"
-            shared = gamma.walls[2 * l - 1]
+            if M != 1:
+                raise CertificateViolation(f"flat {l}: connector case needs M = 1, got {M}")
+            shared = frame.wall(gamma.walls[2 * l - 1])
             q_kept = [
-                s for s in (1, -1) if wall_of_edge(mid, Letter(q_gen, s)) == shared
+                s for s in (1, -1) if wall_of_edge(mid_x, Letter(q_gen, s)) == shared
             ]
         if len(q_kept) != 1:
             raise CertificateViolation(f"connector direction ambiguous in flat {l}")
         q_sign = q_kept[0]
-        end = mid.append_run(q_gen, q_sign * M)
-        if not line_l.contains(end):
+        if not line_l.contains(mid_x.append_run(q_gen, q_sign * M)):
             raise CertificateViolation(f"segment {l} endpoint missed the exit line")
 
         # locally geodesic seams: p*q*p from the previous segment start
         if segments:
             prev = segments[-1]
-            assert distance(prev.start, mid) == prev.N + prev.M + N
+            if distance(frame.local(prev.start), mid_x) != prev.N + prev.M + N:
+                raise CertificateViolation(f"seam before segment {l} is not geodesic")
 
-        assert Fraction(N, 2) - M >= Fraction(N, 4) + Fraction(M, 8)
+        if Fraction(N, 2) - M < Fraction(N, 4) + Fraction(M, 8):
+            raise CertificateViolation(f"segment {l} breaks the growth inequality")
 
+        mid = v_prev.append_run(p_gen, p_sign * N)
+        end = mid.append_run(q_gen, q_sign * M)
+        designated = wall_of_edge(v_prev, Letter(p_gen, p_sign))
         seg = BetaSegment(
             l, case, m == 2, M, N, p_gen, p_sign, q_gen, q_sign, designated, v_prev, mid, end
         )
@@ -762,9 +882,11 @@ def build_beta(
         v_prev = end
 
     path = RunPath(origin, tuple(runs))
-    assert path.length == total and path.endpoint() == v_prev
+    if path.length != total or path.endpoint() != v_prev:
+        raise CertificateViolation("run path does not follow the segments")
     fam = "".join(family_seq)
-    assert all(fam[i] == "CBCDBCBA"[i % 8] for i in range(len(fam)))
+    if any(fam[i] != "CBCDBCBA"[i % 8] for i in range(len(fam))):
+        raise CertificateViolation(f"family sequence {fam} breaks the period CBCDBCBA")
     return BetaReport(delta, L, gamma, tuple(segments), path, fam)
 
 
@@ -790,20 +912,23 @@ class SeparationReport:
 
     @property
     def min_separation(self) -> int:
+        """A lower bound on the distance to gamma, at most delta + 1: see
+        verify_separation."""
         return min(c.separation for c in self.segments)
 
 
 def _uncrossed_steps(
-    gamma: GammaPath, start: GroupElement, g: int, s: int, steps: int, want: int
+    frame: GammaFrame, start: GroupElement, g: int, s: int, steps: int, want: int
 ) -> list[tuple[int, Wall]]:
     """(k, wall) for the first `want` of the first `steps` edges along g^s
-    from start whose walls gamma does not cross; k counts the steps."""
+    from start whose walls the frame's gamma does not cross; k counts the
+    steps. start and the walls are in the frame's coordinates."""
     out: list[tuple[int, Wall]] = []
     x = start
     for k in range(steps):
         h = wall_of_edge(x, Letter(g, s))
         x = x.append_letter(g, s)
-        if not gamma_crosses(gamma, h):
+        if not gamma_crosses(frame, h):
             out.append((k, h))
             if len(out) >= want:
                 break
@@ -815,22 +940,32 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     from every vertex of the periodic gamma.
 
     Each certificate is a list of walls crossed by neither gamma nor the
-    covered piece of the segment, with the piece and gamma's basepoint on
-    opposite sides. Every such wall separates each covered vertex from all
-    of gamma, so the list size bounds the distance from below. The escape
+    covered piece of the segment, with the piece and gamma on opposite
+    sides. Every such wall separates each covered vertex from all of
+    gamma, so the list size bounds the distance from below. The escape
     run is covered by walls cutting the entry line between the segment
     start and gamma; the connector run by the escape run's own walls.
     Single-direction runs change sides only across walls in their own
-    direction, so the endpoint side checks certify whole runs.
+    direction, so the endpoint side checks certify whole runs. The walks
+    stop at delta + 3 walls for the escape run and delta + 1 for the
+    connector run, so min_separation is a lower bound on the distance,
+    capped at delta + 1.
 
-    The side checks run in the segment's frame. Which side of a wall a
-    vertex lies on is invariant under left translation, so each segment
-    is translated by its start^-1: the start becomes 1, the end of the
-    escape run p^N and the segment's end p^N q^M, and the k-th wall
-    along a direction g^s from the start becomes the wall of the edge
-    from g^(s*k). Only gamma's basepoint becomes a long word, one inverse
-    per segment. gamma_crosses reads gamma's global orbit table, so it
-    takes the walls in place."""
+    gamma's side of a wall is read at its entry vertex of flat l, which
+    the segment start's line passes through. That is the side of all of
+    gamma: the walls kept are those gamma does not cross, and a wall
+    gamma does not cross has gamma's connected path on one side.
+
+    The checks run in two frames; sides, cosets and crossings are
+    invariant under left translation. The walks toward gamma and along
+    the escape run run in the period frame of flat l (GammaFrame), where
+    the segment start and gamma's entry vertex are words of a few
+    syllables and gamma_crosses reads the levels around 0. The side checks
+    run in the segment's frame, translated by the start^-1: the start
+    becomes 1, the end of the escape run p^N, the segment's end p^N q^M,
+    gamma's entry vertex one syllable lg^-m of the entry line's generator,
+    and the k-th wall along a direction g^s from the start the wall of the
+    edge from g^(s*k), the same for every segment."""
     if len(beta.segments) < 2:
         raise ConfigError(
             "separation is certified from segment 2 on, so it needs at least "
@@ -839,7 +974,7 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     delta = beta.delta if delta is None else delta
     gamma = beta.gamma
     one = gamma.ck.origin
-    # the frames share their short walls, so each is built once per call
+    # the segment frames share their short walls, so each is built once per call
     local_walls: dict[tuple[int, int, int], Wall] = {}
 
     def local_wall(g: int, s: int, k: int) -> Wall:
@@ -852,31 +987,40 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     certs: list[SegmentCertificate] = []
     for seg in beta.segments[1:]:
         l = seg.index
-        o = seg.start.inverse()  # gamma's basepoint, in the segment's frame
-        line_prev = gamma.lines[l - 2]
+        frame = gamma.frame(l)
+        start = frame.local(seg.start)
+        line_prev = frame.line(gamma.lines[l - 2])
         lg = line_prev.gen
-        assert Line(o * line_prev.base, lg).contains(one)
-        w_prev = o * gamma.entry_vertex(l)
-        budget = w_prev.length
-        toward = 1 if distance(one.append_letter(lg, 1), w_prev) < budget else -1
+        if not line_prev.contains(start):
+            raise CertificateViolation(
+                f"segment {l} does not start on the exit line of flat {l - 1}"
+            )
+        w = start.inverse() * frame.local(gamma.entry_vertex(l))
+        budget = w.length
+        toward = 1 if distance(one.append_letter(lg, 1), w) < budget else -1
         mid = one.append_run(seg.p_gen, seg.p_sign * seg.N)
         end = mid.append_run(seg.q_gen, seg.q_sign * seg.M)
+        where = f"P^{frame.k}·"  # names a frame wall by its global image
 
-        H_p = _uncrossed_steps(gamma, seg.start, lg, toward, budget, delta + 3)
+        H_p = _uncrossed_steps(frame, start, lg, toward, budget, delta + 3)
         for k, h in H_p:
             hl = local_wall(lg, toward, k)
             if side(hl, one) != side(hl, mid):
-                raise CertificateViolation(f"segment {l}: escape run crosses {h}")
-            if side(hl, o) == side(hl, one):
-                raise CertificateViolation(f"segment {l}: {h} does not separate the escape run")
+                raise CertificateViolation(f"segment {l}: escape run crosses {where}{h}")
+            if side(hl, w) == side(hl, one):
+                raise CertificateViolation(
+                    f"segment {l}: {where}{h} does not separate the escape run"
+                )
 
-        H_q = _uncrossed_steps(gamma, seg.start, seg.p_gen, seg.p_sign, seg.N, delta + 1)
+        H_q = _uncrossed_steps(frame, start, seg.p_gen, seg.p_sign, seg.N, delta + 1)
         for k, h in H_q:
             hl = local_wall(seg.p_gen, seg.p_sign, k)
             if side(hl, mid) != side(hl, end):
-                raise CertificateViolation(f"segment {l}: connector run crosses {h}")
-            if side(hl, o) == side(hl, mid):
-                raise CertificateViolation(f"segment {l}: {h} does not separate the connector run")
+                raise CertificateViolation(f"segment {l}: connector run crosses {where}{h}")
+            if side(hl, w) == side(hl, mid):
+                raise CertificateViolation(
+                    f"segment {l}: {where}{h} does not separate the connector run"
+                )
 
         cert = SegmentCertificate(l, len(H_p), len(H_q))
         certs.append(cert)
@@ -1137,428 +1281,3 @@ def check_divergence_dichotomy(
                 residual_min = r
     bound_ok = residual_min is None or residual_min >= 0
     return DichotomyReport(2, kap, kap2, T0, max_d, bound_ok, residual_min, beta.length, Z.length)
-
-
-# --- glued labeled graph ---------------------------------------------------------
-
-
-ALPHABET14 = ("a", "b1", "b2", "b3", "b4", "b5", "b6", "c", "d1", "d2", "d3", "d4", "d5", "d6")
-
-
-def free_alphabet_graph() -> DefiningGraph:
-    """The 14 edge labels as a free (edgeless) generator set."""
-    return DefiningGraph.from_data({"generators": list(ALPHABET14), "edges": []})
-
-
-@dataclass(frozen=True)
-class PolySpec:
-    """Integer-coefficient polynomial, coefficients by ascending degree."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def from_text(cls, text: str) -> "PolySpec":
-        parts = text.replace(":", " ").split()
-        if parts and parts[0].lower() == "poly":
-            parts = parts[1:]
-        if not parts:
-            raise ConfigError("empty polynomial spec")
-        try:
-            return cls(tuple(Fraction(p) for p in parts))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad polynomial spec {text!r}: {exc}") from None
-
-    def __call__(self, i: int) -> Fraction:
-        acc = Fraction(0)
-        for k, c in enumerate(self.coeffs):
-            acc += c * Fraction(i) ** k
-        return acc
-
-    def text(self) -> str:
-        return "poly " + " ".join(str(c) for c in self.coeffs)
-
-
-def _as_f(f) -> Callable[[int], Fraction]:
-    if isinstance(f, str):
-        return PolySpec.from_text(f)
-    if callable(f):
-        return lambda i: Fraction(f(i))
-    raise ConfigError("f must be a polynomial spec or a callable")
-
-
-def _check_f(fn: Callable[[int], Fraction], i_max: int) -> dict[int, int]:
-    values: dict[int, int] = {}
-    for i in range(1, i_max + 1):
-        v = fn(i)
-        if v.denominator != 1:
-            raise PreconditionFailed(f"f({i}) = {v} is not an integer")
-        values[i] = int(v)
-    for i, v in values.items():
-        if v <= i:
-            raise PreconditionFailed(f"f({i}) = {v} must exceed {i}")
-    if len(set(values.values())) != len(values):
-        raise PreconditionFailed("f is not injective on the range")
-    # superlinearity proxy on the sampled range
-    for i in range(1, i_max):
-        if Fraction(values[i + 1], i + 1) <= Fraction(values[i], i):
-            raise PreconditionFailed(f"f(i)/i does not increase at i = {i}")
-    return values
-
-
-class LabeledGraph:
-    """Finite graph with string vertices, labeled edges, deterministic BFS."""
-
-    def __init__(self) -> None:
-        self._adj: dict[str, dict[str, str]] = {}
-
-    def add_vertex(self, name: str) -> None:
-        if name in self._adj:
-            raise ConfigError(f"vertex exists: {name}")
-        self._adj[name] = {}
-
-    def add_edge(self, u: str, v: str, label: str) -> None:
-        if u == v:
-            raise ConfigError("no loops")
-        if v in self._adj[u]:
-            raise ConfigError(f"edge exists: {u} {v}")
-        self._adj[u][v] = label
-        self._adj[v][u] = label
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self._adj)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nb) for nb in self._adj.values()) // 2
-
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(self._adj)
-
-    def neighbors(self, u: str) -> tuple[str, ...]:
-        return tuple(sorted(self._adj[u]))
-
-    def label(self, u: str, v: str) -> str:
-        return self._adj[u][v]
-
-    def distances_from(self, u: str) -> dict[str, int]:
-        seen = {u: 0}
-        queue = [u]
-        for x in queue:
-            dx = seen[x]
-            for y in self.neighbors(x):
-                if y not in seen:
-                    seen[y] = dx + 1
-                    queue.append(y)
-        return seen
-
-    def distance(self, u: str, v: str) -> int:
-        d = self.distances_from(u).get(v)
-        if d is None:
-            raise ValueError(f"{v} unreachable from {u}")
-        return d
-
-    def geodesic(self, u: str, v: str) -> list[str]:
-        """BFS geodesic; the lexicographically least parent wins, so the
-        result is deterministic."""
-        parent: dict[str, Optional[str]] = {u: None}
-        queue = [u]
-        for x in queue:
-            if x == v:
-                break
-            for y in self.neighbors(x):
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        if v not in parent:
-            raise ValueError(f"{v} unreachable from {u}")
-        out = [v]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])
-        out.reverse()
-        return out
-
-
-@dataclass(frozen=True)
-class Example23:
-    """Finite truncation of the glued ray space.
-
-    The base ray R runs o, a1 .. a{tail} with label a. Branch ray R_i
-    leaves R at a{i}: six blocks of f(i) edges labeled b1 .. b6, then a
-    c-labeled tail. The shortcut S_i leaves the shared c-spine at c{i}
-    with one b1 edge and six descending d-blocks, rejoining R_i at the
-    junction after its b-blocks. o' is c1, the common second vertex of
-    every shortcut."""
-
-    graph: LabeledGraph
-    f_items: tuple[tuple[int, int], ...]
-    i_max: int
-    tail: int
-
-    @property
-    def o(self) -> str:
-        return "o"
-
-    @property
-    def o_prime(self) -> str:
-        return "c1"
-
-    @property
-    def f_values(self) -> dict[int, int]:
-        return dict(self.f_items)
-
-    @property
-    def spine(self) -> tuple[str, ...]:
-        return ("o",) + tuple(f"a{k}" for k in range(1, self.tail + 1))
-
-    def junction(self, i: int) -> str:
-        return f"r{i}.{6 * self.f_values[i]}"
-
-    def ray_end(self, i: int) -> str:
-        return f"r{i}.{6 * self.f_values[i] + self.tail}"
-
-
-def build_example23(f, i_max: int, tail: int) -> Example23:
-    """Assemble the truncation; f is checked on [1, i_max] first."""
-    if i_max < 1:
-        raise ConfigError("need i_max >= 1")
-    fn = _as_f(f)
-    values = _check_f(fn, i_max)
-    if tail < i_max:
-        raise ConfigError("tail must reach every branch point: tail >= i_max")
-
-    g = LabeledGraph()
-    g.add_vertex("o")
-    prev = "o"
-    for k in range(1, tail + 1):
-        g.add_vertex(f"a{k}")
-        g.add_edge(prev, f"a{k}", "a")
-        prev = f"a{k}"
-    prev = "o"
-    for k in range(1, i_max + 1):
-        g.add_vertex(f"c{k}")
-        g.add_edge(prev, f"c{k}", "c")
-        prev = f"c{k}"
-    for i in range(1, i_max + 1):
-        fi = values[i]
-        prev = f"a{i}"
-        for k in range(1, 6 * fi + tail + 1):
-            name = f"r{i}.{k}"
-            label = f"b{(k - 1) // fi + 1}" if k <= 6 * fi else "c"
-            g.add_vertex(name)
-            g.add_edge(prev, name, label)
-            prev = name
-        prev = f"c{i}"
-        for k in range(1, 6 * fi + 1):
-            name = f"s{i}.{k}"
-            # d-blocks descend from d6 to d1 so the reversed reading
-            # of the shortcut starts with d1
-            label = "b1" if k == 1 else f"d{6 - (k - 2) // fi}"
-            g.add_vertex(name)
-            g.add_edge(prev, name, label)
-            prev = name
-        g.add_edge(prev, f"r{i}.{6 * fi}", "d1")
-
-    n_branch = sum(12 * v + tail for v in values.values())
-    assert g.vertex_count == 1 + tail + i_max + n_branch
-    assert g.edge_count == tail + i_max + n_branch + i_max
-    return Example23(g, tuple(sorted(values.items())), i_max, tail)
-
-
-@dataclass(frozen=True)
-class BasepointRow:
-    i: int
-    d_o: int
-    d_oprime: int
-    radius_o: int
-    radius_oprime: int
-
-
-def basepoint_experiment(
-    ex: Example23, kappa_val: int, i_range: Optional[Iterable[int]] = None
-) -> tuple[BasepointRow, ...]:
-    """Fellow-travel radii of branch-ray geodesics against the base ray.
-
-    For each i, a BFS geodesic is traced to the end of R_i from o and
-    from o'. The radius is how far from the basepoint the geodesic stays
-    within kappa_val of R. From o the geodesic must ride R to the branch
-    point, so the radius grows with i; from o' it shortcuts through the
-    spine of c-edges and leaves the neighbourhood of R immediately."""
-    g = ex.graph
-    spine = ex.spine
-    tables = {s: g.distances_from(s) for s in spine}
-    tables[ex.o_prime] = g.distances_from(ex.o_prime)
-
-    def dist(u: str, v: str) -> int:
-        # every query has one endpoint on the spine or at a basepoint
-        if u in tables:
-            return tables[u][v]
-        return tables[v][u]
-
-    rows = []
-    for i in i_range if i_range is not None else range(1, ex.i_max + 1):
-        end = ex.ray_end(i)
-        geo_o = g.geodesic(ex.o, end)
-        geo_op = g.geodesic(ex.o_prime, end)
-        r_o = fellow_travel_radius(geo_o, spine, kappa_val, ex.o, dist)
-        r_op = fellow_travel_radius(geo_op, spine, kappa_val, ex.o_prime, dist)
-        rows.append(BasepointRow(i, len(geo_o) - 1, len(geo_op) - 1, r_o, r_op))
-    return tuple(rows)
-
-
-def example23_relators(f, i_range: Iterable[int]) -> tuple[Word, ...]:
-    """The glued loops read as words over the 14-letter alphabet.
-
-    Loop i goes out along R to the branch point, through the b-blocks of
-    R_i to the junction, then back through the shortcut and the c-spine:
-    a^i b1^f .. b6^f d1^-f .. d6^-f b1^-1 c^-i."""
-    graph = free_alphabet_graph()
-    fn = _as_f(f)
-    words = []
-    for i in i_range:
-        v = fn(i)
-        if v.denominator != 1 or v <= i:
-            raise PreconditionFailed(f"f({i}) = {v} unusable")
-        fi = int(v)
-        text = (
-            f"a^{i} "
-            + " ".join(f"b{j}^{fi}" for j in range(1, 7))
-            + " "
-            + " ".join(f"d{j}^-{fi}" for j in range(1, 7))
-            + f" b1^-1 c^-{i}"
-        )
-        words.append(parse_word(text, graph))
-    return tuple(words)
-
-
-# --- small cancellation ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmallCancellationReport:
-    max_ratio: Fraction
-    piece_length: int
-    relator_pair: tuple[int, int]
-    piece: str
-    relator_lengths: tuple[int, ...]
-    passes_sixth: bool
-
-
-def _encode(w: Word) -> bytes:
-    return bytes(lt.gen * 2 + (0 if lt.sign > 0 else 1) for lt in w)
-
-
-def _invert_bytes(b: bytes) -> bytes:
-    return bytes(x ^ 1 for x in reversed(b))
-
-
-def _substrings(doubled: bytes, n: int, L: int) -> set[bytes]:
-    return {doubled[k : k + L] for k in range(n)}
-
-
-def _longest(exists: Callable[[int], Optional[bytes]], hi: int) -> tuple[int, bytes]:
-    """The largest L in [0, hi] with a witness exists(L), and that witness,
-    by binary search: a witness of length L has witnesses of every shorter
-    length inside it."""
-    lo, best = 0, b""
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        w = exists(mid)
-        if w is None:
-            hi = mid - 1
-        else:
-            lo, best = mid, w
-    return lo, best
-
-
-def _max_common(d1: bytes, n1: int, d2: bytes, n2: int, cap: int) -> tuple[int, bytes]:
-    """Longest common cyclic substring up to cap, with one witness."""
-
-    def exists(L: int) -> Optional[bytes]:
-        common = _substrings(d1, n1, L) & _substrings(d2, n2, L)
-        return min(common) if common else None
-
-    return _longest(exists, cap)
-
-
-def _max_repeated(doubled: bytes, n: int) -> tuple[int, bytes]:
-    """Longest substring occurring at two distinct cyclic starts."""
-
-    def exists(L: int) -> Optional[bytes]:
-        seen: set[bytes] = set()
-        for k in range(n):
-            sub = doubled[k : k + L]
-            if sub in seen:
-                return sub
-            seen.add(sub)
-        return None
-
-    return _longest(exists, n - 1)
-
-
-def small_cancellation_check(relators: Sequence[Word]) -> SmallCancellationReport:
-    """Classical C'(1/6) proxy over the symmetrized relator set.
-
-    A piece is a common subword of two distinct elements of the
-    symmetrized set: cyclic shifts of distinct relators or their
-    inverses, a subword repeated at two cyclic starts of one relator, or
-    a common subword of a relator and its own inverse. The ratio of a
-    piece is its length over the shorter relator involved."""
-    if not relators:
-        raise ValueError("need at least one relator")
-    graph = relators[0].graph
-    encoded: list[bytes] = []
-    for w in relators:
-        if w.graph is not graph:
-            raise ValueError("relators must share one alphabet")
-        b = _encode(w)
-        if not b:
-            raise ValueError("empty relator")
-        for k in range(len(b)):
-            if b[k] ^ 1 == b[(k + 1) % len(b)]:
-                raise ValueError("relator is not cyclically reduced")
-        encoded.append(b)
-    for i in range(len(encoded)):
-        for j in range(i + 1, len(encoded)):
-            if encoded[i] == encoded[j]:
-                raise ValueError(f"relators {i} and {j} are equal")
-
-    doubled = [b + b for b in encoded]
-    inv_doubled = []
-    for b in encoded:
-        ib = _invert_bytes(b)
-        inv_doubled.append(ib + ib)
-    lengths = tuple(len(b) for b in encoded)
-
-    best_ratio = Fraction(0)
-    best = (0, (0, 0), b"")
-    for i in range(len(encoded)):
-        ni = lengths[i]
-        cands: list[tuple[int, bytes, tuple[int, int]]] = []
-        lam, w = _max_repeated(doubled[i], ni)
-        cands.append((lam, w, (i, i)))
-        lam, w = _max_common(doubled[i], ni, inv_doubled[i], ni, ni)
-        cands.append((lam, w, (i, i)))
-        for j in range(i + 1, len(encoded)):
-            nj = lengths[j]
-            cap = min(ni, nj)
-            lam, w = _max_common(doubled[i], ni, doubled[j], nj, cap)
-            cands.append((lam, w, (i, j)))
-            lam, w = _max_common(doubled[i], ni, inv_doubled[j], nj, cap)
-            cands.append((lam, w, (i, j)))
-        for lam, w, pair in cands:
-            denom = min(lengths[pair[0]], lengths[pair[1]])
-            ratio = Fraction(lam, denom)
-            if ratio > best_ratio or (ratio == best_ratio and lam > best[0]):
-                best_ratio = ratio
-                best = (lam, pair, w)
-
-    lam, pair, w = best
-    return SmallCancellationReport(
-        best_ratio,
-        lam,
-        pair,
-        _runs_to_text(graph, LetterSeq((x // 2, 1 - 2 * (x % 2)) for x in w).runs),
-        lengths,
-        best_ratio < Fraction(1, 6),
-    )

@@ -20,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -346,19 +347,25 @@ def _strip_left(graph: DefiningGraph, syllables, gens_mask: int):
     gens_mask. Returns (removed, kept) with element == removed * kept and
     kept a geodesic word for the minimal representative of the right coset
     <gens>*element. Neither half need be in normal form. Both halves hold
-    the input's own syllable objects, so a stripped word shares them."""
+    the input's own syllable objects, so a stripped word shares them.
+
+    A syllable is removable when its generator is masked and commutes with
+    every kept syllable so far. Kept syllables only accumulate, so once
+    every masked generator is blocked the rest of the word is kept whole:
+    stripping a long word costs the syllables up to that point."""
     kept: list = []
     removed: list = []
-    kept_mask = 0
-    full = graph.full_mask
-    for syllable in syllables:
+    open_mask = gens_mask  # masked generators that no kept syllable blocks
+    for i, syllable in enumerate(syllables):
         gen = syllable[0]
-        blockers = full & ~graph.adj_mask[gen]  # includes gen itself
-        if (gens_mask >> gen) & 1 and not (kept_mask & blockers):
+        if (open_mask >> gen) & 1:
             removed.append(syllable)
         else:
             kept.append(syllable)
-            kept_mask |= 1 << gen
+            open_mask &= graph.adj_mask[gen]  # adj_mask excludes gen itself
+            if not open_mask:
+                kept.extend(islice(syllables, i + 1, None))
+                break
     return tuple(removed), tuple(kept)
 
 

@@ -4,9 +4,10 @@ the library code it checks, and the library imports nothing from here.
 The piling invariant (_pile_key) and the BFS distance over literal letter
 moves decide equality and distance in a RAAG without the syllable engine
 in cubemorse.raag. The others redo a fast layer's question the slow,
-direct way on top of the layers below it: gates on both carrier cosets,
-a level-by-level scan of gamma's period translates, separation asked on
-the global walls, the dichotomy stepped one letter at a time, the chain
+direct way on top of the layers below it: the coset strip read to the
+end of the word, gates on both carrier cosets, a level-by-level scan of
+gamma's period translates, the escape path and its separation asked on
+the global vertices and walls, the dichotomy stepped one letter at a time, the chain
 greedy and the pruned bracket product over plain tuples of walls, the
 contraction gate asked of every pair, and the run-path cell minima
 counted wall by wall at every position. random_graphs draws the defining
@@ -24,10 +25,17 @@ from hypothesis import strategies as st
 
 from cubemorse.boundary import ProductValue, ray_walls
 from cubemorse.constructions import (
+    _BETA_CASES,
+    _BETA_P_GENS,
+    _BETA_Q_GENS,
     _ORBIT_LENGTH_SLACK,
+    BetaReport,
+    BetaSegment,
     ConfigError,
     ContractionReport,
+    CrokeKleiner,
     DichotomyReport,
+    GammaPath,
     PreconditionFailed,
     RhoLike,
     SegmentCertificate,
@@ -35,6 +43,7 @@ from cubemorse.constructions import (
     _path_vertices,
     _runs_bounded,
     as_gauge,
+    build_gamma,
     gamma_crosses,
     kappa,
     kappa_prime,
@@ -51,6 +60,7 @@ from cubemorse.raag import (
     distance,
     parse_word,
 )
+from cubemorse.runpaths import RunPath
 from cubemorse.walls import (
     DEFAULT_BALL_CAP,
     ball,
@@ -99,6 +109,23 @@ def _pile_key(graph: DefiningGraph, letters) -> tuple:
             for h in blockers[gen]:
                 cols[h].append(0)
     return tuple(tuple(col) for col in cols)
+
+
+def strip_left_by_scan(graph: DefiningGraph, syllables, gens_mask: int):
+    """Reference for raag._strip_left: every syllable is tested against the
+    generators kept before it, to the end of the word."""
+    kept: list = []
+    removed: list = []
+    kept_mask = 0
+    for syllable in syllables:
+        gen = syllable[0]
+        blockers = graph.full_mask & ~graph.adj_mask[gen]  # includes gen itself
+        if (gens_mask >> gen) & 1 and not (kept_mask & blockers):
+            removed.append(syllable)
+        else:
+            kept.append(syllable)
+            kept_mask |= 1 << gen
+    return tuple(removed), tuple(kept)
 
 
 def _pile_append(graph: DefiningGraph, pile: tuple, gen: int, sign: int) -> tuple:
@@ -326,6 +353,23 @@ def bracket_product_by_lower_bound(xi, eta, depth):
 # --- constructions -----------------------------------------------------------
 
 
+_SCAN_LEVELS: dict = {}  # period -> (translates of levels 0 .. n - 1, P^n)
+
+
+def _scan_level(gamma, k: int) -> frozenset:
+    """The period translates at level k, each checked against the run bound
+    and the growth bound once, when its level is first scanned."""
+    levels, shift = _SCAN_LEVELS.get(gamma.period, ((), GroupElement.identity(gamma.ck.graph)))
+    while len(levels) <= k:
+        floor = 8 * len(levels) - _ORBIT_LENGTH_SLACK
+        level = frozenset(translate_wall(shift, w) for w in gamma.period_walls)
+        assert all(_runs_bounded(t) and t.base.length >= floor for t in level)
+        levels += (level,)
+        shift = shift * gamma.period
+    _SCAN_LEVELS[gamma.period] = (levels, shift)
+    return levels[k]
+
+
 def gamma_crosses_by_scan(gamma, h) -> bool:
     """Reference: scan the period translates level by level until their
     bases outgrow h's, then check one level past that horizon."""
@@ -334,20 +378,12 @@ def gamma_crosses_by_scan(gamma, h) -> bool:
     if not _runs_bounded(h):
         return False
     target = h.base.length
-    shift = GroupElement.identity(gamma.ck.graph)
     k = 0
     while 8 * k - _ORBIT_LENGTH_SLACK <= target:
-        for w in gamma.period_walls:
-            t = translate_wall(shift, w)
-            assert _runs_bounded(t)
-            assert t.base.length >= 8 * k - _ORBIT_LENGTH_SLACK
-            if t == h:
-                return True
+        if h in _scan_level(gamma, k):
+            return True
         k += 1
-        shift = shift * gamma.period
-    for w in gamma.period_walls:
-        t = translate_wall(shift, w)
-        assert _runs_bounded(t) and t.base.length > target
+    assert all(t.base.length > target for t in _scan_level(gamma, k))
     return False
 
 
@@ -403,6 +439,109 @@ def verify_separation_by_global_frame(beta, delta=None):
         certs.append(cert)
         ok = ok and cert.separation >= delta
     return SeparationReport(delta, tuple(certs), ok)
+
+
+def build_beta_by_global_frame(
+    delta: int,
+    L: int,
+    gamma: Optional[GammaPath] = None,
+    ck: Optional[CrokeKleiner] = None,
+) -> BetaReport:
+    """Reference: the escape path built with every choice and check asked
+    in place, on the global vertices, lines and walls.
+
+    Builds the inductive flat-by-flat escape path against gamma.
+
+    In flat l the path runs N_l steps along a fresh wall direction (p_l),
+    then M_l connector steps onto the exit line (q_l), where M_l is the
+    exact coset distance from the previous endpoint to that line and
+    N_l = max(delta + 3, 5*M_l, twice the length built so far). Case 3
+    picks the escape direction whose first wall gamma never crosses;
+    cases 1 and 2 keep to gamma's side of the sandwiching walls and cross
+    the same connector wall as gamma does in that flat."""
+    if delta <= 3:
+        raise ConfigError("need delta > 3")
+    if L < 1:
+        raise ConfigError("need at least one flat")
+    if gamma is None:
+        gamma = build_gamma(L, ck)
+    if gamma.L < L:
+        raise ConfigError("gamma must cover at least L flats")
+    graph = gamma.ck.graph
+    origin = gamma.ck.origin
+
+    segments: list[BetaSegment] = []
+    family_seq: list[str] = []
+    runs: list[tuple[int, int]] = []
+    v_prev = origin
+    total = 0
+    for l in range(1, L + 1):
+        m = (l - 1) % 4
+        case = _BETA_CASES[m]
+        line_l = gamma.lines[l - 1]
+        p_gen = graph.gen_index(_BETA_P_GENS[m])
+        q_gen = graph.gen_index(_BETA_Q_GENS[m])
+        w_prev = gamma.entry_vertex(l)
+
+        M = line_l.distance_to(v_prev)
+        assert M >= 1, "previous endpoint already on the exit line"
+        N = max(delta + 3, 5 * M, 2 * total)
+
+        candidates = {s: wall_of_edge(v_prev, Letter(p_gen, s)) for s in (1, -1)}
+        if case == 3:
+            kept = [s for s, h in candidates.items() if not gamma_crosses(gamma, h)]
+        else:
+            kept = [
+                s for s, h in candidates.items() if side(h, v_prev) == side(h, w_prev)
+            ]
+        if len(kept) != 1:
+            raise CertificateViolation(f"escape direction ambiguous in flat {l}")
+        p_sign = kept[0]
+        designated = candidates[p_sign]
+        mid = v_prev.append_run(p_gen, p_sign * N)
+
+        if case == 3:
+            q_kept = [
+                s
+                for s in (1, -1)
+                if line_l.distance_to(mid.append_letter(q_gen, s)) == M - 1
+            ]
+        else:
+            assert M == 1, "connector cases expect an adjacent exit line"
+            shared = gamma.walls[2 * l - 1]
+            q_kept = [
+                s for s in (1, -1) if wall_of_edge(mid, Letter(q_gen, s)) == shared
+            ]
+        if len(q_kept) != 1:
+            raise CertificateViolation(f"connector direction ambiguous in flat {l}")
+        q_sign = q_kept[0]
+        end = mid.append_run(q_gen, q_sign * M)
+        if not line_l.contains(end):
+            raise CertificateViolation(f"segment {l} endpoint missed the exit line")
+
+        # locally geodesic seams: p*q*p from the previous segment start
+        if segments:
+            prev = segments[-1]
+            assert distance(prev.start, mid) == prev.N + prev.M + N
+
+        assert Fraction(N, 2) - M >= Fraction(N, 4) + Fraction(M, 8)
+
+        seg = BetaSegment(
+            l, case, m == 2, M, N, p_gen, p_sign, q_gen, q_sign, designated, v_prev, mid, end
+        )
+        segments.append(seg)
+        runs.append((p_gen, p_sign * N))
+        runs.append((q_gen, q_sign * M))
+        family_seq.append(graph.generators[p_gen].upper())
+        family_seq.append(graph.generators[q_gen].upper())
+        total += N + M
+        v_prev = end
+
+    path = RunPath(origin, tuple(runs))
+    assert path.length == total and path.endpoint() == v_prev
+    fam = "".join(family_seq)
+    assert all(fam[i] == "CBCDBCBA"[i % 8] for i in range(len(fam)))
+    return BetaReport(delta, L, gamma, tuple(segments), path, fam)
 
 
 def dichotomy_by_steps(Z, beta, rho, K_prime, C_prime) -> DichotomyReport:

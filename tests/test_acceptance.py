@@ -30,15 +30,17 @@ from cubemorse.boundary import (
 from cubemorse.constructions import (
     build_beta,
     build_croke_kleiner,
-    build_example23,
     build_gamma,
-    basepoint_experiment,
     certify_quasigeodesic,
-    example23_relators,
     kappa,
     kappa_prime,
-    small_cancellation_check,
     verify_separation,
+)
+from cubemorse.example23 import (
+    basepoint_experiment,
+    build_example23,
+    example23_relators,
+    small_cancellation_check,
 )
 from cubemorse.raag import GroupElement, Letter, distance
 from cubemorse.walls import (

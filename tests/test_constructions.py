@@ -1,5 +1,6 @@
 """Gauges, the diagonal geodesic, the escape path, and its certificates."""
 
+import dataclasses
 import decimal
 import math
 import random
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from childproc import run_python
-from cubemorse import constructions, runpaths
+from cubemorse import constructions, raag, runpaths
 from cubemorse.constructions import (
     ConfigError,
     Flat,
+    GammaFrame,
     Line,
     PreconditionFailed,
     SublinearFn,
@@ -46,8 +48,17 @@ from cubemorse.raag import (
     parse_word,
 )
 from cubemorse.runpaths import CertificateViolation, RunPath
-from cubemorse.walls import BallCapExceeded, Wall, side, wall_of_edge, walls_between
+from cubemorse.walls import (
+    BallCapExceeded,
+    Wall,
+    ball,
+    crosses,
+    side,
+    wall_of_edge,
+    walls_between,
+)
 from oracles import (
+    build_beta_by_global_frame,
     check_contracting_all_pairs,
     coset_base_by_gate,
     gamma_crosses_by_scan,
@@ -397,13 +408,19 @@ class TestGammaCrosses:
             gamma_crosses(gamma12, h)
 
     def test_matches_scan_on_certificate_walls(self, ckg, monkeypatch):
-        # every wall that build_beta and verify_separation ask about
+        # every wall that build_beta and verify_separation ask about; a wall
+        # asked in the frame P^-k·gamma stands for its global image P^k·h,
+        # and the frame's answer must be the scan's answer for that image
         asked: set = set()
+        framed: list = []
         real_crosses, real_side = constructions.gamma_crosses, constructions.side
 
-        def crosses_recorded(gamma, h):
-            asked.add(h)
-            return real_crosses(gamma, h)
+        def crosses_recorded(frame, h):
+            image = translate_wall(frame.origin, h)
+            asked.add(image)
+            answer = real_crosses(frame, h)
+            framed.append((frame.gamma, image, answer))
+            return answer
 
         def side_recorded(h, x):
             asked.add(h)
@@ -417,6 +434,7 @@ class TestGammaCrosses:
         assert sum(map(_runs_bounded, asked)) > 100
         crossed = assert_scan_agrees(ckg, asked, random.Random(41))
         assert 0 < crossed < len(asked)
+        assert all(gamma_crosses_by_scan(g, image) == answer for g, image, answer in framed)
 
     def test_matches_scan_on_orbit_translates(self, ckg):
         gamma = build_gamma(8, ckg)
@@ -436,6 +454,31 @@ class TestGammaCrosses:
             if _runs_bounded(h):
                 walls.append(h)
         assert 0 < assert_scan_agrees(ckg, walls, rng) < len(set(walls))
+
+    def test_frame_window_matches_scan(self, ckg):
+        # every wall within distance 3 of a vertex of gamma and of a segment
+        # start, asked in the frame P^-k·gamma of their flats, k = 0..30,
+        # against the scan of its global image P^k·h. Each frame asks a
+        # fresh gamma, shortest wall first, so the table grows one query at
+        # a time and a window one level too narrow misses a wall.
+        beta = build_beta(4, 124, ck=ckg)
+        crossed = checked = 0
+        for k in range(31):
+            gamma = build_gamma(4 * k + 4, ckg)
+            frame = GammaFrame(gamma, k)
+            near = {
+                wall_of_edge(x, Letter(g, s))
+                for v in (gamma.vertices[8 * k + 4], beta.segments[4 * k + 1].start)
+                for x in ball(frame.local(v), 3)
+                for g in range(4)
+                for s in (1, -1)
+            }
+            for h in sorted(near, key=lambda h: (h.base.length, h.text())):
+                want = gamma_crosses_by_scan(gamma, translate_wall(frame.origin, h))
+                assert gamma_crosses(frame, h) == want, (k, h)
+                crossed += want
+                checked += _runs_bounded(h)
+        assert crossed > 400 and checked > 30_000
 
 
 class TestBeta:
@@ -528,6 +571,65 @@ class TestBeta:
     def test_path_keeps_all_runs(self, beta12):
         assert len(beta12.path.runs) == 24
 
+    def test_seam_obligation_under_python_O(self):
+        # a proof obligation of build_beta is an explicit check, not an assert
+        script = textwrap.dedent(
+            """
+            from cubemorse import constructions
+            from cubemorse.raag import CertificateViolation
+            constructions.distance = lambda x, y: -1
+            try:
+                constructions.build_beta(4, 12)
+            except CertificateViolation as e:
+                print("raised:", e)
+            """
+        )
+        proc = run_python("-O", "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: seam before segment 2 is not geodesic"), proc.stdout
+
+    def test_append_syllable_calls_grow_linearly(self, ckg, monkeypatch):
+        # a deterministic scaling guard: doubling the flats at most 2.5x the
+        # syllable work of build_beta and verify_separation together
+        real, calls = raag._append_syllable, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        counts = []
+        for L in (60, 120):
+            gamma = build_gamma(L, ckg)
+            calls[0] = 0
+            monkeypatch.setattr(raag, "_append_syllable", counted)
+            verify_separation(build_beta(4, L, gamma=gamma))
+            monkeypatch.undo()
+            counts.append(calls[0])
+        assert 0 < counts[1] <= 2.5 * counts[0]
+
+
+def beta_fields(report):
+    """Every BetaSegment field of every segment, the path and the family
+    sequence of a BetaReport."""
+    segs = [[getattr(s, f.name) for f in dataclasses.fields(s)] for s in report.segments]
+    return segs, report.path, report.family_sequence, report.total_length
+
+
+class TestBetaOracle:
+    @pytest.mark.parametrize("delta, L", [(4, 120), (8, 119)])
+    def test_fixed_cases(self, ckg, delta, L):
+        gamma = build_gamma(L, ckg)
+        got = build_beta(delta, L, gamma=gamma)
+        assert beta_fields(got) == beta_fields(build_beta_by_global_frame(delta, L, gamma=gamma))
+
+    @given(delta=st.integers(4, 9), L=st.integers(1, 48), extra=st.integers(0, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_random_inputs(self, delta, L, extra):
+        # gamma may run past the path's last flat
+        gamma = build_gamma(L + extra)
+        got = build_beta(delta, L, gamma=gamma)
+        assert beta_fields(got) == beta_fields(build_beta_by_global_frame(delta, L, gamma=gamma))
+
 
 class TestSeparation:
     def test_certificates_at_delta_four(self, beta12):
@@ -568,20 +670,43 @@ class TestSeparationFrames:
         beta = build_beta(delta, L, ck=ckg)
         assert verify_separation(beta) == verify_separation_by_global_frame(beta)
 
-    def test_one_long_inverse_per_segment(self, ckg, monkeypatch):
-        # only gamma's basepoint is a long word in a segment's frame
+    @pytest.mark.parametrize("delta, L, asked", [(4, 120, 4), (8, 119, 5), (8, 119, 11)])
+    def test_fixed_cases_with_explicit_delta(self, ckg, delta, L, asked):
+        beta = build_beta(delta, L, ck=ckg)
+        want = verify_separation_by_global_frame(beta, asked)
+        assert verify_separation(beta, asked) == want
+        # the walks stop at asked + 3 and asked + 1 walls
+        assert want.min_separation <= asked + 1
+
+    @given(delta=st.integers(4, 9), L=st.integers(2, 48), asked=st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_random_inputs(self, delta, L, asked):
+        beta = build_beta(delta, L)
+        assert verify_separation(beta) == verify_separation_by_global_frame(beta)
+        assert verify_separation(beta, delta=asked) == verify_separation_by_global_frame(
+            beta, delta=asked
+        )
+
+    def test_side_reads_only_short_words(self, ckg, monkeypatch):
+        # in the frames no certificate step reads a long word: every side
+        # call, and every inverse, is of a word of at most 8 syllables
         beta = build_beta(4, 40, ck=ckg)
-        real, long_inverses = GroupElement.inverse, []
+        real_inverse, real_side, long_words = GroupElement.inverse, constructions.side, []
 
-        def recorded(self):
+        def inverse_recorded(self):
             if len(self.syllables) > 8:
-                long_inverses.append(self)
-            return real(self)
+                long_words.append(self)
+            return real_inverse(self)
 
-        monkeypatch.setattr(GroupElement, "inverse", recorded)
+        def side_recorded(h, x):
+            long_words.extend(w for w in (h.base, x) if len(w.syllables) > 8)
+            return real_side(h, x)
+
+        monkeypatch.setattr(GroupElement, "inverse", inverse_recorded)
+        monkeypatch.setattr(constructions, "side", side_recorded)
         rep = verify_separation(beta)
         assert rep.ok and len(rep.segments) == 39
-        assert 0 < len(long_inverses) <= len(rep.segments)
+        assert long_words == []
 
 
 def flip_nth_side(monkeypatch, n):
@@ -872,6 +997,50 @@ def orbit_translate(gamma, k, idx):
 def test_orbit_translates_always_cross(k, idx):
     gamma = build_gamma(8)
     assert gamma_crosses(gamma, orbit_translate(gamma, k, idx))
+
+
+def gamma_line_walls(ck, lo, hi):
+    """W_t for lo <= t < hi: the walls of the line through 1 that repeats
+    gamma's period word in both directions."""
+    period = [ck.gen(name) for name in constructions._GAMMA_PERIOD_LETTERS]
+    one = GroupElement.identity(ck.graph)
+    vertex = {0: one}
+    for t in range(hi):
+        vertex[t + 1] = vertex[t].append_letter(period[t % 8], 1)
+    for t in range(0, lo, -1):
+        vertex[t - 1] = vertex[t].append_letter(period[(t - 1) % 8], -1)
+    return {t: wall_of_edge(vertex[t], Letter(period[t % 8], 1)) for t in range(lo, hi)}
+
+
+def test_gamma_line_crossings(ckg):
+    # the finite facts behind _PeriodOrbit's window: crossing walls of the
+    # line are at most 24 apart, and among those each wall crosses at most
+    # four before it and four after
+    W = gamma_line_walls(ckg, -40, 80)
+    for t in range(16, 24):
+        before = sum(crosses(W[t - r], W[t]) for r in range(1, 25))
+        after = sum(crosses(W[t + r], W[t]) for r in range(1, 25))
+        assert before <= 4 and after <= 4
+    assert max(
+        sum(crosses(W[t - r], W[t]) for r in range(1, 25)) for t in range(16, 24)
+    ) == 4
+
+
+def test_gamma_line_bounds_are_tight(ckg):
+    # runs stay at most 3 and |base of W_t| >= |t| - 4 on both sides, with
+    # equality on both sides, so the window cannot be narrowed
+    W = gamma_line_walls(ckg, -160, 160)
+    slack = {t: h.base.length - abs(t) for t, h in W.items()}
+    assert all(abs(e) <= 3 for h in W.values() for _, e in h.base.syllables)
+    assert min(slack.values()) == -constructions._ORBIT_LENGTH_SLACK
+    assert min(v for t, v in slack.items() if t < 0) == min(v for t, v in slack.items() if t >= 0)
+    # the walls agree with gamma's own and with the translates' levels
+    gamma = build_gamma(20, ckg)
+    assert all(W[t] == gamma.walls[t] for t in range(40))
+    orbit = gamma._orbit
+    for t in (-160, -41, -9, -1, 0, 7, 8, 77, 159):
+        j = t // 8
+        assert orbit.level_of(W[t], -200) == j
 
 
 def assert_scan_agrees(ck, walls, rng):

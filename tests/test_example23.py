@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from cubemorse.constructions import (
+from cubemorse.constructions import ConfigError, PreconditionFailed
+from cubemorse.example23 import (
     ALPHABET14,
-    ConfigError,
     LabeledGraph,
-    PreconditionFailed,
     basepoint_experiment,
     build_example23,
     example23_relators,

@@ -23,7 +23,13 @@ from cubemorse.raag import (
     normal_form,
     parse_word,
 )
-from oracles import NotInBall, _pile_key, bfs_oracle_distance, random_graphs
+from oracles import (
+    NotInBall,
+    _pile_key,
+    bfs_oracle_distance,
+    random_graphs,
+    strip_left_by_scan,
+)
 
 letters_st = st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=12
@@ -285,6 +291,16 @@ class TestStrip:
         removed, kept = _strip_left(graph, x.syllables, mask)
         assert_split(graph, x, removed, kept, removed, mask)
         assert _strip_left(graph, kept, mask) == ((), kept)
+
+    @given(data=st.data())
+    @seed(2401)
+    @settings(max_examples=300, deadline=None)
+    def test_strip_left_matches_full_scan(self, z3z, ck, data):
+        # stopping once every masked generator is blocked keeps what a scan
+        # to the end of the word keeps, on a word and on its reversal
+        graph, x, mask = draw_strip_case(data, (z3z, ck))
+        for word in (x.syllables, x.syllables[::-1]):
+            assert _strip_left(graph, word, mask) == strip_left_by_scan(graph, word, mask)
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
