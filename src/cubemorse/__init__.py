@@ -19,7 +19,6 @@ _EXPORTS = {
         "LetterSeq",
         "Word",
         "distance",
-        "is_geodesic",
         "normal_form",
         "parse_word",
     ),

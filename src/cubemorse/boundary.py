@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .raag import (
+    CertificateViolation,
     DefiningGraph,
     GroupElement,
     LetterSeq,
@@ -232,7 +233,8 @@ class _RayIndex:
         self.base = base
         self.walls = walls
         self.pos = {w: t for t, w in enumerate(walls)}
-        assert len(self.pos) == len(walls), "geodesic crossed a wall twice"
+        if len(self.pos) != len(walls):
+            raise CertificateViolation("geodesic crossed a wall twice")
         self._dist: list[Optional[int]] = [None] * len(walls)
         # bit j of _known[i] / _sep[i], i < j: pair tested / strongly separated
         self._known = [0] * len(walls)

@@ -535,8 +535,10 @@ def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
             letters.append(lt)
             v = v.append_letter(lt.gen, 1)
             vertices.append(v)
-    assert vertices[-1].length == 2 * L, "path is not geodesic"
-    assert len(set(walls_)) == 2 * L, "wall repeated"
+    if vertices[-1].length != 2 * L:
+        raise CertificateViolation("path is not geodesic")
+    if len(set(walls_)) != 2 * L:
+        raise CertificateViolation("wall repeated")
 
     flats = tuple(
         Flat(
@@ -567,9 +569,10 @@ def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
         tuple(period_walls),
     )
     for l in range(1, L + 1):
-        assert _flat_layout_holds(gp, l), f"flat {l} is laid out wrongly"
-    if L >= 4:
-        assert gp.walls[:8] == gp.period_walls
+        if not _flat_layout_holds(gp, l):
+            raise CertificateViolation(f"flat {l} is laid out wrongly")
+    if L >= 4 and gp.walls[:8] != gp.period_walls:
+        raise CertificateViolation("the first period's walls are not the period walls")
     return gp
 
 

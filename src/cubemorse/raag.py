@@ -496,14 +496,6 @@ def normal_form(w, graph: DefiningGraph | None = None) -> GroupElement:
     return GroupElement(graph, _fold(graph, w.letters.runs))
 
 
-def is_geodesic(w: Word, graph: DefiningGraph | None = None) -> bool:
-    if isinstance(w, str):
-        if graph is None:
-            raise WordError("is_geodesic of a string needs a graph")
-        w = parse_word(w, graph)
-    return len(w) == normal_form(w).length
-
-
 def distance(x: GroupElement, y: GroupElement) -> int:
     """Graph distance in the Cayley 1-skeleton."""
     if x.graph is not y.graph and x.graph != y.graph:

@@ -174,15 +174,12 @@ def walk_wall_count(graph: DefiningGraph, segments: Iterable[tuple]) -> int:
 
 def path_pair_distance(p1: RunPath, s: int, p2: RunPath, t: int) -> int:
     """Exact distance between p1's vertex at s and p2's vertex at t."""
-    graph = p1.graph
-    segments = p1.segments_between(s, 0)
-    connector = p1.origin.inverse() * p2.origin
-    v = p1.origin
-    for g, e in connector.syllables:
-        segments.append((v, g, e))
-        v = v.append_run(g, e)
-    segments.extend(p2.segments_between(0, t))
-    return walk_wall_count(graph, segments)
+    ids: dict = {}
+    table = _origin_table(p1, p2, ids)
+    for start, g, e in p1.segments_between(s, 0) + p2.segments_between(0, t):
+        key, m = _star_frame(p1.graph, start, g)
+        table.add(ids.setdefault(key, len(ids)), m, e)
+    return table.total
 
 
 # --- exact minimization over run-pair cells ---------------------------------
@@ -413,37 +410,15 @@ def _interned(frames, ids: dict) -> list:
     return [(ids.setdefault(key, len(ids)), m) for key, m in frames]
 
 
-def _pair_tables(p1: RunPath, p2: RunPath, ends: bool):
-    """The interned frames of p1 and p2, and a walk over every pair of run
-    starts. The walk yields (i, j, table), where table holds the clusters
-    of the walk from p1's vertex at offset i back to p1's origin, across
-    the connector, and along p2 to its vertex at offset j, so table.total
-    is the distance between the two vertices. With ends, i and j also take
-    the last index, the paths' endpoints; without, an empty path still
-    yields its origin. The table is reused: read it before advancing."""
-    ids: dict = {}
-    f1 = _interned(p1._frames, ids)
-    f2 = _interned(p2._frames, ids)
-
-    def walk():
-        outer = _ClusterTable()
-        v = p1.origin
-        for g, e in (p1.origin.inverse() * p2.origin).syllables:
-            key, m = _star_frame(p1.graph, v, g)
-            outer.add(ids.setdefault(key, len(ids)), m, e)
-            v = v.append_run(g, e)
-        R1, R2 = len(p1.runs), len(p2.runs)
-        n1, n2 = (R1 + 1, R2 + 1) if ends else (max(R1, 1), max(R2, 1))
-        for i in range(n1):
-            if i > 0:
-                outer.add(*f1[i - 1], p1.runs[i - 1][1])
-            inner = outer.copy()
-            for j in range(n2):
-                if j > 0:
-                    inner.add(*f2[j - 1], p2.runs[j - 1][1])
-                yield i, j, inner
-
-    return f1, f2, walk()
+def _origin_table(p1: RunPath, p2: RunPath, ids: dict) -> _ClusterTable:
+    """The connector from p1's origin to p2's origin, keys interned by ids."""
+    table = _ClusterTable()
+    v = p1.origin
+    for g, e in (p1.origin.inverse() * p2.origin).syllables:
+        key, m = _star_frame(p1.graph, v, g)
+        table.add(ids.setdefault(key, len(ids)), m, e)
+        v = v.append_run(g, e)
+    return table
 
 
 def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
@@ -453,33 +428,37 @@ def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
     connector, then forward to p2(t); only the two head partials move with
     (s, t), so each run-pair cell is minimized at breakpoints.
     """
-    best = path_pair_distance(p1, 0, p2, 0)
-    arg = (0, 0)
-
+    ids: dict = {}
+    outer = _origin_table(p1, p2, ids)
+    best, arg = outer.total, (0, 0)
     # an empty path stands as one zero-length run in a cluster of its own
+    f1 = _interned(p1._frames, ids) or [(None, 0)]
+    f2 = _interned(p2._frames, ids) or [(None, 0)]
     runs1 = p1.runs or ((None, 0),)
     runs2 = p2.runs or ((None, 0),)
-    f1, f2, walk = _pair_tables(p1, p2, ends=False)
-    f1, f2 = f1 or [(None, 0)], f2 or [(None, 0)]
-    for i, j, inner in walk:
-        (key_i, m_i), e_i = f1[i], runs1[i][1]
-        (key_j, m_j), e_j = f2[j], runs2[j][1]
-        A, B = abs(e_i), abs(e_j)
-        if key_i != key_j:
-            rest = inner.total - inner.odd_of(key_i) - inner.odd_of(key_j)
-            vu, u = _min_1d(1, 0, inner.get(key_i), "head", m_i, e_i, 0, A)
-            vw, w = _min_1d(1, 0, inner.get(key_j), "head", m_j, e_j, 0, B)
-            val = rest + vu + vw
-        else:
-            rest = inner.total - inner.odd_of(key_i)
-            vm, (u, w) = _min_2d(
-                1, 0, 0, inner.get(key_i),
-                ("head", m_i, e_i, A), ("head", m_j, e_j, B),
-            )
-            val = rest + vm
-        if val < best:
-            best = val
-            arg = (p1._offsets[i] + u, p2._offsets[j] + w)
+    for i, ((key_i, m_i), (_, e_i)) in enumerate(zip(f1, runs1)):
+        if i > 0:
+            outer.add(*f1[i - 1], runs1[i - 1][1])
+        inner = outer.copy()
+        for j, ((key_j, m_j), (_, e_j)) in enumerate(zip(f2, runs2)):
+            if j > 0:
+                inner.add(*f2[j - 1], runs2[j - 1][1])
+            A, B = abs(e_i), abs(e_j)
+            if key_i != key_j:
+                rest = inner.total - inner.odd_of(key_i) - inner.odd_of(key_j)
+                vu, u = _min_1d(1, 0, inner.get(key_i), "head", m_i, e_i, 0, A)
+                vw, w = _min_1d(1, 0, inner.get(key_j), "head", m_j, e_j, 0, B)
+                val = rest + vu + vw
+            else:
+                rest = inner.total - inner.odd_of(key_i)
+                vm, (u, w) = _min_2d(
+                    1, 0, 0, inner.get(key_i),
+                    ("head", m_i, e_i, A), ("head", m_j, e_j, B),
+                )
+                val = rest + vm
+            if val < best:
+                best = val
+                arg = (p1._offsets[i] + u, p2._offsets[j] + w)
     return best, arg[0], arg[1]
 
 
@@ -525,26 +504,47 @@ def _envelope_knots(vees, A: int) -> list[tuple[int, int]]:
     return out
 
 
+def _distance_rows(path: RunPath, Z: RunPath) -> list[list[int]]:
+    """d(x, Z_T) for x each run end of path, its origin first (rows), and
+    each vertex Z_T of Z (columns), in one pass over Z's walls.
+
+    Distance counts separating walls, and Z_T, Z_T+1 differ in their side
+    of one wall h only: d(x, Z_T+1) - d(x, Z_T) is +1 when x and Z_T lie on
+    the same side of h, -1 otherwise. They lie on opposite sides iff the
+    walk x -> path origin -> Z origin -> Z_T crosses h an odd number of
+    times, the XOR of the parity at h of the outer table (the walk up to
+    Z's origin) and of Z's own walk. So Z's own sign, +1 where h does not
+    separate Z_0 from Z_T, is read once per step, and a row adds it negated
+    where its outer table holds an odd number of flips at or below h's level."""
+    ids: dict = {}
+    outer = _origin_table(path, Z, ids)
+    odd, steps = set(), []  # Z's walls crossed oddly so far; (h, own sign)
+    for (key, m), (_, e) in zip(_interned(Z._frames, ids), Z.runs):
+        for k in range(abs(e)):  # h = (cluster, l): between levels l, l + 1
+            h = (key, m + k if e > 0 else m - k - 1)
+            steps.append((*h, -1 if h in odd else 1))
+            odd ^= {h}
+    frames = _interned(path._frames, ids)
+    get = outer.flips.get
+    rows = []
+    for i in range(len(path.runs) + 1):
+        if i > 0:
+            outer.add(*frames[i - 1], path.runs[i - 1][1])
+        d = outer.total
+        rows.append(row := [d])
+        for key, level, sign in steps:
+            flips = get(key)
+            d += -sign if flips and bisect_right(flips, level) & 1 else sign
+            row.append(d)
+    return rows
+
+
 def set_distance_knots(path: RunPath, Z: RunPath) -> tuple[tuple[int, int], ...]:
     """Exact t -> d(path(t), Z), Z the vertex set of a path, as knots
     (t, distance) from t = 0 to path.length. Between consecutive knots the
-    distance is linear on the integers, with slope -1, 0 or +1.
-
-    Distances from every vertex of Z to every run end of path come from one
-    cluster-table walk; Z is split into unit steps, and splitting changes
-    no cluster's flips, since the inner flips of a run's unit steps cancel
-    in pairs. Cost: one row per run of path times the
-    vertices of Z, independent of run lengths.
-    """
-    if all(abs(e) == 1 for _, e in Z.runs):
-        units = Z  # keeps Z's cached frames across calls
-    else:
-        units = RunPath(Z.origin, tuple(
-            (g, 1 if e > 0 else -1) for g, e in Z.runs for _ in range(abs(e))
-        ))
-    rows: list = [[] for _ in range(len(path.runs) + 1)]
-    for i, _, table in _pair_tables(path, units, ends=True)[2]:
-        rows[i].append(table.total)
+    distance is linear on the integers, with slope -1, 0 or +1. Cost: one
+    _distance_rows row per run of path, independent of its run lengths."""
+    rows = _distance_rows(path, Z)
     knots = [(0, min(rows[0]))]
     for i, (_, e) in enumerate(path.runs):
         A = abs(e)

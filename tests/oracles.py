@@ -7,7 +7,8 @@ in cubemorse.raag. The others redo a fast layer's question the slow,
 direct way on top of the layers below it: the coset strip read to the
 end of the word, gates on both carrier cosets, a level-by-level scan of
 gamma's period translates, the escape path and its separation asked on
-the global vertices and walls, the dichotomy stepped one letter at a time, the chain
+the global vertices and walls, the dichotomy stepped one letter at a time,
+the distance knots from a cluster table per vertex of Z, the chain
 greedy and the pruned bracket product over plain tuples of walls, the
 contraction gate asked of every pair, and the run-path cell minima
 counted wall by wall at every position. random_graphs draws the defining
@@ -60,7 +61,13 @@ from cubemorse.raag import (
     distance,
     parse_word,
 )
-from cubemorse.runpaths import RunPath
+from cubemorse.runpaths import (
+    RunPath,
+    _ClusterTable,
+    _envelope_knots,
+    _interned,
+    _star_frame,
+)
 from cubemorse.walls import (
     DEFAULT_BALL_CAP,
     ball,
@@ -601,6 +608,60 @@ def dichotomy_by_steps(Z, beta, rho, K_prime, C_prime) -> DichotomyReport:
             residual_min = r
     bound_ok = residual_min is None or residual_min >= 0
     return DichotomyReport(2, kap, kap2, T0, max_d, bound_ok, residual_min, beta.length, Z.length)
+
+
+def _tables_at_run_ends(p1, p2):
+    """(i, j, table) for every run end i of p1 and j of p2, origins
+    included, where table holds the clusters of the walk from p1's i-th
+    run end back to p1's origin, across the connector, and along p2 to its
+    j-th run end. The table is reused: read it before advancing."""
+    ids: dict = {}
+    f1 = _interned(p1._frames, ids)
+    f2 = _interned(p2._frames, ids)
+    outer = _ClusterTable()
+    v = p1.origin
+    for g, e in (p1.origin.inverse() * p2.origin).syllables:
+        key, m = _star_frame(p1.graph, v, g)
+        outer.add(ids.setdefault(key, len(ids)), m, e)
+        v = v.append_run(g, e)
+    for i in range(len(p1.runs) + 1):
+        if i > 0:
+            outer.add(*f1[i - 1], p1.runs[i - 1][1])
+        inner = outer.copy()
+        for j in range(len(p2.runs) + 1):
+            if j > 0:
+                inner.add(*f2[j - 1], p2.runs[j - 1][1])
+            yield i, j, inner
+
+
+def set_distance_knots_by_tables(path, Z):
+    """Reference for set_distance_knots: each distance row is read off a
+    cluster table that takes every step of Z as a run of its own. Z is
+    split into unit steps, and splitting changes no cluster's flips, since
+    the inner flips of a run's unit steps cancel in pairs."""
+    if all(abs(e) == 1 for _, e in Z.runs):
+        units = Z  # keeps Z's cached frames across calls
+    else:
+        units = RunPath(Z.origin, tuple(
+            (g, 1 if e > 0 else -1) for g, e in Z.runs for _ in range(abs(e))
+        ))
+    rows: list = [[] for _ in range(len(path.runs) + 1)]
+    for i, _, table in _tables_at_run_ends(path, units):
+        rows[i].append(table.total)
+    knots = [(0, min(rows[0]))]
+    for i, (_, e) in enumerate(path.runs):
+        A = abs(e)
+        vees = []
+        for T, (d0, dA) in enumerate(zip(rows[i], rows[i + 1])):
+            if (d0 + dA - A) % 2 or abs(d0 - dA) > A:
+                raise CertificateViolation(
+                    f"run {i} of length {A} is not geodesic against vertex {T} of Z:"
+                    f" end distances {d0} and {dA}"
+                )
+            vees.append(((d0 - dA + A) // 2, (d0 + dA - A) // 2))
+        off = path._offsets[i]
+        knots.extend((off + u, d) for u, d in _envelope_knots(vees, A)[1:])
+    return tuple(knots)
 
 
 def check_contracting_all_pairs(

@@ -362,14 +362,16 @@ def test_one_flat_beta_report(capsys):
 
 
 def test_failed_internal_check_exits_3(monkeypatch, capsys):
-    from cubemorse import constructions
+    from cubemorse import example23
 
-    monkeypatch.setattr(constructions, "_flat_layout_holds", lambda gamma, l: False)
-    code = run(GOLDEN_CASES["gamma"])
+    # a glued graph that miscounts its vertices fails a plain assert
+    monkeypatch.setattr(example23.LabeledGraph, "vertex_count", property(lambda g: 0))
+    code = run(GOLDEN_CASES["example23"])
     out, err = capsys.readouterr()
     assert code == 3
     assert out == ""
-    assert err.startswith("error: internal check failed: flat 1 is laid out wrongly"), err
+    assert err.startswith("error: internal check failed: example23.py:"), err
+    assert "in build_example23" in err, err
 
 
 # --- import guards: a command loads only the layers it runs ---------------------

@@ -334,6 +334,56 @@ class TestGamma:
         assert gamma12.walls[:8] == gamma12.period_walls
         assert gamma12.period == gamma12.vertices[8]
 
+    @pytest.mark.parametrize(
+        "patch,message",
+        [
+            (  # the third step stays put, so the path is one edge short
+                '''
+                real, calls = raag.GroupElement.append_letter, []
+                def stalled(v, gen, e):
+                    calls.append(gen)
+                    return v if len(calls) == 3 else real(v, gen, e)
+                raag.GroupElement.append_letter = stalled
+                ''',
+                "path is not geodesic",
+            ),
+            (  # every step reports the first step's wall
+                '''
+                real, seen = constructions.wall_of_edge, []
+                def first(v, lt):
+                    seen.append(real(v, lt))
+                    return seen[0]
+                constructions.wall_of_edge = first
+                ''',
+                "wall repeated",
+            ),
+            (
+                "constructions._flat_layout_holds = lambda gamma, l: l != 3",
+                "flat 3 is laid out wrongly",
+            ),
+            (  # a rotated period crosses other walls than gamma's first period
+                'constructions._GAMMA_PERIOD_LETTERS = tuple("ccdcbbab")',
+                "the first period's walls are not the period walls",
+            ),
+        ],
+        ids=["geodesy", "wall_count", "flat_layout", "period_walls"],
+    )
+    def test_obligations_under_python_O(self, patch, message):
+        # each proof obligation of build_gamma is an explicit check, not an assert
+        script = "\n".join([
+            "from cubemorse import constructions, raag",
+            "from cubemorse.raag import CertificateViolation",
+            "ck = constructions.build_croke_kleiner()",
+            textwrap.dedent(patch),
+            "try:",
+            "    constructions.build_gamma(4, ck)",
+            "except CertificateViolation as e:",
+            "    print('raised:', e)",
+        ])
+        proc = run_python("-O", "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"raised: {message}\n", proc.stdout
+
     def test_runpath_matches_vertices(self, gamma12):
         p = gamma12.runpath()
         assert p.length == 24

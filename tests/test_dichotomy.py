@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubemorse.constructions import (
@@ -17,14 +17,14 @@ from cubemorse.constructions import (
 )
 from cubemorse.raag import GroupElement, distance
 from cubemorse.runpaths import CertificateViolation, RunPath, set_distance_knots
-from oracles import dichotomy_by_steps
+from oracles import dichotomy_by_steps, random_graphs, set_distance_knots_by_tables
 
 
 def outcome(fn, *args):
     """The report, or the type and message of the exception raised."""
     try:
         return fn(*args)
-    except PreconditionFailed as exc:
+    except (PreconditionFailed, CertificateViolation) as exc:
         return type(exc), str(exc)
 
 
@@ -68,12 +68,13 @@ def brute_knot_check(path, Z):
             assert want[t] == d1 + (d2 - d1) * (t - t1) // (t2 - t1)
 
 
-def runpaths_on(graph, data, origin, max_runs):
+def runpaths_on(graph, data, origin, max_runs, min_runs=0):
     runs = data.draw(st.lists(
         st.tuples(
             st.integers(0, len(graph.generators) - 1),
             st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
         ),
+        min_size=min_runs,
         max_size=max_runs,
     ))
     return RunPath(origin, tuple(runs))
@@ -101,6 +102,39 @@ def test_random_paths_match_the_scan(ck, z3z, data):
     for K, C in ((1, 0), (2, 1)):
         want = outcome(dichotomy_by_steps, Z, beta, 0, K, C)
         assert outcome(check_divergence_dichotomy, Z, beta, 0, K, C) == want
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_knots_match_the_table_walk(ck, z3z, data):
+    graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+    one = GroupElement.identity(graph)
+    # Z starts off the identity, and its runs take up to 4 steps
+    z_origin = runpaths_on(graph, data, one, 3, min_runs=1).endpoint()
+    assume(z_origin != one)
+    Z = runpaths_on(graph, data, z_origin, 5)
+    start = runpaths_on(graph, data, one, 3).endpoint()
+    path = runpaths_on(graph, data, start, 6)
+    want = outcome(set_distance_knots_by_tables, path, Z)
+    assert outcome(set_distance_knots, path, Z) == want
+
+
+def test_knots_add_no_table_run_per_step_of_Z(escape, monkeypatch):
+    # an operation count: the rows read Z's walls without adding Z's steps
+    # to a cluster table, so the table work is the connector and the path
+    from cubemorse import runpaths
+
+    real, calls = runpaths._ClusterTable.add, [0]
+
+    def counted(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(runpaths._ClusterTable, "add", counted)
+    Z, beta = escape
+    set_distance_knots(beta, Z)
+    connector = beta.origin.inverse() * Z.origin
+    assert calls[0] <= len(Z.runs) + len(beta.runs) + len(connector.syllables)
 
 
 def test_far_start_message_matches(ck):
@@ -136,19 +170,14 @@ def test_broken_distance_row_is_a_violation(ck, monkeypatch):
     # not folded into a certified envelope
     from cubemorse import runpaths
 
-    walk = runpaths._pair_tables
+    rows = runpaths._distance_rows
 
-    class Shifted:
-        def __init__(self, table):
-            self.total = table.total + 1
+    def corrupted(path, Z):
+        out = rows(path, Z)
+        out[1][0] += 1  # the first run's end, against Z's origin
+        return out
 
-    def corrupted(p1, p2, ends):
-        f1, f2, tables = walk(p1, p2, ends)
-        return f1, f2, (
-            (i, j, Shifted(table) if (i, j) == (1, 0) else table) for i, j, table in tables
-        )
-
-    monkeypatch.setattr(runpaths, "_pair_tables", corrupted)
+    monkeypatch.setattr(runpaths, "_distance_rows", corrupted)
     Z = RunPath(GroupElement.identity(ck), ((1, 3),))
     beta = RunPath(GroupElement.identity(ck), ((2, 2), (0, 1)))
     with pytest.raises(CertificateViolation):

@@ -2,11 +2,13 @@
 brute force over walls.crosses / walls.strongly_separated."""
 
 import random
+import textwrap
 
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from childproc import run_python
 from cubemorse.boundary import (
     BoundaryRay,
     _ray_index,
@@ -157,3 +159,25 @@ def test_bracket_matches_pruned_oracle(z3z, ck, data):
             index.dist(t)
         index.tail_bound
     assert bracket_product(p, q, BRACKET_DEPTH) == want
+
+
+def test_wall_crossed_twice_is_a_violation_under_python_O():
+    # the walls of a ray index must be distinct: its distances rest on a
+    # geodesic crossing each wall once, an explicit check, not an assert
+    script = textwrap.dedent(
+        """
+        from cubemorse import boundary
+        from cubemorse.raag import CertificateViolation, DefiningGraph, Letter
+        graph = DefiningGraph.from_json("tests/data/z3z.json")
+        ray = boundary.BoundaryRay.from_text(graph, "|a")
+        # a step and its inverse cross the same wall
+        boundary._representative_letters = lambda ray, depth: [Letter(0, 1), Letter(0, -1)]
+        try:
+            boundary.ray_walls(ray, 2)
+        except CertificateViolation as e:
+            print("raised:", e)
+        """
+    )
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: geodesic crossed a wall twice\n", proc.stdout
