@@ -15,9 +15,15 @@ separated from the base by at least j-1 of them.
 Every product reads a ray through one index per (ray, depth), kept in a
 single bounded cache: the walls in crossing order and their positions,
 each wall's distance from the base, the strong-separation relation among
-the walls, the greedy separated chains and the tail bound. Only the walls
-are computed when the index is built; each relation is filled on first
-use and memoised, so a pair of walls is tested at most once.
+the walls, and the greedy separated chains. A greedy chain is a walk along
+next pointers: from each wall to the first later wall strongly separated
+from it, within the gap bound. The pointers and the chain lengths they give
+are memoised per gap bound, so the chains from all starts share one walk.
+A product only asks whether the tail bound exceeds one number, and the
+index answers by scanning starts in order until some chain is long enough,
+resuming there on the next question. Only the walls are computed when the
+index is built; each relation is filled on first use and memoised, so a
+pair of walls is tested at most once.
 """
 
 from __future__ import annotations
@@ -225,9 +231,22 @@ class _RayIndex:
     the products read. Built once per (ray, depth) by _ray_index; the
     relations are filled in place on first use and memoised, so a query
     pays only for the pairs it touches. Not safe for concurrent filling
-    from several threads."""
+    from several threads.
 
-    __slots__ = ("base", "walls", "pos", "_dist", "_known", "_sep", "_chains")
+    The greedy chain with gap bound r from start s is s, next_r(s),
+    next_r(next_r(s)), ..., where next_r(s) is the first t with
+    s < t < s + r (no upper limit when r is None) and walls s, t strongly
+    separated. Its length obeys L_r(s) = 1 + L_r(next_r(s)), so the
+    pointers and lengths are kept per r and every start's chain reuses the
+    walks already made. Computing L_r(s) tests the pairs (s, t) for t up to
+    next_r(s), exactly the pairs the plain greedy loop from s tests at s;
+    so filling every start tests the same pairs as running that loop from
+    every start. The tail test scans the starts in order and stops as soon
+    as the longest chain so far settles its answer."""
+
+    __slots__ = (
+        "base", "walls", "pos", "_dist", "_known", "_sep", "_walks", "_scanned", "_tail",
+    )
 
     def __init__(self, base: GroupElement, walls: tuple[Wall, ...]):
         self.base = base
@@ -239,7 +258,12 @@ class _RayIndex:
         # bit j of _known[i] / _sep[i], i < j: pair tested / strongly separated
         self._known = [0] * len(walls)
         self._sep = [0] * len(walls)
-        self._chains: dict[Optional[int], tuple[int, ...]] = {}
+        # r -> (next_r, L_r); next_r(s) = len(walls) when the chain ends at s,
+        # and L_r has one more entry, 0 at that end, None where not yet walked
+        self._walks: dict[Optional[int], tuple[list[int], list[Optional[int]]]] = {}
+        # the tail scan: starts folded in so far, max(0, their longest L_None - 1)
+        self._scanned = 0
+        self._tail = 0
 
     def dist(self, t: int) -> int:
         """wall_distance(base, wall t), memoised. The distance to the
@@ -265,19 +289,58 @@ class _RayIndex:
             self._known[i] |= bit
         return bool(self._sep[i] & bit)
 
+    def _length(self, r: Optional[int], start: int) -> int:
+        """L_r(start), following next pointers until a walked start and
+        filling in the lengths on the way back."""
+        n = len(self.walls)
+        if r not in self._walks:
+            self._walks[r] = ([n] * n, [None] * n + [0])
+        nxt, length = self._walks[r]
+        path = []
+        s = start
+        while length[s] is None:
+            path.append(s)
+            stop = n if r is None else min(n, s + r)
+            t = next((t for t in range(s + 1, stop) if self.separated(s, t)), n)
+            nxt[s] = t
+            s = t
+        for p in reversed(path):
+            length[p] = length[nxt[p]] + 1
+        return length[start]
+
     def chain(self, r: Optional[int]) -> tuple[int, ...]:
         """Greedy longest chain of wall indices with consecutive pairs
-        strongly separated and index gaps < r (r None = unbounded)."""
-        if r not in self._chains:
-            self._chains[r] = _chain_indices(self, r)
-        return self._chains[r]
+        strongly separated and index gaps < r (r None = unbounded): the
+        chain from the first start of greatest length. Crossing points of
+        walls i and j on a geodesic are |i-j| apart."""
+        n = len(self.walls)
+        s = max(range(n), key=lambda s: self._length(r, s), default=n)
+        out = []
+        while s < n:
+            out.append(s)
+            s = self._walks[r][0][s]
+        return tuple(out)
+
+    def tail_exceeds(self, x: int) -> bool:
+        """Whether tail_bound > x, scanning starts only until the longest
+        chain so far decides it. The running value max(0, longest - 1) only
+        grows and ends at tail_bound, so once it exceeds x so does
+        tail_bound; and when every start is scanned it is tail_bound."""
+        n = len(self.walls)
+        while self._tail <= x and self._scanned < n:
+            self._tail = max(self._tail, self._length(None, self._scanned) - 1)
+            self._scanned += 1
+        return self._tail > x
 
     @property
     def tail_bound(self) -> int:
         """Any wall crossed after these has at least this many walls between
         it and the base: pairwise strongly separated chain walls can share
-        no crossing wall, so a later wall crosses at most one of them."""
-        return max(0, len(self.chain(None)) - 1)
+        no crossing wall, so a later wall crosses at most one of them. It
+        is max(0, greatest L_None - 1), below len(walls), so asking whether
+        it exceeds len(walls) scans every start."""
+        self.tail_exceeds(len(self.walls))
+        return self._tail
 
 
 @lru_cache(maxsize=4096)
@@ -300,22 +363,6 @@ def ray_walls(ray: BoundaryRay, depth: int) -> tuple[Wall, ...]:
     return _ray_index(ray, depth).walls
 
 
-def _chain_indices(index: _RayIndex, r: Optional[int]) -> tuple[int, ...]:
-    """Greedy longest chain from every start, the first longest winning.
-    Crossing points of walls i and j on a geodesic are |i-j| apart."""
-    best: list[int] = []
-    for start in range(len(index.walls)):
-        chain = [start]
-        for t in range(start + 1, len(index.walls)):
-            if r is not None and t - chain[-1] >= r:
-                break  # chain[-1] stays put, so every later t is too far
-            if index.separated(chain[-1], t):
-                chain.append(t)
-        if len(chain) > len(best):
-            best = chain
-    return tuple(best)
-
-
 def _check_same_base(x: BoundaryRay, e: BoundaryRay) -> None:
     if x.base != e.base:
         raise MismatchedBase("rays are anchored at different base vertices")
@@ -330,7 +377,9 @@ def bracket_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductVal
     The minimum runs over the walls only one ray crosses within depth,
     each read from its own ray's index. Certified when the minimum is
     strictly below both rays' tail bounds, so no unseen wall can beat it
-    and the minimizing wall cannot be secretly common.
+    and the minimizing wall cannot be secretly common. best < min of the
+    two bounds holds exactly when each bound exceeds best, which is what
+    tail_exceeds decides, stopping at the first chain long enough.
     """
     _check_same_base(xi, eta)
     ix = _ray_index(xi, depth)
@@ -340,8 +389,7 @@ def bracket_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductVal
     if not dists:
         return ProductValue(math.inf, xi.same_point_structurally(eta), depth)
     best = min(dists)
-    tail = min(ix.tail_bound, ie.tail_bound)
-    return ProductValue(best, best < tail, depth)
+    return ProductValue(best, ix.tail_exceeds(best) and ie.tail_exceeds(best), depth)
 
 
 def gromov_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductValue:
@@ -419,16 +467,16 @@ def hyp_member(xi: BoundaryRay, walls: Iterable[Wall], depth: int) -> bool:
 
     A wall absent from the truncation is certifiably uncrossed only when its
     distance from the base is below the ray's tail bound; otherwise the
-    depth cannot decide and UncertifiedDepth is raised.
+    depth cannot decide and UncertifiedDepth is raised. distance >= tail
+    bound is the negation of tail_exceeds(distance).
     """
     index = _ray_index(xi, depth)
     missing = [w for w in walls if w not in index.pos]
     if not missing:
         return True
-    tail = index.tail_bound
     o = xi.base
     for w in missing:
-        if wall_distance(o, w) >= tail:
+        if not index.tail_exceeds(wall_distance(o, w)):
             raise UncertifiedDepth(
                 "wall not crossed within depth and tail bound too weak"
             )

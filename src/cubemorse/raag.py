@@ -318,7 +318,8 @@ def _append_syllable(graph: DefiningGraph, out: list, gen: int, exp: int) -> Non
                 if 0 < i < len(out) and out[i - 1][0] == out[i][0]:
                     ga, ea = out[i - 1]
                     eb = out[i][1]
-                    assert (ea > 0) == (eb > 0), "cancellation broke geodesy"
+                    if (ea > 0) != (eb > 0):
+                        raise CertificateViolation("cancellation broke geodesy")
                     out[i - 1] = (ga, ea + eb)
                     del out[i]
             else:

@@ -130,26 +130,38 @@ def coset_gate_and_distance(
     return gate_el, sum(abs(e) for _, e in kept)
 
 
-def wall_gate_and_distance(x: GroupElement, h: Wall) -> tuple[GroupElement, int, int]:
-    """(gate vertex, distance, side) of x relative to the carrier of h.
+def _carrier_strip(x: GroupElement, h: Wall) -> tuple[tuple, int, int]:
+    """(removed, distance, side) of x relative to the carrier of h, where
+    the gate is base·removed, times g on the + side.
 
-    side is which carrier coset the gate lies in: -1 for the base side,
-    +1 for the base·gen side. One product and one strip decide all three:
-    left-strip lk(g) from t = nf(base^-1 x). x is on the + side exactly
-    when the kept half starts with a positive g syllable; then g^+ is a
-    left descent of t, and the carrier's other coset base·g·⟨lk g⟩ is one
-    step nearer. Only lk(g) commutes with g, and the strip leaves no lk(g)
-    syllable that could move to the front, so a g descent of the kept half
-    can only be its first syllable. The gate is base·removed, times g on the + side, and the
-    distance is |kept|, minus one on the + side.
+    One product and one strip decide all three: left-strip lk(g) from
+    t = nf(base^-1 x). x is on the + side exactly when the kept half starts
+    with a positive g syllable; then g^+ is a left descent of t, and the
+    carrier's other coset base·g·⟨lk g⟩ is one step nearer. Only lk(g)
+    commutes with g, and the strip leaves no lk(g) syllable that could move
+    to the front, so a g descent of the kept half can only be its first
+    syllable. The distance is |kept|, minus one on the + side.
     """
     graph = h.graph
     t = h.base.inverse() * x
     removed, kept = _strip_left(graph, t.syllables, graph.adj_mask[h.gen])
     d = sum(abs(e) for _, e in kept)
     if kept and kept[0][0] == h.gen and kept[0][1] > 0:
-        return h.base.append_syllables(removed + ((h.gen, 1),)), d - 1, 1
-    return h.base.append_syllables(removed), d, -1
+        return removed, d - 1, 1
+    return removed, d, -1
+
+
+def wall_gate_and_distance(x: GroupElement, h: Wall) -> tuple[GroupElement, int, int]:
+    """(gate vertex, distance, side) of x relative to the carrier of h.
+
+    side is which carrier coset the gate lies in: -1 for the base side,
+    +1 for the base·gen side; see _carrier_strip. side and wall_distance
+    read the strip alone, without building the gate vertex.
+    """
+    removed, d, s = _carrier_strip(x, h)
+    if s > 0:
+        removed += ((h.gen, 1),)
+    return h.base.append_syllables(removed), d, s
 
 
 # --- operations --------------------------------------------------------------
@@ -179,8 +191,7 @@ def walls_between(x: Vertex, y: Vertex) -> tuple[Wall, ...]:
 
 def side(h: Wall, x: Vertex) -> int:
     """-1 on the base side of h, +1 on the base·gen side."""
-    _, _, s = wall_gate_and_distance(x, h)
-    return s
+    return _carrier_strip(x, h)[2]
 
 
 def crosses(h1: Wall, h2: Wall) -> bool:
@@ -284,8 +295,7 @@ def gate(x: Vertex, h: Wall) -> Vertex:
 
 def wall_distance(o: Vertex, k: Wall) -> int:
     """d(o, carrier(k)): how many walls separate o from the whole carrier."""
-    _, d, _ = wall_gate_and_distance(o, k)
-    return d
+    return _carrier_strip(o, k)[1]
 
 
 def walls_separating_point_from_wall(o: Vertex, k: Wall) -> tuple[Wall, ...]:

@@ -1,9 +1,12 @@
 """Word parsing, normal forms, and the independent piling/BFS oracle."""
 
+import textwrap
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from childproc import run_python
 from cubemorse.raag import (
     DefiningGraph,
     GroupElement,
@@ -313,3 +316,23 @@ class TestStrip:
         ids = {id(s) for s in x.syllables}
         for halves in (_strip_left(graph, x.syllables, mask), _strip_right(graph, x.syllables, mask)):
             assert all(id(s) in ids for half in halves for s in half)
+
+
+def test_cancellation_check_under_python_O():
+    # the engine's geodesy invariant on the cancel-and-merge branch is an
+    # explicit check, not an assert
+    script = textwrap.dedent(
+        """
+        from cubemorse.raag import CertificateViolation, DefiningGraph, _append_syllable
+        graph = DefiningGraph.from_json("tests/data/z3z.json")
+        a, b = graph.gen_index("a"), graph.gen_index("b")
+        # b a b^-1 is no normal form: a^-1 cancels a and leaves b b^-1
+        try:
+            _append_syllable(graph, [(b, 1), (a, 1), (b, -1)], a, -1)
+        except CertificateViolation as e:
+            print("raised:", e)
+        """
+    )
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: cancellation broke geodesy\n", proc.stdout

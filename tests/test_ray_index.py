@@ -9,16 +9,18 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from childproc import run_python
+from cubemorse import boundary
 from cubemorse.boundary import (
     BoundaryRay,
     _ray_index,
     bracket_product,
+    cross_ratio_cr,
     find_separated_chain,
     gromov_product,
     ray_walls,
     validate_ray,
 )
-from cubemorse.raag import Word, normal_form
+from cubemorse.raag import GroupElement, Word, normal_form
 from cubemorse.walls import crossing_count, wall_distance
 from oracles import (
     bracket_product_by_lower_bound,
@@ -130,6 +132,16 @@ def test_chain_same_for_every_n(rays):
 BRACKET_DEPTH = 24
 
 
+def draw_ray(data, graph, base):
+    """A ray at base with a drawn prefix of up to three syllables and a
+    nonempty drawn period of up to three."""
+    n = len(graph.generators)
+    syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
+    prefix = Word(graph, data.draw(st.lists(syllable, max_size=3)))
+    period = Word(graph, data.draw(st.lists(syllable, min_size=1, max_size=3)))
+    return BoundaryRay(base, prefix, period)
+
+
 @seed(2301)
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
@@ -141,14 +153,7 @@ def test_bracket_matches_pruned_oracle(z3z, ck, data):
     syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
     base = normal_form(Word(graph, data.draw(st.lists(syllable, min_size=1, max_size=3))))
     assume(not base.is_identity)
-    p, q = (
-        BoundaryRay(
-            base,
-            Word(graph, data.draw(st.lists(syllable, max_size=3))),
-            Word(graph, data.draw(st.lists(syllable, min_size=1, max_size=3))),
-        )
-        for _ in range(2)
-    )
+    p, q = (draw_ray(data, graph, base) for _ in range(2))
     assume(validate_ray(p, BRACKET_DEPTH) and validate_ray(q, BRACKET_DEPTH))
     want = bracket_product_by_lower_bound(p, q, BRACKET_DEPTH)
     _ray_index.cache_clear()
@@ -159,6 +164,61 @@ def test_bracket_matches_pruned_oracle(z3z, ck, data):
             index.dist(t)
         index.tail_bound
     assert bracket_product(p, q, BRACKET_DEPTH) == want
+
+
+@seed(2302)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_tail_exceeds_matches_oracle(z3z, ck, data):
+    # every threshold from -1 to the depth, asked in a drawn order among
+    # chain and distance queries, against the greedy scan from every start;
+    # the early-stopping scan must resume correctly whatever came before
+    graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+    n = len(graph.generators)
+    syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
+    base = normal_form(Word(graph, data.draw(st.lists(syllable, max_size=3))))
+    ray = draw_ray(data, graph, base)
+    assume(validate_ray(ray, BRACKET_DEPTH))
+    _ray_index.cache_clear()
+    index = _ray_index(ray, BRACKET_DEPTH)
+    walls = index.walls
+    tail = max(0, len(oracle_chain(walls, None)) - 1)
+    queries = [("tail", x) for x in range(-1, BRACKET_DEPTH + 1)]
+    queries += [("chain", r) for r in (None, 2, 5)]
+    queries += [("dist", t) for t in range(len(walls))]
+    for kind, arg in data.draw(st.permutations(queries)):
+        if kind == "tail":
+            assert index.tail_exceeds(arg) == (tail > arg)
+        elif kind == "chain":
+            assert index.chain(arg) == oracle_chain(walls, arg)
+        else:
+            assert index.dist(arg) == oracle_lower(walls, arg)
+    assert index.tail_bound == tail
+
+
+def test_fresh_cross_ratio_separation_tests(z3z, monkeypatch):
+    # a cold AC1 cross ratio stops each tail scan at the first chain long
+    # enough to certify, so a deeper base costs no more separation tests
+    real, calls = boundary.strongly_separated, [0]
+
+    def counted(h1, h2):
+        calls[0] += 1
+        return real(h1, h2)
+
+    monkeypatch.setattr(boundary, "strongly_separated", counted)
+    counts = []
+    for m in (2, 12):
+        base = GroupElement.from_text(z3z, f"c^-{m}")
+        rays = [
+            BoundaryRay.from_text(z3z, t, base)
+            for t in ("a^4|d", "a^4 b|d", "a^-1 b^-1|d", "a^-1 b^-1 c|d")
+        ]
+        _ray_index.cache_clear()
+        calls[0] = 0
+        assert cross_ratio_cr(*rays, 40) == (m, True)
+        counts.append(calls[0])
+    assert counts[1] <= 160
+    assert counts[0] == counts[1]
 
 
 def test_wall_crossed_twice_is_a_violation_under_python_O():

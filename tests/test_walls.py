@@ -231,6 +231,8 @@ class TestOneProductSide:
         x = draw_element(data, graph)
         want = wall_gate_and_distance_by_cosets(x, h)
         assert wall_gate_and_distance(x, h) == want
+        # side and wall_distance skip building the gate vertex; they must
+        # still be the components of the gate query
         assert (gate(x, h), wall_distance(x, h), side(h, x)) == want
 
     @seed(2027)
