@@ -27,7 +27,6 @@ _EXPORTS = {
         "ball",
         "crosses",
         "crossing_count",
-        "extend_path",
         "gate",
         "side",
         "strongly_separated",

@@ -15,15 +15,18 @@ separated from the base by at least j-1 of them.
 Every product reads a ray through one index per (ray, depth), kept in a
 single bounded cache: the walls in crossing order and their positions,
 each wall's distance from the base, the strong-separation relation among
-the walls, and the greedy separated chains. A greedy chain is a walk along
-next pointers: from each wall to the first later wall strongly separated
-from it, within the gap bound. The pointers and the chain lengths they give
-are memoised per gap bound, so the chains from all starts share one walk.
-A product only asks whether the tail bound exceeds one number, and the
-index answers by scanning starts in order until some chain is long enough,
-resuming there on the next question. Only the walls are computed when the
-index is built; each relation is filled on first use and memoised, so a
-pair of walls is tested at most once.
+the walls, and the greedy separated chains. A wall's distance is read
+from the ray's own prefix while the walls are built: one right strip of
+the vertex reached so far, seen from the base, with no inverse or
+product. A greedy chain is a walk along next pointers: from each wall to
+the first later wall strongly separated from it, within the gap bound.
+The pointers and the chain lengths they give are memoised per gap bound,
+so the chains from all starts share one walk. A product only asks
+whether the tail bound exceeds one number, and the index answers by
+scanning starts in order until some chain is long enough, resuming there
+on the next question. Only the walls and their distances are computed
+when the index is built; each relation is filled on first use and
+memoised, so a pair of walls is tested at most once.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .raag import (
     GroupElement,
     LetterSeq,
     Word,
+    _strip_right,
     distance,
     normal_form,
     parse_word,
@@ -227,11 +231,12 @@ def _representative_letters(ray: BoundaryRay, depth: int):
 
 
 class _RayIndex:
-    """The walls of one ray at one depth and the relations among them that
-    the products read. Built once per (ray, depth) by _ray_index; the
-    relations are filled in place on first use and memoised, so a query
-    pays only for the pairs it touches. Not safe for concurrent filling
-    from several threads.
+    """The walls of one ray at one depth, their distances from the base and
+    the relations among them that the products read. Built once per
+    (ray, depth) by _ray_index, which reads each distance from the ray's
+    prefix as it builds the walls (see dist); the relations are filled in
+    place on first use and memoised, so a query pays only for the pairs it
+    touches. Not safe for concurrent filling from several threads.
 
     The greedy chain with gap bound r from start s is s, next_r(s),
     next_r(next_r(s)), ..., where next_r(s) is the first t with
@@ -244,17 +249,14 @@ class _RayIndex:
     every start. The tail test scans the starts in order and stops as soon
     as the longest chain so far settles its answer."""
 
-    __slots__ = (
-        "base", "walls", "pos", "_dist", "_known", "_sep", "_walks", "_scanned", "_tail",
-    )
+    __slots__ = ("walls", "pos", "_dists", "_known", "_sep", "_walks", "_scanned", "_tail")
 
-    def __init__(self, base: GroupElement, walls: tuple[Wall, ...]):
-        self.base = base
+    def __init__(self, walls: tuple[Wall, ...], dists: tuple[int, ...]):
         self.walls = walls
         self.pos = {w: t for t, w in enumerate(walls)}
         if len(self.pos) != len(walls):
             raise CertificateViolation("geodesic crossed a wall twice")
-        self._dist: list[Optional[int]] = [None] * len(walls)
+        self._dists = dists
         # bit j of _known[i] / _sep[i], i < j: pair tested / strongly separated
         self._known = [0] * len(walls)
         self._sep = [0] * len(walls)
@@ -266,19 +268,24 @@ class _RayIndex:
         self._tail = 0
 
     def dist(self, t: int) -> int:
-        """wall_distance(base, wall t), memoised. The distance to the
-        convex carrier of k = wall t counts the walls separating it from
-        the base, and these are exactly the earlier ray walls not crossing
-        k. The ray's geodesic starts at the base and crosses each wall
-        once. An earlier wall h not crossing k has k's carrier on one side,
-        the far side from the base, as the geodesic crosses h before k's
-        edge; so h separates. Conversely, a separating wall is crossed
-        before k's edge and cannot cross k, which would take it through
-        the carrier."""
-        d = self._dist[t]
-        if d is None:
-            d = self._dist[t] = wall_distance(self.base, self.walls[t])
-        return d
+        """wall_distance(base, wall t), read from the ray's prefix when the
+        index was built. Let u = base^-1·v, where v is the vertex the ray
+        reaches after its first t letters, and g the generator of letter t.
+        Wall t is dual to the edge at v in direction g, whatever the
+        letter's sign, so the carrier coset on v's side is v·⟨lk g⟩; the
+        other coset lies across the wall, one g-edge further. The geodesic
+        crosses wall t once, after v, so the base is on v's side too, and
+        the distance is the least |u·h| over h in ⟨lk g⟩: the length of u
+        right-stripped of ⟨lk g⟩, the minimal representative of u·⟨lk g⟩.
+
+        The distance also counts the earlier ray walls not crossing k =
+        wall t. The distance to the convex carrier of k counts the walls
+        separating it from the base. An earlier wall h not crossing k has
+        k's carrier on one side, the far side from the base, as the
+        geodesic crosses h before k's edge; so h separates. Conversely, a
+        separating wall is crossed before k's edge and cannot cross k,
+        which would take it through the carrier."""
+        return self._dists[t]
 
     def separated(self, i: int, j: int) -> bool:
         """Whether walls i < j are strongly separated."""
@@ -348,13 +355,17 @@ def _ray_index(ray: BoundaryRay, depth: int) -> _RayIndex:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth == 0:
-        return _RayIndex(ray.base, ())
-    out = []
-    v = ray.base
+        return _RayIndex((), ())
+    graph = ray.graph
+    walls, dists = [], []
+    v, u = ray.base, GroupElement.identity(graph)  # u = base^-1·v
     for letter in _representative_letters(ray, depth):
-        out.append(wall_of_edge(v, letter))
+        walls.append(wall_of_edge(v, letter))
+        kept, _ = _strip_right(graph, u.syllables, graph.adj_mask[letter.gen])
+        dists.append(sum(abs(e) for _, e in kept))
         v = v.append_letter(letter.gen, letter.sign)
-    return _RayIndex(ray.base, tuple(out))
+        u = u.append_letter(letter.gen, letter.sign)
+    return _RayIndex(tuple(walls), tuple(dists))
 
 
 def ray_walls(ray: BoundaryRay, depth: int) -> tuple[Wall, ...]:

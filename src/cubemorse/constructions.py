@@ -24,11 +24,11 @@ from .raag import (
     DefiningGraph,
     GroupElement,
     Letter,
-    _fold,
     _strip_right,
     distance,
     normal_form,
     parse_word,
+    quotient,
 )
 from .runpaths import (
     RunPath,
@@ -467,26 +467,6 @@ class GammaPath:
         return GammaFrame(self, (l - 1) // 4)
 
 
-def _in_frame(origin: GroupElement, x: GroupElement) -> GroupElement:
-    """origin^-1 · x, with work in the syllables after their common prefix.
-
-    Normal forms are words, so with c the longest common syllable prefix,
-    origin = c·a and x = c·b as words, and origin^-1·x = a^-1·b. The prefix
-    is found by tuple comparisons; only a and b reach the syllable engine.
-    The first probe assumes x shares all but the last few syllables."""
-    a, b = origin.syllables, x.syllables
-    lo, hi = 0, min(len(a), len(b))  # a[:lo] == b[:lo], and no longer prefix beyond hi
-    mid = max(hi - 8, 0)
-    while lo < hi:
-        if a[lo:mid] == b[lo:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-        mid = (lo + hi + 1) // 2
-    inv_a = [(g, -e) for g, e in reversed(a[lo:])]
-    return GroupElement(origin.graph, _fold(origin.graph, inv_a + list(b[lo:])))
-
-
 @dataclass(frozen=True)
 class GammaFrame:
     """gamma seen from its vertex 8k, which is P^k for the period P: the
@@ -497,8 +477,8 @@ class GammaFrame:
     -k of _PeriodOrbit. So every check about those four flats, and about
     the escape path's segments in them, can be asked of the translates,
     where gamma's vertices, lines and walls and the segment ends beside
-    them are words of a few syllables. local() translates one stored word
-    through its common prefix with P^k."""
+    them are words of a few syllables. local() is raag.quotient from P^k:
+    it translates one stored word through its common prefix with P^k."""
 
     gamma: GammaPath
     k: int
@@ -509,7 +489,7 @@ class GammaFrame:
 
     def local(self, x: GroupElement) -> GroupElement:
         """P^-k · x."""
-        return _in_frame(self.origin, x)
+        return quotient(self.origin, x)
 
     def line(self, ln: Line) -> Line:
         return Line(self.local(ln.base), ln.gen)
@@ -998,7 +978,7 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
             raise CertificateViolation(
                 f"segment {l} does not start on the exit line of flat {l - 1}"
             )
-        w = start.inverse() * frame.local(gamma.entry_vertex(l))
+        w = quotient(start, frame.local(gamma.entry_vertex(l)))
         budget = w.length
         toward = 1 if distance(one.append_letter(lg, 1), w) < budget else -1
         mid = one.append_run(seg.p_gen, seg.p_sign * seg.N)

@@ -497,8 +497,31 @@ def normal_form(w, graph: DefiningGraph | None = None) -> GroupElement:
     return GroupElement(graph, _fold(graph, w.letters.runs))
 
 
+def quotient(a: GroupElement, b: GroupElement) -> GroupElement:
+    """a^-1 · b, with work in the syllables after their common prefix.
+
+    Normal forms are words, so with c the longest common syllable prefix,
+    a = c·a' and b = c·b' as words, and a^-1·b = a'^-1·b'. The prefix is
+    found by tuple comparisons; only a' and b' reach the syllable engine.
+    The first probe assumes b shares all but the last few syllables of a,
+    as a vertex near a wall's base or a frame's origin does."""
+    if a.graph is not b.graph and a.graph != b.graph:
+        raise MixedGraphs("cannot multiply over different defining graphs")
+    x, y = a.syllables, b.syllables
+    lo, hi = 0, min(len(x), len(y))  # x[:lo] == y[:lo], and no longer prefix beyond hi
+    mid = max(hi - 8, 0)
+    while lo < hi:
+        if x[lo:mid] == y[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+        mid = (lo + hi + 1) // 2
+    inv_x = [(g, -e) for g, e in reversed(x[lo:])]
+    return GroupElement(a.graph, _fold(a.graph, inv_x + list(y[lo:])))
+
+
 def distance(x: GroupElement, y: GroupElement) -> int:
     """Graph distance in the Cayley 1-skeleton."""
     if x.graph is not y.graph and x.graph != y.graph:
         raise MixedGraphs("cannot measure distance across defining graphs")
-    return (x.inverse() * y).length
+    return quotient(x, y).length

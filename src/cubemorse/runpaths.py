@@ -38,6 +38,7 @@ from .raag import (
     Word,
     WordError,
     _strip_right,
+    quotient,
 )
 
 
@@ -414,7 +415,7 @@ def _origin_table(p1: RunPath, p2: RunPath, ids: dict) -> _ClusterTable:
     """The connector from p1's origin to p2's origin, keys interned by ids."""
     table = _ClusterTable()
     v = p1.origin
-    for g, e in (p1.origin.inverse() * p2.origin).syllables:
+    for g, e in quotient(p1.origin, p2.origin).syllables:
         key, m = _star_frame(p1.graph, v, g)
         table.add(ids.setdefault(key, len(ids)), m, e)
         v = v.append_run(g, e)

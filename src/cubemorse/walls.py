@@ -29,17 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .raag import (
     CertificateViolation,
     DefiningGraph,
     GroupElement,
     Letter,
-    Word,
     WordError,
     _strip_left,
     _strip_right,
+    quotient,
 )
 
 # a Vertex of the complex is exactly a group element
@@ -59,14 +58,6 @@ class InvalidPair(ValueError):
 
 class BallCapExceeded(ValueError):
     """Requested radius above the configured cap."""
-
-
-class NoExtension(ValueError):
-    """No admissible extension edge exists (or is unique when required)."""
-
-
-class InvalidPath(ValueError):
-    """Input path violates a documented precondition."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +115,7 @@ def coset_gate_and_distance(
     subgroup; the remainder length is the distance (gate property of convex
     parabolic cosets).
     """
-    t = rep.inverse() * x
+    t = quotient(rep, x)
     removed, kept = _strip_left(rep.graph, t.syllables, gens_mask)
     gate_el = rep.append_syllables(removed)
     return gate_el, sum(abs(e) for _, e in kept)
@@ -134,7 +125,7 @@ def _carrier_strip(x: GroupElement, h: Wall) -> tuple[tuple, int, int]:
     """(removed, distance, side) of x relative to the carrier of h, where
     the gate is base·removed, times g on the + side.
 
-    One product and one strip decide all three: left-strip lk(g) from
+    One quotient and one strip decide all three: left-strip lk(g) from
     t = nf(base^-1 x). x is on the + side exactly when the kept half starts
     with a positive g syllable; then g^+ is a left descent of t, and the
     carrier's other coset base·g·⟨lk g⟩ is one step nearer. Only lk(g)
@@ -143,7 +134,7 @@ def _carrier_strip(x: GroupElement, h: Wall) -> tuple[tuple, int, int]:
     syllable. The distance is |kept|, minus one on the + side.
     """
     graph = h.graph
-    t = h.base.inverse() * x
+    t = quotient(h.base, x)
     removed, kept = _strip_left(graph, t.syllables, graph.adj_mask[h.gen])
     d = sum(abs(e) for _, e in kept)
     if kept and kept[0][0] == h.gen and kept[0][1] > 0:
@@ -178,7 +169,7 @@ def walls_between(x: Vertex, y: Vertex) -> tuple[Wall, ...]:
     """Walls separating x from y, in crossing order along the normal-form
     geodesic from x to y. Geodesics cross each separating wall once, so the
     result has distance(x,y) entries and no duplicates."""
-    w = x.inverse() * y
+    w = quotient(x, y)
     out = []
     p = x
     for g, e in w.syllables:
@@ -213,7 +204,7 @@ def _stripped_middle(r1: GroupElement, g1: int, r2: GroupElement, g2: int) -> tu
     the carrier cosets r1⟨lk g1⟩ and r2⟨lk g2⟩ after pulling off everything
     either coset can absorb, and r1·prefix is the first coset's gate."""
     graph = r1.graph
-    removed, kept = _strip_left(graph, (r1.inverse() * r2).syllables, graph.adj_mask[g1])
+    removed, kept = _strip_left(graph, quotient(r1, r2).syllables, graph.adj_mask[g1])
     middle, _ = _strip_right(graph, kept, graph.adj_mask[g2])
     return removed, middle
 
@@ -335,98 +326,3 @@ def ball(o: Vertex, r: int, cap: int = DEFAULT_BALL_CAP) -> tuple[Vertex, ...]:
         frontier = nxt
     return tuple(sorted(seen, key=lambda v: (v.length, v.syllables)))
 
-
-def extend_path(
-    p: Word,
-    steps: int,
-    flat: Optional[tuple] = None,
-    origin: Optional[Vertex] = None,
-) -> Word:
-    """Extend a path so every new edge's wall is disjoint from all previous.
-
-    Without flat: the path's walls must already be pairwise disjoint; each
-    step picks deterministically among admissible edges, preferring
-    generators that do not commute with (and differ from) the last letter,
-    then least (generator, sign) with + before -.
-
-    With flat = (g, h), a pair of adjacent generators: the path must lie in
-    the flat through the origin, and each step takes the unique in-flat edge
-    whose wall is disjoint from all previous ones.
-    """
-    if steps < 0:
-        raise WordError("steps must be nonnegative")
-    graph = p.graph
-    if origin is None:
-        origin = GroupElement.identity(graph)
-
-    flat_gens: Optional[tuple[int, int]] = None
-    if flat is not None:
-        f1, f2 = flat
-        f1 = graph.gen_index(f1) if isinstance(f1, str) else f1
-        f2 = graph.gen_index(f2) if isinstance(f2, str) else f2
-        if not graph.adjacent(f1, f2):
-            raise InvalidPath("flat generators must commute")
-        flat_gens = (f1, f2)
-        for g, _ in p.letters.runs:
-            if g not in flat_gens:
-                raise InvalidPath("path leaves the requested flat")
-
-    vertex = origin
-    walls: list[Wall] = []
-    for letter in p:
-        walls.append(wall_of_edge(vertex, letter))
-        vertex = vertex.append_letter(letter.gen, letter.sign)
-    if flat_gens is None:
-        for i in range(len(walls)):
-            for j in range(i + 1, len(walls)):
-                if walls[i] == walls[j] or crosses(walls[i], walls[j]):
-                    raise InvalidPath("path walls must be pairwise disjoint")
-
-    new_letters = list(p.letters.runs)
-    last_gen = p.letters.runs[-1][0] if p.letters.runs else None
-
-    def admissible(g: int, s: int) -> Optional[Wall]:
-        w = wall_of_edge(vertex, Letter(g, s))
-        for prev in walls:
-            if w == prev or crosses(w, prev):
-                return None
-        return w
-
-    for _ in range(steps):
-        if flat_gens is not None:
-            options = [
-                (g, s) for g in flat_gens for s in (1, -1)
-            ]
-            hits = [(g, s, admissible(g, s)) for g, s in options]
-            hits = [(g, s, w) for g, s, w in hits if w is not None]
-            if not hits:
-                raise NoExtension("no in-flat edge extends the path")
-            if len(hits) > 1:
-                raise NoExtension("in-flat extension is not unique")
-            g, s, w = hits[0]
-        else:
-            first = [
-                g
-                for g in range(len(graph.generators))
-                if last_gen is not None
-                and g != last_gen
-                and not graph.adjacent(g, last_gen)
-            ]
-            rest = [g for g in range(len(graph.generators)) if g not in first]
-            choice = None
-            for g in first + rest:
-                for s in (1, -1):
-                    w = admissible(g, s)
-                    if w is not None:
-                        choice = (g, s, w)
-                        break
-                if choice:
-                    break
-            if choice is None:
-                raise NoExtension("no disjoint-wall extension exists")
-            g, s, w = choice
-        walls.append(w)
-        vertex = vertex.append_letter(g, s)
-        new_letters.append((g, s))
-        last_gen = g
-    return Word(graph, new_letters)

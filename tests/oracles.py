@@ -5,14 +5,15 @@ The piling invariant (_pile_key) and the BFS distance over literal letter
 moves decide equality and distance in a RAAG without the syllable engine
 in cubemorse.raag. The others redo a fast layer's question the slow,
 direct way on top of the layers below it: the coset strip read to the
-end of the word, gates on both carrier cosets, a level-by-level scan of
-gamma's period translates, the escape path and its separation asked on
-the global vertices and walls, the dichotomy stepped one letter at a time,
-the distance knots from a cluster table per vertex of Z, the chain
-greedy and the pruned bracket product over plain tuples of walls, the
-contraction gate asked of every pair, and the run-path cell minima
-counted wall by wall at every position. random_graphs draws the defining
-graphs they are run on.
+end of the word, gates on both carrier cosets, crossing walls found by a
+square search in a ball, a level-by-level scan of gamma's period
+translates, the escape path and its separation asked on the global
+vertices and walls, the dichotomy stepped one letter at a time, the
+distance knots from a cluster table per vertex of Z, the chain greedy and
+the pruned bracket product over plain tuples of walls, the contraction
+gate asked of every pair, and the run-path cell minima counted wall by
+wall at every position. random_graphs draws the defining graphs they
+are run on.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from cubemorse.runpaths import (
 )
 from cubemorse.walls import (
     DEFAULT_BALL_CAP,
+    Wall,
     ball,
     coset_gate_and_distance,
     crosses,
@@ -304,6 +306,29 @@ def wall_gate_and_distance_by_cosets(x, h):
     if d_minus < d_plus:
         return gate_minus, d_minus, -1
     return gate_plus, d_plus, 1
+
+
+def crosses_by_square_search(h1, h2) -> bool:
+    """Reference for walls.crosses: h1 and h2 cross exactly when g1 and g2
+    are adjacent and some vertex v in ball(b1, d(b1, b2)) has
+    Wall(v, g1) == h1 and Wall(v, g2) == h2, for the walls' bases b1, b2
+    and generators g1, g2.
+
+    Such a v is the corner of the square spanned by g1 and g2 at v, and
+    both walls pass through that square, so they cross. Conversely, walls
+    that cross have adjacent generators and carrier cosets b1⟨lk g1⟩ and
+    b2⟨lk g2⟩ that meet, and the double strip writes b1^-1·b2 = x·y along
+    a geodesic, with x in ⟨lk g1⟩ and y in ⟨lk g2⟩. Then v = b1·x = b2·y^-1
+    lies in both cosets, so the edges at v in directions g1 and g2 are dual
+    to h1 and h2, and |x| <= |b1^-1·b2| puts v within that radius of b1.
+    The radius is measured with a plain inverse and product."""
+    if not h1.graph.adjacent(h1.gen, h2.gen):
+        return False
+    radius = (h1.base.inverse() * h2.base).length
+    return any(
+        Wall(v, h1.gen) == h1 and Wall(v, h2.gen) == h2
+        for v in ball(h1.base, radius, cap=radius)
+    )
 
 
 def coset_base_by_gate(base: GroupElement, mask: int) -> GroupElement:

@@ -24,6 +24,7 @@ from cubemorse.raag import (
     distance,
     normal_form,
     parse_word,
+    quotient,
 )
 from oracles import (
     NotInBall,
@@ -209,6 +210,8 @@ class TestGroupOps:
             normal_form("a", z3z) * normal_form("a", ck)
         with pytest.raises(MixedGraphs):
             distance(normal_form("a", z3z), normal_form("a", ck))
+        with pytest.raises(MixedGraphs):
+            quotient(normal_form("a", z3z), normal_form("a", ck))
 
     def test_exponent_sum_is_class_function(self, z3z):
         x = normal_form("d a d^-1 a", z3z)
@@ -226,6 +229,30 @@ class TestGroupOps:
         x = elem(z3z, a)
         assert x.inverse().inverse() == x
         assert (x * x.inverse()).is_identity
+
+    @seed(2403)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_quotient_matches_inverse_product(self, z3z, ck, data):
+        # b = a·w, where w undoes a's tail after a drawn letter, inside a
+        # syllable or not, and then adds a drawn word. So the common syllable
+        # prefix takes every length, past the first probe 8 syllables short
+        # of the end too, and its last syllable may match only in part
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        n = len(graph.generators)
+        syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+
+        def words(most):
+            # the size is drawn first: lists drawn directly are mostly short
+            return st.integers(0, most).flatmap(
+                lambda k: st.lists(syllable, min_size=k, max_size=k)
+            )
+
+        a = normal_form(Word(graph, data.draw(words(30))))
+        cut = data.draw(st.integers(0, a.length))
+        b = normal_form(a.normal[:cut]) * normal_form(Word(graph, data.draw(words(12))))
+        assert quotient(a, b) == a.inverse() * b
+        assert quotient(b, a) == b.inverse() * a
 
 
 class TestBfsOracle:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from childproc import run_python
 from cubemorse import boundary
+from cubemorse import walls as walls_module
 from cubemorse.boundary import (
     BoundaryRay,
     _ray_index,
@@ -219,6 +220,34 @@ def test_fresh_cross_ratio_separation_tests(z3z, monkeypatch):
         counts.append(calls[0])
     assert counts[1] <= 160
     assert counts[0] == counts[1]
+
+
+def test_fresh_cross_ratio_reads_distances_from_prefixes(z3z, monkeypatch):
+    # a cold AC1 cross ratio reads every ray wall's distance from its ray's
+    # prefix: no carrier strip, the only path to wall_distance, side and the
+    # gates; and one inverse per ray, the base's in _representative_letters
+    calls = {"strip": 0, "inverse": 0}
+    real_strip, real_inverse = walls_module._carrier_strip, GroupElement.inverse
+
+    def strip(x, h):
+        calls["strip"] += 1
+        return real_strip(x, h)
+
+    def inverse(x):
+        calls["inverse"] += 1
+        return real_inverse(x)
+
+    base = GroupElement.from_text(z3z, "c^-12")
+    rays = [
+        BoundaryRay.from_text(z3z, t, base)
+        for t in ("a^4|d", "a^4 b|d", "a^-1 b^-1|d", "a^-1 b^-1 c|d")
+    ]
+    monkeypatch.setattr(walls_module, "_carrier_strip", strip)
+    monkeypatch.setattr(GroupElement, "inverse", inverse)
+    _ray_index.cache_clear()
+    assert cross_ratio_cr(*rays, 40) == (12, True)
+    assert calls["strip"] == 0
+    assert calls["inverse"] <= 4
 
 
 def test_wall_crossed_twice_is_a_violation_under_python_O():

@@ -10,7 +10,7 @@ import random
 import textwrap
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from childproc import run_python
@@ -20,20 +20,17 @@ from cubemorse.raag import (
     Word,
     _fold,
     normal_form,
-    parse_word,
 )
 from cubemorse import walls as walls_module
 from cubemorse.runpaths import CertificateViolation
 from cubemorse.walls import (
     BallCapExceeded,
     InvalidPair,
-    InvalidPath,
     Wall,
     WallsCross,
     ball,
     crosses,
     crossing_count,
-    extend_path,
     gate,
     side,
     strongly_separated,
@@ -43,7 +40,12 @@ from cubemorse.walls import (
     walls_separating_point_from_wall,
     wall_gate_and_distance,
 )
-from oracles import bfs_oracle_distance, random_graphs, wall_gate_and_distance_by_cosets
+from oracles import (
+    bfs_oracle_distance,
+    crosses_by_square_search,
+    random_graphs,
+    wall_gate_and_distance_by_cosets,
+)
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -268,6 +270,21 @@ class TestCrosses:
             for h2 in pool[i + 1 :]:
                 assert crosses(h1, h2) == four_quadrant(table, h1, h2), (h1, h2)
 
+    @seed(2404)
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_square_search(self, z3z, ck, data):
+        # two generators that differ, and the second base the first times
+        # a short drawn word, so both answers occur; the search ball's
+        # radius is kept at most 4
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        g1, g2 = data.draw(st.permutations(range(len(graph.generators))))[:2]
+        h1 = Wall(draw_element(data, graph, 4), g1)
+        h2 = Wall(h1.base * draw_element(data, graph, 4), g2)
+        assume((h1.base.inverse() * h2.base).length <= 4)
+        assert crosses(h1, h2) == crosses_by_square_search(h1, h2)
+        assert crosses(h2, h1) == crosses_by_square_search(h2, h1)
+
 
 class TestCrossingCount:
     def test_strongly_separated_parallel_walls(self, z3z):
@@ -491,44 +508,6 @@ class TestBall:
     def test_cap(self, ck):
         with pytest.raises(BallCapExceeded):
             ball(GroupElement.identity(ck), 13)
-
-
-class TestExtendPath:
-    def test_prefers_non_commuting(self, z3z):
-        p = parse_word("a", z3z)
-        assert extend_path(p, 1).text() == "a d"
-
-    def test_zero_steps(self, z3z):
-        p = parse_word("a", z3z)
-        assert extend_path(p, 0).text() == "a"
-
-    def test_flat_extension_unique(self, ck):
-        p = parse_word("b", ck)
-        assert extend_path(p, 2, flat=("b", "c")).text() == "b^3"
-
-    def test_flat_must_commute(self, ck):
-        with pytest.raises(InvalidPath):
-            extend_path(parse_word("b", ck), 1, flat=("b", "d"))
-
-    def test_path_must_stay_in_flat(self, ck):
-        with pytest.raises(InvalidPath):
-            extend_path(parse_word("a", ck), 1, flat=("b", "c"))
-
-    def test_crossing_walls_rejected_outside_flat(self, z3z):
-        with pytest.raises(InvalidPath):
-            extend_path(parse_word("a b", z3z), 1)
-
-    def test_extension_walls_pairwise_disjoint(self, ck):
-        p = extend_path(parse_word("a", ck), 6)
-        v = GroupElement.identity(ck)
-        ws = []
-        for letter in p:
-            ws.append(wall_of_edge(v, letter))
-            v = v.append_letter(letter.gen, letter.sign)
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                assert ws[i] != ws[j]
-                assert not crosses(ws[i], ws[j])
 
 
 class TestSigma:
