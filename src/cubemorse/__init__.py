@@ -40,7 +40,6 @@ _EXPORTS = {
         "RunPath",
         "certify_quasigeodesic_runs",
         "min_pair_distance",
-        "path_pair_distance",
         "walk_wall_count",
     ),
     "boundary": (
@@ -71,7 +70,6 @@ _EXPORTS = {
         "GammaPath",
         "Line",
         "PreconditionFailed",
-        "QuasiGeodesicCertificate",
         "SegmentCertificate",
         "SeparationReport",
         "SublinearFn",

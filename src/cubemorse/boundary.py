@@ -329,25 +329,21 @@ class _RayIndex:
         return tuple(out)
 
     def tail_exceeds(self, x: int) -> bool:
-        """Whether tail_bound > x, scanning starts only until the longest
-        chain so far decides it. The running value max(0, longest - 1) only
-        grows and ends at tail_bound, so once it exceeds x so does
-        tail_bound; and when every start is scanned it is tail_bound."""
+        """Whether every wall crossed after these has more than x walls
+        between it and the base.
+
+        The tail bound is max(0, greatest L_None - 1): pairwise strongly
+        separated chain walls can share no crossing wall, so a later wall
+        crosses at most one wall of a chain of length L and at least L - 1
+        lie between it and the base. Starts are scanned only until the
+        longest chain so far decides the question: the running value only
+        grows and ends at the tail bound, so once it exceeds x so does the
+        bound, and when every start is scanned it is the bound."""
         n = len(self.walls)
         while self._tail <= x and self._scanned < n:
             self._tail = max(self._tail, self._length(None, self._scanned) - 1)
             self._scanned += 1
         return self._tail > x
-
-    @property
-    def tail_bound(self) -> int:
-        """Any wall crossed after these has at least this many walls between
-        it and the base: pairwise strongly separated chain walls can share
-        no crossing wall, so a later wall crosses at most one of them. It
-        is max(0, greatest L_None - 1), below len(walls), so asking whether
-        it exceeds len(walls) scans every start."""
-        self.tail_exceeds(len(self.walls))
-        return self._tail
 
 
 @lru_cache(maxsize=4096)

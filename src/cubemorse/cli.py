@@ -467,37 +467,14 @@ def _cmd_smallcancel(args):
     }, True
 
 
-_HANDLERS = {
-    "nf": _cmd_nf,
-    "dist": _cmd_dist,
-    "walls": _cmd_walls,
-    "side": _cmd_side,
-    "crosses": _cmd_crosses,
-    "separated": _cmd_separated,
-    "chain": _cmd_chain,
-    "product": _cmd_product,
-    "bracket": _cmd_bracket,
-    "metric": _cmd_metric,
-    "crossratio": _cmd_crossratio,
-    "hyp": _cmd_hyp,
-    "refine": _cmd_refine,
-    "kappa": _cmd_kappa,
-    "gamma": _cmd_gamma,
-    "beta": _cmd_beta,
-    "contracting": _cmd_contracting,
-    "dichotomy": _cmd_dichotomy,
-    "example23": _cmd_example23,
-    "smallcancel": _cmd_smallcancel,
-}
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="cubemorse", description=__doc__)
     p.add_argument("--json", action="store_true", help="emit one JSON report")
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name: str, help_: str, graph: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_: str, graph: bool = True) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(handler=handler)
         # accepted on either side of the subcommand; SUPPRESS keeps the
         # subparser from clobbering a --json given before it
         sp.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
@@ -506,60 +483,60 @@ def _build_parser() -> _Parser:
             sp.add_argument("--graph", metavar="FILE", help="defining graph JSON")
         return sp
 
-    sp = add("nf", "shortlex geodesic normal form of a word")
+    sp = add("nf", _cmd_nf, "shortlex geodesic normal form of a word")
     sp.add_argument("word")
 
-    sp = add("dist", "word metric distance between two elements")
+    sp = add("dist", _cmd_dist, "word metric distance between two elements")
     sp.add_argument("x")
     sp.add_argument("y")
 
-    sp = add("walls", "walls separating two elements")
+    sp = add("walls", _cmd_walls, "walls separating two elements")
     sp.add_argument("x")
     sp.add_argument("y")
 
-    sp = add("side", "which side of a wall an element lies on")
+    sp = add("side", _cmd_side, "which side of a wall an element lies on")
     sp.add_argument("--wall", required=True, metavar="BASE@GEN")
     sp.add_argument("x")
 
-    sp = add("crosses", "whether two walls are transverse")
+    sp = add("crosses", _cmd_crosses, "whether two walls are transverse")
     sp.add_argument("wall1", metavar="BASE@GEN")
     sp.add_argument("wall2", metavar="BASE@GEN")
 
-    sp = add("separated", "walls crossing both of two disjoint walls")
+    sp = add("separated", _cmd_separated, "walls crossing both of two disjoint walls")
     sp.add_argument("wall1", metavar="BASE@GEN")
     sp.add_argument("wall2", metavar="BASE@GEN")
     sp.add_argument("--slack", type=int, default=DEFAULT_SLACK)
     sp.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
 
-    sp = add("chain", "separated chain among a ray's walls")
+    sp = add("chain", _cmd_chain, "separated chain among a ray's walls")
     sp.add_argument("--ray", required=True, metavar="PREFIX|PERIOD")
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--r", type=int, default=5)
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 
-    for name, help_ in (
-        ("product", "Gromov product of two rays"),
-        ("bracket", "bracket product of two rays"),
-        ("metric", "boundary distance term of two rays"),
+    for name, handler, help_ in (
+        ("product", _cmd_product, "Gromov product of two rays"),
+        ("bracket", _cmd_bracket, "bracket product of two rays"),
+        ("metric", _cmd_metric, "boundary distance term of two rays"),
     ):
-        sp = add(name, help_)
+        sp = add(name, handler, help_)
         sp.add_argument("--base", default=None, help="basepoint element")
         sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
         sp.add_argument("xi", metavar="PREFIX|PERIOD")
         sp.add_argument("eta", metavar="PREFIX|PERIOD")
 
-    sp = add("crossratio", "cross ratio of four labeled rays")
+    sp = add("crossratio", _cmd_crossratio, "cross ratio of four labeled rays")
     sp.add_argument("--base", default=None)
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     sp.add_argument("--variant", choices=("cr", "bfm"), default="cr")
     sp.add_argument("rays", nargs=4, metavar="LABEL:RAY")
 
-    sp = add("hyp", "whether a ray crosses every listed wall")
+    sp = add("hyp", _cmd_hyp, "whether a ray crosses every listed wall")
     sp.add_argument("--ray", required=True, metavar="PREFIX|PERIOD")
     sp.add_argument("--wall", action="append", default=[], metavar="BASE@GEN")
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 
-    sp = add("refine", "single chain wall behind two crossed walls")
+    sp = add("refine", _cmd_refine, "single chain wall behind two crossed walls")
     sp.add_argument("--ray", required=True, metavar="PREFIX|PERIOD")
     sp.add_argument("wall1", metavar="BASE@GEN")
     sp.add_argument("wall2", metavar="BASE@GEN")
@@ -567,15 +544,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--r", type=int, default=5)
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 
-    sp = add("kappa", "trapping radius of a sublinear gauge", graph=False)
+    sp = add("kappa", _cmd_kappa, "trapping radius of a sublinear gauge", graph=False)
     sp.add_argument("--rho", default="0", help='gauge: "const 3", "power 2 1/2", "log 3"')
     sp.add_argument("--K", type=fraction, default=Fraction(1))
     sp.add_argument("--C", type=fraction, default=Fraction(0))
 
-    sp = add("gamma", "periodic diagonal geodesic through the flat cycle", graph=False)
+    sp = add("gamma", _cmd_gamma, "periodic diagonal geodesic through the flat cycle", graph=False)
     sp.add_argument("--flats", type=int, required=True)
 
-    sp = add("beta", "flat-hopping escape path against gamma", graph=False)
+    sp = add("beta", _cmd_beta, "flat-hopping escape path against gamma", graph=False)
     sp.add_argument("--delta", type=int, required=True)
     sp.add_argument("--flats", type=int, required=True)
     sp.add_argument("--certify", action="store_true",
@@ -583,7 +560,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--K", type=fraction, default=Fraction(8))
     sp.add_argument("--C", type=fraction, default=Fraction(1))
 
-    sp = add("contracting", "brute-force contraction check around a path")
+    sp = add("contracting", _cmd_contracting, "brute-force contraction check around a path")
     sp.add_argument("path", metavar="SPEC", help="word:W, gamma:L or beta:D,L[,N]")
     sp.add_argument("--rho", default="0")
     sp.add_argument("--radius", type=int, default=3)
@@ -591,20 +568,21 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-pairs", type=int, default=200_000)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("dichotomy", "trapped-or-linear divergence classification")
+    sp = add("dichotomy", _cmd_dichotomy, "trapped-or-linear divergence classification")
     sp.add_argument("--z", required=True, metavar="SPEC", help="contracting set path")
     sp.add_argument("--path", required=True, metavar="SPEC", help="path to classify")
     sp.add_argument("--rho", default="0")
     sp.add_argument("--K", type=fraction, default=Fraction(8))
     sp.add_argument("--C", type=fraction, default=Fraction(1))
 
-    sp = add("example23", "glued graph basepoint experiment", graph=False)
+    sp = add("example23", _cmd_example23, "glued graph basepoint experiment", graph=False)
     sp.add_argument("--f", default="poly 1 0 1", help='branch scale, e.g. "poly 1 0 1"')
     sp.add_argument("--imax", type=int, default=6)
     sp.add_argument("--tail", type=int, required=True)
     sp.add_argument("--kappa", type=int, default=2)
 
-    sp = add("smallcancel", "piece overlap bound for the glued loops", graph=False)
+    sp = add("smallcancel", _cmd_smallcancel, "piece overlap bound for the glued loops",
+             graph=False)
     sp.add_argument("--f", default="poly 1 0 1")
     sp.add_argument("--imax", type=int, default=6)
 
@@ -628,7 +606,7 @@ def run(argv: list[str]) -> int:
         if args.command is None:
             raise CLIError("missing subcommand")
         t0 = time.perf_counter()
-        outputs, certified = _HANDLERS[args.command](args)
+        outputs, certified = args.handler(args)
         report = {
             "command": args.command,
             "inputs": [a for a in argv if a != "--json"],

@@ -13,7 +13,7 @@ from __future__ import annotations
 import decimal
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -31,6 +31,7 @@ from .raag import (
     quotient,
 )
 from .runpaths import (
+    QuasiGeodesicReport,
     RunPath,
     certify_quasigeodesic_runs,
     set_distance_knots,
@@ -1014,43 +1015,19 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
 # --- quasi-geodesic certification ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasiGeodesicCertificate:
-    """Exact check of d(s,t) >= |s-t|/K - C over all vertex pairs.
+def certify_quasigeodesic(path: RunPath, K, C) -> QuasiGeodesicReport:
+    """Exact check of the paper's lower bound d(s,t) >= (t-s)/K - C over
+    all vertex pairs s <= t of the path.
 
-    min_margin is the global minimum of d - (|s-t|/K - C) and witness
-    attains it. upper_ok records the structural bound d <= |s-t|, which
-    holds for every unit-speed edge path. A pass implies the euclidean
-    statement with multiplicative constant sqrt(l2_K_squared), since the
-    euclidean metric of a square complex shrinks the edge metric by at
-    most sqrt(2)."""
-
-    certified: bool
-    K: Fraction
-    C: Fraction
-    min_margin: Fraction
-    witness: tuple[int, int]
-    evaluations: int
-    upper_ok: bool
-    l2_K_squared: Fraction
-    l2_C: Fraction
-
-
-def certify_quasigeodesic(path: RunPath, K, C) -> QuasiGeodesicCertificate:
+    Multiplied by K it is the engine's form K*d(s,t) + K*C >= t-s, so this
+    is certify_quasigeodesic_runs at (K, K*C) with C restored and the
+    margin divided by K: min_margin is the exact minimum of
+    d - ((t-s)/K - C), a Fraction, and witness attains it. The upper bound
+    d <= t-s holds for every unit-speed edge path."""
     K = Fraction(K)
     C = Fraction(C)
     rep = certify_quasigeodesic_runs(path, K, K * C)
-    return QuasiGeodesicCertificate(
-        rep.certified,
-        K,
-        C,
-        Fraction(rep.min_margin) / K,
-        rep.witness,
-        rep.evaluations,
-        True,
-        2 * K * K,
-        C,
-    )
+    return replace(rep, C=C, min_margin=Fraction(rep.min_margin) / K)
 
 
 # --- contraction checking -------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .boundary import fellow_travel_radius
 from .constructions import ConfigError, PreconditionFailed
-from .raag import DefiningGraph, LetterSeq, Word, _runs_to_text, parse_word
+from .raag import CertificateViolation, DefiningGraph, LetterSeq, Word, _runs_to_text, parse_word
 
 
 # --- glued labeled graph ---------------------------------------------------------
@@ -239,8 +239,9 @@ def build_example23(f, i_max: int, tail: int) -> Example23:
         g.add_edge(prev, f"r{i}.{6 * fi}", "d1")
 
     n_branch = sum(12 * v + tail for v in values.values())
-    assert g.vertex_count == 1 + tail + i_max + n_branch
-    assert g.edge_count == tail + i_max + n_branch + i_max
+    want = (1 + tail + i_max + n_branch, tail + i_max + n_branch + i_max)
+    if (g.vertex_count, g.edge_count) != want:
+        raise CertificateViolation("glued graph has the wrong vertex or edge count")
     return Example23(g, tuple(sorted(values.items())), i_max, tail)
 
 

@@ -173,16 +173,6 @@ def walk_wall_count(graph: DefiningGraph, segments: Iterable[tuple]) -> int:
     return table.total
 
 
-def path_pair_distance(p1: RunPath, s: int, p2: RunPath, t: int) -> int:
-    """Exact distance between p1's vertex at s and p2's vertex at t."""
-    ids: dict = {}
-    table = _origin_table(p1, p2, ids)
-    for start, g, e in p1.segments_between(s, 0) + p2.segments_between(0, t):
-        key, m = _star_frame(p1.graph, start, g)
-        table.add(ids.setdefault(key, len(ids)), m, e)
-    return table.total
-
-
 # --- exact minimization over run-pair cells ---------------------------------
 #
 # A partial run is the head (first u steps) or the tail (the steps after the
@@ -303,6 +293,8 @@ class QuasiGeodesicReport:
 
     min_margin is the exact global minimum of K*d(s,t) + C - (t-s) and
     witness attains it; certified iff the minimum is nonnegative.
+    constructions.certify_quasigeodesic returns this type for the paper's
+    form d(s,t) >= (t-s)/K - C, with C and min_margin in that form.
     """
 
     certified: bool

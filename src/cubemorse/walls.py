@@ -142,19 +142,6 @@ def _carrier_strip(x: GroupElement, h: Wall) -> tuple[tuple, int, int]:
     return removed, d, -1
 
 
-def wall_gate_and_distance(x: GroupElement, h: Wall) -> tuple[GroupElement, int, int]:
-    """(gate vertex, distance, side) of x relative to the carrier of h.
-
-    side is which carrier coset the gate lies in: -1 for the base side,
-    +1 for the base·gen side; see _carrier_strip. side and wall_distance
-    read the strip alone, without building the gate vertex.
-    """
-    removed, d, s = _carrier_strip(x, h)
-    if s > 0:
-        removed += ((h.gen, 1),)
-    return h.base.append_syllables(removed), d, s
-
-
 # --- operations --------------------------------------------------------------
 
 
@@ -279,9 +266,12 @@ def crossing_count(
 
 
 def gate(x: Vertex, h: Wall) -> Vertex:
-    """The unique vertex of the carrier of h nearest to x."""
-    gate_el, _, _ = wall_gate_and_distance(x, h)
-    return gate_el
+    """The unique vertex of the carrier of h nearest to x: base·removed,
+    times g when x is on the + side; see _carrier_strip."""
+    removed, _, s = _carrier_strip(x, h)
+    if s > 0:
+        removed += ((h.gen, 1),)
+    return h.base.append_syllables(removed)
 
 
 def wall_distance(o: Vertex, k: Wall) -> int:

@@ -1,6 +1,7 @@
 """Command line reports: golden files, exit codes, determinism, and the
 layers each command loads."""
 
+import ast
 import json
 import os
 import re
@@ -361,17 +362,42 @@ def test_one_flat_beta_report(capsys):
     }
 
 
-def test_failed_internal_check_exits_3(monkeypatch, capsys):
+def test_glued_graph_miscount_exits_3(monkeypatch, capsys):
     from cubemorse import example23
 
-    # a glued graph that miscounts its vertices fails a plain assert
     monkeypatch.setattr(example23.LabeledGraph, "vertex_count", property(lambda g: 0))
     code = run(GOLDEN_CASES["example23"])
     out, err = capsys.readouterr()
     assert code == 3
     assert out == ""
-    assert err.startswith("error: internal check failed: example23.py:"), err
-    assert "in build_example23" in err, err
+    assert err == "error: certificate violation: glued graph has the wrong vertex or edge count\n"
+
+
+def test_failed_internal_check_exits_3(monkeypatch, capsys):
+    from cubemorse import cli
+
+    # program code holds no assert, but a library the CLI calls may fail one
+    def failing(args):
+        raise AssertionError("library invariant")
+
+    monkeypatch.setattr(cli, "_cmd_example23", failing)
+    code = run(GOLDEN_CASES["example23"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal check failed: library invariant (test_cli.py:"), err
+    assert "in failing" in err, err
+
+
+def test_program_code_holds_no_assert():
+    # proof obligations are explicit checks, which python -O keeps
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((REPO / "src" / "cubemorse").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # --- import guards: a command loads only the layers it runs ---------------------

@@ -1,5 +1,6 @@
 """The glued labeled graph, its basepoint experiment, and the overlap check."""
 
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,12 @@ from cubemorse.example23 import (
     free_alphabet_graph,
     small_cancellation_check,
 )
-from cubemorse.raag import parse_word
+from cubemorse.raag import CertificateViolation, parse_word
+
+from childproc import run_python
 
 SQUARES = "poly 1 0 1"  # f(i) = i^2 + 1
+MISCOUNT = "glued graph has the wrong vertex or edge count"
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +76,28 @@ class TestBuildExample23:
         branch = sum(12 * v + 20 for v in ex6.f_values.values())
         assert g.vertex_count == 1 + 20 + 6 + branch
         assert g.edge_count == 20 + 6 + branch + 6
+
+    def test_miscount_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(LabeledGraph, "edge_count", property(lambda g: 0))
+        with pytest.raises(CertificateViolation, match=MISCOUNT):
+            build_example23(SQUARES, i_max=2, tail=4)
+
+    def test_miscount_is_a_violation_under_python_O(self):
+        # explicit check, not an assert
+        script = textwrap.dedent(
+            """
+            from cubemorse import example23
+            from cubemorse.raag import CertificateViolation
+            example23.LabeledGraph.vertex_count = property(lambda g: 0)
+            try:
+                example23.build_example23("poly 1 0 1", i_max=2, tail=4)
+            except CertificateViolation as e:
+                print("raised:", e)
+            """
+        )
+        proc = run_python("-O", "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"raised: {MISCOUNT}\n", proc.stdout
 
     def test_first_betti_number_counts_glued_loops(self, ex6):
         g = ex6.graph

@@ -92,7 +92,7 @@ def test_index_matches_brute_force(rays, depth):
                     assert index.chain(arg) == oracle_chain(walls, arg)
                 else:
                     want = max(0, len(oracle_chain(walls, None)) - 1)
-                    assert index.tail_bound == want
+                    assert index.tail_exceeds(want - 1) and not index.tail_exceeds(want)
 
 
 def test_products_cold_equal_warm(rays):
@@ -114,7 +114,7 @@ def test_products_cold_equal_warm(rays):
         cold.append(products(p, q))
     for pool in rays.values():
         for ray in pool:
-            _ray_index(ray, 40).tail_bound
+            _ray_index(ray, 40).tail_exceeds(40)
     warm = [products(p, q) for p, q in reversed(pairs)][::-1]
     assert cold == warm
 
@@ -163,7 +163,7 @@ def test_bracket_matches_pruned_oracle(z3z, ck, data):
         index = _ray_index(ray, BRACKET_DEPTH)
         for t in reversed(range(len(index.walls))):
             index.dist(t)
-        index.tail_bound
+        index.tail_exceeds(BRACKET_DEPTH)
     assert bracket_product(p, q, BRACKET_DEPTH) == want
 
 
@@ -194,7 +194,7 @@ def test_tail_exceeds_matches_oracle(z3z, ck, data):
             assert index.chain(arg) == oracle_chain(walls, arg)
         else:
             assert index.dist(arg) == oracle_lower(walls, arg)
-    assert index.tail_bound == tail
+    assert index.tail_exceeds(tail - 1) and not index.tail_exceeds(tail)
 
 
 def test_fresh_cross_ratio_separation_tests(z3z, monkeypatch):

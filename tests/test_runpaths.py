@@ -15,7 +15,6 @@ from cubemorse.runpaths import (
     _min_2d,
     certify_quasigeodesic_runs,
     min_pair_distance,
-    path_pair_distance,
     walk_wall_count,
 )
 
@@ -102,14 +101,6 @@ class TestWallParityDistance:
     def test_empty_walk(self, ck):
         assert walk_wall_count(ck, []) == 0
 
-    def test_cross_path_distance_matches_engine(self, ck):
-        q = RunPath(GroupElement.from_text(ck, "c d^2"), ((0, 3), (3, -2)))
-        p = RunPath.from_word(parse_word("b^2 a", ck))
-        for s in range(p.length + 1):
-            for t in range(q.length + 1):
-                want = distance(p.vertex_at(s), q.vertex_at(t))
-                assert path_pair_distance(p, s, q, t) == want
-
 
 class TestMinPairDistance:
     def test_matches_brute_force(self, ck, z3z):
@@ -125,7 +116,7 @@ class TestMinPairDistance:
                 )
                 got, s, t = min_pair_distance(p, q)
                 assert got == best
-                assert path_pair_distance(p, s, q, t) == best
+                assert distance(p.vertex_at(s), q.vertex_at(t)) == best
 
     def test_shared_vertex_gives_zero(self, ck):
         p = RunPath.from_word(parse_word("a^4", ck))

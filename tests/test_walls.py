@@ -38,7 +38,6 @@ from cubemorse.walls import (
     wall_of_edge,
     walls_between,
     walls_separating_point_from_wall,
-    wall_gate_and_distance,
 )
 from oracles import (
     bfs_oracle_distance,
@@ -232,9 +231,6 @@ class TestOneProductSide:
         h = Wall(draw_element(data, graph), data.draw(st.integers(0, len(graph.generators) - 1)))
         x = draw_element(data, graph)
         want = wall_gate_and_distance_by_cosets(x, h)
-        assert wall_gate_and_distance(x, h) == want
-        # side and wall_distance skip building the gate vertex; they must
-        # still be the components of the gate query
         assert (gate(x, h), wall_distance(x, h), side(h, x)) == want
 
     @seed(2027)
