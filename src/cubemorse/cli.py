@@ -42,7 +42,6 @@ from .raag import (
 )
 from .walls import (
     DEFAULT_BALL_CAP,
-    DEFAULT_SLACK,
     Wall,
     crosses,
     crossing_count,
@@ -242,10 +241,10 @@ def _cmd_crosses(args):
 def _cmd_separated(args):
     graph = _load_graph(args.graph)
     h1, h2 = _wall(graph, args.wall1), _wall(graph, args.wall2)
-    count, certified = crossing_count(h1, h2, slack=args.slack, cap=args.cap)
+    count, certified = crossing_count(h1, h2)
     return {
         "crossing_count": _num(count, certified),
-        "strongly_separated": bool(count == 0 and certified),
+        "strongly_separated": count == 0,
     }, certified
 
 
@@ -505,8 +504,6 @@ def _build_parser() -> _Parser:
     sp = add("separated", _cmd_separated, "walls crossing both of two disjoint walls")
     sp.add_argument("wall1", metavar="BASE@GEN")
     sp.add_argument("wall2", metavar="BASE@GEN")
-    sp.add_argument("--slack", type=int, default=DEFAULT_SLACK)
-    sp.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
 
     sp = add("chain", _cmd_chain, "separated chain among a ray's walls")
     sp.add_argument("--ray", required=True, metavar="PREFIX|PERIOD")

@@ -586,12 +586,6 @@ def line_wall_count(gamma: GammaPath, l: int) -> int:
     return sum(1 for h in gamma.walls if ln.is_cut_by(h))
 
 
-def flat_wall_count(gamma: GammaPath, l: int) -> int:
-    """How many of the path's crossed walls cut flat l."""
-    f = gamma.flats[l - 1]
-    return sum(1 for h in gamma.walls if f.is_cut_by(h))
-
-
 # --- periodic orbit membership ------------------------------------------------
 
 

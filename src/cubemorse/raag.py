@@ -109,10 +109,6 @@ class DefiningGraph:
     def adj_mask(self) -> tuple[int, ...]:
         return tuple(sum(1 << j for j in link) for link in self.adjacency)
 
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << len(self.generators)) - 1
-
     def gen_index(self, name: str) -> int:
         try:
             return self.index[name]
@@ -419,10 +415,6 @@ class GroupElement:
     @property
     def is_identity(self) -> bool:
         return not self.syllables
-
-    def gen_exponent_sum(self, gen: int) -> int:
-        # abelianized exponent; representative-independent
-        return sum(e for g, e in self.syllables if g == gen)
 
     def letters(self) -> Iterator[Letter]:
         for g, e in self.syllables:

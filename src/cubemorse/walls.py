@@ -21,14 +21,13 @@ Transversality of two walls is coset intersection of their carriers, so it
 is decided exactly, with no search. The number of walls transverse to two
 disjoint walls is likewise decided exactly: it is zero precisely when no
 generator of lk(g1) ∩ lk(g2) commutes with the whole separator between the
-carriers, and infinite otherwise, which is why crossing_count only ever
-certifies the zero answer.
+carriers, and infinite otherwise, so crossing_count certifies every answer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .raag import (
     CertificateViolation,
@@ -45,7 +44,6 @@ from .raag import (
 Vertex = GroupElement
 
 DEFAULT_BALL_CAP = 12
-DEFAULT_SLACK = 4
 
 
 class WallsCross(ValueError):
@@ -84,14 +82,6 @@ class Wall:
     @property
     def graph(self) -> DefiningGraph:
         return self.base.graph
-
-    @cached_property
-    def plus_rep(self) -> GroupElement:
-        # representative of the + side coset of the carrier
-        return self.base.append_letter(self.gen, 1)
-
-    def carrier_reps(self) -> tuple[GroupElement, GroupElement]:
-        return (self.base, self.plus_rep)
 
     def gen_name(self) -> str:
         return self.graph.generators[self.gen]
@@ -182,18 +172,17 @@ def crosses(h1: Wall, h2: Wall) -> bool:
         return False
     if not h1.graph.adjacent(h1.gen, h2.gen):
         return False
-    return not _stripped_middle(h1.base, h1.gen, h2.base, h2.gen)[1]
+    return not _stripped_middle(h1, h2)
 
 
-def _stripped_middle(r1: GroupElement, g1: int, r2: GroupElement, g2: int) -> tuple:
-    """nf(r1^-1 r2) left-stripped by ⟨lk g1⟩ and then right-stripped by
-    ⟨lk g2⟩, as (removed prefix, middle): the middle is what remains between
-    the carrier cosets r1⟨lk g1⟩ and r2⟨lk g2⟩ after pulling off everything
-    either coset can absorb, and r1·prefix is the first coset's gate."""
-    graph = r1.graph
-    removed, kept = _strip_left(graph, quotient(r1, r2).syllables, graph.adj_mask[g1])
-    middle, _ = _strip_right(graph, kept, graph.adj_mask[g2])
-    return removed, middle
+def _stripped_middle(h1: Wall, h2: Wall) -> tuple:
+    """nf(b1^-1 b2) left-stripped by ⟨lk g1⟩ and then right-stripped by
+    ⟨lk g2⟩: what remains between the carrier cosets b1⟨lk g1⟩ and
+    b2⟨lk g2⟩ after pulling off everything either coset can absorb."""
+    graph = h1.graph
+    _, kept = _strip_left(graph, quotient(h1.base, h2.base).syllables, graph.adj_mask[h1.gen])
+    middle, _ = _strip_right(graph, kept, graph.adj_mask[h2.gen])
+    return middle
 
 
 def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int]:
@@ -202,12 +191,14 @@ def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int]:
 
     A wall crossing both needs its generator adjacent to both g1 and g2, and
     its carrier coset must meet both carriers; that forces the generator to
-    commute with the whole separator between the carriers, and conversely
-    any such generator yields an infinite transversal family (translate a
-    witness wall along its own generator axis).
+    commute with the whole separator between the carriers. Conversely, write
+    nf(b1^-1 b2) = x·m·y with x in ⟨lk g1⟩, y in ⟨lk g2⟩ and m the stripped
+    middle. For such a generator h, every k gives a wall [b1·x·h^k, h]:
+    b1·x·h^k lies on the first carrier and b1·x·h^k·m = b2·y^-1·h^k on the
+    second, so it crosses both, and distinct k give distinct walls.
     """
     graph = h1.graph
-    sep = {g for g, _ in _stripped_middle(h1.base, h1.gen, h2.base, h2.gen)[1]}
+    sep = {g for g, _ in _stripped_middle(h1, h2)}
     out = set()
     for g in graph.link(h1.gen) & graph.link(h2.gen):
         if all(graph.adjacent(g, s) for s in sep):
@@ -222,47 +213,17 @@ def strongly_separated(h1: Wall, h2: Wall) -> bool:
     return not common_transversal_directions(h1, h2)
 
 
-def crossing_count(
-    h1: Wall, h2: Wall, slack: int = DEFAULT_SLACK, cap: int = DEFAULT_BALL_CAP
-) -> tuple[int, bool]:
-    """How many walls cross both h1 and h2.
-
-    The true count is zero or infinite: certified (0, True) when no
-    common transversal direction exists. Otherwise the count is the finite
-    number of transversals dual to edges near the gate pair (radius =
-    carrier distance + slack), reported with certified=False because the
-    full family is infinite.
-    """
+def crossing_count(h1: Wall, h2: Wall) -> tuple[float, bool]:
+    """How many walls cross both h1 and h2: (0, True) when no common
+    transversal direction exists, and (math.inf, True) otherwise. Both
+    answers are exact; see common_transversal_directions."""
     if h1 == h2:
         raise InvalidPair("crossing_count needs two distinct walls")
     if crosses(h1, h2):
         raise WallsCross("walls are transverse; no separation to measure")
-    if not common_transversal_directions(h1, h2):
-        return 0, True
-
-    graph = h1.graph
-    best = None
-    for r1 in h1.carrier_reps():
-        for r2 in h2.carrier_reps():
-            removed_u, t = _stripped_middle(r1, h1.gen, r2, h2.gen)
-            d = sum(abs(e) for _, e in t)
-            if best is None or d < best[0]:
-                gate_a = r1.append_syllables(removed_u)
-                best = (d, gate_a, gate_a.append_syllables(t))
-    d, gate_a, gate_b = best
-    radius = d + slack
-    if radius > cap:
-        raise BallCapExceeded(f"radius {radius} above cap {cap}")
-    found = set()
-    for center in (gate_a, gate_b):
-        for v in ball(center, radius, cap=cap):
-            for g in range(len(graph.generators)):
-                w = Wall(v, g)
-                if w in found or w == h1 or w == h2:
-                    continue
-                if crosses(w, h1) and crosses(w, h2):
-                    found.add(w)
-    return len(found), False
+    if common_transversal_directions(h1, h2):
+        return math.inf, True
+    return 0, True
 
 
 def gate(x: Vertex, h: Wall) -> Vertex:

@@ -6,7 +6,8 @@ moves decide equality and distance in a RAAG without the syllable engine
 in cubemorse.raag. The others redo a fast layer's question the slow,
 direct way on top of the layers below it: the coset strip read to the
 end of the word, gates on both carrier cosets, crossing walls found by a
-square search in a ball, a level-by-level scan of gamma's period
+square search in a ball, the walls crossing two disjoint walls counted in
+balls about their gates, a level-by-level scan of gamma's period
 translates, the escape path and its separation asked on the global
 vertices and walls, the dichotomy stepped one letter at a time, the
 distance knots from a cluster table per vertex of Z, the chain greedy and
@@ -59,6 +60,8 @@ from cubemorse.raag import (
     MixedGraphs,
     Word,
     WordError,
+    _strip_left,
+    _strip_right,
     distance,
     parse_word,
 )
@@ -128,7 +131,7 @@ def strip_left_by_scan(graph: DefiningGraph, syllables, gens_mask: int):
     kept_mask = 0
     for syllable in syllables:
         gen = syllable[0]
-        blockers = graph.full_mask & ~graph.adj_mask[gen]  # includes gen itself
+        blockers = ((1 << len(graph.generators)) - 1) & ~graph.adj_mask[gen]  # includes gen itself
         if (gens_mask >> gen) & 1 and not (kept_mask & blockers):
             removed.append(syllable)
         else:
@@ -301,11 +304,49 @@ def wall_gate_and_distance_by_cosets(x, h):
     cosets."""
     mask = h.graph.adj_mask[h.gen]
     gate_minus, d_minus = coset_gate_and_distance(h.base, mask, x)
-    gate_plus, d_plus = coset_gate_and_distance(h.plus_rep, mask, x)
+    gate_plus, d_plus = coset_gate_and_distance(h.base.append_letter(h.gen, 1), mask, x)
     assert abs(d_minus - d_plus) == 1
     if d_minus < d_plus:
         return gate_minus, d_minus, -1
     return gate_plus, d_plus, 1
+
+
+def carrier_gates(h1, h2):
+    """(d, gate_a, gate_b): the distance d between the carriers of two
+    disjoint walls and a nearest pair of points on them. Each carrier is two
+    cosets of ⟨lk g⟩, at its base and at base·g; of the four coset pairs, the
+    nearest is read off nf(r1^-1 r2) left-stripped by ⟨lk g1⟩ and then
+    right-stripped by ⟨lk g2⟩, whose middle joins the two gates."""
+    graph = h1.graph
+    best = None
+    for r1 in (h1.base, h1.base.append_letter(h1.gen, 1)):
+        for r2 in (h2.base, h2.base.append_letter(h2.gen, 1)):
+            t = r1.inverse() * r2
+            removed, kept = _strip_left(graph, t.syllables, graph.adj_mask[h1.gen])
+            middle, _ = _strip_right(graph, kept, graph.adj_mask[h2.gen])
+            d = sum(abs(e) for _, e in middle)
+            if best is None or d < best[0]:
+                gate_a = r1.append_syllables(removed)
+                best = (d, gate_a, gate_a.append_syllables(middle))
+    return best
+
+
+def transversals_near_gates(h1, h2, radius: int) -> int:
+    """Reference for walls.crossing_count: how many walls other than h1 and
+    h2 cross both and are dual to an edge leaving a vertex within radius of
+    either gate of carrier_gates, found by enumerating both balls."""
+    graph = h1.graph
+    _, gate_a, gate_b = carrier_gates(h1, h2)
+    found = set()
+    for center in (gate_a, gate_b):
+        for v in ball(center, radius, cap=radius):
+            for g in range(len(graph.generators)):
+                w = Wall(v, g)
+                if w in found or w == h1 or w == h2:
+                    continue
+                if crosses(w, h1) and crosses(w, h2):
+                    found.add(w)
+    return len(found)
 
 
 def crosses_by_square_search(h1, h2) -> bool:

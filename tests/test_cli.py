@@ -101,6 +101,23 @@ class TestFrozenExamples:
         assert rep["outputs"]["separation"]["min_separation"]["value"] == 5
         assert rep["outputs"]["total_length"]["value"] == 74892028
 
+    def test_separated_infinite_count(self, capsys):
+        # on ck every wall dual to an edge of the c axis through the identity
+        # crosses both 1@b and 1@d, so the count is infinite, and certified
+        argv = ["separated", "--graph", CK, "1@b", "1@d"]
+        code, out = normalized_json(argv, capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["certified"] is True
+        assert rep["outputs"] == {
+            "crossing_count": {"value": "inf", "certified": True},
+            "strongly_separated": False,
+        }
+        code, out = invoke(argv, capsys)
+        assert code == 0
+        assert re.search(r"crossing_count\s+inf\n", out)
+        assert "(uncertified)" not in out
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -131,6 +148,12 @@ class TestExitCodes:
 
     def test_transverse_walls_rejected(self, capsys):
         assert run(["separated", "--graph", Z3Z, "1@a", "1@b"]) == 1
+
+    def test_separated_takes_no_search_radius(self, capsys):
+        code = run(["separated", "--graph", CK, "1@b", "1@d", "--slack", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
 
     def test_precondition_failure(self, capsys):
         assert run(["example23", "--f", "poly 0 1", "--tail", "20"]) == 1

@@ -29,7 +29,6 @@ from cubemorse.constructions import (
     certify_quasigeodesic,
     check_contracting,
     check_divergence_dichotomy,
-    flat_wall_count,
     gamma_crosses,
     kappa,
     kappa_prime,
@@ -406,7 +405,9 @@ class TestGamma:
         assert counts == [3] * 10 + [2, 2]
 
     def test_flat_counts_exceed_three(self, gamma12):
-        counts = [flat_wall_count(gamma12, l) for l in range(1, 13)]
+        counts = [
+            sum(1 for h in gamma12.walls if f.is_cut_by(h)) for f in gamma12.flats
+        ]
         assert counts == [4, 4, 6, 4, 6, 4, 6, 4, 6, 4, 5, 3]
         for l in range(1, 13):
             assert sum(1 for h in gamma12.piece_walls(l)) == 2

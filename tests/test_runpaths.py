@@ -72,7 +72,7 @@ class TestRunPathBasics:
         assert p.length == 2 * 10**12 + 1
         mid = p.vertex_at(10**12)
         assert mid.length == 10**12
-        assert mid.gen_exponent_sum(0) == 10**12
+        assert mid.syllables == ((0, 10**12),)
 
 
 class TestWallParityDistance:

@@ -6,6 +6,7 @@ the four-quadrant test on side tables, distances come from the letter BFS
 oracle.
 """
 
+import math
 import random
 import textwrap
 
@@ -41,8 +42,10 @@ from cubemorse.walls import (
 )
 from oracles import (
     bfs_oracle_distance,
+    carrier_gates,
     crosses_by_square_search,
     random_graphs,
+    transversals_near_gates,
     wall_gate_and_distance_by_cosets,
 )
 
@@ -286,15 +289,13 @@ class TestCrossingCount:
     def test_strongly_separated_parallel_walls(self, z3z):
         one = GroupElement.identity(z3z)
         d = normal_form("d", z3z)
-        assert crossing_count(Wall(one, A), Wall(d, A), slack=4) == (0, True)
+        assert crossing_count(Wall(one, A), Wall(d, A)) == (0, True)
         assert strongly_separated(Wall(one, A), Wall(d, A))
 
-    def test_slab_walls_uncertified(self, z3z):
+    def test_slab_walls_cross_infinitely(self, z3z):
         one = GroupElement.identity(z3z)
-        count, certified = crossing_count(
-            Wall(one, A), Wall(normal_form("a", z3z), A), slack=4
-        )
-        assert count > 0 and certified is False
+        count = crossing_count(Wall(one, A), Wall(normal_form("a", z3z), A))
+        assert count == (math.inf, True)
 
     def test_equal_pair_rejected(self, z3z):
         one = GroupElement.identity(z3z)
@@ -306,12 +307,12 @@ class TestCrossingCount:
         with pytest.raises(WallsCross):
             crossing_count(Wall(one, A), Wall(one, B))
 
-    def test_certified_iff_oracle_finds_nothing(self, ck, ck_space):
-        # certified answers are 0 and the quadrant oracle finds no transversal;
-        # uncertified answers come with an oracle witness in the ball
+    def test_zero_iff_oracle_finds_nothing(self, ck, ck_space):
+        # a count of 0 means the quadrant oracle finds no transversal in the
+        # ball; an infinite count comes with an oracle witness there
         pool, table = ck_space["pool"], ck_space["table"]
         rng = random.Random(23)
-        certified_seen = uncertified_seen = 0
+        zero_seen = infinite_seen = 0
         pairs = [
             (h1, h2)
             for i, h1 in enumerate(pool)
@@ -320,7 +321,8 @@ class TestCrossingCount:
         ]
         rng.shuffle(pairs)
         for h1, h2 in pairs[:24]:
-            count, certified = crossing_count(h1, h2, slack=2)
+            count, certified = crossing_count(h1, h2)
+            assert certified is True
             oracle_found = sum(
                 1
                 for w in pool
@@ -328,18 +330,40 @@ class TestCrossingCount:
                 and four_quadrant(table, w, h1)
                 and four_quadrant(table, w, h2)
             )
-            if certified:
-                assert count == 0 and oracle_found == 0, (h1, h2, oracle_found)
-                certified_seen += 1
+            if count == 0:
+                assert oracle_found == 0, (h1, h2, oracle_found)
+                zero_seen += 1
             else:
-                assert oracle_found > 0, (h1, h2)
-                uncertified_seen += 1
-        assert certified_seen >= 3 and uncertified_seen >= 3
+                assert count == math.inf and oracle_found > 0, (h1, h2)
+                infinite_seen += 1
+        assert zero_seen >= 3 and infinite_seen >= 3
 
-    def test_ck_neighbour_walls_share_crossings(self, ck):
+    def test_ck_neighbour_walls_cross_infinitely(self, ck):
         one = GroupElement.identity(ck)
-        count, certified = crossing_count(Wall(one, B), Wall(one, D), slack=3)
-        assert count > 0 and certified is False
+        assert crossing_count(Wall(one, B), Wall(one, D)) == (math.inf, True)
+
+    @seed(2026)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_ball_oracle(self, z3z, ck, data):
+        # 0 exactly when the two balls about the gates hold no transversal;
+        # otherwise the count in them grows with the radius, which a finite
+        # answer cannot match. The carriers are kept at most 2 apart, so
+        # the balls have radius at most 4
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        n = len(graph.generators)
+        g1, g2 = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        h1 = Wall(draw_element(data, graph, 3), g1)
+        h2 = Wall(h1.base * draw_element(data, graph, 3), g2)
+        assume(h1 != h2 and not crosses(h1, h2))
+        d = carrier_gates(h1, h2)[0]
+        assume(d <= 2)
+        near = transversals_near_gates(h1, h2, d + 1)
+        if crossing_count(h1, h2) == (0, True):
+            assert near == 0, (h1, h2)
+        else:
+            assert crossing_count(h1, h2) == (math.inf, True)
+            assert 0 < near < transversals_near_gates(h1, h2, d + 2), (h1, h2)
 
 
 def record_noncanonical(monkeypatch) -> list:
@@ -361,7 +385,7 @@ class TestCanonicalElements:
     def test_noncanonical_strip_half_is_refolded(self, ck, monkeypatch):
         # on ck, left-stripping {c, d} from nf(b^-3 c a^-1) keeps b^-3 a^-1,
         # which right-stripping {c} leaves as it is, and whose normal form is
-        # a^-1 b^-3; crossing_count appends such a half to a gate
+        # a^-1 b^-3; the crossing-count oracle appends such a half to a gate
         bad = record_noncanonical(monkeypatch)
         half = ((B, -3), (A, -1))
         x = normal_form("c", ck).append_syllables(half)
@@ -369,16 +393,17 @@ class TestCanonicalElements:
         assert bad == []
 
     def test_gates_and_crossing_counts(self, ck, z3z, monkeypatch):
-        # both append a strip half to a representative
+        # gate appends a strip half to a representative, and crossing_count
+        # must build no element that skips the refold either
         bad = record_noncanonical(monkeypatch)
         one = GroupElement.identity(ck)
         for text in ("c a b", "b^-3 c a^-1", "d c^2 b a"):
             for h in (Wall(one, A), Wall(normal_form("c", ck), B), Wall(one, D)):
                 gate(normal_form(text, ck), h)
-        assert crossing_count(Wall(one, B), Wall(one, D), slack=3)[1] is False
-        assert crossing_count(Wall(normal_form("c a", ck), B), Wall(one, D), slack=2)[1] is False
+        assert crossing_count(Wall(one, B), Wall(one, D))[1] is True
+        assert crossing_count(Wall(normal_form("c a", ck), B), Wall(one, D))[1] is True
         one = GroupElement.identity(z3z)
-        assert crossing_count(Wall(one, A), Wall(normal_form("a", z3z), A), slack=4)[1] is False
+        assert crossing_count(Wall(one, A), Wall(normal_form("a", z3z), A))[1] is True
         assert bad == []
 
 
