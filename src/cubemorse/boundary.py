@@ -62,6 +62,11 @@ class InvalidRay(ValueError):
     """Ray fails geodesy or its representative does not stabilize."""
 
 
+class UnstableRepresentative(InvalidRay):
+    """The ray's representative did not stabilize at the chosen depth: a
+    truncation limit, not bad input."""
+
+
 class UncertifiedDepth(ValueError):
     """The truncation depth cannot settle the query either way."""
 
@@ -227,7 +232,7 @@ def _representative_letters(ray: BoundaryRay, depth: int):
         if len(cur) >= depth and cur[:depth] == nxt[:depth]:
             return list(cur[:depth])
         copies *= 2
-    raise InvalidRay("representative does not stabilize at this depth")
+    raise UnstableRepresentative("representative does not stabilize at this depth")
 
 
 class _RayIndex:

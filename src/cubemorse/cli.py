@@ -23,6 +23,7 @@ from .boundary import (
     BoundaryRay,
     ChainExhausted,
     UncertifiedDepth,
+    UnstableRepresentative,
     bracket_product,
     cross_ratio_bfm,
     cross_ratio_cr,
@@ -42,6 +43,7 @@ from .raag import (
 )
 from .walls import (
     DEFAULT_BALL_CAP,
+    BallCapExceeded,
     Wall,
     crosses,
     crossing_count,
@@ -619,6 +621,10 @@ def run(argv: list[str]) -> int:
     except AssertionError as exc:
         print(f"error: internal check failed: {_assert_site(exc)}", file=sys.stderr)
         return 3
+    except (BallCapExceeded, UnstableRepresentative) as exc:
+        # a truncation limit, not bad input: another --depth or --cap may settle it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,9 +17,10 @@ the two endpoints: as the endpoints slide inside their runs, each partial
 run keeps one flip at its anchored end and moves the other one level per
 step. Distance restricted to such a cell is therefore piecewise linear,
 with breakpoints exactly where a moving level meets a flip or the other
-moving level, so the exact minimum over all vertex pairs is found by
-scanning run pairs and evaluating at breakpoints, never enumerating the
-path.
+moving level, so the exact minimum over all vertex pairs is found at the
+breakpoints of each run pair's cell, never enumerating the path. Cells of
+runs farther apart than any cluster spans add up, so the quasi-geodesic
+certifier walks only the near ones.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from math import lcm
 from typing import Iterable, Optional
 
@@ -309,21 +310,35 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
     """Exact quasi-geodesic certificate: (t-s) <= K*d(s,t) + C for all
     vertex pairs of the path, by minimizing over run-pair cells.
 
-    The upper bound d <= t-s is automatic for edge paths. Within a single
-    run the subpath is geodesic, so those pairs contribute margin
-    (K-1)*(t-s) + C, minimized at gap 1. Across runs the margin restricted
-    to a cell is piecewise linear in each sliding endpoint, minimized at
-    breakpoints. Requires K >= 1 and C >= 0.
+    The upper bound d <= t-s is automatic for edge paths. Within a run the
+    subpath is geodesic, so those pairs give margin (K-1)*(t-s) + C, least
+    at gap 1. In a cell (i, j), s in run i and t in run j, the margin is
+    piecewise linear in each sliding endpoint, least at breakpoints. With
+    D the common denominator of K and C, the cells are evaluated on the
+    integers D times the margin, (D*K)*d + D*C - D*(t-s); min_margin is an
+    int when K and C are ints and a Fraction otherwise. Requires K >= 1 and
+    C >= 0.
 
-    The cells are evaluated on integers: with D the common denominator of
-    K and C, D times the margin is (D*K)*d + D*C - D*(t-s). min_margin is
-    an int when K and C are ints and a Fraction otherwise.
-
-    The 1-D cell minima are memoised for the length of the call. _min_1d
-    is a pure function of its arguments, and a run's cluster flips only
-    change when a later run of its cluster enters the table, so most
-    cells ask a minimisation an earlier cell already answered; the
-    argmin order, and with it the witness, is unchanged.
+    Far cells add up. Let W >= 1 bound every cluster's span, its last run
+    index minus its first. When j - i > W no cluster has runs both at or
+    before i and at or after j, so key_i != key_j and the runs between
+    split three ways. key_i's are all its runs after i, which fix the tail
+    minimum and u; key_j's are all its runs before j, which fix the head
+    minimum and w. Another cluster with a run at or before i (at or after
+    j) has the same runs after i (before j) in every such cell. And the
+    clusters wholly inside (i, j) are those whose last run is before j
+    less those whose first run is at or before i. With c0 = Cd -
+    D*offsets[j] + D*offsets[i], the cell's value is B_i + A_j. So only
+    cells with j - i <= W + 2 are walked, at O(R*W) table adds: near cells,
+    j - i <= W, are candidates as they are; the cell at W + 1 gives B_i, A
+    being 0 at column W + 1, and the one at W + 2 gives A_{j+1} - A_j.
+    Column j's far cells are least at A_j plus the least B_i over
+    i <= j - W - 1, the least i on a tie. The witness is the least
+    (value, i, j), within-run pairs standing as i = j = -1: the first
+    argmin in row-major order over all run pairs. evaluations counts the
+    walked cells' minimisations. The 1-D ones are memoised for the call
+    (_min_1d is pure): a cluster's flips change only when a later run of
+    it enters the table, so most cells repeat an earlier cell's question.
     """
     if K < 1 or C < 0:
         raise ValueError("need K >= 1 and C >= 0")
@@ -337,64 +352,62 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
     Kd, Cd = int(Kq * D), int(Cq * D)
     offsets = path._offsets
     frames = _interned(path._frames, {})
+    first: dict = {}
+    W = max(1, *(i - first.setdefault(key, i) for i, (key, _) in enumerate(frames)))
     evaluations = 1
-    minima: dict = {}
+    min_1d = lru_cache(maxsize=None)(partial(_min_1d, Kd))
 
-    def min_1d(lam, fixed, kind, m, e, lo_u, hi_u):
-        key = (lam, fixed, kind, m, e, lo_u, hi_u)
-        got = minima.get(key)
-        if got is None:
-            got = minima[key] = _min_1d(Kd, lam, fixed, kind, m, e, lo_u, hi_u)
-        return got
+    def cell(i, j, table):
+        """Least value of cell (i, j) and its (u, w), table holding the
+        runs strictly between i and j."""
+        nonlocal evaluations
+        (key_i, m_i), (key_j, m_j) = frames[i], frames[j]
+        e_i, e_j = runs[i][1], runs[j][1]
+        A, B = abs(e_i), abs(e_j)
+        c0 = Cd - D * (offsets[j] - offsets[i])
+        adjacent = j == i + 1  # cell touches the degenerate pair s == t
+        rest, li = table.total - table.odd_of(key_i), table.get(key_i)
+        if key_i == key_j:
+            evaluations += 1
+            vm, (u, w) = _min_2d(Kd, D, -D, li, ("tail", m_i, e_i, A),
+                                 ("head", m_j, e_j, B), exclude_corner=adjacent)
+            return Kd * rest + c0 + vm, u, w
+        evaluations += 2
+        rest, lj = rest - table.odd_of(key_j), table.get(key_j)
+        vw, w = min_1d(-D, lj, "head", m_j, e_j, 0, B)
+        if not adjacent:
+            vu, u = min_1d(D, li, "tail", m_i, e_i, 0, A)
+            return Kd * rest + c0 + vu + vw, u, w
+        # exclude (u=A, w=0): u <= A-1 with any w, or u = A with w >= 1
+        vu1, u1 = min_1d(D, li, "tail", m_i, e_i, 0, A - 1)
+        vw2, w2 = min_1d(-D, lj, "head", m_j, e_j, 1, B)
+        vuA = Kd * table.odd_of(key_i) + D * A
+        vm, (u, w) = min((vu1 + vw, (u1, w)), (vuA + vw2, (A, w2)), key=lambda c: c[0])
+        return Kd * rest + c0 + vm, u, w
 
     # pairs inside one run: geodesic, minimum at gap 1
-    best = (Kd - D) + Cd
-    witness = (offsets[0], offsets[0] + 1)
-
+    best = ((Kd - D) + Cd, -1, -1, (offsets[0], offsets[0] + 1))
+    A_j = 0  # A at column i + W + 1
+    least_b = None  # (B_i, i, u) least over the rows so far
     for i in range(R):
-        e_i = runs[i][1]
-        key_i, m_i = frames[i]
-        A = abs(e_i)
         table = _ClusterTable()
-        for j in range(i + 1, R):
-            e_j = runs[j][1]
-            key_j, m_j = frames[j]
-            B = abs(e_j)
-            c0 = Cd - D * (offsets[j] - offsets[i])
-            adjacent = j == i + 1  # cell touches the degenerate pair s == t
-            if key_i != key_j:
-                rest = table.total - table.odd_of(key_i) - table.odd_of(key_j)
-                li, lj = table.get(key_i), table.get(key_j)
-                vw, w = min_1d(-D, lj, "head", m_j, e_j, 0, B)
-                if not adjacent:
-                    vu, u = min_1d(D, li, "tail", m_i, e_i, 0, A)
-                    val = Kd * rest + c0 + vu + vw
-                else:
-                    # exclude (u=A, w=0): u <= A-1 with any w, or u = A with w >= 1
-                    vu1, u1 = min_1d(D, li, "tail", m_i, e_i, 0, A - 1)
-                    cand1 = vu1 + vw, (u1, w)
-                    vuA = Kd * table.odd_of(key_i) + D * A
-                    vw2, w2 = min_1d(-D, lj, "head", m_j, e_j, 1, B)
-                    cand2 = vuA + vw2, (A, w2)
-                    (vm, (u, w)) = min(cand1, cand2, key=lambda c: c[0])
-                    val = Kd * rest + c0 + vm
-                evaluations += 2
+        for j in range(i + 1, min(i + W + 3, R)):
+            val, u, w = cell(i, j, table)
+            if j - i <= W:
+                best = min(best, (val, i, j, (offsets[i] + u, offsets[j] + w)))
+            elif j - i == W + 1:
+                if least_b is None or val - A_j < least_b[0]:
+                    least_b = (val - A_j, i, u)
+                b, bi, bu = least_b
+                best = min(best, (b + A_j, bi, j, (offsets[bi] + bu, offsets[j] + w)))
+                edge = val
             else:
-                rest = table.total - table.odd_of(key_i)
-                vm, (u, w) = _min_2d(
-                    Kd, D, -D, table.get(key_i),
-                    ("tail", m_i, e_i, A), ("head", m_j, e_j, B),
-                    exclude_corner=adjacent,
-                )
-                val = Kd * rest + c0 + vm
-                evaluations += 1
-            if val < best:
-                best = val
-                witness = (offsets[i] + u, offsets[j] + w)
-            table.add(key_j, m_j, e_j)
+                A_j += val - edge
+            table.add(*frames[j], runs[j][1])
 
-    margin = best if isinstance(K, int) and isinstance(C, int) else Fraction(best, D)
-    return QuasiGeodesicReport(best >= 0, K, C, margin, witness, evaluations)
+    val = best[0]
+    margin = val if isinstance(K, int) and isinstance(C, int) else Fraction(val, D)
+    return QuasiGeodesicReport(val >= 0, K, C, margin, best[3], evaluations)
 
 
 def _interned(frames, ids: dict) -> list:

@@ -185,9 +185,10 @@ def _stripped_middle(h1: Wall, h2: Wall) -> tuple:
     return middle
 
 
-def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int]:
+def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int] | None:
     """Generators h such that some (equivalently, infinitely many) walls with
-    generator h cross both h1 and h2.
+    generator h cross both h1 and h2; None when h1 and h2 cross, which the
+    same strip decides (see crosses).
 
     A wall crossing both needs its generator adjacent to both g1 and g2, and
     its carrier coset must meet both carriers; that forces the generator to
@@ -198,7 +199,10 @@ def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int]:
     second, so it crosses both, and distinct k give distinct walls.
     """
     graph = h1.graph
-    sep = {g for g, _ in _stripped_middle(h1, h2)}
+    middle = _stripped_middle(h1, h2)
+    if not middle and h1 != h2 and graph.adjacent(h1.gen, h2.gen):
+        return None
+    sep = {g for g, _ in middle}
     out = set()
     for g in graph.link(h1.gen) & graph.link(h2.gen):
         if all(graph.adjacent(g, s) for s in sep):
@@ -208,9 +212,7 @@ def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int]:
 
 def strongly_separated(h1: Wall, h2: Wall) -> bool:
     """No wall crosses both (0-separation). Exact, no search."""
-    if crosses(h1, h2):
-        return False
-    return not common_transversal_directions(h1, h2)
+    return common_transversal_directions(h1, h2) == frozenset()
 
 
 def crossing_count(h1: Wall, h2: Wall) -> tuple[float, bool]:
@@ -219,11 +221,10 @@ def crossing_count(h1: Wall, h2: Wall) -> tuple[float, bool]:
     answers are exact; see common_transversal_directions."""
     if h1 == h2:
         raise InvalidPair("crossing_count needs two distinct walls")
-    if crosses(h1, h2):
+    directions = common_transversal_directions(h1, h2)
+    if directions is None:
         raise WallsCross("walls are transverse; no separation to measure")
-    if common_transversal_directions(h1, h2):
-        return math.inf, True
-    return 0, True
+    return (math.inf, True) if directions else (0, True)
 
 
 def gate(x: Vertex, h: Wall) -> Vertex:

@@ -12,9 +12,9 @@ translates, the escape path and its separation asked on the global
 vertices and walls, the dichotomy stepped one letter at a time, the
 distance knots from a cluster table per vertex of Z, the chain greedy and
 the pruned bracket product over plain tuples of walls, the contraction
-gate asked of every pair, and the run-path cell minima counted wall by
-wall at every position. random_graphs draws the defining graphs they
-are run on.
+gate asked of every pair, the run-path cell minima counted wall by wall
+at every position, and the quasi-geodesic certificate asked of every
+pair of runs. random_graphs draws the defining graphs they are run on.
 """
 
 from __future__ import annotations
@@ -66,10 +66,13 @@ from cubemorse.raag import (
     parse_word,
 )
 from cubemorse.runpaths import (
+    QuasiGeodesicReport,
     RunPath,
     _ClusterTable,
     _envelope_knots,
     _interned,
+    _min_1d,
+    _min_2d,
     _star_frame,
 )
 from cubemorse.walls import (
@@ -293,6 +296,72 @@ def min_2d_by_levels(alpha, lam_u, lam_w, runs, spec_u, spec_w, exclude_corner=F
         for w in range(B + 1)
         if not (exclude_corner and (u, w) == (A, 0))
     )
+
+
+def certify_quasigeodesic_all_pairs(path: RunPath, K, C) -> QuasiGeodesicReport:
+    """Reference for runpaths.certify_quasigeodesic_runs: the same cell
+    minima asked of every pair of runs (i, j), i < j, with the table of the
+    runs between them grown along each row, and the first argmin in
+    row-major order kept by a strict < scan. evaluations counts the cell
+    minimisations of all R(R-1)/2 cells."""
+    if K < 1 or C < 0:
+        raise ValueError("need K >= 1 and C >= 0")
+    runs = path.runs
+    R = len(runs)
+    if R == 0:
+        return QuasiGeodesicReport(True, K, C, C, (0, 0), 0)
+    Kq, Cq = Fraction(K), Fraction(C)
+    D = math.lcm(Kq.denominator, Cq.denominator)
+    Kd, Cd = int(Kq * D), int(Cq * D)
+    offsets = path._offsets
+    frames = _interned(path._frames, {})
+    evaluations = 1
+    # pairs inside one run: geodesic, minimum at gap 1
+    best = (Kd - D) + Cd
+    witness = (offsets[0], offsets[0] + 1)
+    for i in range(R):
+        e_i = runs[i][1]
+        key_i, m_i = frames[i]
+        A = abs(e_i)
+        table = _ClusterTable()
+        for j in range(i + 1, R):
+            e_j = runs[j][1]
+            key_j, m_j = frames[j]
+            B = abs(e_j)
+            c0 = Cd - D * (offsets[j] - offsets[i])
+            adjacent = j == i + 1  # cell touches the degenerate pair s == t
+            if key_i != key_j:
+                rest = table.total - table.odd_of(key_i) - table.odd_of(key_j)
+                li, lj = table.get(key_i), table.get(key_j)
+                vw, w = _min_1d(Kd, -D, lj, "head", m_j, e_j, 0, B)
+                if not adjacent:
+                    vu, u = _min_1d(Kd, D, li, "tail", m_i, e_i, 0, A)
+                    val = Kd * rest + c0 + vu + vw
+                else:
+                    # exclude (u=A, w=0): u <= A-1 with any w, or u = A with w >= 1
+                    vu1, u1 = _min_1d(Kd, D, li, "tail", m_i, e_i, 0, A - 1)
+                    cand1 = vu1 + vw, (u1, w)
+                    vuA = Kd * table.odd_of(key_i) + D * A
+                    vw2, w2 = _min_1d(Kd, -D, lj, "head", m_j, e_j, 1, B)
+                    cand2 = vuA + vw2, (A, w2)
+                    (vm, (u, w)) = min(cand1, cand2, key=lambda c: c[0])
+                    val = Kd * rest + c0 + vm
+                evaluations += 2
+            else:
+                rest = table.total - table.odd_of(key_i)
+                vm, (u, w) = _min_2d(
+                    Kd, D, -D, table.get(key_i),
+                    ("tail", m_i, e_i, A), ("head", m_j, e_j, B),
+                    exclude_corner=adjacent,
+                )
+                val = Kd * rest + c0 + vm
+                evaluations += 1
+            if val < best:
+                best = val
+                witness = (offsets[i] + u, offsets[j] + w)
+            table.add(key_j, m_j, e_j)
+    margin = best if isinstance(K, int) and isinstance(C, int) else Fraction(best, D)
+    return QuasiGeodesicReport(best >= 0, K, C, margin, witness, evaluations)
 
 
 # --- walls -------------------------------------------------------------------

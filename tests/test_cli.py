@@ -161,6 +161,23 @@ class TestExitCodes:
     def test_uncertified_is_two(self, capsys):
         assert run(GOLDEN_CASES["metric_shallow"]) == 2
 
+    def test_ball_above_cap_is_a_truncation_limit(self, capsys):
+        code = run(["contracting", "--graph", CK, "word:a", "--radius", "13"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: radius 13 above cap 12\n"
+
+    def test_unstable_representative_is_a_truncation_limit(self, capsys):
+        # a and b commute, so a^-1 (b^1000 a)^n has normal form
+        # a^(n-1) b^(1000n): its first 3000 letters settle only at more
+        # copies than the representative's doublings reach
+        code = run(["chain", "--graph", CK, "--ray", "a^-1|b^1000 a", "--depth", "3000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: representative does not stabilize at this depth\n"
+
     @pytest.mark.parametrize("command", ["chain", "refine"])
     @pytest.mark.parametrize("flags", [["--n", "-1"], ["--r", "1"], ["--r", "0"], ["--r", "-3"]])
     def test_impossible_chain_bounds(self, command, flags, capsys):

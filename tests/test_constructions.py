@@ -844,13 +844,22 @@ class TestCertifyQuasigeodesic:
         with pytest.raises(ValueError):
             certify_quasigeodesic(gamma12.runpath(), Fraction(1, 2), 0)
 
-    @pytest.mark.parametrize("delta, L, evaluations", [(6, 41, 6583), (4, 120, 57183)])
+    @pytest.mark.parametrize("delta, L, evaluations", [(6, 41, 1033), (4, 120, 3127)])
     def test_pinned_certificates(self, ckg, delta, L, evaluations):
         rep = certify_quasigeodesic(build_beta(delta, L, ck=ckg).path, 8, 1)
         assert rep.certified
         assert (rep.min_margin, rep.witness, rep.evaluations) == (
             Fraction(15, 8), (0, 1), evaluations
         )
+
+    def test_evaluations_grow_linearly(self, ckg):
+        # walking every pair of runs would ask 16 times as many at 4 times the flats
+        small, large = (
+            certify_quasigeodesic(build_beta(4, L, ck=ckg).path, 8, 1) for L in (120, 480)
+        )
+        assert large.certified
+        assert (large.min_margin, large.witness) == (Fraction(15, 8), (0, 1))
+        assert large.evaluations <= 5 * small.evaluations
 
     def test_cell_minima_asked_once(self, ckg, monkeypatch):
         path = build_beta(6, 41, ck=ckg).path
@@ -862,7 +871,7 @@ class TestCertifyQuasigeodesic:
 
         monkeypatch.setattr(runpaths, "_min_1d", recorded)
         rep = certify_quasigeodesic(path, 8, 1)
-        assert rep.evaluations == 6583
+        assert rep.evaluations == 1033
         assert 0 < len(asked) == len(set(asked))
 
 

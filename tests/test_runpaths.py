@@ -1,5 +1,6 @@
 """Run-compressed paths: exact distances and quasi-geodesic certification."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from cubemorse.constructions import build_beta, build_croke_kleiner, build_gamma, runpath_prefix
 from cubemorse.raag import GroupElement, Word, WordError, distance, normal_form, parse_word
 from cubemorse.runpaths import (
     RunPath,
@@ -18,7 +20,12 @@ from cubemorse.runpaths import (
     walk_wall_count,
 )
 
-from oracles import min_1d_by_levels, min_2d_by_levels, random_graphs
+from oracles import (
+    certify_quasigeodesic_all_pairs,
+    min_1d_by_levels,
+    min_2d_by_levels,
+    random_graphs,
+)
 
 
 def random_runpath(graph, rng, max_runs=14, max_exp=3):
@@ -228,20 +235,29 @@ class TestQuasiGeodesicCertification:
 # --- random defining graphs against brute force -----------------------------
 
 
-def draw_runpath(data, graph, max_runs, max_exp, max_origin=0):
+def draw_runpath(data, graph, max_runs, max_exp, max_origin=0, min_runs=0):
     n = len(graph.generators)
     origin = data.draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))), max_size=max_origin
     ))
     runs = data.draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(-max_exp, max_exp).filter(bool)),
-        max_size=max_runs,
+        min_size=min_runs, max_size=max_runs,
     ))
     return RunPath(normal_form(Word(graph, origin)), tuple(runs))
 
 
 constants = st.sampled_from((1, 2, 3, 8)) | st.fractions(1, 4, max_denominator=6)
 slacks = st.sampled_from((0, 1, 4)) | st.fractions(0, 3, max_denominator=6)
+
+
+@functools.cache
+def escape_paths():
+    """The escape path at (4, 12) and (6, 41), and gamma over 20 flats: their
+    clusters have at most three runs and span at most five, so most of the
+    cells of a long prefix are far."""
+    ck = build_croke_kleiner()
+    return build_beta(4, 12, ck=ck).path, build_beta(6, 41, ck=ck).path, build_gamma(20, ck).runpath()
 
 
 class TestRandomGraphOracles:
@@ -278,6 +294,26 @@ class TestRandomGraphOracles:
         s, t = rep.witness
         assert s < t
         assert K * distance(verts[s], verts[t]) + C - (t - s) == want
+
+    @seed(2106)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_matches_all_run_pairs(self, z3z, ck, data):
+        # long paths have far cells, which the certifier adds up instead of
+        # walking; the oracle walks every pair of runs
+        if data.draw(st.booleans()):
+            graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+            p = draw_runpath(data, graph, 25, 3, max_origin=3, min_runs=8)
+        else:
+            whole = data.draw(st.sampled_from(escape_paths()))
+            p = runpath_prefix(whole, data.draw(st.integers(1, whole.length)))
+        K, C = data.draw(constants), data.draw(slacks)
+        got = certify_quasigeodesic_runs(p, K, C)
+        want = certify_quasigeodesic_all_pairs(p, K, C)
+        assert (got.certified, got.min_margin, got.witness) == (
+            want.certified, want.min_margin, want.witness
+        )
+        assert type(got.min_margin) is type(want.min_margin)
 
     @seed(2103)
     @given(data=st.data())

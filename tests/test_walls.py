@@ -292,6 +292,24 @@ class TestCrossingCount:
         assert crossing_count(Wall(one, A), Wall(d, A)) == (0, True)
         assert strongly_separated(Wall(one, A), Wall(d, A))
 
+    def test_adjacent_pair_strips_once(self, ck, monkeypatch):
+        # b and c commute, but d a separates the carriers 1<a, c> and
+        # d a<b, d>: one strip decides both that the walls do not cross and
+        # that no generator crosses both
+        real, strips = walls_module._stripped_middle, []
+
+        def counted(h1, h2):
+            strips.append((h1, h2))
+            return real(h1, h2)
+
+        monkeypatch.setattr(walls_module, "_stripped_middle", counted)
+        h1, h2 = Wall(GroupElement.identity(ck), B), Wall(normal_form("d a", ck), C)
+        assert strongly_separated(h1, h2)
+        assert strips == [(h1, h2)]
+        assert crossing_count(h1, h2) == (0, True)
+        assert len(strips) == 2
+        assert not crosses(h1, h2)
+
     def test_slab_walls_cross_infinitely(self, z3z):
         one = GroupElement.identity(z3z)
         count = crossing_count(Wall(one, A), Wall(normal_form("a", z3z), A))
