@@ -343,7 +343,7 @@ def _cmd_kappa(args):
 
 
 def _cmd_gamma(args):
-    from .constructions import build_gamma, line_wall_count
+    from .constructions import build_gamma, line_wall_counts
 
     gp = build_gamma(args.flats)
     return {
@@ -351,9 +351,7 @@ def _cmd_gamma(args):
         "steps": _num(2 * args.flats, True),
         "endpoint": gp.vertices[-1].text(),
         "families": gp.families(),
-        "line_wall_counts": _num(
-            [line_wall_count(gp, l) for l in range(1, args.flats + 1)], True
-        ),
+        "line_wall_counts": _num(line_wall_counts(gp), True),
     }, True
 
 

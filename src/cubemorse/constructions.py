@@ -13,6 +13,7 @@ from __future__ import annotations
 import decimal
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -24,6 +25,8 @@ from .raag import (
     DefiningGraph,
     GroupElement,
     Letter,
+    MixedGraphs,
+    _strip_left,
     _strip_right,
     distance,
     normal_form,
@@ -33,6 +36,7 @@ from .raag import (
 from .runpaths import (
     QuasiGeodesicReport,
     RunPath,
+    _star_frame,
     certify_quasigeodesic_runs,
     set_distance_knots,
 )
@@ -40,7 +44,6 @@ from .walls import (
     DEFAULT_BALL_CAP,
     Wall,
     ball,
-    coset_gate_and_distance,
     side,
     wall_of_edge,
 )
@@ -310,10 +313,6 @@ class CrokeKleiner:
     def origin(self) -> GroupElement:
         return GroupElement.identity(self.graph)
 
-    def family(self, h: Wall) -> str:
-        """A/B/C/D, by the wall's generator."""
-        return h.gen_name().upper()
-
     def parse(self, text: str) -> GroupElement:
         return normal_form(parse_word(text, self.graph))
 
@@ -327,18 +326,14 @@ class _Coset:
     """Coset base * <gens>, with the stored base normalized to the coset's
     minimal representative, so two handles for the same coset compare and
     hash equal. That representative is the coset's gate at the identity;
-    one right strip of the canonical base finds it. Subclasses validate
-    their generators, then call this __post_init__."""
+    one right strip of the canonical base finds it. Subclasses name their
+    generators in _gens, validate them, then call this __post_init__."""
 
     base: GroupElement
 
     def __post_init__(self) -> None:
         kept, _ = _strip_right(self.graph, self.base.syllables, self.mask)
         object.__setattr__(self, "base", GroupElement(self.graph, kept))
-
-    @property
-    def _gens(self) -> tuple[int, ...]:
-        raise NotImplementedError
 
     @property
     def graph(self) -> DefiningGraph:
@@ -348,24 +343,36 @@ class _Coset:
     def mask(self) -> int:
         return self.graph.mask_of(self._gens)
 
+    def _same_graph(self, graph: DefiningGraph) -> None:
+        if graph is not self.graph and graph != self.graph:
+            raise MixedGraphs("cannot compare across defining graphs")
+
     def distance_to(self, x: GroupElement) -> int:
-        return coset_gate_and_distance(self.base, self.mask, x)[1]
+        """The length of nf(base^-1 x) once <gens> is stripped off its
+        front: the rest is the path from x's gate on the coset to x."""
+        _, kept = _strip_left(self.graph, quotient(self.base, x).syllables, self.mask)
+        return sum(abs(e) for _, e in kept)
 
     def contains(self, x: GroupElement) -> bool:
-        return self.distance_to(x) == 0
+        """One right strip of x gives the stored minimal representative."""
+        self._same_graph(x.graph)
+        return _strip_right(self.graph, x.syllables, self.mask)[0] == self.base.syllables
 
     def is_cut_by(self, h: Wall) -> bool:
-        """Whether h separates two vertices of this coset.
+        """Whether h separates two vertices of this coset x<S>.
 
-        Only walls in one of the coset's directions can. Such a wall meets
-        a flat in a full line, constant in the commuting coordinate, so one
-        long test line in the wall's own direction decides it."""
-        if h.gen not in self._gens:
-            return False
-        T = h.base.length + self.base.length + 2
-        lo = self.base.append_run(h.gen, -T)
-        hi = self.base.append_run(h.gen, T)
-        return side(h, lo) != side(h, hi)
+        Write g = h.gen; h is the wall of the g-edges from h.base<lk g>.
+        h cuts x<S> iff it is dual to an edge of it, as the coset is convex.
+        That edge is in direction g, so g is in S, and it exists iff h.base
+        is in x<S><lk g>. For a Flat or Line S ⊆ star g, and g commutes
+        with lk g, so that is x<star g>: h cuts x<S> iff g is in S and
+        h.base and x have the same <star g> key."""
+        self._same_graph(h.graph)
+        g = h.gen
+        return (
+            g in self._gens
+            and _star_frame(self.graph, h.base, g)[0] == _star_frame(self.graph, self.base, g)[0]
+        )
 
 
 @dataclass(frozen=True)
@@ -424,9 +431,10 @@ _GAMMA_PERIOD_LETTERS = ("b", "c", "c", "d", "c", "b", "b", "a")
 class GammaPath:
     """Two steps per flat, repeating b c | c d | c b | b a.
 
-    Flat l and flat l+1 share the line lines[l-1], and the path crosses
-    exactly its two designated walls inside each flat; three bounds the
-    wall count of any flat it passes through."""
+    Flat l and flat l+1 share the line lines[l-1]. build_gamma checks that
+    the path's two walls inside flat l cut it and both steps end in it, the
+    second on lines[l-1]. The tests pin how many of its walls cut each
+    flat, 4 to 6 inside, and each exit line, 3 inside and 2 on the last two."""
 
     ck: CrokeKleiner
     vertices: tuple[GroupElement, ...]
@@ -446,7 +454,8 @@ class GammaPath:
         return RunPath(self.ck.origin, runs)
 
     def families(self) -> str:
-        return "".join(self.ck.family(h) for h in self.walls)
+        """The wall families A/B/C/D crossed, named by generator."""
+        return "".join(h.gen_name().upper() for h in self.walls)
 
     def ray(self) -> BoundaryRay:
         return BoundaryRay.from_text(self.ck.graph, "|" + " ".join(_GAMMA_PERIOD_LETTERS))
@@ -475,8 +484,8 @@ class GammaFrame:
 
     Left translation by P^-k keeps distances, sides, cosets and crossings,
     and maps gamma's periodic extension onto the periodic line from level
-    -k of _PeriodOrbit. So every check about those four flats, and about
-    the escape path's segments in them, can be asked of the translates,
+    -k of _PeriodOrbit. So build_beta and verify_separation ask each check
+    about the escape path's segments in those four flats of the translates,
     where gamma's vertices, lines and walls and the segment ends beside
     them are words of a few syllables. local() is raag.quotient from P^k:
     it translates one stored word through its common prefix with P^k."""
@@ -522,11 +531,7 @@ def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
         raise CertificateViolation("wall repeated")
 
     flats = tuple(
-        Flat(
-            vertices[2 * l],
-            (graph.gen_index(_GAMMA_FLATS[l % 4][0]), graph.gen_index(_GAMMA_FLATS[l % 4][1])),
-        )
-        for l in range(L)
+        Flat(vertices[2 * l], tuple(map(graph.gen_index, _GAMMA_FLATS[l % 4]))) for l in range(L)
     )
     lines = tuple(
         Line(vertices[2 * l + 2], graph.gen_index(_GAMMA_LINES[l % 4])) for l in range(L)
@@ -559,31 +564,25 @@ def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
 
 def _flat_layout_holds(gamma: GammaPath, l: int) -> bool:
     """Flat l is cut by its two piece walls and holds the path's two steps
-    in it, and its exit line holds the second.
-
-    Cuts and memberships are invariant under left translation, so they
-    are tested in the flat's period frame: the stored flat, piece walls,
-    steps and exit line are each translated by P^-k, where they are short
-    words, and no step reads a long word past its common prefix with P^k."""
-    frame = gamma.frame(l)
+    in it, and its exit line holds the second. Each is one minimal
+    representative question of the stored words (see _Coset)."""
     f = gamma.flats[l - 1]
-    flat = Flat(frame.local(f.base), f.gens)
-    pw = tuple(frame.wall(h) for h in gamma.piece_walls(l))
-    step1 = frame.local(gamma.vertices[2 * l - 1])
-    step2 = frame.local(gamma.vertices[2 * l])
+    step2 = gamma.vertices[2 * l]
     return (
-        all(flat.is_cut_by(h) for h in pw)
-        and len(pw) <= 3
-        and flat.contains(step1)
-        and flat.contains(step2)
-        and frame.line(gamma.lines[l - 1]).contains(step2)
+        all(f.is_cut_by(h) for h in gamma.piece_walls(l))
+        and f.contains(gamma.vertices[2 * l - 1])
+        and f.contains(step2)
+        and gamma.lines[l - 1].contains(step2)
     )
 
 
-def line_wall_count(gamma: GammaPath, l: int) -> int:
-    """How many of the path's crossed walls cut the exit line of flat l."""
-    ln = gamma.lines[l - 1]
-    return sum(1 for h in gamma.walls if ln.is_cut_by(h))
+def line_wall_counts(gamma: GammaPath) -> tuple[int, ...]:
+    """How many of the path's crossed walls cut each flat's exit line. By
+    _Coset.is_cut_by a g-wall cuts a g-line iff their <star g> keys agree,
+    so the walls are counted by key once and each line reads its own."""
+    graph = gamma.ck.graph
+    counts = Counter(_star_frame(graph, h.base, h.gen)[0] for h in gamma.walls)
+    return tuple(counts[_star_frame(graph, ln.base, ln.gen)[0]] for ln in gamma.lines)
 
 
 # --- periodic orbit membership ------------------------------------------------

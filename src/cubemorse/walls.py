@@ -11,8 +11,9 @@ Everything here reduces to coset arithmetic on normal forms:
 
   - membership of t in ⟨S1⟩·⟨S2⟩ holds iff left-stripping S1 then
     right-stripping S2 empties t (one round suffices);
-  - the gate of x on r·⟨S⟩ is r times the stripped-off prefix of nf(r^-1 x),
-    and the strip remainder length is the distance to the coset;
+  - the gate of x on a carrier coset b·⟨lk g⟩ is b times the stripped-off
+    prefix of nf(b^-1 x), and the strip remainder length is the distance
+    to the coset;
   - x lies on the + side of a wall [b·⟨lk g⟩, g] iff g^+ is a left descent
     of nf(b^-1 x), read off as the first syllable left after stripping
     ⟨lk g⟩ from it.
@@ -94,21 +95,6 @@ class Wall:
 
 
 # --- coset arithmetic --------------------------------------------------------
-
-
-def coset_gate_and_distance(
-    rep: GroupElement, gens_mask: int, x: GroupElement
-) -> tuple[GroupElement, int]:
-    """Nearest point of rep·⟨gens⟩ to x and the distance to it.
-
-    The gate is rep times the maximal prefix of nf(rep^-1 x) lying in the
-    subgroup; the remainder length is the distance (gate property of convex
-    parabolic cosets).
-    """
-    t = quotient(rep, x)
-    removed, kept = _strip_left(rep.graph, t.syllables, gens_mask)
-    gate_el = rep.append_syllables(removed)
-    return gate_el, sum(abs(e) for _, e in kept)
 
 
 def _carrier_strip(x: GroupElement, h: Wall) -> tuple[tuple, int, int]:

@@ -5,7 +5,8 @@ The piling invariant (_pile_key) and the BFS distance over literal letter
 moves decide equality and distance in a RAAG without the syllable engine
 in cubemorse.raag. The others redo a fast layer's question the slow,
 direct way on top of the layers below it: the coset strip read to the
-end of the word, gates on both carrier cosets, crossing walls found by a
+end of the word, gates on both carrier cosets, a coset's cutting walls
+read off a long test line through it, crossing walls found by a
 square search in a ball, the walls crossing two disjoint walls counted in
 balls about their gates, a level-by-level scan of gamma's period
 translates, the escape path and its separation asked on the global
@@ -79,7 +80,6 @@ from cubemorse.walls import (
     DEFAULT_BALL_CAP,
     Wall,
     ball,
-    coset_gate_and_distance,
     crosses,
     side,
     strongly_separated,
@@ -367,6 +367,15 @@ def certify_quasigeodesic_all_pairs(path: RunPath, K, C) -> QuasiGeodesicReport:
 # --- walls -------------------------------------------------------------------
 
 
+def coset_gate_and_distance(rep, gens_mask, x):
+    """Nearest point of rep·⟨gens⟩ to x and the distance to it: rep times
+    the maximal prefix of nf(rep^-1 x) lying in the subgroup, and the
+    length of the rest (gate property of convex parabolic cosets). The
+    quotient is a plain inverse and product."""
+    removed, kept = _strip_left(rep.graph, (rep.inverse() * x).syllables, gens_mask)
+    return rep.append_syllables(removed), sum(abs(e) for _, e in kept)
+
+
 def wall_gate_and_distance_by_cosets(x, h):
     """Reference: gates on both carrier cosets, keeping the nearer one. The
     two coset distances differ by exactly one, since h separates the
@@ -445,6 +454,25 @@ def coset_base_by_gate(base: GroupElement, mask: int) -> GroupElement:
     """Reference: the handle of base*<mask> as the coset's gate at the
     identity, its nearest point to 1."""
     return coset_gate_and_distance(base, mask, GroupElement.identity(base.graph))[0]
+
+
+def is_cut_by_test_line(coset, h: Wall) -> bool:
+    """Reference for Flat.is_cut_by and Line.is_cut_by: whether h separates
+    two vertices of the coset x⟨S⟩, read off one long test line.
+
+    Only walls in a direction g of S can cut it, and each g-wall that does
+    is the wall of an edge x·g^k → x·g^(k+1) of the line x⟨g⟩: it is dual
+    to an edge from some x·g^k·s with s in ⟨S ∖ g⟩, and s commutes with g,
+    so it does not change the wall. The k g-walls between x and x·g^k miss h,
+    as walls of one generator never cross, so they separate x from h's
+    carrier, and |k| <= d(x, carrier) <= |x| + |h.base|. So h cuts the
+    coset iff it separates x·g^-T from x·g^T, T = |x| + |h.base| + 2."""
+    if h.gen not in coset._gens:
+        return False
+    T = h.base.length + coset.base.length + 2
+    lo = coset.base.append_run(h.gen, -T)
+    hi = coset.base.append_run(h.gen, T)
+    return side(h, lo) != side(h, hi)
 
 
 # --- boundary chains ---------------------------------------------------------

@@ -101,6 +101,17 @@ class TestFrozenExamples:
         assert rep["outputs"]["separation"]["min_separation"]["value"] == 5
         assert rep["outputs"]["total_length"]["value"] == 74892028
 
+    def test_gamma_line_counts_at_scale(self, capsys):
+        # every interior exit line carries three of gamma's walls, the
+        # last two carry two; the counts are one pass over the walls
+        code, out = normalized_json(["gamma", "--flats", "240"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["certified"] is True
+        assert rep["outputs"]["line_wall_counts"] == {
+            "value": [3] * 238 + [2, 2], "certified": True,
+        }
+
     def test_separated_infinite_count(self, capsys):
         # on ck every wall dual to an edge of the c axis through the identity
         # crosses both 1@b and 1@d, so the count is infinite, and certified

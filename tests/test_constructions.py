@@ -32,7 +32,7 @@ from cubemorse.constructions import (
     gamma_crosses,
     kappa,
     kappa_prime,
-    line_wall_count,
+    line_wall_counts,
     runpath_prefix,
     translate_wall,
     verify_separation,
@@ -41,6 +41,7 @@ from cubemorse.raag import (
     DefiningGraph,
     GroupElement,
     Letter,
+    MixedGraphs,
     Word,
     distance,
     normal_form,
@@ -60,7 +61,9 @@ from oracles import (
     build_beta_by_global_frame,
     check_contracting_all_pairs,
     coset_base_by_gate,
+    coset_gate_and_distance,
     gamma_crosses_by_scan,
+    is_cut_by_test_line,
     random_graphs,
     verify_separation_by_global_frame,
 )
@@ -314,6 +317,88 @@ class TestFlatsAndLines:
             assert Flat(base, (g, h)).base == coset_base_by_gate(base, graph.mask_of((g, h)))
 
 
+def _word(data, graph, gens, max_size):
+    """A random element spelled in the generators gens."""
+    letters = data.draw(
+        st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((-2, -1, 1, 2))), max_size=max_size)
+    )
+    return normal_form(Word(graph, letters))
+
+
+def _coset(data, graph):
+    """A random Line, or a Flat when its generator has a neighbour."""
+    n = len(graph.generators)
+    base = _word(data, graph, range(n), 10)
+    g = data.draw(st.integers(0, n - 1))
+    partners = sorted(graph.link(g))
+    if partners and data.draw(st.booleans()):
+        return Flat(base, (g, data.draw(st.sampled_from(partners))))
+    return Line(base, g)
+
+
+class TestCosetQuestions:
+    """Cuts, memberships and distances of flats and lines against oracles
+    that ask sides of a long test line and gates of a plain product."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cut_matches_test_line(self, z3z, ck, data):
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        n = len(graph.generators)
+        c = _coset(data, graph)
+        g = data.draw(st.integers(0, n - 1))
+        # walls near the coset's <star g> cluster, and some beside it
+        near = sorted(graph.link(g) | {g} | set(c._gens))
+        b = c.base * _word(data, graph, near, 6) * _word(data, graph, range(n), 2)
+        h = Wall(b, g)
+        assert c.is_cut_by(h) == is_cut_by_test_line(c, h)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_membership_is_distance_zero(self, z3z, ck, data):
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        n = len(graph.generators)
+        c = _coset(data, graph)
+        x = c.base * _word(data, graph, c._gens, 6) * _word(data, graph, range(n), 2)
+        d = c.distance_to(x)
+        assert d == coset_gate_and_distance(c.base, c.mask, x)[1]
+        assert c.contains(x) == (d == 0)
+
+    @pytest.mark.parametrize("L", [4, 12, 40])
+    def test_line_counts_match_per_wall_oracle(self, ckg, L):
+        gamma = build_gamma(L, ckg)
+        want = tuple(
+            sum(1 for h in gamma.walls if is_cut_by_test_line(ln, h)) for ln in gamma.lines
+        )
+        assert line_wall_counts(gamma) == want
+
+    def test_layout_and_line_counts_ask_no_side(self, monkeypatch):
+        calls = []
+        real = constructions.side
+
+        def counted(h, x):
+            calls.append(h)
+            return real(h, x)
+
+        monkeypatch.setattr(constructions, "side", counted)
+        gamma = build_gamma(120)
+        assert line_wall_counts(gamma) == (3,) * 118 + (2, 2)
+        assert calls == []
+
+    def test_other_graph_raises(self, z3z, ckg):
+        f = Flat(ckg.origin, (ckg.gen("b"), ckg.gen("c")))
+        ln = Line(ckg.origin, ckg.gen("c"))
+        x = GroupElement.identity(z3z)
+        h = Wall(x, 0)
+        for c in (f, ln):
+            with pytest.raises(MixedGraphs):
+                c.contains(x)
+            with pytest.raises(MixedGraphs):
+                c.is_cut_by(h)
+            with pytest.raises(MixedGraphs):
+                c.distance_to(x)
+
+
 class TestGamma:
     def test_needs_a_flat(self):
         with pytest.raises(ConfigError):
@@ -399,7 +484,7 @@ class TestGamma:
                 assert f.is_cut_by(h)
 
     def test_line_sheet_counts(self, gamma12):
-        counts = [line_wall_count(gamma12, l) for l in range(1, 13)]
+        counts = list(line_wall_counts(gamma12))
         # interior exit lines carry exactly three crossed walls; the last
         # two lines lose sheets to the truncation
         assert counts == [3] * 10 + [2, 2]
