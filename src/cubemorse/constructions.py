@@ -44,6 +44,7 @@ from .walls import (
     DEFAULT_BALL_CAP,
     Wall,
     ball,
+    line_gate_exponent,
     side,
     wall_of_edge,
 )
@@ -940,9 +941,13 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     syllables and gamma_crosses reads the levels around 0. The side checks
     run in the segment's frame, translated by the start^-1: the start
     becomes 1, the end of the escape run p^N, the segment's end p^N q^M,
-    gamma's entry vertex one syllable lg^-m of the entry line's generator,
-    and the k-th wall along a direction g^s from the start the wall of the
-    edge from g^(s*k), the same for every segment."""
+    gamma's entry vertex w one syllable lg^-m, and the k-th wall along g^s
+    from the start the wall W_k of the edge g^(s*k) to g^(s*(k+1)).
+    x is beyond W_k iff s*e > k, g^e being x's gate on <g>: left-strip
+    nf(x) = l g^e r' by <lk g> (e = 0 unless the kept half starts with
+    g); l commutes with g and no g or lk(g) syllable of r' reaches its
+    front, so l g^(e-j) r' is geodesic for g^-j x. One strip per point
+    and line decides each side check (line_gate_exponent)."""
     if len(beta.segments) < 2:
         raise ConfigError(
             "separation is certified from segment 2 on, so it needs at least "
@@ -951,15 +956,6 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     delta = beta.delta if delta is None else delta
     gamma = beta.gamma
     one = gamma.ck.origin
-    # the segment frames share their short walls, so each is built once per call
-    local_walls: dict[tuple[int, int, int], Wall] = {}
-
-    def local_wall(g: int, s: int, k: int) -> Wall:
-        h = local_walls.get((g, s, k))
-        if h is None:
-            h = local_walls[g, s, k] = wall_of_edge(one.append_run(g, s * k), Letter(g, s))
-        return h
-
     ok = True
     certs: list[SegmentCertificate] = []
     for seg in beta.segments[1:]:
@@ -979,22 +975,24 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
         end = mid.append_run(seg.q_gen, seg.q_sign * seg.M)
         where = f"P^{frame.k}·"  # names a frame wall by its global image
 
+        mid_l, w_l = (toward * line_gate_exponent(x, lg) for x in (mid, w))
         H_p = _uncrossed_steps(frame, start, lg, toward, budget, delta + 3)
         for k, h in H_p:
-            hl = local_wall(lg, toward, k)
-            if side(hl, one) != side(hl, mid):
+            if mid_l > k:
                 raise CertificateViolation(f"segment {l}: escape run crosses {where}{h}")
-            if side(hl, w) == side(hl, one):
+            if w_l <= k:
                 raise CertificateViolation(
                     f"segment {l}: {where}{h} does not separate the escape run"
                 )
 
+        mid_p, end_p, w_p = (
+            seg.p_sign * line_gate_exponent(x, seg.p_gen) for x in (mid, end, w)
+        )
         H_q = _uncrossed_steps(frame, start, seg.p_gen, seg.p_sign, seg.N, delta + 1)
         for k, h in H_q:
-            hl = local_wall(seg.p_gen, seg.p_sign, k)
-            if side(hl, mid) != side(hl, end):
+            if (mid_p > k) != (end_p > k):
                 raise CertificateViolation(f"segment {l}: connector run crosses {where}{h}")
-            if side(hl, w) == side(hl, mid):
+            if (w_p > k) == (mid_p > k):
                 raise CertificateViolation(
                     f"segment {l}: {where}{h} does not separate the connector run"
                 )

@@ -370,9 +370,29 @@ def _strip_right(graph: DefiningGraph, syllables, gens_mask: int):
     """Mirror of _strip_left on the reversed word: (kept, removed) with
     element == kept * removed. On canonical input kept is canonical too,
     the minimal representative of the left coset element*<gens>; removed,
-    a word in the masked generators, need not be."""
-    removed, kept = _strip_left(graph, syllables[::-1], gens_mask)
-    return kept[::-1], removed[::-1]
+    a word in the masked generators, need not be.
+
+    The scan runs from the end of the word, and once every masked
+    generator is blocked the untouched prefix is kept as one slice, so a
+    strip costs the syllables it scans, not the length of the word."""
+    tail: list = []  # kept syllables after the untouched prefix, last first
+    removed: list = []
+    open_mask = gens_mask
+    stop = 0
+    for i in range(len(syllables) - 1, -1, -1):
+        syllable = syllables[i]
+        gen = syllable[0]
+        if (open_mask >> gen) & 1:
+            removed.append(syllable)
+        else:
+            tail.append(syllable)
+            open_mask &= graph.adj_mask[gen]
+            if not open_mask:
+                stop = i
+                break
+    tail.reverse()
+    removed.reverse()
+    return tuple(syllables[:stop]) + tuple(tail), tuple(removed)
 
 
 @dataclass(frozen=True, eq=False)

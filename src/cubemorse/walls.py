@@ -16,7 +16,11 @@ Everything here reduces to coset arithmetic on normal forms:
     to the coset;
   - x lies on the + side of a wall [b·⟨lk g⟩, g] iff g^+ is a left descent
     of nf(b^-1 x), read off as the first syllable left after stripping
-    ⟨lk g⟩ from it.
+    ⟨lk g⟩ from it;
+  - the gate of x on the line ⟨g⟩ through 1 is g^e, with e the exponent of
+    the first syllable left after stripping ⟨lk g⟩ from nf(x) when that
+    syllable is a g syllable, and 0 otherwise (line_gate_exponent). So
+    one strip answers which walls of the line separate x from 1.
 
 Transversality of two walls is coset intersection of their carriers, so it
 is decided exactly, with no search. The number of walls transverse to two
@@ -146,6 +150,33 @@ def walls_between(x: Vertex, y: Vertex) -> tuple[Wall, ...]:
 def side(h: Wall, x: Vertex) -> int:
     """-1 on the base side of h, +1 on the base·gen side."""
     return _carrier_strip(x, h)[2]
+
+
+def line_gate_exponent(x: Vertex, g: int) -> int:
+    """e such that g^e is the gate of x on the line ⟨g⟩ through 1.
+
+    Left-strip ⟨lk g⟩ from nf(x) = l·r: e is the exponent of r's first
+    syllable when that is a g syllable, and 0 otherwise; write r = g^e·r′.
+    This is _carrier_strip's argument with base 1. The strip keeps an
+    lk(g) syllable only when a kept syllable before it blocks it, so r
+    does not start with one. Nor can a g syllable of r′ reach the front of
+    r′: everything before it would commute with g, so r would start with
+    an lk(g) syllable, or with a g syllable that nf(x) would have merged
+    with it. As l commutes with g, g^-j·x = l·g^(e-j)·r′ for every j, and
+    that word is geodesic: a pair of inverse letters that could cancel in
+    it could cancel in nf(x) too, or is a g letter of r′ that reaches the
+    front of r′. So d(x, g^j) = |l| + |e - j| + |r′|, least exactly at
+    j = e.
+
+    Hence the sides. A vertex lies on the side of an edge's wall that
+    holds the edge's endpoint nearer to it. Let W_k (k >= 0) be the wall of
+    the edge from g^(s·k) to g^(s·(k+1)), for a sign s. Then x lies beyond
+    W_k, on the side away from 1, exactly when |s·e - (k+1)| < |s·e - k|,
+    that is when s·e > k.
+    """
+    graph = x.graph
+    _, kept = _strip_left(graph, x.syllables, graph.adj_mask[g])
+    return kept[0][1] if kept and kept[0][0] == g else 0
 
 
 def crosses(h1: Wall, h2: Wall) -> bool:

@@ -337,18 +337,16 @@ def test_reports_survive_python_O(argv):
     assert report(["-O"]) == report([])
 
 
-# verify_separation asks its first side at the start of segment 2, which
-# is the identity in that segment's frame; building gamma and beta asks no
-# side at the identity, so the flip lands in the separation certificate
-FLIP_FIRST_SIDE_AT_ONE = """
+# only verify_separation reads line gates, and its first read is of the end
+# of segment 2's escape run on the entry line; negating it puts that point
+# beyond the first certificate wall
+NEGATE_FIRST_GATE = """
 from cubemorse import constructions
-real, flips = constructions.side, []
-def flipped(h, x):
-    if x.is_identity and not flips:
-        flips.append(h)
-        return -real(h, x)
-    return real(h, x)
-constructions.side = flipped
+real, reads = constructions.line_gate_exponent, []
+def negated(x, g):
+    reads.append(x)
+    return -real(x, g) if len(reads) == 1 else real(x, g)
+constructions.line_gate_exponent = negated
 """
 BETA_VIOLATION = "error: certificate violation: segment 2: escape run crosses"
 
@@ -356,9 +354,9 @@ BETA_VIOLATION = "error: certificate violation: segment 2: escape run crosses"
 def test_certificate_violation_exits_3(monkeypatch, capsys):
     from cubemorse import constructions
 
-    # the script replaces constructions.side; monkeypatch puts it back
-    monkeypatch.setattr(constructions, "side", constructions.side)
-    exec(FLIP_FIRST_SIDE_AT_ONE, {})
+    # the script replaces constructions.line_gate_exponent; monkeypatch puts it back
+    monkeypatch.setattr(constructions, "line_gate_exponent", constructions.line_gate_exponent)
+    exec(NEGATE_FIRST_GATE, {})
     code = run(GOLDEN_CASES["beta"])
     out, err = capsys.readouterr()
     assert code == 3
@@ -367,7 +365,7 @@ def test_certificate_violation_exits_3(monkeypatch, capsys):
 
 
 def test_certificate_violation_exits_3_under_python_O():
-    script = FLIP_FIRST_SIDE_AT_ONE + textwrap.dedent(
+    script = NEGATE_FIRST_GATE + textwrap.dedent(
         f"""
         import sys
         from cubemorse.cli import run

@@ -53,6 +53,7 @@ from cubemorse.walls import (
     Wall,
     ball,
     crosses,
+    line_gate_exponent,
     side,
     wall_of_edge,
     walls_between,
@@ -824,55 +825,80 @@ class TestSeparationFrames:
         )
 
     def test_side_reads_only_short_words(self, ckg, monkeypatch):
-        # in the frames no certificate step reads a long word: every side
-        # call, and every inverse, is of a word of at most 8 syllables
+        # in the frames no certificate step reads a long word: every gate
+        # read, and every inverse, is of a word of at most 8 syllables
         beta = build_beta(4, 40, ck=ckg)
-        real_inverse, real_side, long_words = GroupElement.inverse, constructions.side, []
+        real_inverse, real_gate, long_words = (
+            GroupElement.inverse, constructions.line_gate_exponent, []
+        )
 
         def inverse_recorded(self):
             if len(self.syllables) > 8:
                 long_words.append(self)
             return real_inverse(self)
 
-        def side_recorded(h, x):
-            long_words.extend(w for w in (h.base, x) if len(w.syllables) > 8)
-            return real_side(h, x)
+        def gate_recorded(x, g):
+            if len(x.syllables) > 8:
+                long_words.append(x)
+            return real_gate(x, g)
 
         monkeypatch.setattr(GroupElement, "inverse", inverse_recorded)
-        monkeypatch.setattr(constructions, "side", side_recorded)
+        monkeypatch.setattr(constructions, "line_gate_exponent", gate_recorded)
         rep = verify_separation(beta)
         assert rep.ok and len(rep.segments) == 39
         assert long_words == []
 
+    def test_reads_gates_not_sides(self, ckg, monkeypatch):
+        # five gate reads per segment answer every side check
+        beta = build_beta(6, 120, ck=ckg)
+        real_gate, gates, sides = constructions.line_gate_exponent, [], []
 
-def flip_nth_side(monkeypatch, n):
-    """Make constructions.side give the wrong answer on its n-th call."""
+        def side_recorded(h, x):
+            sides.append(h)
+            return side(h, x)
+
+        def gate_recorded(x, g):
+            gates.append(g)
+            return real_gate(x, g)
+
+        monkeypatch.setattr(constructions, "side", side_recorded)
+        monkeypatch.setattr(constructions, "line_gate_exponent", gate_recorded)
+        rep = verify_separation(beta)
+        assert len(rep.segments) == 119
+        assert sides == []
+        assert len(gates) == 5 * 119
+
+
+def negate_nth_gate(monkeypatch, n):
+    """Make constructions.line_gate_exponent negate its answer on its n-th
+    call, which moves the point to the mirror image of its gate."""
     calls = []
 
-    def flipped(h, x):
-        calls.append(h)
-        s = side(h, x)
-        return -s if len(calls) == n + 1 else s
+    def negated(x, g):
+        calls.append(x)
+        e = line_gate_exponent(x, g)
+        return -e if len(calls) == n + 1 else e
 
-    monkeypatch.setattr(constructions, "side", flipped)
+    monkeypatch.setattr(constructions, "line_gate_exponent", negated)
 
 
 class TestSeparationChecks:
-    # verify_separation asks four sides per certificate wall: (start, mid)
-    # and (o, start) for the escape run, then (mid, end) and (o, mid) for
-    # the connector run. Segment 2's escape run has 7 walls.
+    # verify_separation reads five gates per segment: of mid and w on the
+    # entry line, then of mid, end and w on the escape run's line. In
+    # segment 2 both lines are <c>, and the gate exponents are -16, 8, -16,
+    # -16 and 8, none of them 0, so each negation breaks one check.
     @pytest.mark.parametrize(
         "n, message",
         [
             (0, "escape run crosses"),
-            (2, "does not separate the escape run"),
-            (28, "connector run crosses"),
-            (30, "does not separate the connector run"),
+            (1, "does not separate the escape run"),
+            (2, "connector run crosses"),
+            (4, "does not separate the connector run"),
         ],
     )
     def test_flipped_side_raises(self, beta12, monkeypatch, n, message):
         assert verify_separation(beta12).segments[0].p_wall_count == 7
-        flip_nth_side(monkeypatch, n)
+        negate_nth_gate(monkeypatch, n)
         with pytest.raises(CertificateViolation, match=message):
             verify_separation(beta12)
 
@@ -882,11 +908,11 @@ class TestSeparationChecks:
             from cubemorse import constructions
             from cubemorse.runpaths import CertificateViolation
             beta = constructions.build_beta(4, 12)
-            real, calls = constructions.side, []
-            def flipped(h, x):
-                calls.append(h)
-                return -real(h, x) if len(calls) == 1 else real(h, x)
-            constructions.side = flipped
+            real, calls = constructions.line_gate_exponent, []
+            def negated(x, g):
+                calls.append(x)
+                return -real(x, g) if len(calls) == 1 else real(x, g)
+            constructions.line_gate_exponent = negated
             try:
                 constructions.verify_separation(beta)
             except CertificateViolation as e:

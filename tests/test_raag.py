@@ -331,6 +331,17 @@ class TestStrip:
             assert _strip_left(graph, word, mask) == strip_left_by_scan(graph, word, mask)
 
     @given(data=st.data())
+    @seed(2402)
+    @settings(max_examples=300, deadline=None)
+    def test_strip_right_mirrors_strip_left(self, z3z, ck, data):
+        # the scan from the end keeps the untouched prefix as one slice; it
+        # must split exactly as _strip_left does on the reversed word
+        graph, x, mask = draw_strip_case(data, (z3z, ck))
+        for word in (x.syllables, x.syllables[::-1]):
+            removed, kept = _strip_left(graph, word[::-1], mask)
+            assert _strip_right(graph, word, mask) == (kept[::-1], removed[::-1])
+
+    @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_halves_share_input_syllables(self, z3z, ck, data):
         # a wall or coset base cut from a word holds that word's own pairs

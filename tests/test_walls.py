@@ -33,6 +33,7 @@ from cubemorse.walls import (
     crosses,
     crossing_count,
     gate,
+    line_gate_exponent,
     side,
     strongly_separated,
     wall_distance,
@@ -247,6 +248,40 @@ class TestOneProductSide:
         between = set(walls_between(x, y))
         for h in between | set(walls_between(u, v)):
             assert (h in between) == (side(h, x) != side(h, y))
+
+
+class TestLineGate:
+    # W_k is the wall of the edge from g^(s*k) to g^(s*(k+1)) on the line <g>
+    # through 1, and x lies beyond it exactly when s*e > k
+
+    def test_examples(self, ck):
+        one = GroupElement.identity(ck)
+        # a and c commute with b, so they strip off either side of b^3
+        assert line_gate_exponent(normal_form("a b^3 c", ck), B) == 3
+        assert line_gate_exponent(normal_form("c^2 b^-2 a", ck), B) == -2
+        # d does not commute with b, so the gate of d b^2 on <b> is 1
+        assert line_gate_exponent(normal_form("d b^2", ck), B) == 0
+        x = normal_form("a b^3", ck)
+        e = line_gate_exponent(x, B)
+        beyond = [side(Wall(one.append_run(B, k), B), x) == 1 for k in range(5)]
+        assert beyond == [e > k for k in range(5)] == [True, True, True, False, False]
+
+    @seed(2028)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_side(self, z3z, ck, data):
+        # x = u g^j v lies near the line, so some of W_0..W_12 separate it
+        # from 1 and others do not, in either direction
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        g = data.draw(st.integers(0, len(graph.generators) - 1))
+        u, v = (draw_element(data, graph, 3) for _ in range(2))
+        x = u.append_run(g, data.draw(st.integers(-13, 13))) * v
+        e = line_gate_exponent(x, g)
+        one = GroupElement.identity(graph)
+        for s in (1, -1):
+            for k in range(13):
+                h = wall_of_edge(one.append_run(g, s * k), Letter(g, s))
+                assert (s * e > k) == (side(h, x) != side(h, one)), (x, g, s, k)
 
 
 class TestCrosses:
