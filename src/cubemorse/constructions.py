@@ -806,12 +806,15 @@ def build_beta(
             raise CertificateViolation(f"flat {l}: previous endpoint already on the exit line")
         N = max(delta + 3, 5 * M, 2 * total)
 
-        candidates = {s: wall_of_edge(x, Letter(p_gen, s)) for s in (1, -1)}
         if case == 3:
+            candidates = {s: wall_of_edge(x, Letter(p_gen, s)) for s in (1, -1)}
             kept = [s for s, h in candidates.items() if not gamma_crosses(frame, h)]
         else:
-            w = frame.local(gamma.entry_vertex(l))
-            kept = [s for s, h in candidates.items() if side(h, x) == side(h, w)]
+            # gamma's entry vertex w lies on x's side of the wall of x's
+            # p-edge in direction s iff s·e <= 0, where p^e is the gate of
+            # x⁻¹·w on the line ⟨p⟩ (line_gate_exponent)
+            e = line_gate_exponent(quotient(x, frame.local(gamma.entry_vertex(l))), p_gen)
+            kept = [s for s in (1, -1) if s * e <= 0]
         if len(kept) != 1:
             raise CertificateViolation(f"escape direction ambiguous in flat {l}")
         p_sign = kept[0]

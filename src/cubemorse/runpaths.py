@@ -131,22 +131,50 @@ class RunPath:
         return walk_wall_count(self.graph, self.segments_between(s, t))
 
     @cached_property
-    def _frames(self) -> tuple[tuple[tuple, int], ...]:
-        """Cluster key and base level for each run."""
-        return tuple(
-            _star_frame(self.graph, self._starts[i], g)
-            for i, (g, _) in enumerate(self.runs)
-        )
+    def _frames(self) -> tuple[tuple[_StarKey, int], ...]:
+        """Cluster key and base level for each run. Runs of one cluster
+        share one key object, which dict lookups match by identity."""
+        keys: dict = {}
+        out = []
+        for start, (g, _) in zip(self._starts, self.runs):
+            key, m = _star_frame(self.graph, start, g)
+            out.append((keys.setdefault(key, key), m))
+        return tuple(out)
 
 
-def _star_frame(graph: DefiningGraph, start: GroupElement, g: int):
-    """Cluster key and level of a g-run starting at start: the minimal
-    representative R of start·⟨star(g)⟩ and the g-exponent m of the stripped
-    tail, so the run's k-th wall separates levels m+k and m+k+1 over R."""
+class _StarKey:
+    """A cluster key: generator g and the minimal representative R of a
+    coset R·⟨star(g)⟩, as a syllable tuple. R can be as long as the path
+    that reached it, and tuples do not keep their hash, so the key computes
+    its hash on first use and keeps it."""
+
+    __slots__ = ("gen", "rep", "_hash")
+
+    def __init__(self, gen: int, rep: tuple) -> None:
+        self.gen = gen
+        self.rep = rep
+        self._hash = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.gen, self.rep))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _StarKey):
+            return NotImplemented
+        return self is other or (self.gen == other.gen and self.rep == other.rep)
+
+
+def _star_frame(graph: DefiningGraph, start: GroupElement, g: int) -> tuple[_StarKey, int]:
+    """Cluster key and level of a g-run starting at start: the key of the
+    minimal representative R of start·⟨star(g)⟩, and the g-exponent m of
+    the stripped tail, so the run's k-th wall separates levels m+k and
+    m+k+1 over R."""
     star = graph.adj_mask[g] | (1 << g)
     kept, removed = _strip_right(graph, start.syllables, star)
     level = sum(e for gg, e in removed if gg == g)
-    return (g, kept), level
+    return _StarKey(g, kept), level
 
 
 def _toggled(flips: tuple, x: int) -> tuple:
@@ -411,18 +439,18 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
 
 
 def _interned(frames, ids: dict) -> list:
-    """frames with each cluster key replaced by a small int from ids: the
-    keys hold whole syllable tuples and are rehashed on every lookup."""
+    """frames with each cluster key replaced by a small int from ids: an
+    int hashes and compares in C, where a _StarKey's hash and equality are
+    Python calls."""
     return [(ids.setdefault(key, len(ids)), m) for key, m in frames]
 
 
-def _origin_table(p1: RunPath, p2: RunPath, ids: dict) -> _ClusterTable:
-    """The connector from p1's origin to p2's origin, keys interned by ids."""
+def _origin_table(p1: RunPath, p2: RunPath) -> _ClusterTable:
+    """The connector from p1's origin to p2's origin."""
     table = _ClusterTable()
     v = p1.origin
     for g, e in quotient(p1.origin, p2.origin).syllables:
-        key, m = _star_frame(p1.graph, v, g)
-        table.add(ids.setdefault(key, len(ids)), m, e)
+        table.add(*_star_frame(p1.graph, v, g), e)
         v = v.append_run(g, e)
     return table
 
@@ -434,12 +462,11 @@ def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
     connector, then forward to p2(t); only the two head partials move with
     (s, t), so each run-pair cell is minimized at breakpoints.
     """
-    ids: dict = {}
-    outer = _origin_table(p1, p2, ids)
+    outer = _origin_table(p1, p2)
     best, arg = outer.total, (0, 0)
     # an empty path stands as one zero-length run in a cluster of its own
-    f1 = _interned(p1._frames, ids) or [(None, 0)]
-    f2 = _interned(p2._frames, ids) or [(None, 0)]
+    f1 = p1._frames or ((None, 0),)
+    f2 = p2._frames or ((None, 0),)
     runs1 = p1.runs or ((None, 0),)
     runs2 = p2.runs or ((None, 0),)
     for i, ((key_i, m_i), (_, e_i)) in enumerate(zip(f1, runs1)):
@@ -476,6 +503,21 @@ def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
 # dA from z to the run's two ends. The distance to a set is the lower
 # envelope of these V shapes: slopes +-1, so it is linear on the integers
 # between its apexes and the crossings of neighbouring V's.
+#
+# Against the vertices Z_T of a path Z, run i's V shapes come in pieces.
+# Write row_i[T] = d(x_i, Z_T), x_i the run ends, and delta_T =
+# row_i+1[T] - row_i[T]. Run i crosses the walls (key_i, l), lo <= l < hi,
+# each of which separates x_i from x_i+1; every other wall has x_i and
+# x_i+1 on one side and counts alike in both rows. So delta_T is +1 for
+# each of run i's walls with Z_T on x_i's side and -1 for each of the
+# others. The step Z_T -> Z_T+1 crosses one wall h, so delta_T+1 = delta_T
+# unless h is one of run i's walls; then Z crosses from x_i's side to
+# x_i+1's or back, row_i steps by +1 or -1, and delta by -2 times that
+# step. Between such steps delta is constant: the apex a = (A - delta)/2
+# is shared, the geodesic check, on d0 + dA - A = 2*d0 + delta - A and on
+# |d0 - dA| = |delta|, reads delta only, and the V shape with the least
+# row_i[T] lies below the piece's others. On gamma:160 a cluster holds at
+# most 3 of Z's steps, so a run's row has at most 4 pieces.
 
 
 def _envelope_knots(vees, A: int) -> list[tuple[int, int]]:
@@ -510,58 +552,66 @@ def _envelope_knots(vees, A: int) -> list[tuple[int, int]]:
     return out
 
 
-def _distance_rows(path: RunPath, Z: RunPath) -> list[list[int]]:
-    """d(x, Z_T) for x each run end of path, its origin first (rows), and
-    each vertex Z_T of Z (columns), in one pass over Z's walls.
-
-    Distance counts separating walls, and Z_T, Z_T+1 differ in their side
-    of one wall h only: d(x, Z_T+1) - d(x, Z_T) is +1 when x and Z_T lie on
-    the same side of h, -1 otherwise. They lie on opposite sides iff the
-    walk x -> path origin -> Z origin -> Z_T crosses h an odd number of
-    times, the XOR of the parity at h of the outer table (the walk up to
-    Z's origin) and of Z's own walk. So Z's own sign, +1 where h does not
-    separate Z_0 from Z_T, is read once per step, and a row adds it negated
-    where its outer table holds an odd number of flips at or below h's level."""
-    ids: dict = {}
-    outer = _origin_table(path, Z, ids)
-    odd, steps = set(), []  # Z's walls crossed oddly so far; (h, own sign)
-    for (key, m), (_, e) in zip(_interned(Z._frames, ids), Z.runs):
-        for k in range(abs(e)):  # h = (cluster, l): between levels l, l + 1
-            h = (key, m + k if e > 0 else m - k - 1)
-            steps.append((*h, -1 if h in odd else 1))
-            odd ^= {h}
-    frames = _interned(path._frames, ids)
-    get = outer.flips.get
-    rows = []
-    for i in range(len(path.runs) + 1):
-        if i > 0:
-            outer.add(*frames[i - 1], path.runs[i - 1][1])
-        d = outer.total
-        rows.append(row := [d])
-        for key, level, sign in steps:
-            flips = get(key)
-            d += -sign if flips and bisect_right(flips, level) & 1 else sign
-            row.append(d)
-    return rows
-
-
 def set_distance_knots(path: RunPath, Z: RunPath) -> tuple[tuple[int, int], ...]:
     """Exact t -> d(path(t), Z), Z the vertex set of a path, as knots
     (t, distance) from t = 0 to path.length. Between consecutive knots the
-    distance is linear on the integers, with slope -1, 0 or +1. Cost: one
-    _distance_rows row per run of path, independent of its run lengths."""
-    rows = _distance_rows(path, Z)
-    knots = [(0, min(rows[0]))]
-    for i, (_, e) in enumerate(path.runs):
+    distance is linear on the integers, with slope -1, 0 or +1.
+
+    Row 0, d(x_0, Z_T) for the path's origin x_0 and every T, takes one
+    pass over Z's walls. The step Z_T -> Z_T+1 crosses one wall h and
+    comes nearer to x_0 iff h separates the two, iff the walk from x_0
+    across the connector to Z_0 and along Z to Z_T crosses h an odd number
+    of times: the connector's parity at h plus Z's own.
+
+    Row i+1 is row i plus delta, and delta is constant on each piece of Z
+    between the steps that cross run i's walls (see the comment above).
+    At T = 0 it is the change of d(x_i, Z_0), the total of the table that
+    holds the connector and the path's runs before i, when run i is added
+    to it, and at each piece end it changes by -2 times row i's step there. Each piece is checked once, against its first column, and
+    gives the one V shape that can reach the envelope. The rows are one
+    list plus a shift: the longest piece moves by the shift and the others
+    are rewritten in place. So a run costs O(pieces) Python steps, plus a
+    C-level min and slice per piece, whatever its length."""
+    outer = _origin_table(path, Z)
+    crossings: dict = {}  # cluster -> (T, level) of Z's steps across it
+    odd: dict = {}  # cluster -> levels of Z's walls crossed oddly so far
+    row = [outer.total]
+    flips_of = outer.flips.get
+    for (key, m), (_, e) in zip(Z._frames, Z.runs):
+        flips, d = flips_of(key, ()), row[-1]
+        at, own = crossings.setdefault(key, []), odd.setdefault(key, set())
+        for level in range(m, m + e) if e > 0 else range(m - 1, m + e - 1, -1):
+            at.append((len(row) - 1, level))
+            d += -1 if (bisect_right(flips, level) & 1) ^ (level in own) else 1
+            own ^= {level}
+            row.append(d)
+    knots = [(0, min(row))]
+    shift = 0  # row_i[T] = row[T] + shift
+    for i, ((key, m), (_, e)) in enumerate(zip(path._frames, path.runs)):
         A = abs(e)
+        lo = min(m, m + e)
+        delta = -outer.total
+        outer.add(key, m, e)
+        delta += outer.total
+        ends = [T + 1 for T, level in crossings.get(key, ()) if lo <= level < lo + A]
+        deltas = [delta]
+        for b in ends:
+            deltas.append(deltas[-1] - 2 * (row[b] - row[b - 1]))
+        pieces = list(zip([0, *ends], [*ends, len(row)], deltas))
+        # the longest piece moves by the shift, the others are rewritten
+        base = max(pieces, key=lambda p: p[1] - p[0])[2]
         vees = []
-        for T, (d0, dA) in enumerate(zip(rows[i], rows[i + 1])):
-            if (d0 + dA - A) % 2 or abs(d0 - dA) > A:
+        for a, b, delta in pieces:
+            if (delta - A) % 2 or abs(delta) > A:
                 raise CertificateViolation(
-                    f"run {i} of length {A} is not geodesic against vertex {T} of Z:"
-                    f" end distances {d0} and {dA}"
+                    f"run {i} of length {A} is not geodesic against vertex {a} of Z:"
+                    f" end distances {row[a] + shift} and {row[a] + shift + delta}"
                 )
-            vees.append(((d0 - dA + A) // 2, (d0 + dA - A) // 2))
+            piece = row[a:b]
+            vees.append(((A - delta) // 2, min(piece) + shift + (delta - A) // 2))
+            if delta != base:
+                row[a:b] = [d + delta - base for d in piece]
+        shift += base
         off = path._offsets[i]
         knots.extend((off + u, d) for u, d in _envelope_knots(vees, A)[1:])
     return tuple(knots)

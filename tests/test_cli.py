@@ -337,16 +337,23 @@ def test_reports_survive_python_O(argv):
     assert report(["-O"]) == report([])
 
 
-# only verify_separation reads line gates, and its first read is of the end
-# of segment 2's escape run on the entry line; negating it puts that point
-# beyond the first certificate wall
+# build_beta reads line gates for its escape choice, so the gate is
+# negated only inside verify_separation. Its first read there is of the
+# end of segment 2's escape run on the entry line; negating it puts that
+# point beyond the first certificate wall
 NEGATE_FIRST_GATE = """
 from cubemorse import constructions
-real, reads = constructions.line_gate_exponent, []
+real, verify, reads = constructions.line_gate_exponent, constructions.verify_separation, []
 def negated(x, g):
     reads.append(x)
     return -real(x, g) if len(reads) == 1 else real(x, g)
-constructions.line_gate_exponent = negated
+def negating_verify(*args):
+    constructions.line_gate_exponent = negated
+    try:
+        return verify(*args)
+    finally:
+        constructions.line_gate_exponent = real
+constructions.verify_separation = negating_verify
 """
 BETA_VIOLATION = "error: certificate violation: segment 2: escape run crosses"
 
@@ -354,8 +361,8 @@ BETA_VIOLATION = "error: certificate violation: segment 2: escape run crosses"
 def test_certificate_violation_exits_3(monkeypatch, capsys):
     from cubemorse import constructions
 
-    # the script replaces constructions.line_gate_exponent; monkeypatch puts it back
-    monkeypatch.setattr(constructions, "line_gate_exponent", constructions.line_gate_exponent)
+    # the script replaces constructions.verify_separation; monkeypatch puts it back
+    monkeypatch.setattr(constructions, "verify_separation", constructions.verify_separation)
     exec(NEGATE_FIRST_GATE, {})
     code = run(GOLDEN_CASES["beta"])
     out, err = capsys.readouterr()

@@ -2,12 +2,15 @@
 and the distance knots it is read from."""
 
 import random
+import textwrap
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from childproc import run_python
 from cubemorse.constructions import (
     PreconditionFailed,
     build_beta,
@@ -15,8 +18,9 @@ from cubemorse.constructions import (
     check_divergence_dichotomy,
     runpath_prefix,
 )
-from cubemorse.raag import GroupElement, distance
+from cubemorse.raag import GroupElement, Letter, distance
 from cubemorse.runpaths import CertificateViolation, RunPath, set_distance_knots
+from cubemorse.walls import side, wall_of_edge
 from oracles import dichotomy_by_steps, random_graphs, set_distance_knots_by_tables
 
 
@@ -165,20 +169,119 @@ def test_parallel_path_breaks_the_bound(ck):
     assert rep.residual_min == 4 - (Fraction(34 - 3, 2) - 6)
 
 
+# every run added to the cluster table of the walk from the path's origin
+# counts one wall too many. Both origins below are the identity, so the
+# first add is the path's first run, and its delta at Z's origin is off
+# by one: 3 for a run of length 2
+BREAK_FIRST_DELTA = """
+from cubemorse import runpaths
+real = runpaths._ClusterTable.add
+def off_by_one(self, *args):
+    real(self, *args)
+    self.total += 1
+runpaths._ClusterTable.add = off_by_one
+"""
+DELTA_VIOLATION = "run 0 of length 2 is not geodesic against vertex 0 of Z: end distances 0 and 3"
+
+
 def test_broken_distance_row_is_a_violation(ck, monkeypatch):
-    # a row whose end distances no geodesic run can have must be refused,
+    # a piece whose end distances no geodesic run can have must be refused,
     # not folded into a certified envelope
     from cubemorse import runpaths
 
-    rows = runpaths._distance_rows
-
-    def corrupted(path, Z):
-        out = rows(path, Z)
-        out[1][0] += 1  # the first run's end, against Z's origin
-        return out
-
-    monkeypatch.setattr(runpaths, "_distance_rows", corrupted)
+    # the script replaces _ClusterTable.add; monkeypatch puts it back
+    monkeypatch.setattr(runpaths._ClusterTable, "add", runpaths._ClusterTable.add)
+    exec(BREAK_FIRST_DELTA, {})
     Z = RunPath(GroupElement.identity(ck), ((1, 3),))
     beta = RunPath(GroupElement.identity(ck), ((2, 2), (0, 1)))
-    with pytest.raises(CertificateViolation):
+    with pytest.raises(CertificateViolation) as exc:
         check_divergence_dichotomy(Z, beta, 0, 1, 0)
+    assert str(exc.value) == DELTA_VIOLATION
+
+
+def test_broken_distance_row_is_a_violation_under_python_O():
+    script = BREAK_FIRST_DELTA + textwrap.dedent(
+        """
+        from cubemorse.constructions import check_divergence_dichotomy
+        from cubemorse.raag import CertificateViolation, DefiningGraph, GroupElement
+        from cubemorse.runpaths import RunPath
+        one = GroupElement.identity(DefiningGraph.from_json("tests/data/ck.json"))
+        Z, beta = RunPath(one, ((1, 3),)), RunPath(one, ((2, 2), (0, 1)))
+        try:
+            check_divergence_dichotomy(Z, beta, 0, 1, 0)
+        except CertificateViolation as e:
+            print("raised:", e)
+        """
+    )
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"raised: {DELTA_VIOLATION}\n", proc.stdout
+
+
+def envelope_sizes(monkeypatch):
+    """The number of V shapes each _envelope_knots call gets, in order."""
+    from cubemorse import runpaths
+
+    real, sizes = runpaths._envelope_knots, []
+
+    def counted(vees, A):
+        sizes.append(len(vees))
+        return real(vees, A)
+
+    monkeypatch.setattr(runpaths, "_envelope_knots", counted)
+    return sizes
+
+
+def test_one_vee_per_piece(escape, monkeypatch):
+    # an operation count: run i gets one V shape per stretch of Z between
+    # the steps of Z that cross run i's walls, not one per vertex of Z
+    Z, beta = escape
+    sizes = envelope_sizes(monkeypatch)
+    set_distance_knots(beta, Z)
+    units = [(g, 1 if e > 0 else -1) for g, e in Z.runs for _ in range(abs(e))]
+    zwalls = [wall_of_edge(Z.vertex_at(T), Letter(g, s)) for T, (g, s) in enumerate(units)]
+    ends = [beta.vertex_at(t) for t in accumulate((abs(e) for _, e in beta.runs), initial=0)]
+    crossed = [sum(side(h, x) != side(h, y) for h in zwalls) for x, y in zip(ends, ends[1:])]
+    assert len(sizes) == len(beta.runs)
+    assert all(n <= 1 + c for n, c in zip(sizes, crossed)), (sizes, crossed)
+    assert max(sizes) <= 4 < Z.length + 1
+    assert sum(crossed) > 0
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_knots_match_the_table_walk_on_zigzags(ck, z3z, data):
+    # Z zigzags through the cluster of one run of the path: 3 to 5 runs of
+    # g of 2 steps or more, at the run's levels, with moves in lk(g) between
+    # them that keep Z in the run's <star g> coset. Every such step crosses
+    # one of the run's walls, so the run's row splits into 7 pieces or more
+    graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+    n = len(graph.generators)
+    one = GroupElement.identity(graph)
+    g = data.draw(st.integers(0, n - 1))
+    link = [h for h in range(n) if graph.adj_mask[g] >> h & 1]
+    in_link = st.lists(
+        st.tuples(st.sampled_from(link), st.sampled_from((-2, -1, 1, 2))), max_size=2
+    ) if link else st.just([])
+    A = data.draw(st.integers(4, 8))
+    s = data.draw(st.sampled_from((1, -1)))
+    before = runpaths_on(graph, data, runpaths_on(graph, data, one, 3).endpoint(), 2)
+    after = runpaths_on(graph, data, one, 2)
+    path = RunPath(before.origin, before.runs + ((g, s * A),) + after.runs)
+    # x·c·g^(s·t), c in <lk g>, lies over level t of the run from x
+    t = data.draw(st.integers(0, A))
+    c = RunPath(one, tuple(data.draw(in_link))).endpoint()
+    z_origin = before.endpoint() * c.append_run(g, s * t)
+    zruns: list = []
+    for k in range(data.draw(st.integers(3, 5))):
+        if k:
+            zruns.extend(data.draw(in_link))
+        u = data.draw(st.sampled_from([u for u in range(A + 1) if abs(u - t) >= 2]))
+        zruns.append((g, s * (u - t)))
+        t = u
+    Z = RunPath(z_origin, tuple(zruns) + runpaths_on(graph, data, one, 2).runs)
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = envelope_sizes(mp)
+        got = outcome(set_distance_knots, path, Z)
+    assert got == outcome(set_distance_knots_by_tables, path, Z)
+    assert sizes[len(before.runs)] >= 7
