@@ -66,7 +66,6 @@ _EXPORTS = {
         "CrokeKleiner",
         "DichotomyReport",
         "Flat",
-        "GammaFrame",
         "GammaPath",
         "Line",
         "PreconditionFailed",

@@ -349,7 +349,7 @@ def _cmd_gamma(args):
     return {
         "flats": _num(args.flats, True),
         "steps": _num(2 * args.flats, True),
-        "endpoint": gp.vertices[-1].text(),
+        "endpoint": gp.runpath().endpoint().text(),
         "families": gp.families(),
         "line_wall_counts": _num(line_wall_counts(gp), True),
     }, True

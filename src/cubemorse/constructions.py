@@ -13,7 +13,6 @@ from __future__ import annotations
 import decimal
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -45,7 +44,6 @@ from .walls import (
     Wall,
     ball,
     line_gate_exponent,
-    side,
     wall_of_edge,
 )
 
@@ -420,170 +418,144 @@ class Line(_Coset):
 
 # --- the periodic diagonal geodesic -------------------------------------------
 
-# step letters, flat span, and exit-line direction per flat index mod 4
-_GAMMA_STEPS = (("b", "c"), ("c", "d"), ("c", "b"), ("b", "a"))
-_GAMMA_FLATS = (("b", "c"), ("c", "d"), ("b", "c"), ("a", "b"))
-_GAMMA_LINES = ("c", "c", "b", "b")
-
-_GAMMA_PERIOD_LETTERS = ("b", "c", "c", "d", "c", "b", "b", "a")
+# per flat of the period: its two steps, then the generator of its exit
+# line, which it shares with the next flat
+_GAMMA_PERIOD = (("b", "c", "c"), ("c", "d", "c"), ("c", "b", "b"), ("b", "a", "b"))
 
 
 @dataclass(frozen=True)
 class GammaPath:
-    """Two steps per flat, repeating b c | c d | c b | b a.
+    """The first L flats of the P-periodic geodesic G through the flat
+    cycle B, C, B, A: two steps per flat, repeating b c | c d | c b | b a.
 
-    Flat l and flat l+1 share the line lines[l-1]. build_gamma checks that
-    the path's two walls inside flat l cut it and both steps end in it, the
-    second on lines[l-1]. The tests pin how many of its walls cut each
-    flat, 4 to 6 inside, and each exit line, 3 inside and 2 on the last two."""
+    Only one period is stored, in frame 0: the vertices G(0) .. G(8), with
+    G(8) = P, the letters and walls W_0 .. W_7 of its steps, and its four
+    flats and exit lines. G(8k + i) = P^k·G(i) and W_(8k + i) = P^k·W_i.
+    Flat l = 4k + m + 1 (1-based) is P^k·period_flats[m]; its exit line,
+    its two walls and its entry vertex are P^k times period_lines[m],
+    period_walls[2m], period_walls[2m + 1] and period_vertices[2m]. Flat l
+    and flat l+1 share flat l's exit line."""
 
     ck: CrokeKleiner
-    vertices: tuple[GroupElement, ...]
-    letters: tuple[Letter, ...]
-    walls: tuple[Wall, ...]
-    flats: tuple[Flat, ...]
-    lines: tuple[Line, ...]
-    period: GroupElement
+    L: int
+    period_vertices: tuple[GroupElement, ...]
+    period_letters: tuple[Letter, ...]
     period_walls: tuple[Wall, ...]
+    period_flats: tuple[Flat, ...]
+    period_lines: tuple[Line, ...]
 
     @property
-    def L(self) -> int:
-        return len(self.flats)
+    def period(self) -> GroupElement:
+        return self.period_vertices[8]
 
     def runpath(self) -> RunPath:
-        runs = tuple((lt.gen, lt.sign) for lt in self.letters)
-        return RunPath(self.ck.origin, runs)
+        runs = tuple((lt.gen, lt.sign) for lt in self.period_letters)
+        return RunPath(self.ck.origin, tuple(runs[t % 8] for t in range(2 * self.L)))
 
     def families(self) -> str:
         """The wall families A/B/C/D crossed, named by generator."""
-        return "".join(h.gen_name().upper() for h in self.walls)
+        names = [h.gen_name().upper() for h in self.period_walls]
+        return "".join(names[t % 8] for t in range(2 * self.L))
 
     def ray(self) -> BoundaryRay:
-        return BoundaryRay.from_text(self.ck.graph, "|" + " ".join(_GAMMA_PERIOD_LETTERS))
-
-    def piece_walls(self, l: int) -> tuple[Wall, Wall]:
-        """The two walls crossed inside flat l (1-based)."""
-        return self.walls[2 * (l - 1)], self.walls[2 * l - 1]
-
-    def entry_vertex(self, l: int) -> GroupElement:
-        return self.vertices[2 * (l - 1)]
+        names = self.ck.graph.generators
+        return BoundaryRay.from_text(
+            self.ck.graph, "|" + " ".join(names[lt.gen] for lt in self.period_letters)
+        )
 
     @cached_property
     def _orbit(self) -> "_PeriodOrbit":
         """The period translates of period_walls by level, grown on demand."""
         return _PeriodOrbit(self.period, self.period_walls)
 
-    def frame(self, l: int) -> "GammaFrame":
-        """The period frame of flat l (1-based)."""
-        return GammaFrame(self, (l - 1) // 4)
-
-
-@dataclass(frozen=True)
-class GammaFrame:
-    """gamma seen from its vertex 8k, which is P^k for the period P: the
-    frame of flats 4k+1 to 4k+4.
-
-    Left translation by P^-k keeps distances, sides, cosets and crossings,
-    and maps gamma's periodic extension onto the periodic line from level
-    -k of _PeriodOrbit. So build_beta and verify_separation ask each check
-    about the escape path's segments in those four flats of the translates,
-    where gamma's vertices, lines and walls and the segment ends beside
-    them are words of a few syllables. local() is raag.quotient from P^k:
-    it translates one stored word through its common prefix with P^k."""
-
-    gamma: GammaPath
-    k: int
-
-    @property
-    def origin(self) -> GroupElement:
-        return self.gamma.vertices[8 * self.k]
-
-    def local(self, x: GroupElement) -> GroupElement:
-        """P^-k · x."""
-        return quotient(self.origin, x)
-
-    def line(self, ln: Line) -> Line:
-        return Line(self.local(ln.base), ln.gen)
-
-    def wall(self, h: Wall) -> Wall:
-        return Wall(self.local(h.base), h.gen)
-
 
 def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
-    """The periodic combinatorial geodesic through the flat cycle B, C, B, A."""
+    """The periodic combinatorial geodesic through the flat cycle B, C, B, A.
+
+    The period is built and checked once: P is geodesic, its eight walls
+    are distinct, and its four flats are laid out right (_flat_layout_holds).
+    That covers all L flats. Every letter of G is positive, and the
+    exponent sum, a homomorphism onto Z, bounds the length of every word
+    for an element, so G is a geodesic and crosses each wall once. Left
+    translation by P^k keeps cuts and memberships, so flats 4k+1 .. 4k+4
+    are laid out as flats 1 .. 4 are."""
     if L < 1:
         raise ConfigError("need at least one flat")
     ck = ck or build_croke_kleiner()
-    graph = ck.graph
-    v = GroupElement.identity(graph)
-    vertices = [v]
-    letters: list[Letter] = []
-    walls_: list[Wall] = []
-    for l in range(L):
-        for name in _GAMMA_STEPS[l % 4]:
-            lt = Letter(graph.gen_index(name), 1)
+    gen = ck.graph.gen_index
+    v = ck.origin
+    vertices, letters, walls_, flats, lines = [v], [], [], [], []
+    for first, second, line in _GAMMA_PERIOD:
+        flats.append(Flat(v, (gen(first), gen(second))))
+        for name in (first, second):
+            lt = Letter(gen(name), 1)
             walls_.append(wall_of_edge(v, lt))
             letters.append(lt)
             v = v.append_letter(lt.gen, 1)
             vertices.append(v)
-    if vertices[-1].length != 2 * L:
-        raise CertificateViolation("path is not geodesic")
-    if len(set(walls_)) != 2 * L:
-        raise CertificateViolation("wall repeated")
-
-    flats = tuple(
-        Flat(vertices[2 * l], tuple(map(graph.gen_index, _GAMMA_FLATS[l % 4]))) for l in range(L)
-    )
-    lines = tuple(
-        Line(vertices[2 * l + 2], graph.gen_index(_GAMMA_LINES[l % 4])) for l in range(L)
-    )
-
-    period = GroupElement.identity(graph)
-    period_walls: list[Wall] = []
-    for name in _GAMMA_PERIOD_LETTERS:
-        lt = Letter(graph.gen_index(name), 1)
-        period_walls.append(wall_of_edge(period, lt))
-        period = period.append_letter(lt.gen, 1)
-
+        lines.append(Line(v, gen(line)))
+    if v.length != 8:
+        raise CertificateViolation("the period is not geodesic")
+    if len(set(walls_)) != 8:
+        raise CertificateViolation("a period wall is repeated")
     gp = GammaPath(
-        ck,
-        tuple(vertices),
-        tuple(letters),
-        tuple(walls_),
-        flats,
-        lines,
-        period,
-        tuple(period_walls),
+        ck, L, tuple(vertices), tuple(letters), tuple(walls_), tuple(flats), tuple(lines)
     )
-    for l in range(1, L + 1):
+    for l in range(1, 5):
         if not _flat_layout_holds(gp, l):
             raise CertificateViolation(f"flat {l} is laid out wrongly")
-    if L >= 4 and gp.walls[:8] != gp.period_walls:
-        raise CertificateViolation("the first period's walls are not the period walls")
     return gp
 
 
 def _flat_layout_holds(gamma: GammaPath, l: int) -> bool:
-    """Flat l is cut by its two piece walls and holds the path's two steps
-    in it, and its exit line holds the second. Each is one minimal
-    representative question of the stored words (see _Coset)."""
-    f = gamma.flats[l - 1]
-    step2 = gamma.vertices[2 * l]
+    """Flat l of the period (1 to 4) is cut by its two walls and holds the
+    path's two steps in it, and its exit line holds the second. Each is one
+    minimal representative question (see _Coset)."""
+    f = gamma.period_flats[l - 1]
+    step2 = gamma.period_vertices[2 * l]
     return (
-        all(f.is_cut_by(h) for h in gamma.piece_walls(l))
-        and f.contains(gamma.vertices[2 * l - 1])
+        all(f.is_cut_by(h) for h in gamma.period_walls[2 * l - 2 : 2 * l])
+        and f.contains(gamma.period_vertices[2 * l - 1])
         and f.contains(step2)
-        and gamma.lines[l - 1].contains(step2)
+        and gamma.period_lines[l - 1].contains(step2)
     )
 
 
 def line_wall_counts(gamma: GammaPath) -> tuple[int, ...]:
-    """How many of the path's crossed walls cut each flat's exit line. By
-    _Coset.is_cut_by a g-wall cuts a g-line iff their <star g> keys agree,
-    so the walls are counted by key once and each line reads its own."""
-    graph = gamma.ck.graph
-    counts = Counter(_star_frame(graph, h.base, h.gen)[0] for h in gamma.walls)
-    return tuple(counts[_star_frame(graph, ln.base, ln.gen)[0]] for ln in gamma.lines)
+    """How many of the path's walls W_0 .. W_(2L-1) cut each flat's exit
+    line. The exit line of flat l is the g-line through G(u), u = 2l, and
+    only the W_t with u - 3 <= t <= u + 2 can cut it:
+
+    - By _Coset.is_cut_by, W_t cuts it iff W_t is a g-wall and G(t) and
+      G(u) have the same <star g> key, that is G(t)^-1·G(u) is in
+      <star g>. A positive subword of G spells that element, so it is
+      geodesic, and a geodesic word for an element of <star g> uses only
+      star g letters. So W_t cuts the line iff letter t is g and every
+      step of G between G(t) and G(u) is along star g.
+    - The exit lines run along c at u = 2, 4 and along b at u = 6, 8,
+      mod 8. star c misses only a, at t = 7 mod 8, and star b only d, at
+      t = 3 mod 8. Between the a's, t = 0 .. 6, the c's are at 1, 2, 4;
+      between the d's, t = 4 .. 10, the b's are at 5, 6, 8. So each exit
+      line of the bi-infinite G is cut by three of its walls, at
+      t - u in {-1, 0, 2} for u = 2, 6 and {-3, -2, 0} for u = 4, 8.
+
+    Each period line is asked about the walls of its window once, in
+    frame 0, where W_t is P^j·W_i for t = 8j + i and j = -1, 0 or 1. Flat
+    l = 4k + m + 1 counts those that are among the path's walls after
+    translation by P^k."""
+    P = gamma.period
+    near = {
+        8 * j + i: translate_wall(shift, w)
+        for j, shift in ((-1, P.inverse()), (0, gamma.ck.origin), (1, P))
+        for i, w in enumerate(gamma.period_walls)
+    }
+    cuts = [
+        [t for t in range(2 * m - 1, 2 * m + 5) if ln.is_cut_by(near[t])]
+        for m, ln in enumerate(gamma.period_lines)
+    ]
+    return tuple(
+        sum(0 <= 8 * (l // 4) + t < 2 * gamma.L for t in cuts[l % 4]) for l in range(gamma.L)
+    )
 
 
 # --- periodic orbit membership ------------------------------------------------
@@ -687,25 +659,23 @@ class _PeriodOrbit:
         return j if j is not None and j >= lowest else None
 
 
-def gamma_crosses(gamma: Union[GammaPath, GammaFrame], h: Wall) -> bool:
-    """Whether the infinite periodic extension of gamma crosses h. Given
-    a frame, P^-k·gamma, whether that translate crosses h, which is
-    whether gamma crosses P^k·h.
+def gamma_crosses(gamma: GammaPath, h: Wall, k: int = 0) -> bool:
+    """Whether the infinite periodic extension of gamma, seen from frame k,
+    crosses h: whether P^-k·gamma crosses h, which is whether gamma
+    crosses P^k·h.
 
-    The crossed walls are those of levels j >= 0 of _PeriodOrbit, or
-    j >= -k in frame k. A wall violating the run bound is none of them,
-    and any other can only be at the levels of the window _PeriodOrbit
-    proves for |h.base|. Membership is a lookup in gamma._orbit, the table
-    held once per GammaPath and grown over that window; the bounds are
-    checked on each translate when it enters the table, and a failure
-    raises CertificateViolation. The answer does not depend on how far
-    earlier queries grew it."""
-    frame = gamma if isinstance(gamma, GammaFrame) else gamma.frame(1)
-    if h.graph is not frame.gamma.ck.graph:
+    The crossed walls are those of levels j >= -k of _PeriodOrbit. A wall
+    violating the run bound is none of them, and any other can only be at
+    the levels of the window _PeriodOrbit proves for |h.base|. Membership
+    is a lookup in gamma._orbit, the table held once per GammaPath and
+    grown over that window; the bounds are checked on each translate when
+    it enters the table, and a failure raises CertificateViolation. The
+    answer does not depend on how far earlier queries grew it."""
+    if h.graph is not gamma.ck.graph:
         raise ValueError("wall belongs to a different group")
     if not _runs_bounded(h):
         return False
-    return frame.gamma._orbit.level_of(h, -frame.k) is not None
+    return gamma._orbit.level_of(h, -k) is not None
 
 
 # --- the flat-hopping quasi-geodesic ------------------------------------------
@@ -770,12 +740,14 @@ def build_beta(
     cases 1 and 2 keep to gamma's side of the sandwiching walls and cross
     the same connector wall as gamma does in that flat.
 
-    Every choice and check of flat l runs in its period frame (GammaFrame),
-    on the translates of the previous endpoint, of gamma's exit line, entry
-    vertex and connector wall, which are words of a few syllables. Only
-    the stored segment ends, the designated wall and the run path are
-    global. Each proof obligation raises CertificateViolation when it
-    fails, under python -O too."""
+    Every choice and check of flat l = 4k + m + 1 runs in its period
+    frame, translated by P^-k, where gamma's exit line, entry vertex and
+    connector wall are the stored period_lines[m], period_vertices[2m] and
+    period_walls[2m + 1]. The previous endpoint x is carried in that frame,
+    with one quotient by P at each frame change, so it stays a word of a
+    few syllables. Only the stored segment ends, the designated wall and
+    the run path are global. Each proof obligation raises
+    CertificateViolation when it fails, under python -O too."""
     if delta <= 3:
         raise ConfigError("need delta > 3")
     if L < 1:
@@ -790,16 +762,16 @@ def build_beta(
     segments: list[BetaSegment] = []
     family_seq: list[str] = []
     runs: list[tuple[int, int]] = []
-    v_prev = origin
+    v_prev = x = origin  # x is P^-k·v_prev
     total = 0
     for l in range(1, L + 1):
-        m = (l - 1) % 4
+        k, m = divmod(l - 1, 4)
+        if m == 0 and k:
+            x = quotient(gamma.period, x)
         case = _BETA_CASES[m]
         p_gen = graph.gen_index(_BETA_P_GENS[m])
         q_gen = graph.gen_index(_BETA_Q_GENS[m])
-        frame = gamma.frame(l)
-        line_l = frame.line(gamma.lines[l - 1])
-        x = frame.local(v_prev)
+        line_l = gamma.period_lines[m]
 
         M = line_l.distance_to(x)
         if M < 1:
@@ -808,12 +780,12 @@ def build_beta(
 
         if case == 3:
             candidates = {s: wall_of_edge(x, Letter(p_gen, s)) for s in (1, -1)}
-            kept = [s for s, h in candidates.items() if not gamma_crosses(frame, h)]
+            kept = [s for s, h in candidates.items() if not gamma_crosses(gamma, h, k)]
         else:
             # gamma's entry vertex w lies on x's side of the wall of x's
             # p-edge in direction s iff s·e <= 0, where p^e is the gate of
             # x⁻¹·w on the line ⟨p⟩ (line_gate_exponent)
-            e = line_gate_exponent(quotient(x, frame.local(gamma.entry_vertex(l))), p_gen)
+            e = line_gate_exponent(quotient(x, gamma.period_vertices[2 * m]), p_gen)
             kept = [s for s in (1, -1) if s * e <= 0]
         if len(kept) != 1:
             raise CertificateViolation(f"escape direction ambiguous in flat {l}")
@@ -829,20 +801,25 @@ def build_beta(
         else:
             if M != 1:
                 raise CertificateViolation(f"flat {l}: connector case needs M = 1, got {M}")
-            shared = frame.wall(gamma.walls[2 * l - 1])
+            shared = gamma.period_walls[2 * m + 1]
             q_kept = [
                 s for s in (1, -1) if wall_of_edge(mid_x, Letter(q_gen, s)) == shared
             ]
         if len(q_kept) != 1:
             raise CertificateViolation(f"connector direction ambiguous in flat {l}")
         q_sign = q_kept[0]
-        if not line_l.contains(mid_x.append_run(q_gen, q_sign * M)):
+        end_x = mid_x.append_run(q_gen, q_sign * M)
+        if not line_l.contains(end_x):
             raise CertificateViolation(f"segment {l} endpoint missed the exit line")
 
-        # locally geodesic seams: p*q*p from the previous segment start
+        # locally geodesic seams: p*q*p from the previous segment start,
+        # walked back from x
         if segments:
             prev = segments[-1]
-            if distance(frame.local(prev.start), mid_x) != prev.N + prev.M + N:
+            start_x = x.append_run(prev.q_gen, -prev.q_sign * prev.M).append_run(
+                prev.p_gen, -prev.p_sign * prev.N
+            )
+            if distance(start_x, mid_x) != prev.N + prev.M + N:
                 raise CertificateViolation(f"seam before segment {l} is not geodesic")
 
         if Fraction(N, 2) - M < Fraction(N, 4) + Fraction(M, 8):
@@ -860,7 +837,7 @@ def build_beta(
         family_seq.append(graph.generators[p_gen].upper())
         family_seq.append(graph.generators[q_gen].upper())
         total += N + M
-        v_prev = end
+        v_prev, x = end, end_x
 
     path = RunPath(origin, tuple(runs))
     if path.length != total or path.endpoint() != v_prev:
@@ -899,17 +876,17 @@ class SeparationReport:
 
 
 def _uncrossed_steps(
-    frame: GammaFrame, start: GroupElement, g: int, s: int, steps: int, want: int
+    gamma: GammaPath, frame: int, start: GroupElement, g: int, s: int, steps: int, want: int
 ) -> list[tuple[int, Wall]]:
     """(k, wall) for the first `want` of the first `steps` edges along g^s
-    from start whose walls the frame's gamma does not cross; k counts the
-    steps. start and the walls are in the frame's coordinates."""
+    from start whose walls gamma does not cross; k counts the steps. start
+    and the walls are in the coordinates of the given period frame."""
     out: list[tuple[int, Wall]] = []
     x = start
     for k in range(steps):
         h = wall_of_edge(x, Letter(g, s))
         x = x.append_letter(g, s)
-        if not gamma_crosses(frame, h):
+        if not gamma_crosses(gamma, h, frame):
             out.append((k, h))
             if len(out) >= want:
                 break
@@ -939,13 +916,16 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
 
     The checks run in two frames; sides, cosets and crossings are
     invariant under left translation. The walks toward gamma and along
-    the escape run run in the period frame of flat l (GammaFrame), where
-    the segment start and gamma's entry vertex are words of a few
-    syllables and gamma_crosses reads the levels around 0. The side checks
-    run in the segment's frame, translated by the start^-1: the start
-    becomes 1, the end of the escape run p^N, the segment's end p^N q^M,
-    gamma's entry vertex w one syllable lg^-m, and the k-th wall along g^s
-    from the start the wall W_k of the edge g^(s*k) to g^(s*(k+1)).
+    the escape run run in the period frame of flat l, translated by P^-n
+    for 4n < l <= 4n + 4. There gamma's entry vertex and the exit line of
+    flat l - 1 are the period's, and gamma_crosses reads the levels from
+    -n. The segment start is carried in that frame, with one quotient by
+    P at each frame change, so it stays a word of a few syllables. The
+    side checks run in the segment's frame, translated by the start^-1:
+    the start becomes 1, the end of the escape run p^N, the segment's end
+    p^N q^M, gamma's entry vertex w one syllable lg^-m, and the k-th wall
+    along g^s from the start the wall W_k of the edge g^(s*k) to
+    g^(s*(k+1)).
     x is beyond W_k iff s*e > k, g^e being x's gate on <g>: left-strip
     nf(x) = l g^e r' by <lk g> (e = 0 unless the kept half starts with
     g); l commutes with g and no g or lk(g) syllable of r' reaches its
@@ -961,25 +941,29 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     one = gamma.ck.origin
     ok = True
     certs: list[SegmentCertificate] = []
+    start = beta.segments[0].end  # in frame 0, where flats 1 to 4 are
     for seg in beta.segments[1:]:
         l = seg.index
-        frame = gamma.frame(l)
-        start = frame.local(seg.start)
-        line_prev = frame.line(gamma.lines[l - 2])
+        frame, m = divmod(l - 1, 4)
+        if m == 0:
+            start = quotient(gamma.period, start)
+        # the exit line of flat l - 1 runs through flat l's entry vertex
+        entry = gamma.period_vertices[2 * m]
+        line_prev = Line(entry, gamma.period_lines[m - 1].gen)
         lg = line_prev.gen
         if not line_prev.contains(start):
             raise CertificateViolation(
                 f"segment {l} does not start on the exit line of flat {l - 1}"
             )
-        w = quotient(start, frame.local(gamma.entry_vertex(l)))
+        w = quotient(start, entry)
         budget = w.length
         toward = 1 if distance(one.append_letter(lg, 1), w) < budget else -1
         mid = one.append_run(seg.p_gen, seg.p_sign * seg.N)
         end = mid.append_run(seg.q_gen, seg.q_sign * seg.M)
-        where = f"P^{frame.k}·"  # names a frame wall by its global image
+        where = f"P^{frame}·"  # names a frame wall by its global image
 
         mid_l, w_l = (toward * line_gate_exponent(x, lg) for x in (mid, w))
-        H_p = _uncrossed_steps(frame, start, lg, toward, budget, delta + 3)
+        H_p = _uncrossed_steps(gamma, frame, start, lg, toward, budget, delta + 3)
         for k, h in H_p:
             if mid_l > k:
                 raise CertificateViolation(f"segment {l}: escape run crosses {where}{h}")
@@ -991,7 +975,7 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
         mid_p, end_p, w_p = (
             seg.p_sign * line_gate_exponent(x, seg.p_gen) for x in (mid, end, w)
         )
-        H_q = _uncrossed_steps(frame, start, seg.p_gen, seg.p_sign, seg.N, delta + 1)
+        H_q = _uncrossed_steps(gamma, frame, start, seg.p_gen, seg.p_sign, seg.N, delta + 1)
         for k, h in H_q:
             if (mid_p > k) != (end_p > k):
                 raise CertificateViolation(f"segment {l}: connector run crosses {where}{h}")
@@ -1003,6 +987,7 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
         cert = SegmentCertificate(l, len(H_p), len(H_q))
         certs.append(cert)
         ok = ok and cert.separation >= delta
+        start = start * end  # segment l's end, the next segment's start
     return SeparationReport(delta, tuple(certs), ok)
 
 

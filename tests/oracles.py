@@ -9,8 +9,9 @@ end of the word, gates on both carrier cosets, a coset's cutting walls
 read off a long test line through it, crossing walls found by a
 square search in a ball, the walls crossing two disjoint walls counted in
 balls about their gates, a level-by-level scan of gamma's period
-translates, the escape path and its separation asked on the global
-vertices and walls, the dichotomy stepped one letter at a time, the
+translates, gamma walked step by step as global words with its exit lines
+counted by key over all its walls, the escape path and its separation
+asked on those global vertices and walls, the dichotomy stepped one letter at a time, the
 distance knots from a cluster table per vertex of Z, the chain greedy and
 the pruned bracket product over plain tuples of walls, the contraction
 gate asked of every pair, the run-path cell minima counted wall by wall
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -39,7 +42,9 @@ from cubemorse.constructions import (
     ContractionReport,
     CrokeKleiner,
     DichotomyReport,
+    Flat,
     GammaPath,
+    Line,
     PreconditionFailed,
     RhoLike,
     SegmentCertificate,
@@ -48,6 +53,7 @@ from cubemorse.constructions import (
     _runs_bounded,
     as_gauge,
     build_gamma,
+    build_croke_kleiner,
     gamma_crosses,
     kappa,
     kappa_prime,
@@ -523,6 +529,54 @@ def bracket_product_by_lower_bound(xi, eta, depth):
 # --- constructions -----------------------------------------------------------
 
 
+# per flat index mod 4: its two steps, its span and its exit-line direction
+_GAMMA_STEPS = (("b", "c"), ("c", "d"), ("c", "b"), ("b", "a"))
+_GAMMA_FLATS = (("b", "c"), ("c", "d"), ("b", "c"), ("a", "b"))
+_GAMMA_LINES = ("c", "c", "b", "b")
+
+
+@dataclass(frozen=True)
+class GlobalGamma:
+    """gamma's first L flats with every vertex, letter, wall, flat and exit
+    line stored as a global word: vertices[t] is G(t), walls[t] is W_t,
+    and flats[l - 1] and lines[l - 1] are flat l and its exit line."""
+
+    vertices: tuple
+    letters: tuple
+    walls: tuple
+    flats: tuple
+    lines: tuple
+
+
+def gamma_by_global_words(L: int, ck: Optional[CrokeKleiner] = None) -> GlobalGamma:
+    """Reference: walk gamma's 2L steps from the identity, taking each
+    flat and exit line at its own global vertex."""
+    ck = ck or build_croke_kleiner()
+    graph = ck.graph
+    v = ck.origin
+    vertices, letters, walls = [v], [], []
+    for l in range(L):
+        for name in _GAMMA_STEPS[l % 4]:
+            lt = Letter(graph.gen_index(name), 1)
+            walls.append(wall_of_edge(v, lt))
+            letters.append(lt)
+            v = v.append_letter(lt.gen, 1)
+            vertices.append(v)
+    flats = tuple(
+        Flat(vertices[2 * l], tuple(map(graph.gen_index, _GAMMA_FLATS[l % 4]))) for l in range(L)
+    )
+    lines = tuple(Line(vertices[2 * l + 2], graph.gen_index(_GAMMA_LINES[l % 4])) for l in range(L))
+    return GlobalGamma(tuple(vertices), tuple(letters), tuple(walls), flats, lines)
+
+
+def line_wall_counts_by_keys(g: GlobalGamma) -> tuple:
+    """Reference: every wall of gamma counted by its <star g> key, and each
+    exit line reading its own key's count, with no window."""
+    graph = g.vertices[0].graph
+    counts = Counter(_star_frame(graph, h.base, h.gen)[0] for h in g.walls)
+    return tuple(counts[_star_frame(graph, ln.base, ln.gen)[0]] for ln in g.lines)
+
+
 _SCAN_LEVELS: dict = {}  # period -> (translates of levels 0 .. n - 1, P^n)
 
 
@@ -562,14 +616,15 @@ def verify_separation_by_global_frame(beta, delta=None):
     in place, on the global walls and vertices."""
     delta = beta.delta if delta is None else delta
     gamma = beta.gamma
+    g = gamma_by_global_words(gamma.L, gamma.ck)
     o = gamma.ck.origin
     ok = True
     certs = []
     for seg in beta.segments[1:]:
         l = seg.index
         v_prev = seg.start
-        w_prev = gamma.entry_vertex(l)
-        line_prev = gamma.lines[l - 2]
+        w_prev = g.vertices[2 * (l - 1)]
+        line_prev = g.lines[l - 2]
         assert line_prev.contains(v_prev)
         lg = line_prev.gen
         budget = distance(v_prev, w_prev)
@@ -639,6 +694,7 @@ def build_beta_by_global_frame(
         raise ConfigError("gamma must cover at least L flats")
     graph = gamma.ck.graph
     origin = gamma.ck.origin
+    g = gamma_by_global_words(gamma.L, gamma.ck)
 
     segments: list[BetaSegment] = []
     family_seq: list[str] = []
@@ -648,10 +704,10 @@ def build_beta_by_global_frame(
     for l in range(1, L + 1):
         m = (l - 1) % 4
         case = _BETA_CASES[m]
-        line_l = gamma.lines[l - 1]
+        line_l = g.lines[l - 1]
         p_gen = graph.gen_index(_BETA_P_GENS[m])
         q_gen = graph.gen_index(_BETA_Q_GENS[m])
-        w_prev = gamma.entry_vertex(l)
+        w_prev = g.vertices[2 * (l - 1)]
 
         M = line_l.distance_to(v_prev)
         assert M >= 1, "previous endpoint already on the exit line"
@@ -678,7 +734,7 @@ def build_beta_by_global_frame(
             ]
         else:
             assert M == 1, "connector cases expect an adjacent exit line"
-            shared = gamma.walls[2 * l - 1]
+            shared = g.walls[2 * l - 1]
             q_kept = [
                 s for s in (1, -1) if wall_of_edge(mid, Letter(q_gen, s)) == shared
             ]

@@ -52,6 +52,7 @@ from cubemorse.walls import (
     walls_between,
     walls_separating_point_from_wall,
 )
+from oracles import gamma_by_global_words
 
 DEPTH = 40
 
@@ -314,8 +315,7 @@ def test_ac4_escape_path_suite():
 
     # brute-force corroboration: sampled vertices against a long window of
     # the other path, with every minimum attained strictly inside it
-    win = build_gamma(274)
-    gverts = win.vertices
+    gverts = gamma_by_global_words(274).vertices
     rng = random.Random(44)
     offsets = [0]
     for s in rep.segments:

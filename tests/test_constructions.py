@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from childproc import run_python
-from cubemorse import constructions, raag, runpaths
+from cubemorse import constructions, raag, runpaths, walls
 from cubemorse.constructions import (
     ConfigError,
     Flat,
-    GammaFrame,
     Line,
     PreconditionFailed,
     SublinearFn,
@@ -46,6 +45,7 @@ from cubemorse.raag import (
     distance,
     normal_form,
     parse_word,
+    quotient,
 )
 from cubemorse.runpaths import CertificateViolation, RunPath
 from cubemorse.walls import (
@@ -54,7 +54,6 @@ from cubemorse.walls import (
     ball,
     crosses,
     line_gate_exponent,
-    side,
     wall_of_edge,
     walls_between,
 )
@@ -63,8 +62,10 @@ from oracles import (
     check_contracting_all_pairs,
     coset_base_by_gate,
     coset_gate_and_distance,
+    gamma_by_global_words,
     gamma_crosses_by_scan,
     is_cut_by_test_line,
+    line_wall_counts_by_keys,
     random_graphs,
     verify_separation_by_global_frame,
 )
@@ -81,12 +82,39 @@ def gamma12(ckg):
 
 
 @pytest.fixture(scope="module")
+def words12(ckg):
+    return gamma_by_global_words(12, ckg)
+
+
+@pytest.fixture(scope="module")
 def beta12(gamma12):
     return build_beta(4, 12, gamma=gamma12)
 
 
 def wall_of(ckg, text, gen):
     return Wall(ckg.parse(text), ckg.gen(gen))
+
+
+def period_power(gamma, k):
+    """P^k for gamma's period P, k >= 0."""
+    shift = GroupElement.identity(gamma.ck.graph)
+    for _ in range(k):
+        shift = shift * gamma.period
+    return shift
+
+
+def record_strips(monkeypatch):
+    """Record the walls of every walls._carrier_strip call: the one strip
+    behind each side, gate and wall_distance question."""
+    asked = []
+    real = walls._carrier_strip
+
+    def recorded(x, h):
+        asked.append(h)
+        return real(x, h)
+
+    monkeypatch.setattr(walls, "_carrier_strip", recorded)
+    return asked
 
 
 class TestSublinearFn:
@@ -367,24 +395,26 @@ class TestCosetQuestions:
 
     @pytest.mark.parametrize("L", [4, 12, 40])
     def test_line_counts_match_per_wall_oracle(self, ckg, L):
-        gamma = build_gamma(L, ckg)
+        words = gamma_by_global_words(L, ckg)
         want = tuple(
-            sum(1 for h in gamma.walls if is_cut_by_test_line(ln, h)) for ln in gamma.lines
+            sum(1 for h in words.walls if is_cut_by_test_line(ln, h)) for ln in words.lines
         )
-        assert line_wall_counts(gamma) == want
+        assert line_wall_counts(build_gamma(L, ckg)) == want
+
+    @pytest.mark.parametrize("L", [*range(1, 10), 40, 120])
+    def test_line_counts_match_key_oracle(self, ckg, L):
+        want = line_wall_counts_by_keys(gamma_by_global_words(L, ckg))
+        assert line_wall_counts(build_gamma(L, ckg)) == want
+
+    def test_line_counts_pinned(self, ckg):
+        counts = [line_wall_counts(build_gamma(L, ckg)) for L in range(1, 6)]
+        assert counts == [(1,), (2, 2), (3, 3, 1), (3, 3, 2, 2), (3, 3, 3, 3, 1)]
 
     def test_layout_and_line_counts_ask_no_side(self, monkeypatch):
-        calls = []
-        real = constructions.side
-
-        def counted(h, x):
-            calls.append(h)
-            return real(h, x)
-
-        monkeypatch.setattr(constructions, "side", counted)
+        asked = record_strips(monkeypatch)
         gamma = build_gamma(120)
         assert line_wall_counts(gamma) == (3,) * 118 + (2, 2)
-        assert calls == []
+        assert asked == []
 
     def test_other_graph_raises(self, z3z, ckg):
         f = Flat(ckg.origin, (ckg.gen("b"), ckg.gen("c")))
@@ -405,19 +435,41 @@ class TestGamma:
         with pytest.raises(ConfigError):
             build_gamma(0)
 
-    def test_geodesic_and_distinct_walls(self, gamma12):
-        assert gamma12.vertices[-1].length == 24
-        assert distance(gamma12.vertices[0], gamma12.vertices[-1]) == 24
-        assert len(set(gamma12.walls)) == 24
+    def test_geodesic_and_distinct_walls(self, words12):
+        assert words12.vertices[-1].length == 24
+        assert distance(words12.vertices[0], words12.vertices[-1]) == 24
+        assert len(set(words12.walls)) == 24
 
     def test_first_two_wall_families(self, gamma12):
         fams = gamma12.families()
         assert fams[0] == "B" and fams[1] == "C"
         assert fams == "BCCDCBBA" * 3
 
-    def test_period_walls_match_prefix(self, gamma12):
-        assert gamma12.walls[:8] == gamma12.period_walls
-        assert gamma12.period == gamma12.vertices[8]
+    def test_period_walls_match_prefix(self, gamma12, words12):
+        assert words12.walls[:8] == gamma12.period_walls
+        assert gamma12.period == words12.vertices[8]
+
+    @pytest.mark.parametrize("L", [*range(1, 10), 40, 120])
+    def test_matches_global_words(self, ckg, L):
+        # P^k times the period's objects, against the step-by-step walk
+        gamma, words = build_gamma(L, ckg), gamma_by_global_words(L, ckg)
+        assert gamma.L == L
+        vertices, letters, walls_, flats, lines = [], [], [], [], []
+        for k in range((L + 3) // 4):
+            shift = period_power(gamma, k)
+            vertices += [shift * v for v in gamma.period_vertices[:8]]
+            letters += gamma.period_letters
+            walls_ += [translate_wall(shift, h) for h in gamma.period_walls]
+            flats += [Flat(shift * f.base, f.gens) for f in gamma.period_flats]
+            lines += [Line(shift * ln.base, ln.gen) for ln in gamma.period_lines]
+        vertices.append(period_power(gamma, (L + 3) // 4))
+        assert tuple(vertices[: 2 * L + 1]) == words.vertices
+        assert tuple(letters[: 2 * L]) == words.letters
+        assert tuple(walls_[: 2 * L]) == words.walls
+        assert tuple(flats[:L]) == words.flats
+        assert tuple(lines[:L]) == words.lines
+        assert gamma.runpath().endpoint() == words.vertices[-1]
+        assert gamma.families() == "".join(h.gen_name().upper() for h in words.walls)
 
     @pytest.mark.parametrize(
         "patch,message",
@@ -430,7 +482,7 @@ class TestGamma:
                     return v if len(calls) == 3 else real(v, gen, e)
                 raag.GroupElement.append_letter = stalled
                 ''',
-                "path is not geodesic",
+                "the period is not geodesic",
             ),
             (  # every step reports the first step's wall
                 '''
@@ -440,18 +492,14 @@ class TestGamma:
                     return seen[0]
                 constructions.wall_of_edge = first
                 ''',
-                "wall repeated",
+                "a period wall is repeated",
             ),
             (
                 "constructions._flat_layout_holds = lambda gamma, l: l != 3",
                 "flat 3 is laid out wrongly",
             ),
-            (  # a rotated period crosses other walls than gamma's first period
-                'constructions._GAMMA_PERIOD_LETTERS = tuple("ccdcbbab")',
-                "the first period's walls are not the period walls",
-            ),
         ],
-        ids=["geodesy", "wall_count", "flat_layout", "period_walls"],
+        ids=["geodesy", "wall_count", "flat_layout"],
     )
     def test_obligations_under_python_O(self, patch, message):
         # each proof obligation of build_gamma is an explicit check, not an assert
@@ -469,19 +517,19 @@ class TestGamma:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"raised: {message}\n", proc.stdout
 
-    def test_runpath_matches_vertices(self, gamma12):
+    def test_runpath_matches_vertices(self, gamma12, words12):
         p = gamma12.runpath()
         assert p.length == 24
-        assert p.endpoint() == gamma12.vertices[-1]
+        assert p.endpoint() == words12.vertices[-1]
 
-    def test_walls_between_equals_crossed_walls(self, gamma12):
-        hs = walls_between(gamma12.vertices[0], gamma12.vertices[-1])
-        assert set(hs) == set(gamma12.walls)
+    def test_walls_between_equals_crossed_walls(self, words12):
+        hs = walls_between(words12.vertices[0], words12.vertices[-1])
+        assert set(hs) == set(words12.walls)
 
-    def test_piece_walls_cut_their_flat(self, gamma12):
+    def test_piece_walls_cut_their_flat(self, words12):
         for l in range(1, 13):
-            f = gamma12.flats[l - 1]
-            for h in gamma12.piece_walls(l):
+            f = words12.flats[l - 1]
+            for h in words12.walls[2 * l - 2 : 2 * l]:
                 assert f.is_cut_by(h)
 
     def test_line_sheet_counts(self, gamma12):
@@ -490,13 +538,11 @@ class TestGamma:
         # two lines lose sheets to the truncation
         assert counts == [3] * 10 + [2, 2]
 
-    def test_flat_counts_exceed_three(self, gamma12):
+    def test_flat_counts_exceed_three(self, words12):
         counts = [
-            sum(1 for h in gamma12.walls if f.is_cut_by(h)) for f in gamma12.flats
+            sum(1 for h in words12.walls if f.is_cut_by(h)) for f in words12.flats
         ]
         assert counts == [4, 4, 6, 4, 6, 4, 6, 4, 6, 4, 5, 3]
-        for l in range(1, 13):
-            assert sum(1 for h in gamma12.piece_walls(l)) == 2
 
     def test_ray_is_valid_and_chain_exists(self, gamma12):
         from cubemorse.boundary import find_separated_chain, validate_ray
@@ -529,14 +575,12 @@ class TestGammaCrosses:
         assert not gamma_crosses(gamma12, h)
 
     def test_translates_of_period_walls_cross(self, ckg, gamma12):
-        shift = GroupElement.identity(ckg.graph)
-        for _ in range(4):
-            shift = shift * gamma12.period
+        shift = period_power(gamma12, 4)
         for w in gamma12.period_walls:
             assert gamma_crosses(gamma12, translate_wall(shift, w))
 
-    def test_membership_matches_truncation_walls(self, gamma12):
-        for h in gamma12.walls:
+    def test_membership_matches_truncation_walls(self, gamma12, words12):
+        for h in words12.walls:
             assert gamma_crosses(gamma12, h)
 
     def test_rejects_foreign_graph(self, gamma12, z3z):
@@ -550,24 +594,21 @@ class TestGammaCrosses:
         # and the frame's answer must be the scan's answer for that image
         asked: set = set()
         framed: list = []
-        real_crosses, real_side = constructions.gamma_crosses, constructions.side
+        real_crosses = constructions.gamma_crosses
 
-        def crosses_recorded(frame, h):
-            image = translate_wall(frame.origin, h)
+        def crosses_recorded(gamma, h, k=0):
+            image = translate_wall(period_power(gamma, k), h)
             asked.add(image)
-            answer = real_crosses(frame, h)
-            framed.append((frame.gamma, image, answer))
+            answer = real_crosses(gamma, h, k)
+            framed.append((gamma, image, answer))
             return answer
 
-        def side_recorded(h, x):
-            asked.add(h)
-            return real_side(h, x)
-
         monkeypatch.setattr(constructions, "gamma_crosses", crosses_recorded)
-        monkeypatch.setattr(constructions, "side", side_recorded)
+        stripped = record_strips(monkeypatch)
         for delta, L in ((4, 12), (6, 41)):
             verify_separation(build_beta(delta, L, ck=ckg))
         monkeypatch.undo()
+        asked.update(stripped)
         assert sum(map(_runs_bounded, asked)) > 100
         crossed = assert_scan_agrees(ckg, asked, random.Random(41))
         assert 0 < crossed < len(asked)
@@ -594,25 +635,26 @@ class TestGammaCrosses:
 
     def test_frame_window_matches_scan(self, ckg):
         # every wall within distance 3 of a vertex of gamma and of a segment
-        # start, asked in the frame P^-k·gamma of their flats, k = 0..30,
-        # against the scan of its global image P^k·h. Each frame asks a
-        # fresh gamma, shortest wall first, so the table grows one query at
-        # a time and a window one level too narrow misses a wall.
+        # start, asked in frame k of their flats, k = 0..30, against the
+        # scan of its global image P^k·h. Each frame asks a fresh gamma,
+        # shortest wall first, so the table grows one query at a time and a
+        # window one level too narrow misses a wall.
         beta = build_beta(4, 124, ck=ckg)
         crossed = checked = 0
         for k in range(31):
             gamma = build_gamma(4 * k + 4, ckg)
-            frame = GammaFrame(gamma, k)
+            shift = period_power(gamma, k)
+            start = quotient(shift, beta.segments[4 * k + 1].start)
             near = {
                 wall_of_edge(x, Letter(g, s))
-                for v in (gamma.vertices[8 * k + 4], beta.segments[4 * k + 1].start)
-                for x in ball(frame.local(v), 3)
+                for v in (gamma.period_vertices[4], start)
+                for x in ball(v, 3)
                 for g in range(4)
                 for s in (1, -1)
             }
             for h in sorted(near, key=lambda h: (h.base.length, h.text())):
-                want = gamma_crosses_by_scan(gamma, translate_wall(frame.origin, h))
-                assert gamma_crosses(frame, h) == want, (k, h)
+                want = gamma_crosses_by_scan(gamma, translate_wall(shift, h))
+                assert gamma_crosses(gamma, h, k) == want, (k, h)
                 crossed += want
                 checked += _runs_bounded(h)
         assert crossed > 400 and checked > 30_000
@@ -673,9 +715,9 @@ class TestBeta:
     def test_family_sequence(self, beta12):
         assert beta12.family_sequence == "CBCDBCBA" * 3
 
-    def test_endpoint_on_shared_line(self, beta12):
+    def test_endpoint_on_shared_line(self, beta12, words12):
         for s in beta12.segments:
-            line = beta12.gamma.lines[s.index - 1]
+            line = words12.lines[s.index - 1]
             assert line.contains(s.end)
 
     def test_seams_locally_geodesic(self, beta12):
@@ -690,15 +732,12 @@ class TestBeta:
             if s.case == 3:
                 assert not gamma_crosses(beta12.gamma, s.designated)
 
-    def test_case12_connector_crosses_gamma_wall(self, beta12):
+    def test_case12_connector_crosses_gamma_wall(self, beta12, words12):
         for s in beta12.segments:
             if s.case in (1, 2):
                 assert s.M == 1
-                from cubemorse.raag import Letter
-                from cubemorse.walls import wall_of_edge
-
                 h = wall_of_edge(s.mid, Letter(s.q_gen, s.q_sign))
-                assert h == beta12.gamma.walls[2 * s.index - 1]
+                assert h == words12.walls[2 * s.index - 1]
 
     def test_mirrored_flags(self, beta12):
         assert [s.mirrored for s in beta12.segments[:4]] == [
@@ -786,8 +825,8 @@ class TestSeparation:
     def test_brute_force_window_cross_check(self, beta12):
         # independent oracle: actual distances to a truncation long enough
         # that any gamma vertex beyond it is automatically far
-        win = build_gamma(100)
-        o = win.ck.origin
+        win = gamma_by_global_words(100)
+        o = win.vertices[0]
         for seg in beta12.segments[1:3]:
             samples = [
                 seg.start,
@@ -797,7 +836,7 @@ class TestSeparation:
             ]
             for x in samples:
                 r = distance(o, x)
-                assert 2 * win.L >= r + 4
+                assert len(win.flats) * 2 >= r + 4
                 assert min(distance(x, w) for w in win.vertices) >= 4
 
 
@@ -851,21 +890,17 @@ class TestSeparationFrames:
     def test_reads_gates_not_sides(self, ckg, monkeypatch):
         # five gate reads per segment answer every side check
         beta = build_beta(6, 120, ck=ckg)
-        real_gate, gates, sides = constructions.line_gate_exponent, [], []
-
-        def side_recorded(h, x):
-            sides.append(h)
-            return side(h, x)
+        real_gate, gates = constructions.line_gate_exponent, []
 
         def gate_recorded(x, g):
             gates.append(g)
             return real_gate(x, g)
 
-        monkeypatch.setattr(constructions, "side", side_recorded)
+        strips = record_strips(monkeypatch)
         monkeypatch.setattr(constructions, "line_gate_exponent", gate_recorded)
         rep = verify_separation(beta)
         assert len(rep.segments) == 119
-        assert sides == []
+        assert strips == []
         assert len(gates) == 5 * 119
 
 
@@ -925,7 +960,7 @@ class TestSeparationChecks:
 
     def test_escape_ambiguity_raises(self, monkeypatch):
         # a gamma that crosses every wall leaves case 3 no escape direction
-        monkeypatch.setattr(constructions, "gamma_crosses", lambda gamma, h: True)
+        monkeypatch.setattr(constructions, "gamma_crosses", lambda gamma, h, k=0: True)
         with pytest.raises(CertificateViolation, match="escape direction ambiguous in flat 1"):
             build_beta(4, 4)
 
@@ -1155,10 +1190,7 @@ class TestDichotomy:
 
 def orbit_translate(gamma, k, idx):
     """period^k applied to the idx-th period wall."""
-    shift = GroupElement.identity(gamma.ck.graph)
-    for _ in range(k):
-        shift = shift * gamma.period
-    return translate_wall(shift, gamma.period_walls[idx])
+    return translate_wall(period_power(gamma, k), gamma.period_walls[idx])
 
 
 @given(k=st.integers(0, 5), idx=st.integers(0, 7))
@@ -1168,24 +1200,25 @@ def test_orbit_translates_always_cross(k, idx):
     assert gamma_crosses(gamma, orbit_translate(gamma, k, idx))
 
 
-def gamma_line_walls(ck, lo, hi):
-    """W_t for lo <= t < hi: the walls of the line through 1 that repeats
-    gamma's period word in both directions."""
-    period = [ck.gen(name) for name in constructions._GAMMA_PERIOD_LETTERS]
+def gamma_line(ck, lo, hi):
+    """G(t) for lo <= t <= hi and W_t for lo <= t < hi: the vertices and
+    walls of the line through 1 that repeats gamma's period word in both
+    directions."""
+    period = [lt.gen for lt in build_gamma(1, ck).period_letters]
     one = GroupElement.identity(ck.graph)
     vertex = {0: one}
     for t in range(hi):
         vertex[t + 1] = vertex[t].append_letter(period[t % 8], 1)
     for t in range(0, lo, -1):
         vertex[t - 1] = vertex[t].append_letter(period[(t - 1) % 8], -1)
-    return {t: wall_of_edge(vertex[t], Letter(period[t % 8], 1)) for t in range(lo, hi)}
+    return vertex, {t: wall_of_edge(vertex[t], Letter(period[t % 8], 1)) for t in range(lo, hi)}
 
 
 def test_gamma_line_crossings(ckg):
     # the finite facts behind _PeriodOrbit's window: crossing walls of the
     # line are at most 24 apart, and among those each wall crosses at most
     # four before it and four after
-    W = gamma_line_walls(ckg, -40, 80)
+    _, W = gamma_line(ckg, -40, 80)
     for t in range(16, 24):
         before = sum(crosses(W[t - r], W[t]) for r in range(1, 25))
         after = sum(crosses(W[t + r], W[t]) for r in range(1, 25))
@@ -1198,18 +1231,71 @@ def test_gamma_line_crossings(ckg):
 def test_gamma_line_bounds_are_tight(ckg):
     # runs stay at most 3 and |base of W_t| >= |t| - 4 on both sides, with
     # equality on both sides, so the window cannot be narrowed
-    W = gamma_line_walls(ckg, -160, 160)
+    _, W = gamma_line(ckg, -160, 160)
     slack = {t: h.base.length - abs(t) for t, h in W.items()}
     assert all(abs(e) <= 3 for h in W.values() for _, e in h.base.syllables)
     assert min(slack.values()) == -constructions._ORBIT_LENGTH_SLACK
     assert min(v for t, v in slack.items() if t < 0) == min(v for t, v in slack.items() if t >= 0)
     # the walls agree with gamma's own and with the translates' levels
     gamma = build_gamma(20, ckg)
-    assert all(W[t] == gamma.walls[t] for t in range(40))
+    assert all(W[t] == w for t, w in enumerate(gamma_by_global_words(20, ckg).walls))
     orbit = gamma._orbit
     for t in (-160, -41, -9, -1, 0, 7, 8, 77, 159):
         j = t // 8
         assert orbit.level_of(W[t], -200) == j
+
+
+def test_gamma_exit_line_window(ckg):
+    # the finite facts behind line_wall_counts' window: the exit line
+    # through G(u), u = 2l, is cut by exactly three walls of the line, all
+    # with u - 3 <= t <= u + 2
+    vertex, W = gamma_line(ckg, -40, 80)
+    gamma = build_gamma(4, ckg)
+    offsets = set()
+    for l in range(-8, 24):
+        u = 2 * l
+        ln = Line(vertex[u], gamma.period_lines[(l - 1) % 4].gen)
+        cut = [t - u for t in W if ln.is_cut_by(W[t])]
+        assert len(cut) == 3, (u, cut)
+        offsets.update(cut)
+    assert min(offsets) == -3 and max(offsets) == 2
+
+
+@pytest.mark.parametrize("L", [40, 160])
+def test_quotients_take_short_words(ckg, monkeypatch, L):
+    # gamma, the escape path's choices and its certificate ask raag.quotient
+    # only of frame words: a global word of the path never reaches it
+    real, asked = constructions.quotient, []
+
+    def recorded(a, b):
+        asked.append((len(a.syllables), len(b.syllables)))
+        return real(a, b)
+
+    monkeypatch.setattr(constructions, "quotient", recorded)
+    gamma = build_gamma(L, ckg)
+    verify_separation(build_beta(4, L, gamma=gamma))
+    assert len(asked) > L
+    assert max(max(pair) for pair in asked) <= 8
+
+
+def test_gamma_builds_one_period(ckg, monkeypatch):
+    # build_gamma makes as many walls, flats and lines at 960 flats as at 12
+    counts = []
+    for L in (12, 960):
+        made = {Wall: 0, Flat: 0, Line: 0}
+        for cls in made:
+            real = cls.__post_init__
+
+            def counted(self, cls=cls, real=real):
+                made[cls] += 1
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        build_gamma(L, ckg)
+        monkeypatch.undo()
+        counts.append(made)
+    assert counts[0] == counts[1]
+    assert counts[0][Flat] == 4 and counts[0][Line] == 4
 
 
 def assert_scan_agrees(ck, walls, rng):
