@@ -689,21 +689,19 @@ _BETA_Q_GENS = ("b", "d", "c", "a")
 @dataclass(frozen=True)
 class BetaSegment:
     """One flat's worth of the construction: a long escape run p and a
-    short connector run q."""
+    short connector run q. Segment l = 4k + m + 1 starts at P^k·start:
+    start is in the period frame of its flat, a word of a few syllables.
+    The global vertices are those of BetaReport.path."""
 
     index: int
     case: int
-    mirrored: bool
     M: int
     N: int
     p_gen: int
     p_sign: int
     q_gen: int
     q_sign: int
-    designated: Wall
     start: GroupElement
-    mid: GroupElement
-    end: GroupElement
 
     @property
     def length(self) -> int:
@@ -745,9 +743,11 @@ def build_beta(
     connector wall are the stored period_lines[m], period_vertices[2m] and
     period_walls[2m + 1]. The previous endpoint x is carried in that frame,
     with one quotient by P at each frame change, so it stays a word of a
-    few syllables. Only the stored segment ends, the designated wall and
-    the run path are global. Each proof obligation raises
-    CertificateViolation when it fails, under python -O too."""
+    few syllables, and each segment stores its start as that frame's x.
+    Only the run path is global: its endpoint must be P^k·x for the last
+    flat's k, which ties the frame-carried points to it. Each proof
+    obligation raises CertificateViolation when it fails, under python -O
+    too."""
     if delta <= 3:
         raise ConfigError("need delta > 3")
     if L < 1:
@@ -762,7 +762,7 @@ def build_beta(
     segments: list[BetaSegment] = []
     family_seq: list[str] = []
     runs: list[tuple[int, int]] = []
-    v_prev = x = origin  # x is P^-k·v_prev
+    x = origin  # the current point, in the frame of flat l
     total = 0
     for l in range(1, L + 1):
         k, m = divmod(l - 1, 4)
@@ -812,35 +812,26 @@ def build_beta(
         if not line_l.contains(end_x):
             raise CertificateViolation(f"segment {l} endpoint missed the exit line")
 
-        # locally geodesic seams: p*q*p from the previous segment start,
-        # walked back from x
+        # locally geodesic seams: p*q*p from the previous segment start
         if segments:
             prev = segments[-1]
-            start_x = x.append_run(prev.q_gen, -prev.q_sign * prev.M).append_run(
-                prev.p_gen, -prev.p_sign * prev.N
-            )
+            start_x = prev.start if m else quotient(gamma.period, prev.start)
             if distance(start_x, mid_x) != prev.N + prev.M + N:
                 raise CertificateViolation(f"seam before segment {l} is not geodesic")
 
         if Fraction(N, 2) - M < Fraction(N, 4) + Fraction(M, 8):
             raise CertificateViolation(f"segment {l} breaks the growth inequality")
 
-        mid = v_prev.append_run(p_gen, p_sign * N)
-        end = mid.append_run(q_gen, q_sign * M)
-        designated = wall_of_edge(v_prev, Letter(p_gen, p_sign))
-        seg = BetaSegment(
-            l, case, m == 2, M, N, p_gen, p_sign, q_gen, q_sign, designated, v_prev, mid, end
-        )
-        segments.append(seg)
+        segments.append(BetaSegment(l, case, M, N, p_gen, p_sign, q_gen, q_sign, x))
         runs.append((p_gen, p_sign * N))
         runs.append((q_gen, q_sign * M))
         family_seq.append(graph.generators[p_gen].upper())
         family_seq.append(graph.generators[q_gen].upper())
         total += N + M
-        v_prev, x = end, end_x
+        x = end_x
 
     path = RunPath(origin, tuple(runs))
-    if path.length != total or path.endpoint() != v_prev:
+    if path.length != total or path.endpoint() != gamma.period ** ((L - 1) // 4) * x:
         raise CertificateViolation("run path does not follow the segments")
     fam = "".join(family_seq)
     if any(fam[i] != "CBCDBCBA"[i % 8] for i in range(len(fam))):
@@ -919,13 +910,12 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     the escape run run in the period frame of flat l, translated by P^-n
     for 4n < l <= 4n + 4. There gamma's entry vertex and the exit line of
     flat l - 1 are the period's, and gamma_crosses reads the levels from
-    -n. The segment start is carried in that frame, with one quotient by
-    P at each frame change, so it stays a word of a few syllables. The
-    side checks run in the segment's frame, translated by the start^-1:
-    the start becomes 1, the end of the escape run p^N, the segment's end
-    p^N q^M, gamma's entry vertex w one syllable lg^-m, and the k-th wall
-    along g^s from the start the wall W_k of the edge g^(s*k) to
-    g^(s*(k+1)).
+    -n. The segment start is BetaSegment.start, stored in that frame as a
+    word of a few syllables. The side checks run in the segment's frame,
+    translated by the start^-1: the start becomes 1, the end of the escape
+    run p^N, the segment's end p^N q^M, gamma's entry vertex w one
+    syllable lg^-m, and the k-th wall along g^s from the start the wall
+    W_k of the edge g^(s*k) to g^(s*(k+1)).
     x is beyond W_k iff s*e > k, g^e being x's gate on <g>: left-strip
     nf(x) = l g^e r' by <lk g> (e = 0 unless the kept half starts with
     g); l commutes with g and no g or lk(g) syllable of r' reaches its
@@ -941,12 +931,9 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     one = gamma.ck.origin
     ok = True
     certs: list[SegmentCertificate] = []
-    start = beta.segments[0].end  # in frame 0, where flats 1 to 4 are
     for seg in beta.segments[1:]:
-        l = seg.index
+        l, start = seg.index, seg.start
         frame, m = divmod(l - 1, 4)
-        if m == 0:
-            start = quotient(gamma.period, start)
         # the exit line of flat l - 1 runs through flat l's entry vertex
         entry = gamma.period_vertices[2 * m]
         line_prev = Line(entry, gamma.period_lines[m - 1].gen)
@@ -987,7 +974,6 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
         cert = SegmentCertificate(l, len(H_p), len(H_q))
         certs.append(cert)
         ok = ok and cert.separation >= delta
-        start = start * end  # segment l's end, the next segment's start
     return SeparationReport(delta, tuple(certs), ok)
 
 

@@ -36,8 +36,6 @@ from cubemorse.constructions import (
     _BETA_P_GENS,
     _BETA_Q_GENS,
     _ORBIT_LENGTH_SLACK,
-    BetaReport,
-    BetaSegment,
     ConfigError,
     ContractionReport,
     CrokeKleiner,
@@ -620,9 +618,11 @@ def verify_separation_by_global_frame(beta, delta=None):
     o = gamma.ck.origin
     ok = True
     certs = []
+    t = beta.segments[0].length
     for seg in beta.segments[1:]:
         l = seg.index
-        v_prev = seg.start
+        v_prev, mid, end = (beta.path.vertex_at(u) for u in (t, t + seg.N, t + seg.length))
+        t += seg.length
         w_prev = g.vertices[2 * (l - 1)]
         line_prev = g.lines[l - 2]
         assert line_prev.contains(v_prev)
@@ -640,7 +640,7 @@ def verify_separation_by_global_frame(beta, delta=None):
                 if len(H_p) >= delta + 3:
                     break
         for h in H_p:
-            if side(h, v_prev) != side(h, seg.mid):
+            if side(h, v_prev) != side(h, mid):
                 raise CertificateViolation(f"segment {l}: escape run crosses {h}")
             if side(h, o) == side(h, v_prev):
                 raise CertificateViolation(f"segment {l}: {h} does not separate the escape run")
@@ -655,9 +655,9 @@ def verify_separation_by_global_frame(beta, delta=None):
                 if len(H_q) >= delta + 1:
                     break
         for h in H_q:
-            if side(h, seg.mid) != side(h, seg.end):
+            if side(h, mid) != side(h, end):
                 raise CertificateViolation(f"segment {l}: connector run crosses {h}")
-            if side(h, o) == side(h, seg.mid):
+            if side(h, o) == side(h, mid):
                 raise CertificateViolation(f"segment {l}: {h} does not separate the connector run")
 
         cert = SegmentCertificate(l, len(H_p), len(H_q))
@@ -666,12 +666,24 @@ def verify_separation_by_global_frame(beta, delta=None):
     return SeparationReport(delta, tuple(certs), ok)
 
 
+@dataclass(frozen=True)
+class GlobalBeta:
+    """The escape path as build_beta_by_global_frame builds it: choices[l - 1]
+    is segment l's (index, case, M, N, p_gen, p_sign, q_gen, q_sign), and
+    starts[l - 1] the global vertex where it starts."""
+
+    choices: tuple
+    starts: tuple
+    path: RunPath
+    family_sequence: str
+
+
 def build_beta_by_global_frame(
     delta: int,
     L: int,
     gamma: Optional[GammaPath] = None,
     ck: Optional[CrokeKleiner] = None,
-) -> BetaReport:
+) -> GlobalBeta:
     """Reference: the escape path built with every choice and check asked
     in place, on the global vertices, lines and walls.
 
@@ -696,7 +708,8 @@ def build_beta_by_global_frame(
     origin = gamma.ck.origin
     g = gamma_by_global_words(gamma.L, gamma.ck)
 
-    segments: list[BetaSegment] = []
+    choices: list[tuple] = []
+    starts: list = []
     family_seq: list[str] = []
     runs: list[tuple[int, int]] = []
     v_prev = origin
@@ -723,7 +736,6 @@ def build_beta_by_global_frame(
         if len(kept) != 1:
             raise CertificateViolation(f"escape direction ambiguous in flat {l}")
         p_sign = kept[0]
-        designated = candidates[p_sign]
         mid = v_prev.append_run(p_gen, p_sign * N)
 
         if case == 3:
@@ -746,16 +758,14 @@ def build_beta_by_global_frame(
             raise CertificateViolation(f"segment {l} endpoint missed the exit line")
 
         # locally geodesic seams: p*q*p from the previous segment start
-        if segments:
-            prev = segments[-1]
-            assert distance(prev.start, mid) == prev.N + prev.M + N
+        if starts:
+            _, _, prev_M, prev_N, *_ = choices[-1]
+            assert distance(starts[-1], mid) == prev_N + prev_M + N
 
         assert Fraction(N, 2) - M >= Fraction(N, 4) + Fraction(M, 8)
 
-        seg = BetaSegment(
-            l, case, m == 2, M, N, p_gen, p_sign, q_gen, q_sign, designated, v_prev, mid, end
-        )
-        segments.append(seg)
+        choices.append((l, case, M, N, p_gen, p_sign, q_gen, q_sign))
+        starts.append(v_prev)
         runs.append((p_gen, p_sign * N))
         runs.append((q_gen, q_sign * M))
         family_seq.append(graph.generators[p_gen].upper())
@@ -767,7 +777,7 @@ def build_beta_by_global_frame(
     assert path.length == total and path.endpoint() == v_prev
     fam = "".join(family_seq)
     assert all(fam[i] == "CBCDBCBA"[i % 8] for i in range(len(fam)))
-    return BetaReport(delta, L, gamma, tuple(segments), path, fam)
+    return GlobalBeta(tuple(choices), tuple(starts), path, fam)
 
 
 def dichotomy_by_steps(Z, beta, rho, K_prime, C_prime) -> DichotomyReport:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from childproc import run_python
 from cubemorse import constructions, raag, runpaths, walls
 from cubemorse.constructions import (
+    BetaSegment,
     ConfigError,
     Flat,
     Line,
@@ -45,7 +46,6 @@ from cubemorse.raag import (
     distance,
     normal_form,
     parse_word,
-    quotient,
 )
 from cubemorse.runpaths import CertificateViolation, RunPath
 from cubemorse.walls import (
@@ -101,6 +101,16 @@ def period_power(gamma, k):
     for _ in range(k):
         shift = shift * gamma.period
     return shift
+
+
+def segment_vertices(beta):
+    """The global start, escape-run end and end of each segment of beta,
+    read off its run path."""
+    out, t = [], 0
+    for s in beta.segments:
+        out.append(tuple(beta.path.vertex_at(u) for u in (t, t + s.N, t + s.length)))
+        t += s.length
+    return out
 
 
 def record_strips(monkeypatch):
@@ -644,7 +654,7 @@ class TestGammaCrosses:
         for k in range(31):
             gamma = build_gamma(4 * k + 4, ckg)
             shift = period_power(gamma, k)
-            start = quotient(shift, beta.segments[4 * k + 1].start)
+            start = beta.segments[4 * k + 1].start
             near = {
                 wall_of_edge(x, Letter(g, s))
                 for v in (gamma.period_vertices[4], start)
@@ -695,7 +705,7 @@ class TestBeta:
         assert beta12.total_length == cum[-1] == beta12.path.length
 
     def test_frozen_endpoints(self, beta12):
-        ends = [s.end.text() for s in beta12.segments[:4]]
+        ends = [end.text() for _, _, end in segment_vertices(beta12)[:4]]
         assert ends == [
             "b c^-7",
             "b c^-23 d",
@@ -716,33 +726,30 @@ class TestBeta:
         assert beta12.family_sequence == "CBCDBCBA" * 3
 
     def test_endpoint_on_shared_line(self, beta12, words12):
-        for s in beta12.segments:
+        for s, (_, _, end) in zip(beta12.segments, segment_vertices(beta12)):
             line = words12.lines[s.index - 1]
-            assert line.contains(s.end)
+            assert line.contains(end)
 
     def test_seams_locally_geodesic(self, beta12):
-        segs = beta12.segments
+        segs, verts = beta12.segments, segment_vertices(beta12)
         for k in range(1, len(segs)):
             prev, cur = segs[k - 1], segs[k]
-            assert distance(prev.start, cur.mid) == prev.N + prev.M + cur.N
-            assert distance(prev.mid, cur.mid) == prev.M + cur.N
+            (prev_start, prev_mid, _), (_, cur_mid, _) = verts[k - 1], verts[k]
+            assert distance(prev_start, cur_mid) == prev.N + prev.M + cur.N
+            assert distance(prev_mid, cur_mid) == prev.M + cur.N
 
     def test_case3_escape_wall_avoids_gamma(self, beta12):
         for s in beta12.segments:
             if s.case == 3:
-                assert not gamma_crosses(beta12.gamma, s.designated)
+                h = wall_of_edge(s.start, Letter(s.p_gen, s.p_sign))
+                assert not gamma_crosses(beta12.gamma, h, (s.index - 1) // 4)
 
     def test_case12_connector_crosses_gamma_wall(self, beta12, words12):
-        for s in beta12.segments:
+        for s, (_, mid, _) in zip(beta12.segments, segment_vertices(beta12)):
             if s.case in (1, 2):
                 assert s.M == 1
-                h = wall_of_edge(s.mid, Letter(s.q_gen, s.q_sign))
+                h = wall_of_edge(mid, Letter(s.q_gen, s.q_sign))
                 assert h == words12.walls[2 * s.index - 1]
-
-    def test_mirrored_flags(self, beta12):
-        assert [s.mirrored for s in beta12.segments[:4]] == [
-            False, False, True, False,
-        ]
 
     def test_path_keeps_all_runs(self, beta12):
         assert len(beta12.path.runs) == 24
@@ -764,6 +771,23 @@ class TestBeta:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: seam before segment 2 is not geodesic"), proc.stdout
 
+    def test_endpoint_obligation_under_python_O(self):
+        # the path's global endpoint must be P^k times the frame-carried one
+        script = textwrap.dedent(
+            """
+            from cubemorse import constructions
+            from cubemorse.runpaths import CertificateViolation, RunPath
+            RunPath.endpoint = lambda self: self.origin
+            try:
+                constructions.build_beta(4, 12)
+            except CertificateViolation as e:
+                print("raised:", e)
+            """
+        )
+        proc = run_python("-O", "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: run path does not follow the segments"), proc.stdout
+
     def test_append_syllable_calls_grow_linearly(self, ckg, monkeypatch):
         # a deterministic scaling guard: doubling the flats at most 2.5x the
         # syllable work of build_beta and verify_separation together
@@ -784,11 +808,19 @@ class TestBeta:
         assert 0 < counts[1] <= 2.5 * counts[0]
 
 
-def beta_fields(report):
-    """Every BetaSegment field of every segment, the path and the family
-    sequence of a BetaReport."""
-    segs = [[getattr(s, f.name) for f in dataclasses.fields(s)] for s in report.segments]
-    return segs, report.path, report.family_sequence, report.total_length
+def assert_matches_oracle(got, want):
+    """got makes the oracle's choices in every segment, segment l = 4k + m + 1
+    starts at P^k·start, the oracle's global start, and the run paths and
+    family sequences are equal."""
+    names = [f.name for f in dataclasses.fields(BetaSegment) if f.name != "start"]
+    assert [tuple(getattr(s, n) for n in names) for s in got.segments] == list(want.choices)
+    shift = GroupElement.identity(got.gamma.ck.graph)
+    for s, global_start in zip(got.segments, want.starts):
+        if s.index > 1 and s.index % 4 == 1:
+            shift = shift * got.gamma.period
+        assert shift * s.start == global_start, s.index
+    assert (got.path, got.family_sequence) == (want.path, want.family_sequence)
+    assert got.total_length == want.path.length
 
 
 class TestBetaOracle:
@@ -796,7 +828,7 @@ class TestBetaOracle:
     def test_fixed_cases(self, ckg, delta, L):
         gamma = build_gamma(L, ckg)
         got = build_beta(delta, L, gamma=gamma)
-        assert beta_fields(got) == beta_fields(build_beta_by_global_frame(delta, L, gamma=gamma))
+        assert_matches_oracle(got, build_beta_by_global_frame(delta, L, gamma=gamma))
 
     @given(delta=st.integers(4, 9), L=st.integers(1, 48), extra=st.integers(0, 5))
     @settings(max_examples=30, deadline=None)
@@ -804,7 +836,7 @@ class TestBetaOracle:
         # gamma may run past the path's last flat
         gamma = build_gamma(L + extra)
         got = build_beta(delta, L, gamma=gamma)
-        assert beta_fields(got) == beta_fields(build_beta_by_global_frame(delta, L, gamma=gamma))
+        assert_matches_oracle(got, build_beta_by_global_frame(delta, L, gamma=gamma))
 
 
 class TestSeparation:
@@ -827,12 +859,12 @@ class TestSeparation:
         # that any gamma vertex beyond it is automatically far
         win = gamma_by_global_words(100)
         o = win.vertices[0]
-        for seg in beta12.segments[1:3]:
+        for seg, (start, mid, end) in list(zip(beta12.segments, segment_vertices(beta12)))[1:3]:
             samples = [
-                seg.start,
-                seg.mid,
-                seg.end,
-                seg.start.append_run(seg.p_gen, seg.p_sign * (seg.N // 2)),
+                start,
+                mid,
+                end,
+                start.append_run(seg.p_gen, seg.p_sign * (seg.N // 2)),
             ]
             for x in samples:
                 r = distance(o, x)
@@ -1264,18 +1296,28 @@ def test_gamma_exit_line_window(ckg):
 @pytest.mark.parametrize("L", [40, 160])
 def test_quotients_take_short_words(ckg, monkeypatch, L):
     # gamma, the escape path's choices and its certificate ask raag.quotient
-    # only of frame words: a global word of the path never reaches it
-    real, asked = constructions.quotient, []
+    # and wall_of_edge only of frame words, and every segment stores its
+    # start as one: a global word of the path never reaches them
+    real_quotient, real_wall = constructions.quotient, constructions.wall_of_edge
+    asked, edges = [], []
 
-    def recorded(a, b):
+    def quotient_recorded(a, b):
         asked.append((len(a.syllables), len(b.syllables)))
-        return real(a, b)
+        return real_quotient(a, b)
 
-    monkeypatch.setattr(constructions, "quotient", recorded)
+    def wall_recorded(x, lt):
+        edges.append(len(x.syllables))
+        return real_wall(x, lt)
+
+    monkeypatch.setattr(constructions, "quotient", quotient_recorded)
+    monkeypatch.setattr(constructions, "wall_of_edge", wall_recorded)
     gamma = build_gamma(L, ckg)
-    verify_separation(build_beta(4, L, gamma=gamma))
-    assert len(asked) > L
+    beta = build_beta(4, L, gamma=gamma)
+    verify_separation(beta)
+    assert len(asked) > L and len(edges) > L
     assert max(max(pair) for pair in asked) <= 8
+    assert max(edges) <= 8
+    assert max(len(s.start.syllables) for s in beta.segments) <= 8
 
 
 def test_gamma_builds_one_period(ckg, monkeypatch):
