@@ -464,9 +464,9 @@ class GammaPath:
         )
 
     @cached_property
-    def _orbit(self) -> "_PeriodOrbit":
-        """The period translates of period_walls by level, grown on demand."""
-        return _PeriodOrbit(self.period, self.period_walls)
+    def _sums(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent sums by generator of G(0) .. G(8); the last is P's."""
+        return tuple(map(_exponent_sums, self.period_vertices))
 
 
 def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
@@ -561,102 +561,16 @@ def line_wall_counts(gamma: GammaPath) -> tuple[int, ...]:
 # --- periodic orbit membership ------------------------------------------------
 
 
-_ORBIT_RUN_BOUND = 4
-_ORBIT_LENGTH_SLACK = 4
-
-
 def translate_wall(g: GroupElement, h: Wall) -> Wall:
     """Image of h under left translation by g (canonicalized by Wall)."""
     return Wall(g * h.base, h.gen)
 
 
-def _runs_bounded(h: Wall) -> bool:
-    return all(abs(e) <= _ORBIT_RUN_BOUND for _, e in h.base.syllables)
-
-
-class _PeriodOrbit:
-    """The walls of gamma's bi-infinite periodic extension by level, held
-    for levels -below .. above - 1 and grown one period at a time.
-
-    Write G for the line through 1 that repeats the period word both ways,
-    G(t) for its vertices and W_t for the wall of its edge from G(t). Then
-    W_(8j+i) = P^j·w_i for the period walls w_i; that wall is at level j.
-    gamma's extension crosses the levels j >= 0, and its translate by P^-k
-    the levels j >= -k. A wall h can only be at a level j with
-    -((|h.base| + 11) // 8) <= j <= (|h.base| + 4) // 8, and only if no
-    run of h.base exceeds _ORBIT_RUN_BOUND:
-
-    - G is a geodesic. Its letters are all positive, and the exponent sum,
-      a homomorphism onto Z, bounds the length of every word for an
-      element. So the W_t are distinct, and W_s separates G(u) from G(v)
-      exactly when u <= s < v.
-    - Run bound. The normal form of G(t), and of its inverse, is reached
-      by commutations alone, which never carry a letter past one it does
-      not commute with. In the period word b c c d c b b a, repeated, a d
-      lies between the first and the last of any four b's, an a between
-      those of any four c's, a c between any two a's and an a between any
-      two d's. So no syllable of G(t) has an exponent above 3, nor does
-      the canonical base of W_t, whose syllables are some of G(t)'s.
-    - Crossings. Crossing walls have commuting generators: a and b, b and
-      c, or c and d. If W_s and W_t cross, s < t, then each W_r between
-      them crosses one of them; otherwise W_r separates their carriers,
-      which hold G(s) and G(t + 1). An a-wall crosses only b-walls, a
-      d-wall only c-walls, and every eighth wall is an a-wall (i = 7),
-      every eighth a d-wall (i = 3). So crossing a- and b-walls have no
-      d-wall between them and are at most 8 apart, and so are crossing
-      c- and d-walls, with no a-wall between. For crossing b- and c-walls,
-      every a-wall between crosses the b-wall and so lies within 8 of it;
-      as any 8 consecutive walls hold an a-wall, the two are at most 24
-      apart. P preserves crossings, so the pairs at most 24 apart from
-      i = 0..7 settle the relation: each W_t crosses at most four walls
-      before it and four after (test_gamma_line_crossings checks this).
-    - Growth bound: |base of W_t| >= |t| - 4. The canonical base is the
-      vertex of the coset G(t)<lk g> nearest 1, so its length counts the
-      walls separating 1 from that coset. The walls cutting the coset are
-      those of its lk(g) edges, and they all cross W_t. So every W_s that
-      separates 1 from G(t) and does not cross W_t separates 1 from the
-      coset. Those W_s are the W_s with 0 <= s < t when t >= 0, and with
-      t <= s < 0 when t < 0, except at most four that cross W_t. Level j
-      holds |t| >= 8j for j >= 0 and |t| >= 8|j| - 7 for j < 0, which
-      gives the window above.
-
-    Both bounds are checked again on every translate as it enters the
-    table, and a failure raises CertificateViolation."""
-
-    def __init__(self, period: GroupElement, period_walls: tuple[Wall, ...]):
-        self.period = period
-        self.period_walls = period_walls
-        self.levels: dict[Wall, int] = {}
-        self.above = 0
-        self.below = 0
-        self._up = GroupElement.identity(period.graph)  # P^above
-        self._down = self._up  # P^-below
-        self._back = period.inverse()
-
-    def _add(self, shift: GroupElement, j: int) -> None:
-        for i, w in enumerate(self.period_walls):
-            t = translate_wall(shift, w)
-            if not _runs_bounded(t):
-                raise CertificateViolation(f"translate {t} violates the run bound")
-            if t.base.length < abs(8 * j + i) - _ORBIT_LENGTH_SLACK:
-                raise CertificateViolation(f"translate {t} violates the growth bound")
-            self.levels[t] = j
-
-    def level_of(self, h: Wall, lowest: int) -> Optional[int]:
-        """h's level if it is at least lowest, else None. Grows the table
-        over the levels from lowest that the window for |h.base| allows."""
-        n = h.base.length
-        while 8 * self.above - _ORBIT_LENGTH_SLACK <= n:
-            self._add(self._up, self.above)
-            self.above += 1
-            self._up = self._up * self.period
-        # level -(below + 1) starts at |t| = 8 * below + 1
-        while self.below < -lowest and 8 * self.below + 1 - _ORBIT_LENGTH_SLACK <= n:
-            self.below += 1
-            self._down = self._down * self._back
-            self._add(self._down, -self.below)
-        j = self.levels.get(h)
-        return j if j is not None and j >= lowest else None
+def _exponent_sums(x: GroupElement) -> tuple[int, ...]:
+    sums = [0] * len(x.graph.generators)
+    for g, e in x.syllables:
+        sums[g] += e
+    return tuple(sums)
 
 
 def gamma_crosses(gamma: GammaPath, h: Wall, k: int = 0) -> bool:
@@ -664,18 +578,30 @@ def gamma_crosses(gamma: GammaPath, h: Wall, k: int = 0) -> bool:
     crosses h: whether P^-k·gamma crosses h, which is whether gamma
     crosses P^k·h.
 
-    The crossed walls are those of levels j >= -k of _PeriodOrbit. A wall
-    violating the run bound is none of them, and any other can only be at
-    the levels of the window _PeriodOrbit proves for |h.base|. Membership
-    is a lookup in gamma._orbit, the table held once per GammaPath and
-    grown over that window; the bounds are checked on each translate when
-    it enters the table, and a failure raises CertificateViolation. The
-    answer does not depend on how far earlier queries grew it."""
+    gamma crosses the walls W_(8j+i) = P^j·W_i with j >= 0, so frame k
+    crosses those with j >= -k. Each x-exponent sum eps_x is a homomorphism
+    onto Z, and for x not in lk g it is constant on a coset b<lk g>, whose
+    g-edges are those of the wall Wall(b, g). So if h = P^j·W_i, then
+    eps_x(h.base) = j·eps_x(P) + eps_x(G(i)) for every such x, g = h.gen
+    among them. Every letter of P is positive, so eps_g(P) >= 1 and eps_g
+    fixes j. A W_i in direction g is translated and compared with h only
+    when that j is a whole number at least -k and the other sums agree; a
+    wall the sums rule out costs no power of P, however far it is. No
+    translate is kept, so no answer depends on earlier queries."""
     if h.graph is not gamma.ck.graph:
         raise ValueError("wall belongs to a different group")
-    if not _runs_bounded(h):
-        return False
-    return gamma._orbit.level_of(h, -k) is not None
+    g = h.gen
+    sums, per = _exponent_sums(h.base), gamma._sums[8]
+    link = h.graph.link(g)
+    for lt, at, w in zip(gamma.period_letters, gamma._sums, gamma.period_walls):
+        if lt.gen != g:
+            continue
+        j, r = divmod(sums[g] - at[g], per[g])
+        if not r and j >= -k:
+            if all(sums[x] == j * per[x] + at[x] for x in range(len(sums)) if x not in link):
+                if translate_wall(gamma.period ** j, w) == h:
+                    return True
+    return False
 
 
 # --- the flat-hopping quasi-geodesic ------------------------------------------
@@ -909,11 +835,14 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     invariant under left translation. The walks toward gamma and along
     the escape run run in the period frame of flat l, translated by P^-n
     for 4n < l <= 4n + 4. There gamma's entry vertex and the exit line of
-    flat l - 1 are the period's, and gamma_crosses reads the levels from
-    -n. The segment start is BetaSegment.start, stored in that frame as a
-    word of a few syllables. The side checks run in the segment's frame,
-    translated by the start^-1: the start becomes 1, the end of the escape
-    run p^N, the segment's end p^N q^M, gamma's entry vertex w one
+    flat l - 1 are the period's, and gamma_crosses is asked in frame n.
+    The segment start is BetaSegment.start, stored in that frame as a word
+    of a few syllables. It is checked, not trusted: segment 1 starts at 1,
+    each later segment where the one before ends, with one quotient by P
+    at a frame change, and the run path is the segments' runs from 1, so
+    P^n·start is the path's vertex. The side checks run in the segment's
+    frame, translated by the start^-1: the start becomes 1, the end of the
+    escape run p^N, the segment's end p^N q^M, gamma's entry vertex w one
     syllable lg^-m, and the k-th wall along g^s from the start the wall
     W_k of the edge g^(s*k) to g^(s*(k+1)).
     x is beyond W_k iff s*e > k, g^e being x's gate on <g>: left-strip
@@ -931,9 +860,19 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     one = gamma.ck.origin
     ok = True
     certs: list[SegmentCertificate] = []
-    for seg in beta.segments[1:]:
-        l, start = seg.index, seg.start
+    runs: list[tuple[int, int]] = []
+    start = one  # where segment l must start, in the period frame of flat l
+    for l, seg in enumerate(beta.segments, 1):
         frame, m = divmod(l - 1, 4)
+        if l > 1:  # the previous segment's end, moved to this frame
+            start = start * end if m else quotient(gamma.period, start * end)
+        if seg.start != start:
+            raise CertificateViolation(f"segment {l} starts off the path")
+        runs += [(seg.p_gen, seg.p_sign * seg.N), (seg.q_gen, seg.q_sign * seg.M)]
+        mid = one.append_run(*runs[-2])
+        end = mid.append_run(*runs[-1])
+        if l == 1:
+            continue
         # the exit line of flat l - 1 runs through flat l's entry vertex
         entry = gamma.period_vertices[2 * m]
         line_prev = Line(entry, gamma.period_lines[m - 1].gen)
@@ -945,8 +884,6 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
         w = quotient(start, entry)
         budget = w.length
         toward = 1 if distance(one.append_letter(lg, 1), w) < budget else -1
-        mid = one.append_run(seg.p_gen, seg.p_sign * seg.N)
-        end = mid.append_run(seg.q_gen, seg.q_sign * seg.M)
         where = f"P^{frame}·"  # names a frame wall by its global image
 
         mid_l, w_l = (toward * line_gate_exponent(x, lg) for x in (mid, w))
@@ -974,6 +911,8 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
         cert = SegmentCertificate(l, len(H_p), len(H_q))
         certs.append(cert)
         ok = ok and cert.separation >= delta
+    if beta.path != RunPath(one, tuple(runs)):
+        raise CertificateViolation("run path does not follow the segments")
     return SeparationReport(delta, tuple(certs), ok)
 
 

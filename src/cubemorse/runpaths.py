@@ -567,7 +567,8 @@ def set_distance_knots(path: RunPath, Z: RunPath) -> tuple[tuple[int, int], ...]
     between the steps that cross run i's walls (see the comment above).
     At T = 0 it is the change of d(x_i, Z_0), the total of the table that
     holds the connector and the path's runs before i, when run i is added
-    to it, and at each piece end it changes by -2 times row i's step there. Each piece is checked once, against its first column, and
+    to it, and at each piece end it changes by -2 times row i's step
+    there. Each piece is checked once, against its first column, and
     gives the one V shape that can reach the envelope. The rows are one
     list plus a shift: the longest piece moves by the shift and the others
     are rewritten in place. So a run costs O(pieces) Python steps, plus a

@@ -35,7 +35,6 @@ from cubemorse.constructions import (
     _BETA_CASES,
     _BETA_P_GENS,
     _BETA_Q_GENS,
-    _ORBIT_LENGTH_SLACK,
     ConfigError,
     ContractionReport,
     CrokeKleiner,
@@ -48,7 +47,6 @@ from cubemorse.constructions import (
     SegmentCertificate,
     SeparationReport,
     _path_vertices,
-    _runs_bounded,
     as_gauge,
     build_gamma,
     build_croke_kleiner,
@@ -575,6 +573,52 @@ def line_wall_counts_by_keys(g: GlobalGamma) -> tuple:
     return tuple(counts[_star_frame(graph, ln.base, ln.gen)[0]] for ln in g.lines)
 
 
+# The scan below rests on two bounds on the walls W_t of the line G through
+# 1 that repeats gamma's period word both ways, W_(8j+i) = P^j·W_i:
+#
+# - G is a geodesic. Its letters are all positive, and the exponent sum,
+#   a homomorphism onto Z, bounds the length of every word for an element.
+#   So the W_t are distinct, and W_s separates G(u) from G(v) exactly when
+#   u <= s < v.
+# - Run bound. The normal form of G(t), and of its inverse, is reached by
+#   commutations alone, which never carry a letter past one it does not
+#   commute with. In the period word b c c d c b b a, repeated, a d lies
+#   between the first and the last of any four b's, an a between those of
+#   any four c's, a c between any two a's and an a between any two d's.
+#   So no syllable of G(t) has an exponent above 3, nor does the canonical
+#   base of W_t, whose syllables are some of G(t)'s.
+# - Crossings. Crossing walls have commuting generators: a and b, b and c,
+#   or c and d. If W_s and W_t cross, s < t, then each W_r between them
+#   crosses one of them; otherwise W_r separates their carriers, which hold
+#   G(s) and G(t + 1). An a-wall crosses only b-walls, a d-wall only
+#   c-walls, and every eighth wall is an a-wall (i = 7), every eighth a
+#   d-wall (i = 3). So crossing a- and b-walls have no d-wall between them
+#   and are at most 8 apart, and so are crossing c- and d-walls, with no
+#   a-wall between. For crossing b- and c-walls, every a-wall between
+#   crosses the b-wall and so lies within 8 of it; as any 8 consecutive
+#   walls hold an a-wall, the two are at most 24 apart. P preserves
+#   crossings, so the pairs at most 24 apart from i = 0..7 settle the
+#   relation: each W_t crosses at most four walls before it and four after
+#   (test_gamma_line_crossings checks this).
+# - Growth bound: |base of W_t| >= |t| - 4. The canonical base is the
+#   vertex of the coset G(t)<lk g> nearest 1, so its length counts the
+#   walls separating 1 from that coset. The walls cutting the coset are
+#   those of its lk(g) edges, and they all cross W_t. So every W_s that
+#   separates 1 from G(t) and does not cross W_t separates 1 from the
+#   coset. Those W_s are the W_s with 0 <= s < t when t >= 0, and with
+#   t <= s < 0 when t < 0, except at most four that cross W_t.
+#
+# test_gamma_line_bounds_are_tight checks both bounds on W_-160 .. W_159,
+# where runs reach 3 and the growth bound holds with equality.
+RUN_BOUND = 4
+LENGTH_SLACK = 4
+
+
+def runs_bounded(h) -> bool:
+    """No syllable of h's base exceeds RUN_BOUND: true of every W_t."""
+    return all(abs(e) <= RUN_BOUND for _, e in h.base.syllables)
+
+
 _SCAN_LEVELS: dict = {}  # period -> (translates of levels 0 .. n - 1, P^n)
 
 
@@ -583,9 +627,9 @@ def _scan_level(gamma, k: int) -> frozenset:
     and the growth bound once, when its level is first scanned."""
     levels, shift = _SCAN_LEVELS.get(gamma.period, ((), GroupElement.identity(gamma.ck.graph)))
     while len(levels) <= k:
-        floor = 8 * len(levels) - _ORBIT_LENGTH_SLACK
+        floor = 8 * len(levels) - LENGTH_SLACK
         level = frozenset(translate_wall(shift, w) for w in gamma.period_walls)
-        assert all(_runs_bounded(t) and t.base.length >= floor for t in level)
+        assert all(runs_bounded(t) and t.base.length >= floor for t in level)
         levels += (level,)
         shift = shift * gamma.period
     _SCAN_LEVELS[gamma.period] = (levels, shift)
@@ -594,14 +638,15 @@ def _scan_level(gamma, k: int) -> frozenset:
 
 def gamma_crosses_by_scan(gamma, h) -> bool:
     """Reference: scan the period translates level by level until their
-    bases outgrow h's, then check one level past that horizon."""
+    bases outgrow h's, then check one level past that horizon. A wall
+    breaking the run bound is none of them."""
     if h.graph is not gamma.ck.graph:
         raise ValueError("wall belongs to a different group")
-    if not _runs_bounded(h):
+    if not runs_bounded(h):
         return False
     target = h.base.length
     k = 0
-    while 8 * k - _ORBIT_LENGTH_SLACK <= target:
+    while 8 * k - LENGTH_SLACK <= target:
         if h in _scan_level(gamma, k):
             return True
         k += 1

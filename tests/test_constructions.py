@@ -21,7 +21,6 @@ from cubemorse.constructions import (
     PreconditionFailed,
     SublinearFn,
     _log_cmp,
-    _runs_bounded,
     as_gauge,
     build_beta,
     build_croke_kleiner,
@@ -58,6 +57,7 @@ from cubemorse.walls import (
     walls_between,
 )
 from oracles import (
+    LENGTH_SLACK,
     build_beta_by_global_frame,
     check_contracting_all_pairs,
     coset_base_by_gate,
@@ -67,6 +67,7 @@ from oracles import (
     is_cut_by_test_line,
     line_wall_counts_by_keys,
     random_graphs,
+    runs_bounded,
     verify_separation_by_global_frame,
 )
 
@@ -111,6 +112,19 @@ def segment_vertices(beta):
         out.append(tuple(beta.path.vertex_at(u) for u in (t, t + s.N, t + s.length)))
         t += s.length
     return out
+
+
+def record_translations(monkeypatch):
+    """Record the wall of every constructions.translate_wall call."""
+    asked = []
+    real = constructions.translate_wall
+
+    def recorded(g, h):
+        asked.append(h)
+        return real(g, h)
+
+    monkeypatch.setattr(constructions, "translate_wall", recorded)
+    return asked
 
 
 def record_strips(monkeypatch):
@@ -584,6 +598,26 @@ class TestGammaCrosses:
         h = wall_of(ckg, "b d b^-913455", "b")
         assert not gamma_crosses(gamma12, h)
 
+    def test_far_positive_wall_fast_path(self, ckg, gamma12, monkeypatch):
+        # eps_b puts this wall at level 304485 as a translate of W_6, and
+        # eps_d then rules that out: no power of P is formed
+        h = wall_of(ckg, "b d b^913455", "b")
+
+        def no_power(x, n):
+            raise AssertionError(f"formed a power {n}")
+
+        monkeypatch.setattr(GroupElement, "__pow__", no_power)
+        assert not gamma_crosses(gamma12, h)
+
+    def test_far_orbit_wall_translates_once(self, gamma12, monkeypatch):
+        # P^2000·W_3 is read at its level, not reached by 2000 levels of
+        # translates; frame -2001 sees it as a wall before gamma starts
+        h = translate_wall(gamma12.period ** 2000, gamma12.period_walls[3])
+        translated = record_translations(monkeypatch)
+        assert gamma_crosses(gamma12, h)
+        assert not gamma_crosses(gamma12, h, -2001)
+        assert 1 <= len(translated) <= 3
+
     def test_translates_of_period_walls_cross(self, ckg, gamma12):
         shift = period_power(gamma12, 4)
         for w in gamma12.period_walls:
@@ -619,7 +653,7 @@ class TestGammaCrosses:
             verify_separation(build_beta(delta, L, ck=ckg))
         monkeypatch.undo()
         asked.update(stripped)
-        assert sum(map(_runs_bounded, asked)) > 100
+        assert sum(map(runs_bounded, asked)) > 100
         crossed = assert_scan_agrees(ckg, asked, random.Random(41))
         assert 0 < crossed < len(asked)
         assert all(gamma_crosses_by_scan(g, image) == answer for g, image, answer in framed)
@@ -639,16 +673,15 @@ class TestGammaCrosses:
             detour = [(rng.randrange(4), rng.choice((1, -1))) for _ in range(rng.randrange(6))]
             base = orbit_translate(gamma, k, rng.randrange(8)).base
             h = Wall(base * normal_form(Word(ckg.graph, detour)), rng.randrange(4))
-            if _runs_bounded(h):
+            if runs_bounded(h):
                 walls.append(h)
         assert 0 < assert_scan_agrees(ckg, walls, rng) < len(set(walls))
 
     def test_frame_window_matches_scan(self, ckg):
         # every wall within distance 3 of a vertex of gamma and of a segment
         # start, asked in frame k of their flats, k = 0..30, against the
-        # scan of its global image P^k·h. Each frame asks a fresh gamma,
-        # shortest wall first, so the table grows one query at a time and a
-        # window one level too narrow misses a wall.
+        # scan of its global image P^k·h, shortest wall first on a fresh
+        # gamma each frame.
         beta = build_beta(4, 124, ck=ckg)
         crossed = checked = 0
         for k in range(31):
@@ -666,7 +699,7 @@ class TestGammaCrosses:
                 want = gamma_crosses_by_scan(gamma, translate_wall(shift, h))
                 assert gamma_crosses(gamma, h, k) == want, (k, h)
                 crossed += want
-                checked += _runs_bounded(h)
+                checked += runs_bounded(h)
         assert crossed > 400 and checked > 30_000
 
 
@@ -949,6 +982,13 @@ def negate_nth_gate(monkeypatch, n):
     monkeypatch.setattr(constructions, "line_gate_exponent", negated)
 
 
+def with_segment_2(beta, **fields):
+    """beta with the given fields of its second segment replaced."""
+    segs = list(beta.segments)
+    segs[1] = dataclasses.replace(segs[1], **fields)
+    return dataclasses.replace(beta, segments=tuple(segs))
+
+
 class TestSeparationChecks:
     # verify_separation reads five gates per segment: of mid and w on the
     # entry line, then of mid, end and w on the escape run's line. In
@@ -989,6 +1029,40 @@ class TestSeparationChecks:
         proc = run_python("-O", "-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: segment 2: escape run crosses"), proc.stdout
+
+    def test_moved_start_raises(self, beta12):
+        # segment 2's start moved along its own exit line, off the path; its
+        # walls alone would certify (4, 5) there
+        moved = beta12.segments[1].start * beta12.gamma.ck.parse("c^3")
+        with pytest.raises(CertificateViolation, match="segment 2 starts off the path"):
+            verify_separation(with_segment_2(beta12, start=moved))
+
+    def test_path_off_the_segments_raises(self, beta12):
+        path = RunPath(beta12.path.origin, beta12.path.runs[:-1] + ((2, 1),))
+        with pytest.raises(CertificateViolation, match="run path does not follow the segments"):
+            verify_separation(dataclasses.replace(beta12, path=path))
+
+    def test_tampered_start_raises_under_python_O(self):
+        script = textwrap.dedent(
+            """
+            import dataclasses
+            from cubemorse import constructions
+            from cubemorse.runpaths import CertificateViolation
+            beta = constructions.build_beta(4, 12)
+            segs = list(beta.segments)
+            moved = segs[1].start * beta.gamma.ck.parse("c^3")
+            segs[1] = dataclasses.replace(segs[1], start=moved)
+            try:
+                constructions.verify_separation(dataclasses.replace(beta, segments=tuple(segs)))
+            except CertificateViolation as e:
+                print("raised:", e)
+            """
+        )
+        proc = run_python("-O", "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(
+            "raised: segment 2 starts off the path"
+        ), proc.stdout
 
     def test_escape_ambiguity_raises(self, monkeypatch):
         # a gamma that crosses every wall leaves case 3 no escape direction
@@ -1232,6 +1306,27 @@ def test_orbit_translates_always_cross(k, idx):
     assert gamma_crosses(gamma, orbit_translate(gamma, k, idx))
 
 
+@given(data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_crosses_matches_scan_in_any_frame(data):
+    # a translate P^j·W_i, moved by a conjugate u v u^-1, which has v's
+    # exponent sums, with runs that may break the run bound, and named in
+    # any direction, asked in frame k against the scan of its global image
+    # P^k·h
+    gamma = build_gamma(8)
+    graph = gamma.ck.graph
+    j = data.draw(st.integers(-4, 12))
+    i = data.draw(st.integers(0, 7))
+    k = data.draw(st.integers(-3, 40))
+    runs = st.lists(st.tuples(st.integers(0, 3), st.integers(-9, 9).filter(bool)), max_size=2)
+    u, v = (normal_form(Word(graph, data.draw(runs))) for _ in range(2))
+    w = gamma.period_walls[i]
+    g = data.draw(st.sampled_from([w.gen, w.gen, 0, 1, 2, 3]))
+    h = Wall(translate_wall(gamma.period ** j, w).base * u * v * u.inverse(), g)
+    want = gamma_crosses_by_scan(gamma, translate_wall(gamma.period ** k, h))
+    assert gamma_crosses(gamma, h, k) == want
+
+
 def gamma_line(ck, lo, hi):
     """G(t) for lo <= t <= hi and W_t for lo <= t < hi: the vertices and
     walls of the line through 1 that repeats gamma's period word in both
@@ -1247,9 +1342,10 @@ def gamma_line(ck, lo, hi):
 
 
 def test_gamma_line_crossings(ckg):
-    # the finite facts behind _PeriodOrbit's window: crossing walls of the
-    # line are at most 24 apart, and among those each wall crosses at most
-    # four before it and four after
+    # the finite facts behind the scan oracle's growth bound (see
+    # tests/oracles.py): crossing walls of the line are at most 24 apart,
+    # and among those each wall crosses at most four before it and four
+    # after
     _, W = gamma_line(ckg, -40, 80)
     for t in range(16, 24):
         before = sum(crosses(W[t - r], W[t]) for r in range(1, 25))
@@ -1261,20 +1357,22 @@ def test_gamma_line_crossings(ckg):
 
 
 def test_gamma_line_bounds_are_tight(ckg):
-    # runs stay at most 3 and |base of W_t| >= |t| - 4 on both sides, with
-    # equality on both sides, so the window cannot be narrowed
+    # the scan oracle's bounds: runs stay at most 3 and |base of W_t| >=
+    # |t| - 4 on both sides, with equality on both sides, so its horizon
+    # cannot be narrowed
     _, W = gamma_line(ckg, -160, 160)
     slack = {t: h.base.length - abs(t) for t, h in W.items()}
     assert all(abs(e) <= 3 for h in W.values() for _, e in h.base.syllables)
-    assert min(slack.values()) == -constructions._ORBIT_LENGTH_SLACK
+    assert min(slack.values()) == -LENGTH_SLACK
     assert min(v for t, v in slack.items() if t < 0) == min(v for t, v in slack.items() if t >= 0)
-    # the walls agree with gamma's own and with the translates' levels
+    # the walls agree with gamma's own, and W_t, at level t // 8, is
+    # crossed from that level's frame on and not from the one before
     gamma = build_gamma(20, ckg)
     assert all(W[t] == w for t, w in enumerate(gamma_by_global_words(20, ckg).walls))
-    orbit = gamma._orbit
     for t in (-160, -41, -9, -1, 0, 7, 8, 77, 159):
         j = t // 8
-        assert orbit.level_of(W[t], -200) == j
+        assert gamma_crosses(gamma, W[t], -j)
+        assert not gamma_crosses(gamma, W[t], -j - 1)
 
 
 def test_gamma_exit_line_window(ckg):
@@ -1341,11 +1439,10 @@ def test_gamma_builds_one_period(ckg, monkeypatch):
 
 
 def assert_scan_agrees(ck, walls, rng):
-    """gamma_crosses equals the scan on a fresh gamma, whatever order the
-    table grows in: shuffled with the longest wall first, so every later
-    query meets a table grown past its own horizon, and then shortest
-    first on another fresh gamma, so the table grows one query at a time.
-    Returns how many of the walls are crossed."""
+    """gamma_crosses equals the scan on a fresh gamma, whatever order it is
+    asked in: shuffled with the longest wall first, and then shortest
+    first on another fresh gamma. Returns how many of the walls are
+    crossed."""
     walls = list(dict.fromkeys(walls))
     rng.shuffle(walls)
     longest = max(walls, key=lambda h: h.base.length)
