@@ -13,10 +13,12 @@ from importlib import import_module
 _EXPORTS = {
     "raag": (
         "CertificateViolation",
+        "ConfigError",
         "DefiningGraph",
         "GroupElement",
         "Letter",
         "LetterSeq",
+        "PreconditionFailed",
         "Word",
         "distance",
         "normal_form",
@@ -49,7 +51,6 @@ _EXPORTS = {
         "bracket_product",
         "cross_ratio_bfm",
         "cross_ratio_cr",
-        "fellow_travel_radius",
         "find_separated_chain",
         "gromov_product",
         "hyp_member",
@@ -61,14 +62,12 @@ _EXPORTS = {
     "constructions": (
         "BetaReport",
         "BetaSegment",
-        "ConfigError",
         "ContractionReport",
         "CrokeKleiner",
         "DichotomyReport",
         "Flat",
         "GammaPath",
         "Line",
-        "PreconditionFailed",
         "SegmentCertificate",
         "SeparationReport",
         "SublinearFn",

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .raag import (
     CertificateViolation,
@@ -43,7 +43,6 @@ from .raag import (
     LetterSeq,
     Word,
     _strip_right,
-    distance,
     normal_form,
     parse_word,
 )
@@ -539,22 +538,3 @@ def refine_to_single_wall(
             return k
     raise ChainExhausted("no chain wall past the inputs separates as required")
 
-
-def fellow_travel_radius(
-    alpha: Sequence,
-    beta: Sequence,
-    J: int,
-    o,
-    dist: Optional[Callable] = None,
-) -> int:
-    """Largest R such that some point of alpha outside the R-ball around o
-    is within distance J of beta; 0 when no point of alpha is that close."""
-    if dist is None:
-        dist = distance
-    best = None
-    for a in alpha:
-        if min(dist(a, b) for b in beta) <= J:
-            d = dist(o, a)
-            if best is None or d > best:
-                best = d
-    return 0 if best is None else best

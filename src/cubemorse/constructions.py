@@ -21,10 +21,12 @@ from typing import Callable, Optional, Union
 from .boundary import BoundaryRay
 from .raag import (
     CertificateViolation,
+    ConfigError,
     DefiningGraph,
     GroupElement,
     Letter,
     MixedGraphs,
+    PreconditionFailed,
     _strip_left,
     _strip_right,
     distance,
@@ -46,14 +48,6 @@ from .walls import (
     line_gate_exponent,
     wall_of_edge,
 )
-
-
-class ConfigError(ValueError):
-    """A builder was asked for parameters outside its domain."""
-
-
-class PreconditionFailed(ValueError):
-    """Input data violates a stated precondition of the construction."""
 
 
 # --- sublinear gauges ---------------------------------------------------------
@@ -175,27 +169,20 @@ class SublinearFn:
             root = _nth_root_fraction(target, q - p)
             if root is not None:
                 return root
-
-            def holds(R: Fraction) -> bool:
-                return self.a**q * R**p <= slope**q * R**q
-
-            hi = Fraction(1)
-            while not holds(hi):
-                hi *= 2
             lo = Fraction(0)
-            return _bisect_up(holds, lo, hi)
-        # log kind: slope*r - a*log(1+r) is increasing past a/slope - 1
-        if slope >= self.a:
-            return Fraction(0)
+        else:
+            # log kind: slope*r - a*log(1+r) is increasing past a/slope - 1
+            if slope >= self.a:
+                return Fraction(0)
+            lo = self.a / slope - 1
 
-        def holds_log(R: Fraction) -> bool:
-            return _log_cmp(R, slope * R / self.a) <= 0
+        def holds(R: Fraction) -> bool:
+            return self.cmp_at(R, slope * R) <= 0
 
-        lo = self.a / slope - 1
         hi = max(2 * lo, Fraction(1))
-        while not holds_log(hi):
+        while not holds(hi):
             hi *= 2
-        return _bisect_up(holds_log, lo, hi)
+        return _bisect_up(holds, lo, hi)
 
 
 def _sign(x: Fraction) -> int:

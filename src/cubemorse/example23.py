@@ -13,9 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .boundary import fellow_travel_radius
-from .constructions import ConfigError, PreconditionFailed
-from .raag import CertificateViolation, DefiningGraph, LetterSeq, Word, _runs_to_text, parse_word
+from .raag import (
+    CertificateViolation,
+    ConfigError,
+    DefiningGraph,
+    LetterSeq,
+    PreconditionFailed,
+    Word,
+    _runs_to_text,
+    parse_word,
+)
 
 
 # --- glued labeled graph ---------------------------------------------------------
@@ -52,9 +59,6 @@ class PolySpec:
         for k, c in enumerate(self.coeffs):
             acc += c * Fraction(i) ** k
         return acc
-
-    def text(self) -> str:
-        return "poly " + " ".join(str(c) for c in self.coeffs)
 
 
 def _as_f(f) -> Callable[[int], Fraction]:
@@ -120,42 +124,36 @@ class LabeledGraph:
     def label(self, u: str, v: str) -> str:
         return self._adj[u][v]
 
-    def distances_from(self, u: str) -> dict[str, int]:
-        seen = {u: 0}
-        queue = [u]
+    def _bfs(self, *sources: str) -> dict[str, tuple[int, Optional[str]]]:
+        """{vertex: (distance to the nearest source, BFS parent)} over every
+        vertex reachable from the sources. Neighbours are visited in sorted
+        order and a parent is set when a vertex is first found, so the
+        lexicographically least parent wins and the tree is deterministic."""
+        tree: dict[str, tuple[int, Optional[str]]] = {s: (0, None) for s in sources}
+        queue = list(tree)
         for x in queue:
-            dx = seen[x]
+            dy = tree[x][0] + 1
             for y in self.neighbors(x):
-                if y not in seen:
-                    seen[y] = dx + 1
+                if y not in tree:
+                    tree[y] = (dy, x)
                     queue.append(y)
-        return seen
+        return tree
 
     def distance(self, u: str, v: str) -> int:
-        d = self.distances_from(u).get(v)
-        if d is None:
-            raise ValueError(f"{v} unreachable from {u}")
-        return d
+        return len(self.geodesic(u, v)) - 1
 
     def geodesic(self, u: str, v: str) -> list[str]:
-        """BFS geodesic; the lexicographically least parent wins, so the
-        result is deterministic."""
-        parent: dict[str, Optional[str]] = {u: None}
-        queue = [u]
-        for x in queue:
-            if x == v:
-                break
-            for y in self.neighbors(x):
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        if v not in parent:
-            raise ValueError(f"{v} unreachable from {u}")
-        out = [v]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])
-        out.reverse()
-        return out
+        """The BFS geodesic from u to v in the tree of _bfs(u)."""
+        return _path_to(self._bfs(u), u, v)
+
+
+def _path_to(tree: dict[str, tuple[int, Optional[str]]], u: str, v: str) -> list[str]:
+    if v not in tree:
+        raise ValueError(f"{v} unreachable from {u}")
+    out = [v]
+    while (up := tree[out[-1]][1]) is not None:
+        out.append(up)
+    return out[::-1]
 
 
 @dataclass(frozen=True)
@@ -189,9 +187,6 @@ class Example23:
     @property
     def spine(self) -> tuple[str, ...]:
         return ("o",) + tuple(f"a{k}" for k in range(1, self.tail + 1))
-
-    def junction(self, i: int) -> str:
-        return f"r{i}.{6 * self.f_values[i]}"
 
     def ray_end(self, i: int) -> str:
         return f"r{i}.{6 * self.f_values[i] + self.tail}"
@@ -263,26 +258,28 @@ def basepoint_experiment(
     from o'. The radius is how far from the basepoint the geodesic stays
     within kappa_val of R. From o the geodesic must ride R to the branch
     point, so the radius grows with i; from o' it shortcuts through the
-    spine of c-edges and leaves the neighbourhood of R immediately."""
-    g = ex.graph
-    spine = ex.spine
-    tables = {s: g.distances_from(s) for s in spine}
-    tables[ex.o_prime] = g.distances_from(ex.o_prime)
+    spine of c-edges and leaves the neighbourhood of R immediately.
 
-    def dist(u: str, v: str) -> int:
-        # every query has one endpoint on the spine or at a basepoint
-        if u in tables:
-            return tables[u][v]
-        return tables[v][u]
+    Three BFS passes answer every row: one from all of R gives d(v, R),
+    and the trees from o and from o' give the geodesics. The k-th vertex
+    of a geodesic is k from its start, so the radius is the largest k
+    with d(geo[k], R) <= kappa_val, or 0 when there is none."""
+    g = ex.graph
+    near = g._bfs(*ex.spine)
+    trees = {b: g._bfs(b) for b in (ex.o, ex.o_prime)}
+
+    def measure(base: str, end: str) -> tuple[int, int]:
+        # the geodesic's length and its fellow-travel radius
+        geo = _path_to(trees[base], base, end)
+        close = [k for k, v in enumerate(geo) if near[v][0] <= kappa_val]
+        return len(geo) - 1, max(close, default=0)
 
     rows = []
     for i in i_range if i_range is not None else range(1, ex.i_max + 1):
         end = ex.ray_end(i)
-        geo_o = g.geodesic(ex.o, end)
-        geo_op = g.geodesic(ex.o_prime, end)
-        r_o = fellow_travel_radius(geo_o, spine, kappa_val, ex.o, dist)
-        r_op = fellow_travel_radius(geo_op, spine, kappa_val, ex.o_prime, dist)
-        rows.append(BasepointRow(i, len(geo_o) - 1, len(geo_op) - 1, r_o, r_op))
+        d_o, r_o = measure(ex.o, end)
+        d_op, r_op = measure(ex.o_prime, end)
+        rows.append(BasepointRow(i, d_o, d_op, r_o, r_op))
     return tuple(rows)
 
 

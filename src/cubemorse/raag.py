@@ -11,7 +11,9 @@ procedure here. Its test oracle, the piling invariant with a BFS distance,
 shares no code with it and lives in tests/oracles.py.
 
 CertificateViolation, the error every layer raises when a proof obligation
-fails, is defined here so that each layer can import it from the bottom one.
+fails, and the two input errors of the builders, ConfigError and
+PreconditionFailed, are defined here so that each layer can import them
+from the bottom one.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ class MixedGraphs(WordError):
 class CertificateViolation(RuntimeError):
     """A proof obligation behind a certified value failed. This is a fault
     in the program, not in its input, and no `python -O` run skips it."""
+
+
+class ConfigError(ValueError):
+    """A builder was asked for parameters outside its domain."""
+
+
+class PreconditionFailed(ValueError):
+    """Input data violates a stated precondition of the construction."""
 
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -473,10 +483,7 @@ class GroupElement:
         if len(base.syllables) == 1:
             g, e = base.syllables[0]
             return GroupElement(base.graph, ((g, e * abs(n)),))
-        acc = base
-        for _ in range(abs(n) - 1):
-            acc = acc * base
-        return acc
+        return base.append_syllables(base.syllables * (abs(n) - 1))
 
     def append_letter(self, gen: int, sign: int) -> "GroupElement":
         return self.append_run(gen, sign)

@@ -15,8 +15,10 @@ asked on those global vertices and walls, the dichotomy stepped one letter at a 
 distance knots from a cluster table per vertex of Z, the chain greedy and
 the pruned bracket product over plain tuples of walls, the contraction
 gate asked of every pair, the run-path cell minima counted wall by wall
-at every position, and the quasi-geodesic certificate asked of every
-pair of runs. random_graphs draws the defining graphs they are run on.
+at every position, the quasi-geodesic certificate asked of every
+pair of runs, and the glued graph's basepoint experiment from a distance
+table per spine vertex. random_graphs draws the defining graphs they are
+run on, and draw_ray the rays.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from cubemorse.boundary import ProductValue, ray_walls
+from cubemorse.boundary import BoundaryRay, ProductValue, ray_walls
 from cubemorse.constructions import (
     _BETA_CASES,
     _BETA_P_GENS,
@@ -55,6 +57,7 @@ from cubemorse.constructions import (
     kappa_prime,
     translate_wall,
 )
+from cubemorse.example23 import BasepointRow
 from cubemorse.raag import (
     CertificateViolation,
     DefiningGraph,
@@ -248,6 +251,16 @@ def random_graphs(draw):
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [pair for pair, k in zip(pairs, keep) if k]
     return DefiningGraph.from_data({"generators": list(names), "edges": edges})
+
+
+def draw_ray(data, graph, base):
+    """A ray at base with a drawn prefix of up to three syllables and a
+    nonempty drawn period of up to three."""
+    n = len(graph.generators)
+    syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
+    prefix = Word(graph, data.draw(st.lists(syllable, max_size=3)))
+    period = Word(graph, data.draw(st.lists(syllable, min_size=1, max_size=3)))
+    return BoundaryRay(base, prefix, period)
 
 
 # --- run-path cells ----------------------------------------------------------
@@ -1033,3 +1046,78 @@ def check_contracting_all_pairs(
         tuple(sorted(annulus.items())),
         witness,
     )
+
+
+# --- the glued graph ---------------------------------------------------------
+
+
+def fellow_travel_radius(
+    alpha: Sequence,
+    beta: Sequence,
+    J: int,
+    o,
+    dist: Optional[Callable] = None,
+) -> int:
+    """Largest R such that some point of alpha outside the R-ball around o
+    is within distance J of beta; 0 when no point of alpha is that close."""
+    if dist is None:
+        dist = distance
+    best = None
+    for a in alpha:
+        if min(dist(a, b) for b in beta) <= J:
+            d = dist(o, a)
+            if best is None or d > best:
+                best = d
+    return 0 if best is None else best
+
+
+def distances_by_bfs(g, u: str) -> dict[str, int]:
+    """Every vertex's distance from u in a LabeledGraph."""
+    seen = {u: 0}
+    queue = [u]
+    for x in queue:
+        for y in g.neighbors(x):
+            if y not in seen:
+                seen[y] = seen[x] + 1
+                queue.append(y)
+    return seen
+
+
+def geodesic_by_early_stop(g, u: str, v: str) -> list[str]:
+    """A BFS from u that stops on reaching v; each vertex keeps the parent
+    that found it first, in sorted neighbour order."""
+    parent: dict[str, Optional[str]] = {u: None}
+    queue = [u]
+    for x in queue:
+        if x == v:
+            break
+        for y in g.neighbors(x):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    out = [v]
+    while parent[out[-1]] is not None:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
+def basepoint_experiment_all_pairs(ex, kappa_val: int, i_range=None) -> tuple:
+    """The basepoint experiment from a distance table per spine vertex and
+    per basepoint, each geodesic vertex checked against every spine vertex."""
+    g = ex.graph
+    spine = ex.spine
+    tables = {s: distances_by_bfs(g, s) for s in spine + (ex.o, ex.o_prime)}
+
+    def dist(u: str, v: str) -> int:
+        # every query has one endpoint on the spine or at a basepoint
+        return tables[u][v] if u in tables else tables[v][u]
+
+    rows = []
+    for i in i_range if i_range is not None else range(1, ex.i_max + 1):
+        end = ex.ray_end(i)
+        geo_o = geodesic_by_early_stop(g, ex.o, end)
+        geo_op = geodesic_by_early_stop(g, ex.o_prime, end)
+        r_o = fellow_travel_radius(geo_o, spine, kappa_val, ex.o, dist)
+        r_op = fellow_travel_radius(geo_op, spine, kappa_val, ex.o_prime, dist)
+        rows.append(BasepointRow(i, len(geo_o) - 1, len(geo_op) - 1, r_o, r_op))
+    return tuple(rows)

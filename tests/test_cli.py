@@ -475,7 +475,8 @@ def _layers_loaded(argv: list[str]) -> tuple[int, set]:
     return code, set(modules)
 
 
-@pytest.mark.parametrize("name", ["nf", "crossratio"])
+# the glued-graph commands run on the word layer alone
+@pytest.mark.parametrize("name", ["nf", "crossratio", "example23", "smallcancel"])
 def test_boundary_commands_skip_escape_layers(name):
     code, modules = _layers_loaded(GOLDEN_CASES[name])
     assert code == 0
@@ -486,6 +487,51 @@ def test_escape_command_loads_escape_layers():
     code, modules = _layers_loaded(GOLDEN_CASES["beta"])
     assert code == 0
     assert ESCAPE_LAYERS <= modules
+
+
+# module -> the layers it sits on directly; a module may import from these
+# and from every layer below them, and from nothing else
+LAYERS = {
+    "raag": (),
+    "walls": ("raag",),
+    "runpaths": ("raag",),
+    "boundary": ("walls",),
+    "constructions": ("raag", "walls", "runpaths", "boundary"),
+    "example23": ("raag",),
+    "cli": ("raag", "walls", "boundary", "runpaths", "constructions", "example23"),
+    "__main__": ("cli",),
+    "__init__": (),
+}
+
+
+def _below(module: str) -> set:
+    out = set()
+    for dep in LAYERS[module]:
+        out |= {dep} | _below(dep)
+    return out
+
+
+def test_modules_import_only_lower_layers():
+    found = {}
+    for path in sorted((REPO / "src" / "cubemorse").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found[path.stem] = {
+            node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+    assert set(found) == set(LAYERS)
+    bad = {m: sorted(deps - _below(m)) for m, deps in found.items() if deps - _below(m)}
+    assert bad == {}
+
+
+def test_glued_graph_module_loads_only_the_word_layer():
+    code = (
+        "import sys, cubemorse.example23; "
+        "print(sorted(m for m in sys.modules if m.startswith('cubemorse')))"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['cubemorse', 'cubemorse.example23', 'cubemorse.raag']"
 
 
 def test_bare_import_loads_no_submodule():
@@ -522,3 +568,14 @@ def test_certificate_violation_is_one_class():
     assert walls.CertificateViolation is cls
     assert cli.CertificateViolation is cls
     assert cubemorse.CertificateViolation is cls
+
+
+def test_input_errors_live_in_the_word_layer():
+    import cubemorse
+    from cubemorse import constructions, example23, raag
+
+    for name in ("ConfigError", "PreconditionFailed"):
+        cls = getattr(raag, name)
+        assert getattr(constructions, name) is cls
+        assert getattr(example23, name) is cls
+        assert getattr(cubemorse, name) is cls

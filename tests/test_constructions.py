@@ -221,6 +221,23 @@ class TestSublinearFn:
         for r in (R, R + 1, 4 * R + 7):
             assert f.cmp_at(r, slope * r) <= 0
 
+    @given(
+        a=st.integers(1, 50),
+        slope_n=st.integers(1, 9),
+        slope_d=st.integers(1, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_threshold_certifies_log(self, a, slope_n, slope_d):
+        f = SublinearFn.log(a)
+        slope = Fraction(slope_n, slope_d)
+        R = f.threshold(slope)
+        for r in (R, R + 1, 4 * R + 7):
+            assert f.cmp_at(r, slope * r) <= 0
+        # within 2**-32 of the least such R: a log gauge exceeds slope*r on
+        # the whole open interval (0, least R)
+        below = R - Fraction(1, 2**31)
+        assert below <= 0 or f.cmp_at(below, slope * below) > 0
+
 
 def exp_cmp(x: Fraction, p: int) -> int:
     """Sign of x - e**p for rational x and integer p >= 1, from the Taylor

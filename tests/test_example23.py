@@ -4,8 +4,9 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubemorse.constructions import ConfigError, PreconditionFailed
 from cubemorse.example23 import (
     ALPHABET14,
     LabeledGraph,
@@ -15,9 +16,16 @@ from cubemorse.example23 import (
     free_alphabet_graph,
     small_cancellation_check,
 )
-from cubemorse.raag import CertificateViolation, parse_word
+from cubemorse.raag import (
+    CertificateViolation,
+    ConfigError,
+    GroupElement,
+    PreconditionFailed,
+    parse_word,
+)
 
 from childproc import run_python
+from oracles import basepoint_experiment_all_pairs, fellow_travel_radius, geodesic_by_early_stop
 
 SQUARES = "poly 1 0 1"  # f(i) = i^2 + 1
 MISCOUNT = "glued graph has the wrong vertex or edge count"
@@ -182,6 +190,51 @@ class TestBasepointExperiment:
     def test_i_range_subset(self, ex6):
         rows = basepoint_experiment(ex6, 2, i_range=(3, 5))
         assert [r.i for r in rows] == [3, 5]
+
+    @given(
+        f=st.sampled_from(["poly 1 0 1", "poly 1 1 1", "poly 3 1 2", "poly 2 0 0 1"]),
+        i_max=st.integers(1, 8),
+        extra=st.integers(0, 10),
+        kappa_val=st.integers(0, 5),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_all_pairs_reference(self, f, i_max, extra, kappa_val, data):
+        # three BFS passes against a table per spine vertex and the
+        # all-pairs fellow-travel radius
+        ex = build_example23(f, i_max=i_max, tail=i_max + extra)
+        subset = st.lists(st.integers(1, i_max), unique=True, max_size=i_max)
+        i_range = data.draw(st.none() | subset)
+        want = basepoint_experiment_all_pairs(ex, kappa_val, i_range)
+        assert basepoint_experiment(ex, kappa_val, i_range) == want
+
+    def test_geodesics_match_early_stopping_bfs(self, ex6):
+        g = ex6.graph
+        for u in (ex6.o, ex6.o_prime, "a4", "s3.7", "r5.40"):
+            for v in g.vertices()[::97]:
+                assert g.geodesic(u, v) == geodesic_by_early_stop(g, u, v)
+
+
+class TestFellowTravel:
+    # the all-pairs radius the experiment is checked against
+    def test_parallel_lines(self, z3z):
+        o = GroupElement.identity(z3z)
+        alpha = [GroupElement.from_text(z3z, f"a^{i}") for i in range(1, 9)]
+        beta = [GroupElement.from_text(z3z, f"a^{i} b") for i in range(1, 9)]
+        assert fellow_travel_radius(alpha, beta, 1, o) == 8
+        assert fellow_travel_radius(alpha, beta, 0, o) == 0
+
+    def test_self(self, z3z):
+        o = GroupElement.identity(z3z)
+        alpha = [o] + [GroupElement.from_text(z3z, f"a^{i}") for i in range(1, 7)]
+        assert fellow_travel_radius(alpha, alpha, 0, o) == 6
+
+    def test_custom_distance(self):
+        # plain integer line with |x-y| metric
+        dist = lambda p, q: abs(p - q)
+        alpha = list(range(10))
+        beta = [3, 4]
+        assert fellow_travel_radius(alpha, beta, 1, 0, dist=dist) == 5
 
 
 class TestRelators:

@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from childproc import run_python
+from cubemorse import raag
 from cubemorse.raag import (
     DefiningGraph,
     GroupElement,
@@ -204,6 +205,38 @@ class TestGroupOps:
         assert (x**-2) == x.inverse() * x.inverse()
         assert (x**0).is_identity
         assert (normal_form("d", z3z) ** (10**12)).length == 10**12
+
+    @given(data=st.data(), letters=letters_st)
+    @settings(max_examples=40, deadline=None)
+    def test_pow_matches_repeated_product(self, z3z, ck, data, letters):
+        x = elem(data.draw(st.sampled_from((z3z, ck))), letters)
+        for base, sign in ((x, 1), (x.inverse(), -1)):
+            acc = GroupElement.identity(x.graph)
+            for n in range(1, 51):
+                acc = acc * base
+                assert x ** (sign * n) == acc
+
+    def test_pow_folds_in_one_pass(self, ck, monkeypatch):
+        # P**n refolds n copies of P's syllables at once instead of forming
+        # n - 1 products, each of which copies the growing word
+        P = normal_form("b c^3 d a b^2", ck)  # the period of gamma
+        calls = {"fold": 0, "append": 0}
+        fold, append = raag._append_syllable, GroupElement.append_syllables
+
+        def counted_fold(*args):
+            calls["fold"] += 1
+            return fold(*args)
+
+        def counted_append(self, syllables):
+            calls["append"] += 1
+            return append(self, syllables)
+
+        monkeypatch.setattr(raag, "_append_syllable", counted_fold)
+        monkeypatch.setattr(GroupElement, "append_syllables", counted_append)
+        power = P**20000
+        assert calls["fold"] <= 20000 * P.length
+        assert calls["append"] == 1
+        assert power.length == 20000 * P.length
 
     def test_mixed_graphs_rejected(self, z3z, ck):
         with pytest.raises(MixedGraphs):

@@ -25,6 +25,7 @@ from cubemorse.raag import GroupElement, Word, normal_form
 from cubemorse.walls import crossing_count, wall_distance
 from oracles import (
     bracket_product_by_lower_bound,
+    draw_ray,
     oracle_chain,
     oracle_lower,
     random_graphs,
@@ -131,16 +132,6 @@ def test_chain_same_for_every_n(rays):
 
 
 BRACKET_DEPTH = 24
-
-
-def draw_ray(data, graph, base):
-    """A ray at base with a drawn prefix of up to three syllables and a
-    nonempty drawn period of up to three."""
-    n = len(graph.generators)
-    syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
-    prefix = Word(graph, data.draw(st.lists(syllable, max_size=3)))
-    period = Word(graph, data.draw(st.lists(syllable, min_size=1, max_size=3)))
-    return BoundaryRay(base, prefix, period)
 
 
 @seed(2301)
