@@ -48,10 +48,10 @@ from .raag import (
 )
 from .walls import (
     Wall,
+    crosses,
     strongly_separated,
     wall_distance,
     wall_of_edge,
-    walls_separating_point_from_wall,
 )
 
 DEFAULT_DEPTH = 40
@@ -424,8 +424,6 @@ def gromov_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductValu
                 last = t
         prev = None
         for t in range(last + 1, len(own.walls)):
-            if own.walls[t] in other.pos:
-                return False  # unexpected late common wall; stay uncertified
             if prev is not None and own.separated(prev, t):
                 return True
             prev = t
@@ -522,19 +520,22 @@ def refine_to_single_wall(
 ) -> Wall:
     """The first chain wall crossed after all input walls such that every
     input wall separates the base from it; then any ray through it crosses
-    all the inputs."""
+    all the inputs.
+
+    That is the first chain wall k past the inputs that no input wall
+    crosses, by the argument of _RayIndex.dist: the ray crosses an input
+    wall w before k.
+    If w does not cross k, k's carrier lies on w's far side from the base,
+    so w separates. If w crosses k, w does not separate the base from
+    that carrier."""
     pos = _ray_index(xi, depth).pos
     inputs = list(walls)
     for w in inputs:
         if w not in pos:
             raise ValueError("input wall is not crossed by the ray at this depth")
     after = max((pos[w] for w in inputs), default=-1)
-    o = xi.base
     for k in chain.walls:
-        if pos.get(k, -1) <= after:
-            continue
-        sep = set(walls_separating_point_from_wall(o, k))
-        if all(w in sep for w in inputs):
+        if pos.get(k, -1) > after and not any(crosses(w, k) for w in inputs):
             return k
     raise ChainExhausted("no chain wall past the inputs separates as required")
 

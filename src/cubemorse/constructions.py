@@ -3,7 +3,7 @@
 Sublinear gauges with exact escape thresholds, the path group on four
 generators with its periodic diagonal geodesic and the flat-hopping
 quasi-geodesic built against it, wall-counting separation certificates,
-a brute-force contraction checker, and the divergence dichotomy for
+an exhaustive contraction checker, and the divergence dichotomy for
 paths near a contracting set. The glued labeled graph of Example 2.3
 lives in cubemorse.example23.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -941,31 +940,56 @@ def _path_vertices(S) -> list[GroupElement]:
     return list(S)
 
 
+def _ball_adjacency(B: tuple[GroupElement, ...]) -> list[list[int]]:
+    """For each vertex of the ball B, by its place in B, the places of its
+    neighbours that lie in B, in the order of the generators and signs."""
+    index = {v: k for k, v in enumerate(B)}
+    moves = [(g, s) for g in range(len(B[0].graph.generators)) for s in (1, -1)]
+    return [
+        [k for k in (index.get(v.append_letter(g, s)) for g, s in moves) if k is not None]
+        for v in B
+    ]
+
+
+def _bfs_depths(nbrs: list[list[int]], x: int, depth: int) -> dict[int, int]:
+    """{vertex: BFS depth from x} over the adjacency nbrs, for the
+    vertices at depth at most `depth`."""
+    seen = {x: 0}
+    frontier = [x]
+    for d in range(1, depth + 1):
+        nxt = []
+        for v in frontier:
+            for w in nbrs[v]:
+                if w not in seen:
+                    seen[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
 def check_contracting(
     S,
     rho: RhoLike,
     radius: int,
     cap: int = DEFAULT_BALL_CAP,
-    max_pairs: int = 200_000,
-    seed: int = 0,
 ) -> ContractionReport:
-    """Brute-force the contraction inequality on a ball around the path start.
+    """Exhaust the contraction inequality on a ball around the path start.
 
     For points x, y off S with d(x,y) < d(S,y), the projection set of x
     united with that of y must have diameter at most rho(d(S,y)).
-    Projections are exact argmin sets over S. All ordered pairs are tested
-    when their number fits the budget; otherwise a seeded deterministic
-    sample is drawn and the report says so.
+    Projections are exact argmin sets over S, and every ordered pair of
+    ball vertices off S that passes the gate is tested.
 
-    The exhaustive pass enumerates only pairs that can pass the gate
-    d(x,y) < d(S,y). Every y in the ball has d(S,y) <= d(y, s0) <= radius,
-    with s0 the ball's centre, so a partner of x is y = x*u with |u| below
-    top = max d(S, .) off S. One short ball of such u serves every x, and
-    |u| is d(x,y) exactly. Each x visits its partners in the order of the
-    ball, so pairs are tested, and the witness found, in the order of the
-    all-pairs loop over the ball."""
-    if max_pairs < 0:
-        raise ConfigError(f"max_pairs must be nonnegative, got {max_pairs}")
+    d(x,y) is the BFS depth over the ball's own edges. The Cayley graph
+    is the 1-skeleton of a CAT(0) cube complex, a median graph, so the
+    median m of (s0, x, y), s0 the ball's centre, lies on a geodesic from
+    x to y. Every vertex on a geodesic from x to s0 lies within
+    d(s0, x) <= radius of s0, and m is on one, so a geodesic from x to m
+    stays in the ball; likewise from y. So x -> m -> y is a geodesic
+    inside the ball. A partner y has d(x,y) < d(S,y) <= top, top the
+    largest d(S, .) off S, so x's search stops at depth top - 1. Each x
+    takes its partners in ball order, so pairs are tested, and the
+    witness found, in the order of the all-pairs loop over the ball."""
     rho = as_gauge(rho)
     sverts: list[GroupElement] = []
     for v in _path_vertices(S):
@@ -974,16 +998,16 @@ def check_contracting(
     if not sverts:
         raise ConfigError("empty set cannot be tested")
     B = ball(sverts[0], radius, cap)
-    sset = set(sverts)
+    nbrs = _ball_adjacency(B)
 
-    dist_to_s: dict[GroupElement, int] = {}
-    proj: dict[GroupElement, tuple[int, ...]] = {}
+    dist_to_s: list[int] = []
+    proj: list[tuple[int, ...]] = []
     for v in B:
         v_inv = v.inverse()
         ds = [(v_inv * s1).length for s1 in sverts]
         m = min(ds)
-        dist_to_s[v] = m
-        proj[v] = tuple(i for i, dv in enumerate(ds) if dv == m)
+        dist_to_s.append(m)
+        proj.append(tuple(i for i, dv in enumerate(ds) if dv == m))
 
     spair: dict[tuple[int, int], int] = {}
 
@@ -993,66 +1017,33 @@ def check_contracting(
             spair[key] = distance(sverts[key[0]], sverts[key[1]])
         return spair[key]
 
-    outside = [v for v in B if v not in sset]
-    n = len(outside)
-    total = n * (n - 1)
-    exhaustive = total <= max_pairs
-
     annulus: dict[int, int] = {}
     witness = None
     passed = True
     tested = 0
-
-    def check_pair(x: GroupElement, y: GroupElement) -> None:
-        # a pair that passed the gate d(x,y) < d(S,y)
-        nonlocal witness, passed, tested
-        dy = dist_to_s[y]
-        tested += 1
-        union = set(proj[x]) | set(proj[y])
-        diam = 0
-        for i in union:
-            for j in union:
-                if i < j:
-                    dij = sdist(i, j)
-                    if dij > diam:
-                        diam = dij
-        if diam > annulus.get(dy, -1):
-            annulus[dy] = diam
-        if passed and rho.cmp_at(dy, diam) < 0:
-            passed = False
-            witness = (x.text(), y.text(), diam, dy)
-
-    if exhaustive:
-        order = {v: k for k, v in enumerate(outside)}
-        top = max((dist_to_s[v] for v in outside), default=1)
-        short = ball(GroupElement.identity(B[0].graph), top - 1, cap)
-        for x in outside:
-            partners = []
-            for u in short:
-                y = x * u
-                k = order.get(y)
-                if k is not None and 0 < u.length < dist_to_s[y]:
-                    partners.append(k)
-            partners.sort()
-            for k in partners:
-                check_pair(x, outside[k])
-    else:
-        rnd = random.Random(seed)
-        for _ in range(max_pairs):
-            i = rnd.randrange(n)
-            j = rnd.randrange(n - 1)
-            if j >= i:
-                j += 1
-            x, y = outside[i], outside[j]
-            if distance(x, y) < dist_to_s[y]:
-                check_pair(x, y)
+    outside = [k for k in range(len(B)) if dist_to_s[k] > 0]
+    top = max((dist_to_s[k] for k in outside), default=1)
+    for x in outside:
+        # the search passes through S, whose vertices have d(S, .) = 0 and
+        # are never partners
+        depths = _bfs_depths(nbrs, x, top - 1)
+        for y in sorted(y for y, d in depths.items() if 0 < d < dist_to_s[y]):
+            dy = dist_to_s[y]
+            tested += 1
+            union = set(proj[x]) | set(proj[y])
+            diam = max((sdist(i, j) for i in union for j in union if i < j), default=0)
+            if diam > annulus.get(dy, -1):
+                annulus[dy] = diam
+            if passed and rho.cmp_at(dy, diam) < 0:
+                passed = False
+                witness = (B[x].text(), B[y].text(), diam, dy)
 
     return ContractionReport(
         passed,
         radius,
         rho.text(),
         tested,
-        exhaustive,
+        True,
         tuple(sorted(annulus.items())),
         witness,
     )

@@ -13,7 +13,8 @@ translates, gamma walked step by step as global words with its exit lines
 counted by key over all its walls, the escape path and its separation
 asked on those global vertices and walls, the dichotomy stepped one letter at a time, the
 distance knots from a cluster table per vertex of Z, the chain greedy and
-the pruned bracket product over plain tuples of walls, the contraction
+the pruned bracket product over plain tuples of walls, the refined wall
+from the walls between the base and each gate, the contraction
 gate asked of every pair, the run-path cell minima counted wall by wall
 at every position, the quasi-geodesic certificate asked of every
 pair of runs, and the glued graph's basepoint experiment from a distance
@@ -24,7 +25,6 @@ run on, and draw_ray the rays.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,6 +90,7 @@ from cubemorse.walls import (
     strongly_separated,
     wall_distance,
     wall_of_edge,
+    walls_separating_point_from_wall,
 )
 
 
@@ -535,6 +536,21 @@ def bracket_product_by_lower_bound(xi, eta, depth):
     return ProductValue(best, best < tail, depth)
 
 
+def refine_by_separating_walls(xi, inputs, chain_walls, depth):
+    """Reference: the first of chain_walls crossed after every input wall
+    such that each input wall is among the walls separating the base from
+    it, read off the geodesic to its gate; None when there is none."""
+    walls = ray_walls(xi, depth)
+    after = max((walls.index(w) for w in inputs), default=-1)
+    for k in chain_walls:
+        if k not in walls or walls.index(k) <= after:
+            continue
+        sep = set(walls_separating_point_from_wall(xi.base, k))
+        if all(w in sep for w in inputs):
+            return k
+    return None
+
+
 # --- constructions -----------------------------------------------------------
 
 
@@ -956,17 +972,13 @@ def check_contracting_all_pairs(
     rho: RhoLike,
     radius: int,
     cap: int = DEFAULT_BALL_CAP,
-    max_pairs: int = 200_000,
-    seed: int = 0,
 ) -> ContractionReport:
     """Reference: the contraction check with the gate d(x,y) < d(S,y) asked
-    of every ordered pair of ball vertices off S.
+    of every ordered pair of ball vertices off S, at one distance each.
 
     For points x, y off S with d(x,y) < d(S,y), the projection set of x
     united with that of y must have diameter at most rho(d(S,y)).
-    Projections are exact argmin sets over S. All ordered pairs are tested
-    when their number fits the budget; otherwise a seeded deterministic
-    sample is drawn and the report says so."""
+    Projections are exact argmin sets over S."""
     rho = as_gauge(rho)
     sverts: list[GroupElement] = []
     for v in _path_vertices(S):
@@ -994,9 +1006,6 @@ def check_contracting_all_pairs(
         return spair[key]
 
     outside = [v for v in B if v not in sset]
-    n = len(outside)
-    total = n * (n - 1)
-    exhaustive = total <= max_pairs
 
     annulus: dict[int, int] = {}
     witness = None
@@ -1023,26 +1032,17 @@ def check_contracting_all_pairs(
             passed = False
             witness = (x.text(), y.text(), diam, dy)
 
-    if exhaustive:
-        for x in outside:
-            for y in outside:
-                if x is not y:
-                    check_pair(x, y)
-    else:
-        rnd = random.Random(seed)
-        for _ in range(max_pairs):
-            i = rnd.randrange(n)
-            j = rnd.randrange(n - 1)
-            if j >= i:
-                j += 1
-            check_pair(outside[i], outside[j])
+    for x in outside:
+        for y in outside:
+            if x is not y:
+                check_pair(x, y)
 
     return ContractionReport(
         passed,
         radius,
         rho.text(),
         tested,
-        exhaustive,
+        True,
         tuple(sorted(annulus.items())),
         witness,
     )

@@ -16,6 +16,7 @@ from cubemorse.boundary import (
     InvalidRay,
     MismatchedBase,
     ProductValue,
+    SeparatedChain,
     UncertifiedDepth,
     bracket_product,
     cross_ratio_bfm,
@@ -28,7 +29,7 @@ from cubemorse.boundary import (
     refine_to_single_wall,
     validate_ray,
 )
-from oracles import draw_ray, random_graphs
+from oracles import draw_ray, random_graphs, refine_by_separating_walls
 
 DEPTH = 40
 
@@ -355,6 +356,32 @@ class TestHypAndRefine:
         r = ray(z3z, "|d")
         chain = find_separated_chain(r, 0, 5, DEPTH)
         assert refine_to_single_wall(r, set(), chain, DEPTH) == chain.walls[0]
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_refine_matches_separating_walls(self, z3z, ck, data):
+        # a chain wall past the inputs is behind all of them exactly when
+        # none crosses it; the "chain" may be every wall of the ray, so
+        # walls that cross an input are offered too
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        n = len(graph.generators)
+        syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
+        base = normal_form(Word(graph, data.draw(st.lists(syllable, max_size=3))))
+        r = draw_ray(data, graph, base)
+        assume(not normal_form(r.period).is_identity)
+        depth = data.draw(st.sampled_from((6, 10, 16)))
+        walls = ray_walls(r, depth)
+        if data.draw(st.booleans()):
+            chain = find_separated_chain(r, 0, 5, depth)
+        else:
+            chain = SeparatedChain(walls, (1,) * (len(walls) - 1), 0, 2)
+        inputs = data.draw(st.sets(st.sampled_from(walls), max_size=3))
+        want = refine_by_separating_walls(r, inputs, chain.walls, depth)
+        if want is None:
+            with pytest.raises(ChainExhausted):
+                refine_to_single_wall(r, inputs, chain, depth)
+        else:
+            assert refine_to_single_wall(r, inputs, chain, depth) == want
 
     def test_refine_exhausted(self, z3z):
         r = ray(z3z, "a^4|d")

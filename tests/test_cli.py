@@ -201,13 +201,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
-    def test_negative_max_pairs(self, capsys):
-        # a negative budget used to test 0 pairs and report an uncertified pass
-        code = run(GOLDEN_CASES["contracting"] + ["--max-pairs", "-5"])
+    @pytest.mark.parametrize(
+        "option", [["--max-pairs", "5"], ["--seed", "1"]], ids=["max-pairs", "seed"]
+    )
+    def test_contracting_takes_no_sampling_options(self, capsys, option):
+        # the check is always exhaustive, so it has no budget or seed
+        code = run(GOLDEN_CASES["contracting"] + option)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error:") and "max_pairs" in captured.err
 
     @pytest.mark.parametrize("command", [
         ["kappa"],

@@ -1160,12 +1160,41 @@ class TestContracting:
         x, y, diam, dy = rep.witness
         assert diam > 0 and dy >= 1
 
-    def test_flat_ray_sampled_at_radius_five(self, ckg):
+    def test_flat_ray_exhaustive_at_radius_five(self, ckg):
         ray = RunPath(ckg.origin, ((ckg.gen("c"), 10),))
-        rep = check_contracting(ray, 1, 5, max_pairs=20_000, seed=0)
-        assert not rep.passed
-        assert not rep.exhaustive
-        assert rep.witness is not None
+        rep = check_contracting(ray, 1, 5)
+        assert not rep.passed and rep.exhaustive
+        assert rep.pairs_tested == 396_190
+        assert rep.witness == ("b^-3", "b^-3 c^2", 2, 3)
+
+    def test_gamma_fails_const_three_at_radius_four(self, ckg):
+        rep = check_contracting(build_gamma(4, ckg).runpath(), "const 3", 4)
+        assert not rep.passed and rep.exhaustive
+        assert rep.pairs_tested == 22_604
+        assert rep.witness == ("b^-1 c", "b^-1 c^3", 5, 3)
+
+    def test_flat_ray_passes_one_at_radius_four(self, ckg):
+        rep = check_contracting(RunPath(ckg.origin, ((ckg.gen("c"), 10),)), 1, 4)
+        assert rep.passed and rep.exhaustive
+        assert rep.pairs_tested == 23_006
+        assert rep.witness is None
+
+    @pytest.mark.parametrize("radius", [3, 4])
+    def test_products_are_the_projections(self, ckg, radius, monkeypatch):
+        # distances inside the ball come from its adjacency, so the only
+        # products are one per (ball vertex, vertex of S)
+        gamma = build_gamma(4, ckg).runpath()
+        n_s = len({gamma.vertex_at(t) for t in range(gamma.length + 1)})
+        n_b = len(ball(gamma.origin, radius))
+        real, calls = GroupElement.__mul__, []
+
+        def counted(x, y):
+            calls.append(1)
+            return real(x, y)
+
+        monkeypatch.setattr(GroupElement, "__mul__", counted)
+        check_contracting(gamma, "const 3", radius)
+        assert len(calls) <= n_b * n_s
 
     def test_single_vertex_passes_zero(self, ckg):
         rep = check_contracting([ckg.origin], 0, 2)
@@ -1185,29 +1214,22 @@ class TestContracting:
         with pytest.raises(ConfigError):
             check_contracting([], 0, 2)
 
-    @pytest.mark.parametrize("max_pairs", [-1, -5])
-    def test_negative_max_pairs_rejected(self, ckg, max_pairs):
-        with pytest.raises(ConfigError, match="max_pairs"):
-            check_contracting([ckg.origin], 0, 2, max_pairs=max_pairs)
-
 
 def contracting_cases(ckg, gamma12):
     """The TestContracting inputs and the golden word:c^8 case, as
-    (S, rho, radius, keyword arguments)."""
+    (S, rho, radius)."""
     pre = runpath_prefix(gamma12.runpath(), 8)
     c = ckg.gen("c")
     return {
-        "gamma_rho2": (pre, 2, 3, {}),
-        "gamma_rho3": (pre, 3, 3, {}),
-        "gamma_radius2": (pre, 3, 2, {}),
-        "flat_ray": (RunPath(ckg.origin, ((c, 8),)), 0, 3, {}),
-        "flat_ray_sampled": (RunPath(ckg.origin, ((c, 10),)), 1, 5, {"max_pairs": 20_000}),
-        "single_vertex": ([ckg.origin], 0, 2, {}),
-        "golden_word": (RunPath.from_word(parse_word("c c c c c c c c", ckg.graph)), 0, 3, {}),
-        # off the identity, a vertex's partners in ball order differ from
-        # the order of its short translations, and so does the witness
+        "gamma_rho2": (pre, 2, 3),
+        "gamma_rho3": (pre, 3, 3),
+        "gamma_radius2": (pre, 3, 2),
+        "flat_ray": (RunPath(ckg.origin, ((c, 8),)), 0, 3),
+        "single_vertex": ([ckg.origin], 0, 2),
+        "golden_word": (RunPath.from_word(parse_word("c c c c c c c c", ckg.graph)), 0, 3),
+        # a ball centred off the identity
         "offset_path": (
-            RunPath(ckg.parse("d^-1"), ((ckg.gen("b"), 2), (ckg.gen("a"), 1))), 1, 3, {}
+            RunPath(ckg.parse("d^-1"), ((ckg.gen("b"), 2), (ckg.gen("a"), 1))), 1, 3
         ),
     }
 
@@ -1215,9 +1237,9 @@ def contracting_cases(ckg, gamma12):
 @st.composite
 def contracting_inputs(draw, fixtures):
     """A graph, a short run path or vertex list near the identity, and
-    check_contracting's arguments. max_pairs stays small, so the oracle
-    visits at most 6 000 pairs and the larger balls take the sampled
-    branch."""
+    check_contracting's arguments. The drawn radius is lowered until the
+    ball has at most 80 vertices, so the oracle asks at most 6 320
+    distances."""
     graph = draw(st.sampled_from(fixtures) | random_graphs())
     n = len(graph.generators)
     syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
@@ -1228,30 +1250,55 @@ def contracting_inputs(draw, fixtures):
         words = draw(st.lists(st.lists(syllable, max_size=2), min_size=1, max_size=4))
         S = [start * normal_form(Word(graph, w)) for w in words]
     rho = f"const {draw(st.integers(0, 3))}"
-    # hypothesis favours the first choices: under the largest budget, a
-    # radius-2 ball is exhaustive on most graphs, with pairs that pass the gate
+    # hypothesis favours the first choice: a radius-2 ball fits on most
+    # graphs, with pairs that pass the gate
     radius = draw(st.sampled_from((2, 3, 1, 0)))
-    max_pairs = draw(st.sampled_from((6000, 600, 60, 0)))
-    return S, rho, radius, max_pairs, draw(st.integers(0, 3))
+    while len(ball(start, radius)) > 80:
+        radius -= 1
+    return S, rho, radius
+
+
+class TestBallSearch:
+    """The lemma behind check_contracting: the Cayley graph of a RAAG is a
+    median graph, so a search over the edges of a ball, whatever its
+    centre, measures the distance between any two of its vertices."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_search_inside_the_ball_is_the_distance(self, z3z, ck, data):
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        n = len(graph.generators)
+        syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
+        o = normal_form(Word(graph, data.draw(st.lists(syllable, min_size=1, max_size=3))))
+        radius = data.draw(st.integers(1, 3))
+        while len(ball(o, radius)) > 100:
+            radius -= 1
+        B = ball(o, radius)
+        nbrs = constructions._ball_adjacency(B)
+        # below the ball's diameter the search must stop at the depth asked
+        depth = data.draw(st.integers(0, 2 * radius))
+        for x in range(len(B)):
+            dists = [distance(B[x], y) for y in B]
+            want = {y: d for y, d in enumerate(dists) if d <= depth}
+            assert constructions._bfs_depths(nbrs, x, depth) == want
 
 
 class TestContractingOracle:
-    """check_contracting's pruned pair enumeration against the all-pairs
-    loop it replaced: the whole report, witness included, must agree."""
+    """check_contracting's in-ball searches against the all-pairs loop at
+    one distance each: the whole report, witness included, must agree."""
 
     @pytest.mark.parametrize(
         "name",
         ["gamma_rho2", "gamma_rho3", "gamma_radius2", "flat_ray",
-         "flat_ray_sampled", "single_vertex", "golden_word", "offset_path"],
+         "single_vertex", "golden_word", "offset_path"],
     )
     def test_fixed_cases(self, ckg, gamma12, name):
-        S, rho, radius, kw = contracting_cases(ckg, gamma12)[name]
-        assert check_contracting(S, rho, radius, **kw) == check_contracting_all_pairs(
-            S, rho, radius, **kw
-        )
+        S, rho, radius = contracting_cases(ckg, gamma12)[name]
+        assert check_contracting(S, rho, radius) == check_contracting_all_pairs(S, rho, radius)
 
     def test_short_ball_keeps_the_cap(self):
-        # on Z at radius 15 the short ball has radius 14, above the default cap
+        # on Z at radius 15 the ball is above the default cap; the raised
+        # cap admits it, and the ball is its only search bound
         z = DefiningGraph.from_data({"generators": ["a"], "edges": []})
         S = RunPath.from_word(parse_word("a", z))
         want = check_contracting_all_pairs(S, 0, 15, cap=15)
@@ -1261,9 +1308,8 @@ class TestContractingOracle:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_random_inputs(self, z3z, ck, data):
-        S, rho, radius, max_pairs, seed = data.draw(contracting_inputs((z3z, ck)))
-        want = check_contracting_all_pairs(S, rho, radius, max_pairs=max_pairs, seed=seed)
-        assert check_contracting(S, rho, radius, max_pairs=max_pairs, seed=seed) == want
+        S, rho, radius = data.draw(contracting_inputs((z3z, ck)))
+        assert check_contracting(S, rho, radius) == check_contracting_all_pairs(S, rho, radius)
 
 
 class TestDichotomy:
