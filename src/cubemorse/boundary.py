@@ -42,6 +42,7 @@ from .raag import (
     GroupElement,
     LetterSeq,
     Word,
+    _append_syllable,
     _strip_right,
     normal_form,
     parse_word,
@@ -51,7 +52,6 @@ from .walls import (
     crosses,
     strongly_separated,
     wall_distance,
-    wall_of_edge,
 )
 
 DEFAULT_DEPTH = 40
@@ -358,13 +358,19 @@ def _ray_index(ray: BoundaryRay, depth: int) -> _RayIndex:
         return _RayIndex((), ())
     graph = ray.graph
     walls, dists = [], []
-    v, u = ray.base, GroupElement.identity(graph)  # u = base^-1·v
-    for letter in _representative_letters(ray, depth):
-        walls.append(wall_of_edge(v, letter))
-        kept, _ = _strip_right(graph, u.syllables, graph.adj_mask[letter.gen])
+    # v, the vertex reached, and u = base^-1·v, as syllable lists grown in
+    # place; each wall is named from v at the tail of its letter's g-edge,
+    # and the walk builds no group element but the walls' bases
+    v, u = list(ray.base.syllables), []
+    for gen, sign in _representative_letters(ray, depth):
+        kept, _ = _strip_right(graph, u, graph.adj_mask[gen])
         dists.append(sum(abs(e) for _, e in kept))
-        v = v.append_letter(letter.gen, letter.sign)
-        u = u.append_letter(letter.gen, letter.sign)
+        _append_syllable(graph, u, gen, sign)
+        if sign < 0:
+            _append_syllable(graph, v, gen, sign)
+        walls.append(Wall(GroupElement(graph, tuple(v)), gen))
+        if sign > 0:
+            _append_syllable(graph, v, gen, sign)
     return _RayIndex(tuple(walls), tuple(dists))
 
 
@@ -417,7 +423,7 @@ def gromov_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductValu
     common = ix.pos.keys() & ie.pos.keys()
     value = len(common)
 
-    def barrier_after(own: _RayIndex, other: _RayIndex) -> bool:
+    def barrier_after(own: _RayIndex) -> bool:
         last = -1
         for t, w in enumerate(own.walls):
             if w in common:
@@ -429,7 +435,7 @@ def gromov_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductValu
             prev = t
         return False
 
-    certified = barrier_after(ix, ie) and barrier_after(ie, ix)
+    certified = barrier_after(ix) and barrier_after(ie)
     return ProductValue(value, certified, depth)
 
 

@@ -27,6 +27,9 @@ is decided exactly, with no search. The number of walls transverse to two
 disjoint walls is likewise decided exactly: it is zero precisely when no
 generator of lk(g1) ∩ lk(g2) commutes with the whole separator between the
 carriers, and infinite otherwise, so crossing_count certifies every answer.
+Two walls whose generators neither commute nor share a link generator are
+strongly separated whatever their bases, and that is read off the defining
+graph alone.
 """
 
 from __future__ import annotations
@@ -214,14 +217,23 @@ def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int] | None:
     middle. For such a generator h, every k gives a wall [b1·x·h^k, h]:
     b1·x·h^k lies on the first carrier and b1·x·h^k·m = b2·y^-1·h^k on the
     second, so it crosses both, and distinct k give distinct walls.
+
+    When lk(g1) ∩ lk(g2) is empty and g1, g2 do not commute, the answer is
+    the empty set whatever the bases, and the strip is skipped. A wall
+    crossing both would need its generator in both links, so there is
+    none; and two walls cross only when their generators commute, so h1
+    and h2 do not cross. The strip reaches the same empty set.
     """
     graph = h1.graph
+    common = graph.link(h1.gen) & graph.link(h2.gen)
+    if not common and not graph.adjacent(h1.gen, h2.gen):
+        return frozenset()
     middle = _stripped_middle(h1, h2)
     if not middle and h1 != h2 and graph.adjacent(h1.gen, h2.gen):
         return None
     sep = {g for g, _ in middle}
     out = set()
-    for g in graph.link(h1.gen) & graph.link(h2.gen):
+    for g in common:
         if all(graph.adjacent(g, s) for s in sep):
             out.add(g)
     return frozenset(out)

@@ -7,7 +7,9 @@ in cubemorse.raag. The others redo a fast layer's question the slow,
 direct way on top of the layers below it: the coset strip read to the
 end of the word, gates on both carrier cosets, a coset's cutting walls
 read off a long test line through it, crossing walls found by a
-square search in a ball, the walls crossing two disjoint walls counted in
+square search in a ball, the common transversal directions from the
+double strip of every pair, a ray's walls stepped one letter at a time
+as group elements, the walls crossing two disjoint walls counted in
 balls about their gates, a level-by-level scan of gamma's period
 translates, gamma walked step by step as global words with its exit lines
 counted by key over all its walls, the escape path and its separation
@@ -32,7 +34,12 @@ from typing import Callable, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from cubemorse.boundary import BoundaryRay, ProductValue, ray_walls
+from cubemorse.boundary import (
+    BoundaryRay,
+    ProductValue,
+    _representative_letters,
+    ray_walls,
+)
 from cubemorse.constructions import (
     _BETA_CASES,
     _BETA_P_GENS,
@@ -84,6 +91,7 @@ from cubemorse.runpaths import (
 from cubemorse.walls import (
     DEFAULT_BALL_CAP,
     Wall,
+    _stripped_middle,
     ball,
     crosses,
     side,
@@ -443,6 +451,23 @@ def transversals_near_gates(h1, h2, radius: int) -> int:
     return len(found)
 
 
+def common_transversal_directions_by_strip(h1, h2):
+    """Reference for walls.common_transversal_directions: the double strip
+    asked of every pair, whatever the two generators. None when the walls
+    cross; otherwise the link generators of both that commute with the
+    whole stripped middle between the carriers."""
+    graph = h1.graph
+    middle = _stripped_middle(h1, h2)
+    if not middle and h1 != h2 and graph.adjacent(h1.gen, h2.gen):
+        return None
+    sep = {g for g, _ in middle}
+    return frozenset(
+        g
+        for g in graph.link(h1.gen) & graph.link(h2.gen)
+        if all(graph.adjacent(g, s) for s in sep)
+    )
+
+
 def crosses_by_square_search(h1, h2) -> bool:
     """Reference for walls.crosses: h1 and h2 cross exactly when g1 and g2
     are adjacent and some vertex v in ball(b1, d(b1, b2)) has
@@ -492,6 +517,24 @@ def is_cut_by_test_line(coset, h: Wall) -> bool:
 
 
 # --- boundary chains ---------------------------------------------------------
+
+
+def ray_index_by_steps(ray, depth):
+    """Reference for boundary._ray_index: the walls of the representative's
+    first `depth` letters and their distances from the base, stepping the
+    vertex v and u = base^-1·v one letter at a time as group elements.
+    Each wall is wall_of_edge at v; its distance is u right-stripped of
+    ⟨lk g⟩."""
+    graph = ray.graph
+    walls, dists = [], []
+    v, u = ray.base, GroupElement.identity(graph)
+    for letter in _representative_letters(ray, depth):
+        walls.append(wall_of_edge(v, letter))
+        kept, _ = _strip_right(graph, u.syllables, graph.adj_mask[letter.gen])
+        dists.append(sum(abs(e) for _, e in kept))
+        v = v.append_letter(letter.gen, letter.sign)
+        u = u.append_letter(letter.gen, letter.sign)
+    return tuple(walls), tuple(dists)
 
 
 def oracle_lower(walls, t):

@@ -18,7 +18,6 @@ from cubemorse.boundary import (
     cross_ratio_cr,
     find_separated_chain,
     gromov_product,
-    ray_walls,
     validate_ray,
 )
 from cubemorse.raag import GroupElement, Word, normal_form
@@ -29,6 +28,7 @@ from oracles import (
     oracle_chain,
     oracle_lower,
     random_graphs,
+    ray_index_by_steps,
 )
 
 GAMMA_PERIOD = "b c c d c b b a".split()
@@ -37,6 +37,11 @@ Z3Z_PERIODS = ["d", "a d", "b d", "a^2 d", "d^2"]
 HAND_PICKED = {
     "z3z": ["a^4|d", "|d", "|a", "a^2 c^-1|b d", "c^-1 a|d^2"],
     "ck": ["|b c c d c b b a", "b c|a d", "|a d^2", "a^-1|a^-1 d", "|a^6 d"],
+}
+# rays based off the identity whose representatives have negative letters
+BASED = {
+    "z3z": ("c^-3", ["a^-1 b^-1|d", "c^2 a^-2|d", "a^4|d"]),
+    "ck": ("c^-3", ["a^-1|a^-1 d", "c^3 b^-1|a^-1 d", "|b c c d c b b a"]),
 }
 
 
@@ -71,12 +76,17 @@ def rays(z3z, ck):
 
 
 @pytest.mark.parametrize("depth", [16, 40])
-def test_index_matches_brute_force(rays, depth):
+def test_index_matches_brute_force(rays, z3z, ck, depth):
     rng = random.Random(depth)
-    for pool in rays.values():
+    based = [
+        BoundaryRay.from_text(graph, t, GroupElement.from_text(graph, BASED[name][0]))
+        for name, graph in (("z3z", z3z), ("ck", ck))
+        for t in BASED[name][1]
+    ]
+    for pool in list(rays.values()) + [based]:
         for ray in pool:
             index = _ray_index(ray, depth)
-            walls = ray_walls(ray, depth)
+            walls, dists = ray_index_by_steps(ray, depth)
             assert index.walls == walls
             assert index.pos == {w: t for t, w in enumerate(walls)}
             # the memo must not depend on which question filled it first
@@ -88,7 +98,7 @@ def test_index_matches_brute_force(rays, depth):
                     # the earlier walls not crossing wall t are exactly
                     # the walls separating the base from its carrier
                     want = wall_distance(ray.base, walls[arg])
-                    assert index.dist(arg) == oracle_lower(walls, arg) == want
+                    assert index.dist(arg) == dists[arg] == oracle_lower(walls, arg) == want
                 elif kind == "chain":
                     assert index.chain(arg) == oracle_chain(walls, arg)
                 else:
@@ -174,6 +184,8 @@ def test_tail_exceeds_matches_oracle(z3z, ck, data):
     _ray_index.cache_clear()
     index = _ray_index(ray, BRACKET_DEPTH)
     walls = index.walls
+    dists = tuple(index.dist(t) for t in range(len(walls)))
+    assert (walls, dists) == ray_index_by_steps(ray, BRACKET_DEPTH)
     tail = max(0, len(oracle_chain(walls, None)) - 1)
     queries = [("tail", x) for x in range(-1, BRACKET_DEPTH + 1)]
     queries += [("chain", r) for r in (None, 2, 5)]
@@ -190,14 +202,22 @@ def test_tail_exceeds_matches_oracle(z3z, ck, data):
 
 def test_fresh_cross_ratio_separation_tests(z3z, monkeypatch):
     # a cold AC1 cross ratio stops each tail scan at the first chain long
-    # enough to certify, so a deeper base costs no more separation tests
-    real, calls = boundary.strongly_separated, [0]
+    # enough to certify, so a deeper base costs no more separation tests;
+    # and a pair of d walls, or of an a wall and a d wall, is separated by
+    # the defining graph alone, so most tests make no double strip
+    calls = {"separated": 0, "strip": 0}
+    real_separated, real_strip = boundary.strongly_separated, walls_module._stripped_middle
 
-    def counted(h1, h2):
-        calls[0] += 1
-        return real(h1, h2)
+    def separated(h1, h2):
+        calls["separated"] += 1
+        return real_separated(h1, h2)
 
-    monkeypatch.setattr(boundary, "strongly_separated", counted)
+    def strip(h1, h2):
+        calls["strip"] += 1
+        return real_strip(h1, h2)
+
+    monkeypatch.setattr(boundary, "strongly_separated", separated)
+    monkeypatch.setattr(walls_module, "_stripped_middle", strip)
     counts = []
     for m in (2, 12):
         base = GroupElement.from_text(z3z, f"c^-{m}")
@@ -206,11 +226,12 @@ def test_fresh_cross_ratio_separation_tests(z3z, monkeypatch):
             for t in ("a^4|d", "a^4 b|d", "a^-1 b^-1|d", "a^-1 b^-1 c|d")
         ]
         _ray_index.cache_clear()
-        calls[0] = 0
+        calls.update(separated=0, strip=0)
         assert cross_ratio_cr(*rays, 40) == (m, True)
-        counts.append(calls[0])
-    assert counts[1] <= 160
-    assert counts[0] == counts[1]
+        counts.append((calls["separated"], calls["strip"]))
+    assert counts[1][0] <= 160
+    assert counts[0][0] == counts[1][0]
+    assert counts[0][1] <= 64 and counts[1][1] <= 64
 
 
 def test_fresh_cross_ratio_reads_distances_from_prefixes(z3z, monkeypatch):

@@ -30,6 +30,7 @@ from cubemorse.walls import (
     Wall,
     WallsCross,
     ball,
+    common_transversal_directions,
     crosses,
     crossing_count,
     gate,
@@ -44,6 +45,7 @@ from cubemorse.walls import (
 from oracles import (
     bfs_oracle_distance,
     carrier_gates,
+    common_transversal_directions_by_strip,
     crosses_by_square_search,
     random_graphs,
     transversals_near_gates,
@@ -344,6 +346,47 @@ class TestCrossingCount:
         assert crossing_count(h1, h2) == (0, True)
         assert len(strips) == 2
         assert not crosses(h1, h2)
+
+    def test_directions_examples_match_strip_first_oracle(self, z3z, ck):
+        # both orders of: crossing pairs, among them ck's 1@b and 1@c, whose
+        # generators commute with an empty common link; an adjacent pair
+        # the strip separates; equal walls; and pairs read off the defining
+        # graph alone (a and d on ck, d and a or d on z3z)
+        one_ck, one_z = GroupElement.identity(ck), GroupElement.identity(z3z)
+        cases = [
+            (Wall(one_ck, B), Wall(one_ck, C)),
+            (Wall(one_ck, B), Wall(normal_form("d a", ck), C)),
+            (Wall(one_ck, A), Wall(one_ck, A)),
+            (Wall(one_ck, A), Wall(normal_form("b c", ck), D)),
+            (Wall(one_z, A), Wall(one_z, B)),
+            (Wall(one_z, A), Wall(normal_form("a", z3z), A)),
+            (Wall(one_z, D), Wall(one_z, D)),
+            (Wall(one_z, D), Wall(normal_form("c^-2 d", z3z), D)),
+            (Wall(one_z, A), Wall(normal_form("c^-2", z3z), D)),
+        ]
+        for h1, h2 in cases:
+            for p, q in ((h1, h2), (h2, h1)):
+                want = common_transversal_directions_by_strip(p, q)
+                assert common_transversal_directions(p, q) == want, (p, q)
+        assert common_transversal_directions(Wall(one_ck, B), Wall(one_ck, C)) is None
+
+    @seed(2611)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_directions_match_strip_first_oracle(self, z3z, ck, data):
+        # the second wall is the first itself, or the first's base times a
+        # short drawn word with any generator, so equal, crossing and
+        # disjoint pairs all occur, with and without a common link
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        n = len(graph.generators)
+        h1 = Wall(draw_element(data, graph, 6), data.draw(st.integers(0, n - 1)))
+        if data.draw(st.integers(0, 7)) == 0:
+            h2 = h1
+        else:
+            h2 = Wall(h1.base * draw_element(data, graph, 4), data.draw(st.integers(0, n - 1)))
+        want = common_transversal_directions_by_strip(h1, h2)
+        assert common_transversal_directions(h1, h2) == want
+        assert strongly_separated(h1, h2) == (want == frozenset())
 
     def test_slab_walls_cross_infinitely(self, z3z):
         one = GroupElement.identity(z3z)
