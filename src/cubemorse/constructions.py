@@ -17,7 +17,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .boundary import BoundaryRay
 from .raag import (
     CertificateViolation,
     ConfigError,
@@ -443,12 +442,6 @@ class GammaPath:
         names = [h.gen_name().upper() for h in self.period_walls]
         return "".join(names[t % 8] for t in range(2 * self.L))
 
-    def ray(self) -> BoundaryRay:
-        names = self.ck.graph.generators
-        return BoundaryRay.from_text(
-            self.ck.graph, "|" + " ".join(names[lt.gen] for lt in self.period_letters)
-        )
-
     @cached_property
     def _sums(self) -> tuple[tuple[int, ...], ...]:
         """The exponent sums by generator of G(0) .. G(8); the last is P's."""
@@ -601,9 +594,8 @@ _BETA_Q_GENS = ("b", "d", "c", "a")
 @dataclass(frozen=True)
 class BetaSegment:
     """One flat's worth of the construction: a long escape run p and a
-    short connector run q. Segment l = 4k + m + 1 starts at P^k·start:
-    start is in the period frame of its flat, a word of a few syllables.
-    The global vertices are those of BetaReport.path."""
+    short connector run q. Where it starts is not stored: it is where the
+    segments before it end, and its vertices are those of BetaReport.path."""
 
     index: int
     case: int
@@ -613,7 +605,6 @@ class BetaSegment:
     p_sign: int
     q_gen: int
     q_sign: int
-    start: GroupElement
 
     @property
     def length(self) -> int:
@@ -622,12 +613,26 @@ class BetaSegment:
 
 @dataclass(frozen=True)
 class BetaReport:
+    """The escape path, recorded once as its segments' runs: the run path
+    and the family sequence are read off them."""
+
     delta: int
     L: int
     gamma: GammaPath
     segments: tuple[BetaSegment, ...]
-    path: RunPath
-    family_sequence: str
+
+    @cached_property
+    def path(self) -> RunPath:
+        return RunPath(self.gamma.ck.origin, tuple(
+            run
+            for s in self.segments
+            for run in ((s.p_gen, s.p_sign * s.N), (s.q_gen, s.q_sign * s.M))
+        ))
+
+    @property
+    def family_sequence(self) -> str:
+        names = self.gamma.ck.graph.generators
+        return "".join(names[s.p_gen].upper() + names[s.q_gen].upper() for s in self.segments)
 
     @property
     def total_length(self) -> int:
@@ -655,8 +660,9 @@ def build_beta(
     connector wall are the stored period_lines[m], period_vertices[2m] and
     period_walls[2m + 1]. The previous endpoint x is carried in that frame,
     with one quotient by P at each frame change, so it stays a word of a
-    few syllables, and each segment stores its start as that frame's x.
-    Only the run path is global: its endpoint must be P^k·x for the last
+    few syllables; the previous segment's start is kept beside it for the
+    seam check. The segments store only their runs. The run path they
+    spell from 1 is global, and its endpoint must be P^k·x for the last
     flat's k, which ties the frame-carried points to it. Each proof
     obligation raises CertificateViolation when it fails, under python -O
     too."""
@@ -669,12 +675,10 @@ def build_beta(
     if gamma.L < L:
         raise ConfigError("gamma must cover at least L flats")
     graph = gamma.ck.graph
-    origin = gamma.ck.origin
 
     segments: list[BetaSegment] = []
-    family_seq: list[str] = []
-    runs: list[tuple[int, int]] = []
-    x = origin  # the current point, in the frame of flat l
+    x = gamma.ck.origin  # the current point, in the frame of flat l
+    start = None  # the previous segment's start, in the frame of flat l - 1
     total = 0
     for l in range(1, L + 1):
         k, m = divmod(l - 1, 4)
@@ -727,28 +731,24 @@ def build_beta(
         # locally geodesic seams: p*q*p from the previous segment start
         if segments:
             prev = segments[-1]
-            start_x = prev.start if m else quotient(gamma.period, prev.start)
+            start_x = start if m else quotient(gamma.period, start)
             if distance(start_x, mid_x) != prev.N + prev.M + N:
                 raise CertificateViolation(f"seam before segment {l} is not geodesic")
 
         if Fraction(N, 2) - M < Fraction(N, 4) + Fraction(M, 8):
             raise CertificateViolation(f"segment {l} breaks the growth inequality")
 
-        segments.append(BetaSegment(l, case, M, N, p_gen, p_sign, q_gen, q_sign, x))
-        runs.append((p_gen, p_sign * N))
-        runs.append((q_gen, q_sign * M))
-        family_seq.append(graph.generators[p_gen].upper())
-        family_seq.append(graph.generators[q_gen].upper())
+        segments.append(BetaSegment(l, case, M, N, p_gen, p_sign, q_gen, q_sign))
         total += N + M
-        x = end_x
+        start, x = x, end_x
 
-    path = RunPath(origin, tuple(runs))
-    if path.length != total or path.endpoint() != gamma.period ** ((L - 1) // 4) * x:
+    rep = BetaReport(delta, L, gamma, tuple(segments))
+    if rep.path.endpoint() != gamma.period ** ((L - 1) // 4) * x:
         raise CertificateViolation("run path does not follow the segments")
-    fam = "".join(family_seq)
+    fam = rep.family_sequence
     if any(fam[i] != "CBCDBCBA"[i % 8] for i in range(len(fam))):
         raise CertificateViolation(f"family sequence {fam} breaks the period CBCDBCBA")
-    return BetaReport(delta, L, gamma, tuple(segments), path, fam)
+    return rep
 
 
 # --- separation certificates ---------------------------------------------------
@@ -822,15 +822,15 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     the escape run run in the period frame of flat l, translated by P^-n
     for 4n < l <= 4n + 4. There gamma's entry vertex and the exit line of
     flat l - 1 are the period's, and gamma_crosses is asked in frame n.
-    The segment start is BetaSegment.start, stored in that frame as a word
-    of a few syllables. It is checked, not trusted: segment 1 starts at 1,
-    each later segment where the one before ends, with one quotient by P
-    at a frame change, and the run path is the segments' runs from 1, so
-    P^n·start is the path's vertex. The side checks run in the segment's
-    frame, translated by the start^-1: the start becomes 1, the end of the
-    escape run p^N, the segment's end p^N q^M, gamma's entry vertex w one
-    syllable lg^-m, and the k-th wall along g^s from the start the wall
-    W_k of the edge g^(s*k) to g^(s*(k+1)).
+    The segment start is formed there from the segments' runs, a word of a
+    few syllables: segment 1 starts at 1, each later segment where the one
+    before ends, with one quotient by P at a frame change. So P^n·start is
+    the vertex of BetaReport.path, which the segments' runs spell from 1.
+    The side checks run in the segment's frame, translated by the
+    start^-1: the start becomes 1, the end of the escape run p^N, the
+    segment's end p^N q^M, gamma's entry vertex w one syllable lg^-m, and
+    the k-th wall along g^s from the start the wall W_k of the edge
+    g^(s*k) to g^(s*(k+1)).
     x is beyond W_k iff s*e > k, g^e being x's gate on <g>: left-strip
     nf(x) = l g^e r' by <lk g> (e = 0 unless the kept half starts with
     g); l commutes with g and no g or lk(g) syllable of r' reaches its
@@ -846,17 +846,13 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
     one = gamma.ck.origin
     ok = True
     certs: list[SegmentCertificate] = []
-    runs: list[tuple[int, int]] = []
-    start = one  # where segment l must start, in the period frame of flat l
+    start = one  # where segment l starts, in the period frame of flat l
     for l, seg in enumerate(beta.segments, 1):
         frame, m = divmod(l - 1, 4)
         if l > 1:  # the previous segment's end, moved to this frame
             start = start * end if m else quotient(gamma.period, start * end)
-        if seg.start != start:
-            raise CertificateViolation(f"segment {l} starts off the path")
-        runs += [(seg.p_gen, seg.p_sign * seg.N), (seg.q_gen, seg.q_sign * seg.M)]
-        mid = one.append_run(*runs[-2])
-        end = mid.append_run(*runs[-1])
+        mid = one.append_run(seg.p_gen, seg.p_sign * seg.N)
+        end = mid.append_run(seg.q_gen, seg.q_sign * seg.M)
         if l == 1:
             continue
         # the exit line of flat l - 1 runs through flat l's entry vertex
@@ -897,8 +893,6 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
         cert = SegmentCertificate(l, len(H_p), len(H_q))
         certs.append(cert)
         ok = ok and cert.separation >= delta
-    if beta.path != RunPath(one, tuple(runs)):
-        raise CertificateViolation("run path does not follow the segments")
     return SeparationReport(delta, tuple(certs), ok)
 
 
@@ -1070,7 +1064,11 @@ def runpath_prefix(path: RunPath, steps: int) -> RunPath:
     steps = min(steps, path.length)
     if steps <= 0:
         raise ConfigError("prefix needs at least one step")
-    runs = tuple((g, e) for _, g, e in path.segments_between(0, steps))
+    i, off = path._locate(steps)
+    runs = path.runs[:i]
+    if off:  # the cut falls inside run i
+        g, e = path.runs[i]
+        runs += ((g, off if e > 0 else -off),)
     return RunPath(path.origin, runs)
 
 

@@ -9,8 +9,10 @@ e from level m crosses the walls between levels m and m + e. A cluster is
 stored as the sorted levels where the parity of its crossings flips: the
 run flips m and m + e, two flips at one level cancel, and the walls crossed
 an odd number of times are those between the first and second flip, the
-third and fourth, and so on. Distances are exact in time polynomial in the
-number of runs, independent of run lengths.
+third and fourth, and so on (_ClusterTable; walk_wall_count counts one
+walk). Distances are exact in time polynomial in the number of runs,
+independent of run lengths. A RunPath itself only locates its vertices:
+vertex_at forms the one asked for, and the certifiers below read its runs.
 
 The certifiers exploit the same structure globally. Fix the runs containing
 the two endpoints: as the endpoints slide inside their runs, each partial
@@ -106,29 +108,6 @@ class RunPath:
         g, e = self.runs[i]
         s = 1 if e > 0 else -1
         return self._starts[i].append_run(g, s * off) if off else self._starts[i]
-
-    def segments_between(self, s: int, t: int) -> list[tuple[GroupElement, int, int]]:
-        """The sub-walk from arc position s to t as (start vertex, gen,
-        signed exponent) triples; reversed traversal when s > t."""
-        if s > t:
-            return [
-                (v.append_run(g, e), g, -e)
-                for v, g, e in reversed(self.segments_between(t, s))
-            ]
-        out = []
-        pos = s
-        while pos < t:
-            k, off = self._locate(pos)
-            g, e = self.runs[k]
-            sign = 1 if e > 0 else -1
-            take = min(abs(e) - off, t - pos)
-            out.append((self.vertex_at(pos), g, sign * take))
-            pos += take
-        return out
-
-    def distance(self, s: int, t: int) -> int:
-        """Exact graph distance between the vertices at arc positions s, t."""
-        return walk_wall_count(self.graph, self.segments_between(s, t))
 
     @cached_property
     def _frames(self) -> tuple[tuple[_StarKey, int], ...]:

@@ -77,6 +77,7 @@ from cubemorse.raag import (
     _strip_right,
     distance,
     parse_word,
+    quotient,
 )
 from cubemorse.runpaths import (
     QuasiGeodesicReport,
@@ -273,6 +274,22 @@ def draw_ray(data, graph, base):
 
 
 # --- run-path cells ----------------------------------------------------------
+
+
+def walk_between(p: RunPath, s: int, t: int) -> list[tuple[GroupElement, int, int]]:
+    """The sub-walk of p from arc position s to t as (start vertex, gen,
+    signed exponent) triples, walked backward when s > t: the segments
+    runpaths.walk_wall_count counts."""
+    if s > t:
+        return [(v.append_run(g, e), g, -e) for v, g, e in reversed(walk_between(p, t, s))]
+    out = []
+    while s < t:
+        i, off = p._locate(s)
+        g, e = p.runs[i]
+        take = min(abs(e) - off, t - s)
+        out.append((p.vertex_at(s), g, take if e > 0 else -take))
+        s += take
+    return out
 
 
 def _partial_run(kind: str, m: int, e: int, u: int) -> tuple[int, int]:
@@ -616,6 +633,14 @@ class GlobalGamma:
     lines: tuple
 
 
+def gamma_ray(gamma: GammaPath) -> BoundaryRay:
+    """gamma's periodic ray from the identity, its period word repeated."""
+    names = gamma.ck.graph.generators
+    return BoundaryRay.from_text(
+        gamma.ck.graph, "|" + " ".join(names[lt.gen] for lt in gamma.period_letters)
+    )
+
+
 def gamma_by_global_words(L: int, ck: Optional[CrokeKleiner] = None) -> GlobalGamma:
     """Reference: walk gamma's 2L steps from the identity, taking each
     flat and exit line at its own global vertex."""
@@ -783,6 +808,21 @@ def verify_separation_by_global_frame(beta, delta=None):
     return SeparationReport(delta, tuple(certs), ok)
 
 
+def segment_starts(beta) -> tuple:
+    """Where each segment of beta starts, in the period frame of its flat:
+    segment l = 4k + m + 1 starts at P^k times its entry. Walked from the
+    path's runs, two per segment, with one quotient by P at each frame
+    change."""
+    gamma, runs = beta.gamma, beta.path.runs
+    x, out = gamma.ck.origin, []
+    for l in range(1, len(runs) // 2 + 1):
+        if l > 1 and l % 4 == 1:
+            x = quotient(gamma.period, x)
+        out.append(x)
+        x = x.append_run(*runs[2 * l - 2]).append_run(*runs[2 * l - 1])
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class GlobalBeta:
     """The escape path as build_beta_by_global_frame builds it: choices[l - 1]
@@ -912,7 +952,7 @@ def dichotomy_by_steps(Z, beta, rho, K_prime, C_prime) -> DichotomyReport:
     zverts = [Z.vertex_at(T) for T in range(Z.length + 1)]
     flips: dict = {}
     for T in range(Z.length):
-        (start, g, e) = Z.segments_between(T, T + 1)[0]
+        (start, g, e) = walk_between(Z, T, T + 1)[0]
         h = wall_of_edge(start, Letter(g, 1 if e > 0 else -1))
         flips.setdefault(h, []).append(T)
 

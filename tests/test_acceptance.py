@@ -52,7 +52,7 @@ from cubemorse.walls import (
     walls_between,
     walls_separating_point_from_wall,
 )
-from oracles import gamma_by_global_words
+from oracles import gamma_by_global_words, gamma_ray
 
 DEPTH = 40
 
@@ -349,7 +349,7 @@ def test_ac4_escape_path_suite():
 def test_ac5_separated_chain():
     t0 = time.monotonic()
     gp = build_gamma(12)
-    chain = find_separated_chain(gp.ray(), 0, 5, DEPTH)
+    chain = find_separated_chain(gamma_ray(gp), 0, 5, DEPTH)
     assert len(chain) >= 8
     for h1, h2 in zip(chain.walls, chain.walls[1:]):
         assert crossing_count(h1, h2) == (0, True)

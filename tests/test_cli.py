@@ -498,7 +498,7 @@ LAYERS = {
     "walls": ("raag",),
     "runpaths": ("raag",),
     "boundary": ("walls",),
-    "constructions": ("raag", "walls", "runpaths", "boundary"),
+    "constructions": ("raag", "walls", "runpaths"),
     "example23": ("raag",),
     "cli": ("raag", "walls", "boundary", "runpaths", "constructions", "example23"),
     "__main__": ("cli",),

@@ -64,10 +64,12 @@ from oracles import (
     coset_gate_and_distance,
     gamma_by_global_words,
     gamma_crosses_by_scan,
+    gamma_ray,
     is_cut_by_test_line,
     line_wall_counts_by_keys,
     random_graphs,
     runs_bounded,
+    segment_starts,
     verify_separation_by_global_frame,
 )
 
@@ -588,7 +590,7 @@ class TestGamma:
     def test_ray_is_valid_and_chain_exists(self, gamma12):
         from cubemorse.boundary import find_separated_chain, validate_ray
 
-        ray = gamma12.ray()
+        ray = gamma_ray(gamma12)
         assert validate_ray(ray, 32)
         chain = find_separated_chain(ray, 0, 5, 24)
         assert len(chain) >= 4
@@ -699,12 +701,12 @@ class TestGammaCrosses:
         # start, asked in frame k of their flats, k = 0..30, against the
         # scan of its global image P^k·h, shortest wall first on a fresh
         # gamma each frame.
-        beta = build_beta(4, 124, ck=ckg)
+        starts = segment_starts(build_beta(4, 124, ck=ckg))
         crossed = checked = 0
         for k in range(31):
             gamma = build_gamma(4 * k + 4, ckg)
             shift = period_power(gamma, k)
-            start = beta.segments[4 * k + 1].start
+            start = starts[4 * k + 1]
             near = {
                 wall_of_edge(x, Letter(g, s))
                 for v in (gamma.period_vertices[4], start)
@@ -789,9 +791,9 @@ class TestBeta:
             assert distance(prev_mid, cur_mid) == prev.M + cur.N
 
     def test_case3_escape_wall_avoids_gamma(self, beta12):
-        for s in beta12.segments:
+        for s, start in zip(beta12.segments, segment_starts(beta12)):
             if s.case == 3:
-                h = wall_of_edge(s.start, Letter(s.p_gen, s.p_sign))
+                h = wall_of_edge(start, Letter(s.p_gen, s.p_sign))
                 assert not gamma_crosses(beta12.gamma, h, (s.index - 1) // 4)
 
     def test_case12_connector_crosses_gamma_wall(self, beta12, words12):
@@ -860,15 +862,16 @@ class TestBeta:
 
 def assert_matches_oracle(got, want):
     """got makes the oracle's choices in every segment, segment l = 4k + m + 1
-    starts at P^k·start, the oracle's global start, and the run paths and
-    family sequences are equal."""
-    names = [f.name for f in dataclasses.fields(BetaSegment) if f.name != "start"]
+    starts at P^k·start, start its frame start walked from its runs, the
+    oracle's global start, and the run paths and family sequences are
+    equal."""
+    names = [f.name for f in dataclasses.fields(BetaSegment)]
     assert [tuple(getattr(s, n) for n in names) for s in got.segments] == list(want.choices)
     shift = GroupElement.identity(got.gamma.ck.graph)
-    for s, global_start in zip(got.segments, want.starts):
+    for s, start, global_start in zip(got.segments, segment_starts(got), want.starts):
         if s.index > 1 and s.index % 4 == 1:
             shift = shift * got.gamma.period
-        assert shift * s.start == global_start, s.index
+        assert shift * start == global_start, s.index
     assert (got.path, got.family_sequence) == (want.path, want.family_sequence)
     assert got.total_length == want.path.length
 
@@ -999,11 +1002,27 @@ def negate_nth_gate(monkeypatch, n):
     monkeypatch.setattr(constructions, "line_gate_exponent", negated)
 
 
-def with_segment_2(beta, **fields):
-    """beta with the given fields of its second segment replaced."""
+def with_segment(beta, i, **fields):
+    """beta with the given fields of its segment i (0-based) replaced."""
     segs = list(beta.segments)
-    segs[1] = dataclasses.replace(segs[1], **fields)
+    segs[i] = dataclasses.replace(segs[i], **fields)
     return dataclasses.replace(beta, segments=tuple(segs))
+
+
+def separation_outcome(fn, beta, errors=CertificateViolation):
+    """fn's separation report for beta, or "raised" when a check fails."""
+    try:
+        return fn(beta)
+    except errors:
+        return "raised"
+
+
+SEGMENT_CHANGES = {
+    "N*2": lambda s: {"N": 2 * s.N},
+    "N+1": lambda s: {"N": s.N + 1},
+    "-p_sign": lambda s: {"p_sign": -s.p_sign},
+    "M+1": lambda s: {"M": s.M + 1},
+}
 
 
 class TestSeparationChecks:
@@ -1047,39 +1066,30 @@ class TestSeparationChecks:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: segment 2: escape run crosses"), proc.stdout
 
-    def test_moved_start_raises(self, beta12):
-        # segment 2's start moved along its own exit line, off the path; its
-        # walls alone would certify (4, 5) there
-        moved = beta12.segments[1].start * beta12.gamma.ck.parse("c^3")
-        with pytest.raises(CertificateViolation, match="segment 2 starts off the path"):
-            verify_separation(with_segment_2(beta12, start=moved))
-
-    def test_path_off_the_segments_raises(self, beta12):
-        path = RunPath(beta12.path.origin, beta12.path.runs[:-1] + ((2, 1),))
-        with pytest.raises(CertificateViolation, match="run path does not follow the segments"):
-            verify_separation(dataclasses.replace(beta12, path=path))
-
-    def test_tampered_start_raises_under_python_O(self):
-        script = textwrap.dedent(
-            """
-            import dataclasses
-            from cubemorse import constructions
-            from cubemorse.runpaths import CertificateViolation
-            beta = constructions.build_beta(4, 12)
-            segs = list(beta.segments)
-            moved = segs[1].start * beta.gamma.ck.parse("c^3")
-            segs[1] = dataclasses.replace(segs[1], start=moved)
-            try:
-                constructions.verify_separation(dataclasses.replace(beta, segments=tuple(segs)))
-            except CertificateViolation as e:
-                print("raised:", e)
-            """
-        )
-        proc = run_python("-O", "-c", script)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith(
-            "raised: segment 2 starts off the path"
-        ), proc.stdout
+    @pytest.mark.parametrize("change", list(SEGMENT_CHANGES))
+    def test_changed_segment_moves_the_path(self, beta12, change):
+        # a report keeps each segment once: changing one moves the run path,
+        # the length and the family sequence with it, and the certificate
+        # of the changed path agrees with the global-frame oracle's
+        outcomes = []
+        for i, seg in enumerate(beta12.segments):
+            beta = with_segment(beta12, i, **SEGMENT_CHANGES[change](seg))
+            new = beta.segments[i]
+            runs = list(beta12.path.runs)
+            runs[2 * i : 2 * i + 2] = [
+                (new.p_gen, new.p_sign * new.N), (new.q_gen, new.q_sign * new.M)
+            ]
+            assert beta.path == RunPath(beta12.path.origin, tuple(runs))
+            length = beta12.total_length - seg.length + new.length
+            assert beta.total_length == beta.path.length == length
+            assert beta.family_sequence == beta12.family_sequence
+            got = separation_outcome(verify_separation, beta)
+            want = separation_outcome(
+                verify_separation_by_global_frame, beta, (CertificateViolation, AssertionError)
+            )
+            assert got == want, i
+            outcomes.append(got)
+        assert "raised" in outcomes
 
     def test_escape_ambiguity_raises(self, monkeypatch):
         # a gamma that crosses every wall leaves case 3 no escape direction
@@ -1350,11 +1360,23 @@ class TestDichotomy:
             check_divergence_dichotomy(Z, far, 0, 1, 0)
 
     def test_prefix_helper(self, beta12):
-        pre = runpath_prefix(beta12.path, 25)
-        assert pre.length == 25
-        assert pre.vertex_at(25) == beta12.path.vertex_at(25)
-        with pytest.raises(ConfigError):
-            runpath_prefix(beta12.path, 0)
+        # on beta:4,12 and gamma:160, at every run boundary and one step
+        # either side, the prefix keeps the runs before the cut and ends at
+        # the path's vertex there; a cut past the end is clamped
+        for path in (beta12.path, build_gamma(160).runpath()):
+            ends = [0]
+            for _, e in path.runs:
+                ends.append(ends[-1] + abs(e))
+            cuts = {t + d for t in ends for d in (-1, 0, 1)} & set(range(1, path.length + 1))
+            for t in sorted(cuts):
+                pre = runpath_prefix(path, t)
+                assert pre.origin == path.origin and pre.length == t
+                assert pre.runs[:-1] == path.runs[: len(pre.runs) - 1]
+                assert pre.endpoint() == path.vertex_at(t), t
+            assert runpath_prefix(path, path.length + 7) == path
+            for t in (0, -3):
+                with pytest.raises(ConfigError):
+                    runpath_prefix(path, t)
 
 
 def orbit_translate(gamma, k, idx):
@@ -1457,10 +1479,11 @@ def test_gamma_exit_line_window(ckg):
 @pytest.mark.parametrize("L", [40, 160])
 def test_quotients_take_short_words(ckg, monkeypatch, L):
     # gamma, the escape path's choices and its certificate ask raag.quotient
-    # and wall_of_edge only of frame words, and every segment stores its
-    # start as one: a global word of the path never reaches them
+    # and wall_of_edge only of frame words, and the certificate forms every
+    # segment start as one: a global word of the path never reaches them
     real_quotient, real_wall = constructions.quotient, constructions.wall_of_edge
-    asked, edges = [], []
+    real_contains = Line.contains
+    asked, edges, starts = [], [], []
 
     def quotient_recorded(a, b):
         asked.append((len(a.syllables), len(b.syllables)))
@@ -1472,13 +1495,20 @@ def test_quotients_take_short_words(ckg, monkeypatch, L):
 
     monkeypatch.setattr(constructions, "quotient", quotient_recorded)
     monkeypatch.setattr(constructions, "wall_of_edge", wall_recorded)
+    def contains_recorded(line, x):
+        starts.append(x)
+        return real_contains(line, x)
+
     gamma = build_gamma(L, ckg)
     beta = build_beta(4, L, gamma=gamma)
+    # verify_separation asks a line only whether segment l >= 2 starts on it
+    monkeypatch.setattr(Line, "contains", contains_recorded)
     verify_separation(beta)
     assert len(asked) > L and len(edges) > L
     assert max(max(pair) for pair in asked) <= 8
     assert max(edges) <= 8
-    assert max(len(s.start.syllables) for s in beta.segments) <= 8
+    assert starts == list(segment_starts(beta)[1:])
+    assert max(len(x.syllables) for x in starts) <= 8
 
 
 def test_gamma_builds_one_period(ckg, monkeypatch):

@@ -21,7 +21,12 @@ from cubemorse.constructions import (
 from cubemorse.raag import GroupElement, Letter, distance
 from cubemorse.runpaths import CertificateViolation, RunPath, set_distance_knots
 from cubemorse.walls import side, wall_of_edge
-from oracles import dichotomy_by_steps, random_graphs, set_distance_knots_by_tables
+from oracles import (
+    dichotomy_by_steps,
+    random_graphs,
+    set_distance_knots_by_tables,
+    walk_between,
+)
 
 
 def outcome(fn, *args):
@@ -97,7 +102,7 @@ def test_random_paths_match_the_scan(ck, z3z, data):
     start = Z.vertex_at(T) * hop.endpoint()
     if data.draw(st.booleans()):
         # retrace Z backwards and forwards, so vertices are revisited
-        back = Z.segments_between(T, 0)
+        back = walk_between(Z, T, 0)
         runs = tuple((g, e) for _, g, e in back) + tuple((g, -e) for _, g, e in reversed(back))
         beta = RunPath(Z.vertex_at(T), runs + runpaths_on(graph, data, one, 3).runs)
     else:
