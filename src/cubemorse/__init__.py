@@ -17,7 +17,6 @@ _EXPORTS = {
         "DefiningGraph",
         "GroupElement",
         "Letter",
-        "LetterSeq",
         "PreconditionFailed",
         "Word",
         "distance",
@@ -63,7 +62,6 @@ _EXPORTS = {
         "BetaReport",
         "BetaSegment",
         "ContractionReport",
-        "CrokeKleiner",
         "DichotomyReport",
         "Flat",
         "GammaPath",

@@ -40,7 +40,6 @@ from .raag import (
     CertificateViolation,
     DefiningGraph,
     GroupElement,
-    LetterSeq,
     Word,
     _append_syllable,
     _strip_right,
@@ -129,7 +128,7 @@ class BoundaryRay:
         )
 
     def __hash__(self) -> int:
-        return hash((self.base, self.prefix.letters, self.period.letters))
+        return hash((self.base, self.prefix.runs, self.period.runs))
 
 
 @dataclass(frozen=True)
@@ -181,8 +180,7 @@ def validate_ray(ray: BoundaryRay, depth: int) -> bool:
             return False
         # clean: the normal form extends letter by letter, no reorder/merge
         # across the seam beyond plain run concatenation
-        extended = LetterSeq(acc.syllables + per.syllables)
-        if LetterSeq(nxt.syllables) == extended:
+        if nxt.syllables == Word(ray.graph, acc.syllables + per.syllables).runs:
             clean_tail += 1
         else:
             clean_tail = 0
@@ -203,8 +201,7 @@ def _literal_letters(ray: BoundaryRay, depth: int):
         return None
     step = len(ray.period)
     copies = -(-(depth + 2 * step) // step)
-    runs = list(ray.prefix.letters.runs) + list(ray.period.letters.runs) * copies
-    word = Word(ray.graph, LetterSeq(runs))
+    word = Word(ray.graph, ray.prefix.runs + ray.period.runs * copies)
     if normal_form(word).length != len(word):
         return None
     return list(word[:depth])

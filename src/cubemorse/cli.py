@@ -389,7 +389,7 @@ def _cmd_beta(args):
 def _cmd_contracting(args):
     from .constructions import build_croke_kleiner, check_contracting
 
-    graph = _load_graph(args.graph) if args.graph else build_croke_kleiner().graph
+    graph = _load_graph(args.graph) if args.graph else build_croke_kleiner()
     path = _runpath_spec(args.path, graph)
     rep = check_contracting(path, args.rho, args.radius, cap=args.cap)
     return {
@@ -405,7 +405,7 @@ def _cmd_contracting(args):
 def _cmd_dichotomy(args):
     from .constructions import build_croke_kleiner, check_divergence_dichotomy
 
-    graph = _load_graph(args.graph) if args.graph else build_croke_kleiner().graph
+    graph = _load_graph(args.graph) if args.graph else build_croke_kleiner()
     Z = _runpath_spec(args.z, graph)
     path = _runpath_spec(args.path, graph)
     rep = check_divergence_dichotomy(Z, path, args.rho, args.K, args.C)

@@ -28,8 +28,6 @@ from .raag import (
     _strip_left,
     _strip_right,
     distance,
-    normal_form,
-    parse_word,
     quotient,
 )
 from .runpaths import (
@@ -284,25 +282,10 @@ _CK_DATA = {
     "edges": [["a", "b"], ["b", "c"], ["c", "d"]],
 }
 
-@dataclass(frozen=True)
-class CrokeKleiner:
-    """The RAAG on the path a-b-c-d with wall families named by generator."""
-
-    graph: DefiningGraph
-
-    def gen(self, name: str) -> int:
-        return self.graph.gen_index(name)
-
-    @property
-    def origin(self) -> GroupElement:
-        return GroupElement.identity(self.graph)
-
-    def parse(self, text: str) -> GroupElement:
-        return normal_form(parse_word(text, self.graph))
-
-
-def build_croke_kleiner() -> CrokeKleiner:
-    return CrokeKleiner(DefiningGraph.from_data(_CK_DATA))
+def build_croke_kleiner() -> DefiningGraph:
+    """The defining graph of the Croke-Kleiner RAAG: the path a-b-c-d. Wall
+    families are named by generator."""
+    return DefiningGraph.from_data(_CK_DATA)
 
 
 @dataclass(frozen=True)
@@ -419,9 +402,10 @@ class GammaPath:
     Flat l = 4k + m + 1 (1-based) is P^k·period_flats[m]; its exit line,
     its two walls and its entry vertex are P^k times period_lines[m],
     period_walls[2m], period_walls[2m + 1] and period_vertices[2m]. Flat l
-    and flat l+1 share flat l's exit line."""
+    and flat l+1 share flat l's exit line. graph is the Croke-Kleiner
+    defining graph every vertex and wall is over."""
 
-    ck: CrokeKleiner
+    graph: DefiningGraph
     L: int
     period_vertices: tuple[GroupElement, ...]
     period_letters: tuple[Letter, ...]
@@ -435,7 +419,9 @@ class GammaPath:
 
     def runpath(self) -> RunPath:
         runs = tuple((lt.gen, lt.sign) for lt in self.period_letters)
-        return RunPath(self.ck.origin, tuple(runs[t % 8] for t in range(2 * self.L)))
+        return RunPath(
+            GroupElement.identity(self.graph), tuple(runs[t % 8] for t in range(2 * self.L))
+        )
 
     def families(self) -> str:
         """The wall families A/B/C/D crossed, named by generator."""
@@ -448,7 +434,7 @@ class GammaPath:
         return tuple(map(_exponent_sums, self.period_vertices))
 
 
-def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
+def build_gamma(L: int) -> GammaPath:
     """The periodic combinatorial geodesic through the flat cycle B, C, B, A.
 
     The period is built and checked once: P is geodesic, its eight walls
@@ -457,12 +443,13 @@ def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
     exponent sum, a homomorphism onto Z, bounds the length of every word
     for an element, so G is a geodesic and crosses each wall once. Left
     translation by P^k keeps cuts and memberships, so flats 4k+1 .. 4k+4
-    are laid out as flats 1 .. 4 are."""
+    are laid out as flats 1 .. 4 are. Each call builds its own
+    build_croke_kleiner() graph; values over equal graphs mix freely."""
     if L < 1:
         raise ConfigError("need at least one flat")
-    ck = ck or build_croke_kleiner()
-    gen = ck.graph.gen_index
-    v = ck.origin
+    graph = build_croke_kleiner()
+    gen = graph.gen_index
+    v = GroupElement.identity(graph)
     vertices, letters, walls_, flats, lines = [v], [], [], [], []
     for first, second, line in _GAMMA_PERIOD:
         flats.append(Flat(v, (gen(first), gen(second))))
@@ -478,7 +465,7 @@ def build_gamma(L: int, ck: Optional[CrokeKleiner] = None) -> GammaPath:
     if len(set(walls_)) != 8:
         raise CertificateViolation("a period wall is repeated")
     gp = GammaPath(
-        ck, L, tuple(vertices), tuple(letters), tuple(walls_), tuple(flats), tuple(lines)
+        graph, L, tuple(vertices), tuple(letters), tuple(walls_), tuple(flats), tuple(lines)
     )
     for l in range(1, 5):
         if not _flat_layout_holds(gp, l):
@@ -525,7 +512,7 @@ def line_wall_counts(gamma: GammaPath) -> tuple[int, ...]:
     P = gamma.period
     near = {
         8 * j + i: translate_wall(shift, w)
-        for j, shift in ((-1, P.inverse()), (0, gamma.ck.origin), (1, P))
+        for j, shift in ((-1, P.inverse()), (0, GroupElement.identity(gamma.graph)), (1, P))
         for i, w in enumerate(gamma.period_walls)
     }
     cuts = [
@@ -567,8 +554,8 @@ def gamma_crosses(gamma: GammaPath, h: Wall, k: int = 0) -> bool:
     when that j is a whole number at least -k and the other sums agree; a
     wall the sums rule out costs no power of P, however far it is. No
     translate is kept, so no answer depends on earlier queries."""
-    if h.graph is not gamma.ck.graph:
-        raise ValueError("wall belongs to a different group")
+    if h.graph is not gamma.graph and h.graph != gamma.graph:
+        raise MixedGraphs("wall belongs to a different group")
     g = h.gen
     sums, per = _exponent_sums(h.base), gamma._sums[8]
     link = h.graph.link(g)
@@ -587,8 +574,6 @@ def gamma_crosses(gamma: GammaPath, h: Wall, k: int = 0) -> bool:
 
 
 _BETA_CASES = (3, 2, 3, 1)  # by (l-1) % 4
-_BETA_P_GENS = ("c", "c", "b", "b")
-_BETA_Q_GENS = ("b", "d", "c", "a")
 
 
 @dataclass(frozen=True)
@@ -623,7 +608,7 @@ class BetaReport:
 
     @cached_property
     def path(self) -> RunPath:
-        return RunPath(self.gamma.ck.origin, tuple(
+        return RunPath(GroupElement.identity(self.gamma.graph), tuple(
             run
             for s in self.segments
             for run in ((s.p_gen, s.p_sign * s.N), (s.q_gen, s.q_sign * s.M))
@@ -631,7 +616,7 @@ class BetaReport:
 
     @property
     def family_sequence(self) -> str:
-        names = self.gamma.ck.graph.generators
+        names = self.gamma.graph.generators
         return "".join(names[s.p_gen].upper() + names[s.q_gen].upper() for s in self.segments)
 
     @property
@@ -639,16 +624,13 @@ class BetaReport:
         return sum(s.length for s in self.segments)
 
 
-def build_beta(
-    delta: int,
-    L: int,
-    gamma: Optional[GammaPath] = None,
-    ck: Optional[CrokeKleiner] = None,
-) -> BetaReport:
-    """Build the inductive flat-by-flat escape path against gamma.
+def build_beta(delta: int, L: int) -> BetaReport:
+    """Build the inductive flat-by-flat escape path against gamma, the
+    build_gamma(L) it builds first.
 
     In flat l the path runs N_l steps along a fresh wall direction (p_l),
-    then M_l connector steps onto the exit line (q_l), where M_l is the
+    parallel to the flat's exit line, then M_l connector steps along the
+    flat's other direction (q_l) onto that line, where M_l is the
     exact coset distance from the previous endpoint to that line and
     N_l = max(delta + 3, 5*M_l, twice the length built so far). Case 3
     picks the escape direction whose first wall gamma never crosses;
@@ -668,16 +650,10 @@ def build_beta(
     too."""
     if delta <= 3:
         raise ConfigError("need delta > 3")
-    if L < 1:
-        raise ConfigError("need at least one flat")
-    if gamma is None:
-        gamma = build_gamma(L, ck)
-    if gamma.L < L:
-        raise ConfigError("gamma must cover at least L flats")
-    graph = gamma.ck.graph
+    gamma = build_gamma(L)
 
     segments: list[BetaSegment] = []
-    x = gamma.ck.origin  # the current point, in the frame of flat l
+    x = GroupElement.identity(gamma.graph)  # the current point, in flat l's frame
     start = None  # the previous segment's start, in the frame of flat l - 1
     total = 0
     for l in range(1, L + 1):
@@ -685,9 +661,9 @@ def build_beta(
         if m == 0 and k:
             x = quotient(gamma.period, x)
         case = _BETA_CASES[m]
-        p_gen = graph.gen_index(_BETA_P_GENS[m])
-        q_gen = graph.gen_index(_BETA_Q_GENS[m])
         line_l = gamma.period_lines[m]
+        p_gen = line_l.gen
+        (q_gen,) = set(gamma.period_flats[m].gens) - {p_gen}
 
         M = line_l.distance_to(x)
         if M < 1:
@@ -745,9 +721,6 @@ def build_beta(
     rep = BetaReport(delta, L, gamma, tuple(segments))
     if rep.path.endpoint() != gamma.period ** ((L - 1) // 4) * x:
         raise CertificateViolation("run path does not follow the segments")
-    fam = rep.family_sequence
-    if any(fam[i] != "CBCDBCBA"[i % 8] for i in range(len(fam))):
-        raise CertificateViolation(f"family sequence {fam} breaks the period CBCDBCBA")
     return rep
 
 
@@ -843,7 +816,7 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
         )
     delta = beta.delta if delta is None else delta
     gamma = beta.gamma
-    one = gamma.ck.origin
+    one = GroupElement.identity(gamma.graph)
     ok = True
     certs: list[SegmentCertificate] = []
     start = one  # where segment l starts, in the period frame of flat l
@@ -985,10 +958,7 @@ def check_contracting(
     takes its partners in ball order, so pairs are tested, and the
     witness found, in the order of the all-pairs loop over the ball."""
     rho = as_gauge(rho)
-    sverts: list[GroupElement] = []
-    for v in _path_vertices(S):
-        if v not in sverts:
-            sverts.append(v)
+    sverts = list(dict.fromkeys(_path_vertices(S)))
     if not sverts:
         raise ConfigError("empty set cannot be tested")
     B = ball(sverts[0], radius, cap)

@@ -17,10 +17,8 @@ from .raag import (
     CertificateViolation,
     ConfigError,
     DefiningGraph,
-    LetterSeq,
     PreconditionFailed,
     Word,
-    _runs_to_text,
     parse_word,
 )
 
@@ -435,7 +433,7 @@ def small_cancellation_check(relators: Sequence[Word]) -> SmallCancellationRepor
         best_ratio,
         lam,
         pair,
-        _runs_to_text(graph, LetterSeq((x // 2, 1 - 2 * (x % 2)) for x in w).runs),
+        Word(graph, ((x // 2, 1 - 2 * (x % 2)) for x in w)).text(),
         lengths,
         best_ratio < Fraction(1, 6),
     )

@@ -4,7 +4,8 @@ The canonical representative of a group element is its shortlex-minimal
 geodesic word, with letters ordered by (generator index, sign) and +1 before
 -1. Elements store that word as syllables (generator, nonzero exponent), so
 a run of a billion equal letters costs one syllable and all arithmetic stays
-exact on plain ints.
+exact on plain ints. A literal Word, read from text and not yet reduced,
+is stored the same way, as its maximal runs.
 
 The syllable engine (_append_syllable and friends) is the only decision
 procedure here. Its test oracle, the piling invariant with a BFS distance,
@@ -146,34 +147,42 @@ class Letter(NamedTuple):
     sign: int
 
 
-class LetterSeq:
-    """Immutable letter sequence stored as maximal runs (gen, exp).
+@dataclass(frozen=True)
+class Word:
+    """A literal letter sequence; may be non-reduced.
 
-    A run (g, -3) stands for the three letters g^-1 g^-1 g^-1. Length,
-    equality, hashing, and slicing cost O(runs), so words with
-    astronomically long runs stay cheap. Iterating yields one Letter per
-    letter; do that only on short words.
+    runs accepts any iterable of (gen, exp) runs with exp nonzero, and is
+    stored as the maximal runs it spells: a run (g, -3) stands for the
+    three letters g^-1 g^-1 g^-1, and plain Letter tuples are the special
+    case of length-one runs. Length, equality, hashing, indexing and
+    slicing cost O(runs), so words with astronomically long runs stay
+    cheap. Iterating yields one Letter per letter; do that only on short
+    words.
     """
 
-    __slots__ = ("runs", "_length")
+    graph: DefiningGraph
+    runs: tuple[tuple[int, int], ...]
 
-    def __init__(self, runs: Iterable[tuple[int, int]] = ()):
+    def __post_init__(self) -> None:
+        n = len(self.graph.generators)
         merged: list[tuple[int, int]] = []
-        for g, e in runs:
+        for g, e in self.runs:
             if e == 0:
                 raise ZeroExponent("zero-length run")
+            if not 0 <= g < n:
+                raise WordError(f"letter out of range: generator index {g}")
             if merged and merged[-1][0] == g and (merged[-1][1] > 0) == (e > 0):
                 merged[-1] = (g, merged[-1][1] + e)
             else:
                 merged.append((g, e))
-        self.runs: tuple[tuple[int, int], ...] = tuple(merged)
-        self._length: int = sum(abs(e) for _, e in self.runs)
+        object.__setattr__(self, "runs", tuple(merged))
+
+    @cached_property
+    def _length(self) -> int:
+        return sum(abs(e) for _, e in self.runs)
 
     def __len__(self) -> int:
         return self._length
-
-    def __bool__(self) -> bool:
-        return self._length > 0
 
     def __iter__(self) -> Iterator[Letter]:
         for g, e in self.runs:
@@ -186,7 +195,17 @@ class LetterSeq:
             start, stop, step = index.indices(self._length)
             if step != 1:
                 raise WordError("letter slices must have step 1")
-            return self._slice(start, max(stop, start))
+            out: list[tuple[int, int]] = []
+            pos = 0
+            for g, e in self.runs:
+                if pos >= stop:
+                    break
+                k = abs(e)
+                lo, hi = max(start, pos), min(stop, pos + k)
+                if lo < hi:
+                    out.append((g, hi - lo if e > 0 else lo - hi))
+                pos += k
+            return Word(self.graph, out)
         i = index + self._length if index < 0 else index
         if not 0 <= i < self._length:
             raise IndexError(index)
@@ -197,66 +216,8 @@ class LetterSeq:
             i -= k
         raise IndexError(index)
 
-    def _slice(self, start: int, stop: int) -> "LetterSeq":
-        out: list[tuple[int, int]] = []
-        pos = 0
-        for g, e in self.runs:
-            k = abs(e)
-            s = 1 if e > 0 else -1
-            lo = max(start, pos)
-            hi = min(stop, pos + k)
-            if lo < hi:
-                out.append((g, s * (hi - lo)))
-            pos += k
-            if pos >= stop:
-                break
-        return LetterSeq(out)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LetterSeq):
-            return self.runs == other.runs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.runs)
-
-    def __repr__(self) -> str:
-        return f"LetterSeq({self.runs!r})"
-
-
-@dataclass(frozen=True)
-class Word:
-    """A literal letter sequence; may be non-reduced.
-
-    letters accepts a LetterSeq, or any iterable of (gen, exp) runs; plain
-    Letter tuples are the special case of length-one runs.
-    """
-
-    graph: DefiningGraph
-    letters: LetterSeq
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.letters, LetterSeq):
-            object.__setattr__(self, "letters", LetterSeq(self.letters))
-        n = len(self.graph.generators)
-        for g, _ in self.letters.runs:
-            if not 0 <= g < n:
-                raise WordError(f"letter out of range: generator index {g}")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-    def __getitem__(self, index):
-        got = self.letters[index]
-        if isinstance(got, LetterSeq):
-            return Word(self.graph, got)
-        return got
-
     def text(self) -> str:
-        return _runs_to_text(self.graph, self.letters.runs)
+        return _runs_to_text(self.graph, self.runs)
 
     def __str__(self) -> str:
         return self.text()
@@ -291,7 +252,7 @@ def parse_word(text: str, graph: DefiningGraph) -> Word:
         else:
             e = 1
         runs.append((g, e))
-    return Word(graph, LetterSeq(runs))
+    return Word(graph, runs)
 
 
 # --- syllable engine ---------------------------------------------------------
@@ -446,15 +407,9 @@ class GroupElement:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    def letters(self) -> Iterator[Letter]:
-        for g, e in self.syllables:
-            s = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                yield Letter(g, s)
-
     @property
     def normal(self) -> Word:
-        return Word(self.graph, LetterSeq(self.syllables))
+        return Word(self.graph, self.syllables)
 
     def text(self) -> str:
         return _runs_to_text(self.graph, self.syllables)
@@ -513,7 +468,7 @@ def normal_form(w, graph: DefiningGraph | None = None) -> GroupElement:
             raise WordError("normal_form of a string needs a graph")
         w = parse_word(w, graph)
     graph = w.graph
-    return GroupElement(graph, _fold(graph, w.letters.runs))
+    return GroupElement(graph, _fold(graph, w.runs))
 
 
 def quotient(a: GroupElement, b: GroupElement) -> GroupElement:

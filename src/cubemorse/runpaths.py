@@ -68,7 +68,7 @@ class RunPath:
     def from_word(cls, w: Word, origin: Optional[GroupElement] = None) -> "RunPath":
         if origin is None:
             origin = GroupElement.identity(w.graph)
-        return cls(origin, w.letters.runs)
+        return cls(origin, w.runs)
 
     @cached_property
     def length(self) -> int:

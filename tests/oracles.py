@@ -42,11 +42,8 @@ from cubemorse.boundary import (
 )
 from cubemorse.constructions import (
     _BETA_CASES,
-    _BETA_P_GENS,
-    _BETA_Q_GENS,
     ConfigError,
     ContractionReport,
-    CrokeKleiner,
     DichotomyReport,
     Flat,
     GammaPath,
@@ -189,11 +186,11 @@ def _raw_letters(value, graph: DefiningGraph) -> list:
     if isinstance(value, Word):
         if value.graph is not graph and value.graph != graph:
             raise MixedGraphs("word belongs to a different defining graph")
-        return list(value.letters)
+        return list(value)
     if isinstance(value, GroupElement):
         if value.graph is not graph and value.graph != graph:
             raise MixedGraphs("element belongs to a different defining graph")
-        return list(value.letters())
+        return list(value.normal)
     raise WordError(f"cannot interpret {value!r} as a word")
 
 
@@ -635,18 +632,17 @@ class GlobalGamma:
 
 def gamma_ray(gamma: GammaPath) -> BoundaryRay:
     """gamma's periodic ray from the identity, its period word repeated."""
-    names = gamma.ck.graph.generators
+    names = gamma.graph.generators
     return BoundaryRay.from_text(
-        gamma.ck.graph, "|" + " ".join(names[lt.gen] for lt in gamma.period_letters)
+        gamma.graph, "|" + " ".join(names[lt.gen] for lt in gamma.period_letters)
     )
 
 
-def gamma_by_global_words(L: int, ck: Optional[CrokeKleiner] = None) -> GlobalGamma:
+def gamma_by_global_words(L: int) -> GlobalGamma:
     """Reference: walk gamma's 2L steps from the identity, taking each
     flat and exit line at its own global vertex."""
-    ck = ck or build_croke_kleiner()
-    graph = ck.graph
-    v = ck.origin
+    graph = build_croke_kleiner()
+    v = GroupElement.identity(graph)
     vertices, letters, walls = [v], [], []
     for l in range(L):
         for name in _GAMMA_STEPS[l % 4]:
@@ -722,7 +718,7 @@ _SCAN_LEVELS: dict = {}  # period -> (translates of levels 0 .. n - 1, P^n)
 def _scan_level(gamma, k: int) -> frozenset:
     """The period translates at level k, each checked against the run bound
     and the growth bound once, when its level is first scanned."""
-    levels, shift = _SCAN_LEVELS.get(gamma.period, ((), GroupElement.identity(gamma.ck.graph)))
+    levels, shift = _SCAN_LEVELS.get(gamma.period, ((), GroupElement.identity(gamma.graph)))
     while len(levels) <= k:
         floor = 8 * len(levels) - LENGTH_SLACK
         level = frozenset(translate_wall(shift, w) for w in gamma.period_walls)
@@ -737,8 +733,8 @@ def gamma_crosses_by_scan(gamma, h) -> bool:
     """Reference: scan the period translates level by level until their
     bases outgrow h's, then check one level past that horizon. A wall
     breaking the run bound is none of them."""
-    if h.graph is not gamma.ck.graph:
-        raise ValueError("wall belongs to a different group")
+    if h.graph is not gamma.graph and h.graph != gamma.graph:
+        raise MixedGraphs("wall belongs to a different group")
     if not runs_bounded(h):
         return False
     target = h.base.length
@@ -756,8 +752,8 @@ def verify_separation_by_global_frame(beta, delta=None):
     in place, on the global walls and vertices."""
     delta = beta.delta if delta is None else delta
     gamma = beta.gamma
-    g = gamma_by_global_words(gamma.L, gamma.ck)
-    o = gamma.ck.origin
+    g = gamma_by_global_words(gamma.L)
+    o = GroupElement.identity(gamma.graph)
     ok = True
     certs = []
     t = beta.segments[0].length
@@ -814,7 +810,7 @@ def segment_starts(beta) -> tuple:
     path's runs, two per segment, with one quotient by P at each frame
     change."""
     gamma, runs = beta.gamma, beta.path.runs
-    x, out = gamma.ck.origin, []
+    x, out = GroupElement.identity(gamma.graph), []
     for l in range(1, len(runs) // 2 + 1):
         if l > 1 and l % 4 == 1:
             x = quotient(gamma.period, x)
@@ -835,12 +831,13 @@ class GlobalBeta:
     family_sequence: str
 
 
-def build_beta_by_global_frame(
-    delta: int,
-    L: int,
-    gamma: Optional[GammaPath] = None,
-    ck: Optional[CrokeKleiner] = None,
-) -> GlobalBeta:
+# the escape and connector generators by (l-1) % 4, kept apart from the
+# library's own reading of them off gamma's period
+_BETA_P_GENS = ("c", "c", "b", "b")
+_BETA_Q_GENS = ("b", "d", "c", "a")
+
+
+def build_beta_by_global_frame(delta: int, L: int) -> GlobalBeta:
     """Reference: the escape path built with every choice and check asked
     in place, on the global vertices, lines and walls.
 
@@ -855,15 +852,10 @@ def build_beta_by_global_frame(
     the same connector wall as gamma does in that flat."""
     if delta <= 3:
         raise ConfigError("need delta > 3")
-    if L < 1:
-        raise ConfigError("need at least one flat")
-    if gamma is None:
-        gamma = build_gamma(L, ck)
-    if gamma.L < L:
-        raise ConfigError("gamma must cover at least L flats")
-    graph = gamma.ck.graph
-    origin = gamma.ck.origin
-    g = gamma_by_global_words(gamma.L, gamma.ck)
+    gamma = build_gamma(L)
+    graph = gamma.graph
+    origin = GroupElement.identity(graph)
+    g = gamma_by_global_words(L)
 
     choices: list[tuple] = []
     starts: list = []

@@ -356,7 +356,7 @@ def test_ac5_separated_chain():
 
     # the a-axis lies inside the single flat spanned by a and b; all its
     # walls admit transversals through the commuting direction
-    flat_ray = BoundaryRay.from_text(gp.ck.graph, "|a")
+    flat_ray = BoundaryRay.from_text(gp.graph, "|a")
     assert validate_ray(flat_ray, DEPTH)
     empty = find_separated_chain(flat_ray, 0, 5, DEPTH)
     assert len(empty) == 0

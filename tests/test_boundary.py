@@ -219,7 +219,7 @@ def test_certified_products_hold_at_four_times_the_depth(z3z, ck, data):
         # p's period runs, permuted, behind q's prefix: where runs commute,
         # the two rays cross shared walls in different orders, so the
         # shallow depth cuts them off at different places
-        runs = data.draw(st.permutations(p.period.letters.runs))
+        runs = data.draw(st.permutations(p.period.runs))
         q = BoundaryRay(base, q.prefix, Word(graph, runs))
     depth = data.draw(st.sampled_from((3, 5, 8)))
     assume(validate_ray(p, 4 * depth) and validate_ray(q, 4 * depth))

@@ -80,27 +80,27 @@ def ckg():
 
 
 @pytest.fixture(scope="module")
-def gamma12(ckg):
-    return build_gamma(12, ckg)
+def gamma12():
+    return build_gamma(12)
 
 
 @pytest.fixture(scope="module")
-def words12(ckg):
-    return gamma_by_global_words(12, ckg)
+def words12():
+    return gamma_by_global_words(12)
 
 
 @pytest.fixture(scope="module")
-def beta12(gamma12):
-    return build_beta(4, 12, gamma=gamma12)
+def beta12():
+    return build_beta(4, 12)
 
 
 def wall_of(ckg, text, gen):
-    return Wall(ckg.parse(text), ckg.gen(gen))
+    return Wall(normal_form(text, ckg), ckg.gen_index(gen))
 
 
 def period_power(gamma, k):
     """P^k for gamma's period P, k >= 0."""
-    shift = GroupElement.identity(gamma.ck.graph)
+    shift = GroupElement.identity(gamma.graph)
     for _ in range(k):
         shift = shift * gamma.period
     return shift
@@ -340,37 +340,37 @@ class TestKappa:
 
 class TestFlatsAndLines:
     def test_flat_base_canonicalized(self, ckg):
-        f1 = Flat(ckg.parse("b c^5"), (ckg.gen("b"), ckg.gen("c")))
-        f2 = Flat(ckg.parse("c^-2 b^3"), (ckg.gen("c"), ckg.gen("b")))
+        f1 = Flat(normal_form("b c^5", ckg), (ckg.gen_index("b"), ckg.gen_index("c")))
+        f2 = Flat(normal_form("c^-2 b^3", ckg), (ckg.gen_index("c"), ckg.gen_index("b")))
         assert f1 == f2
         assert f1.base.is_identity
 
     def test_flat_requires_commuting_pair(self, ckg):
         with pytest.raises(ConfigError):
-            Flat(ckg.origin, (ckg.gen("a"), ckg.gen("c")))
+            Flat(GroupElement.identity(ckg), (ckg.gen_index("a"), ckg.gen_index("c")))
         with pytest.raises(ConfigError):
-            Flat(ckg.origin, (ckg.gen("b"), ckg.gen("b")))
+            Flat(GroupElement.identity(ckg), (ckg.gen_index("b"), ckg.gen_index("b")))
 
     def test_flat_distance_and_membership(self, ckg):
-        f = Flat(ckg.parse("b c^2 d"), (ckg.gen("c"), ckg.gen("d")))
-        assert f.contains(ckg.parse("b d^4 c^-1"))
-        assert f.distance_to(ckg.origin) == 1
-        assert f.distance_to(ckg.parse("a")) == 2
+        f = Flat(normal_form("b c^2 d", ckg), (ckg.gen_index("c"), ckg.gen_index("d")))
+        assert f.contains(normal_form("b d^4 c^-1", ckg))
+        assert f.distance_to(GroupElement.identity(ckg)) == 1
+        assert f.distance_to(normal_form("a", ckg)) == 2
 
     def test_line_gate(self, ckg):
-        ln = Line(ckg.parse("b c^3 d b"), ckg.gen("b"))
-        assert ln.base == ckg.parse("b c^3 d")
-        assert ln.contains(ckg.parse("b c^3 d b^-40"))
-        assert ln.distance_to(ckg.parse("b c^-23 d")) == 26
+        ln = Line(normal_form("b c^3 d b", ckg), ckg.gen_index("b"))
+        assert ln.base == normal_form("b c^3 d", ckg)
+        assert ln.contains(normal_form("b c^3 d b^-40", ckg))
+        assert ln.distance_to(normal_form("b c^-23 d", ckg)) == 26
 
     def test_is_cut_by(self, ckg):
-        f = Flat(ckg.origin, (ckg.gen("b"), ckg.gen("c")))
+        f = Flat(GroupElement.identity(ckg), (ckg.gen_index("b"), ckg.gen_index("c")))
         assert f.is_cut_by(wall_of(ckg, "c^4", "c"))
         assert f.is_cut_by(wall_of(ckg, "b^-2", "b"))
         assert not f.is_cut_by(wall_of(ckg, "b c^3 d", "a"))
         # a d-wall in a parallel sheet misses the flat through the origin
         assert not f.is_cut_by(wall_of(ckg, "b", "d"))
-        ln = Line(ckg.parse("b"), ckg.gen("c"))
+        ln = Line(normal_form("b", ckg), ckg.gen_index("c"))
         assert ln.is_cut_by(wall_of(ckg, "c^7", "c"))
         assert not ln.is_cut_by(wall_of(ckg, "b", "b"))
 
@@ -437,20 +437,20 @@ class TestCosetQuestions:
         assert c.contains(x) == (d == 0)
 
     @pytest.mark.parametrize("L", [4, 12, 40])
-    def test_line_counts_match_per_wall_oracle(self, ckg, L):
-        words = gamma_by_global_words(L, ckg)
+    def test_line_counts_match_per_wall_oracle(self, L):
+        words = gamma_by_global_words(L)
         want = tuple(
             sum(1 for h in words.walls if is_cut_by_test_line(ln, h)) for ln in words.lines
         )
-        assert line_wall_counts(build_gamma(L, ckg)) == want
+        assert line_wall_counts(build_gamma(L)) == want
 
     @pytest.mark.parametrize("L", [*range(1, 10), 40, 120])
-    def test_line_counts_match_key_oracle(self, ckg, L):
-        want = line_wall_counts_by_keys(gamma_by_global_words(L, ckg))
-        assert line_wall_counts(build_gamma(L, ckg)) == want
+    def test_line_counts_match_key_oracle(self, L):
+        want = line_wall_counts_by_keys(gamma_by_global_words(L))
+        assert line_wall_counts(build_gamma(L)) == want
 
-    def test_line_counts_pinned(self, ckg):
-        counts = [line_wall_counts(build_gamma(L, ckg)) for L in range(1, 6)]
+    def test_line_counts_pinned(self):
+        counts = [line_wall_counts(build_gamma(L)) for L in range(1, 6)]
         assert counts == [(1,), (2, 2), (3, 3, 1), (3, 3, 2, 2), (3, 3, 3, 3, 1)]
 
     def test_layout_and_line_counts_ask_no_side(self, monkeypatch):
@@ -460,8 +460,8 @@ class TestCosetQuestions:
         assert asked == []
 
     def test_other_graph_raises(self, z3z, ckg):
-        f = Flat(ckg.origin, (ckg.gen("b"), ckg.gen("c")))
-        ln = Line(ckg.origin, ckg.gen("c"))
+        f = Flat(GroupElement.identity(ckg), (ckg.gen_index("b"), ckg.gen_index("c")))
+        ln = Line(GroupElement.identity(ckg), ckg.gen_index("c"))
         x = GroupElement.identity(z3z)
         h = Wall(x, 0)
         for c in (f, ln):
@@ -493,9 +493,9 @@ class TestGamma:
         assert gamma12.period == words12.vertices[8]
 
     @pytest.mark.parametrize("L", [*range(1, 10), 40, 120])
-    def test_matches_global_words(self, ckg, L):
+    def test_matches_global_words(self, L):
         # P^k times the period's objects, against the step-by-step walk
-        gamma, words = build_gamma(L, ckg), gamma_by_global_words(L, ckg)
+        gamma, words = build_gamma(L), gamma_by_global_words(L)
         assert gamma.L == L
         vertices, letters, walls_, flats, lines = [], [], [], [], []
         for k in range((L + 3) // 4):
@@ -549,10 +549,9 @@ class TestGamma:
         script = "\n".join([
             "from cubemorse import constructions, raag",
             "from cubemorse.raag import CertificateViolation",
-            "ck = constructions.build_croke_kleiner()",
             textwrap.dedent(patch),
             "try:",
-            "    constructions.build_gamma(4, ck)",
+            "    constructions.build_gamma(4)",
             "except CertificateViolation as e:",
             "    print('raised:', e)",
         ])
@@ -598,9 +597,9 @@ class TestGamma:
 
 class TestGammaCrosses:
     def test_period_orbit_pins(self, ckg, gamma12):
-        one = GroupElement.identity(ckg.graph)
-        assert gamma_crosses(gamma12, Wall(one, ckg.gen("c")))
-        assert gamma_crosses(gamma12, Wall(one, ckg.gen("b")))
+        one = GroupElement.identity(ckg)
+        assert gamma_crosses(gamma12, Wall(one, ckg.gen_index("c")))
+        assert gamma_crosses(gamma12, Wall(one, ckg.gen_index("b")))
         assert gamma_crosses(gamma12, wall_of(ckg, "b d b^2", "b"))
         assert gamma_crosses(gamma12, wall_of(ckg, "b c^3 d a", "c"))
         assert gamma_crosses(gamma12, wall_of(ckg, "b c^3 d", "a"))
@@ -628,6 +627,23 @@ class TestGammaCrosses:
         monkeypatch.setattr(GroupElement, "__pow__", no_power)
         assert not gamma_crosses(gamma12, h)
 
+    def test_equal_graph_gets_the_same_answer(self, z3z, gamma12):
+        # graphs are compared by value: a wall over an equal but distinct
+        # graph is the same wall, and one over another graph is refused
+        other = build_croke_kleiner()
+        assert other == gamma12.graph and other is not gamma12.graph
+        answers = set()
+        for w in gamma12.period_walls:
+            w2 = Wall(GroupElement(other, w.base.syllables), w.gen)
+            assert w2 == w
+            assert gamma_crosses_by_scan(gamma12, w2) == gamma_crosses_by_scan(gamma12, w)
+            for k in range(-1, 3):
+                answers.add(gamma_crosses(gamma12, w, k))
+                assert gamma_crosses(gamma12, w2, k) == gamma_crosses(gamma12, w, k)
+        assert answers == {True, False}
+        with pytest.raises(MixedGraphs):
+            gamma_crosses(gamma12, Wall(GroupElement.identity(z3z), 0))
+
     def test_far_orbit_wall_translates_once(self, gamma12, monkeypatch):
         # P^2000·W_3 is read at its level, not reached by 2000 levels of
         # translates; frame -2001 sees it as a wall before gamma starts
@@ -637,7 +653,7 @@ class TestGammaCrosses:
         assert not gamma_crosses(gamma12, h, -2001)
         assert 1 <= len(translated) <= 3
 
-    def test_translates_of_period_walls_cross(self, ckg, gamma12):
+    def test_translates_of_period_walls_cross(self, gamma12):
         shift = period_power(gamma12, 4)
         for w in gamma12.period_walls:
             assert gamma_crosses(gamma12, translate_wall(shift, w))
@@ -651,7 +667,7 @@ class TestGammaCrosses:
         with pytest.raises(ValueError):
             gamma_crosses(gamma12, h)
 
-    def test_matches_scan_on_certificate_walls(self, ckg, monkeypatch):
+    def test_matches_scan_on_certificate_walls(self, monkeypatch):
         # every wall that build_beta and verify_separation ask about; a wall
         # asked in the frame P^-k·gamma stands for its global image P^k·h,
         # and the frame's answer must be the scan's answer for that image
@@ -669,42 +685,42 @@ class TestGammaCrosses:
         monkeypatch.setattr(constructions, "gamma_crosses", crosses_recorded)
         stripped = record_strips(monkeypatch)
         for delta, L in ((4, 12), (6, 41)):
-            verify_separation(build_beta(delta, L, ck=ckg))
+            verify_separation(build_beta(delta, L))
         monkeypatch.undo()
         asked.update(stripped)
         assert sum(map(runs_bounded, asked)) > 100
-        crossed = assert_scan_agrees(ckg, asked, random.Random(41))
+        crossed = assert_scan_agrees(asked, random.Random(41))
         assert 0 < crossed < len(asked)
         assert all(gamma_crosses_by_scan(g, image) == answer for g, image, answer in framed)
 
-    def test_matches_scan_on_orbit_translates(self, ckg):
-        gamma = build_gamma(8, ckg)
+    def test_matches_scan_on_orbit_translates(self):
+        gamma = build_gamma(8)
         walls = [orbit_translate(gamma, k, idx) for k in range(41) for idx in range(8)]
-        assert_scan_agrees(ckg, walls, random.Random(40))
+        assert_scan_agrees(walls, random.Random(40))
 
     def test_matches_scan_on_bounded_random_walls(self, ckg):
         # random walls near the orbit: a period power, then a short detour
         rng = random.Random(2026)
-        gamma = build_gamma(8, ckg)
+        gamma = build_gamma(8)
         walls = []
         while len(walls) < 400:
             k = rng.randrange(12)
             detour = [(rng.randrange(4), rng.choice((1, -1))) for _ in range(rng.randrange(6))]
             base = orbit_translate(gamma, k, rng.randrange(8)).base
-            h = Wall(base * normal_form(Word(ckg.graph, detour)), rng.randrange(4))
+            h = Wall(base * normal_form(Word(ckg, detour)), rng.randrange(4))
             if runs_bounded(h):
                 walls.append(h)
-        assert 0 < assert_scan_agrees(ckg, walls, rng) < len(set(walls))
+        assert 0 < assert_scan_agrees(walls, rng) < len(set(walls))
 
-    def test_frame_window_matches_scan(self, ckg):
+    def test_frame_window_matches_scan(self):
         # every wall within distance 3 of a vertex of gamma and of a segment
         # start, asked in frame k of their flats, k = 0..30, against the
         # scan of its global image P^k·h, shortest wall first on a fresh
         # gamma each frame.
-        starts = segment_starts(build_beta(4, 124, ck=ckg))
+        starts = segment_starts(build_beta(4, 124))
         crossed = checked = 0
         for k in range(31):
-            gamma = build_gamma(4 * k + 4, ckg)
+            gamma = build_gamma(4 * k + 4)
             shift = period_power(gamma, k)
             start = starts[4 * k + 1]
             near = {
@@ -726,10 +742,6 @@ class TestBeta:
     def test_rejects_small_delta(self):
         with pytest.raises(ConfigError):
             build_beta(3, 4)
-
-    def test_rejects_short_gamma(self, gamma12):
-        with pytest.raises(ConfigError):
-            build_beta(4, 13, gamma=gamma12)
 
     def test_frozen_run_lengths(self, beta12):
         assert [s.N for s in beta12.segments] == [
@@ -840,7 +852,7 @@ class TestBeta:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: run path does not follow the segments"), proc.stdout
 
-    def test_append_syllable_calls_grow_linearly(self, ckg, monkeypatch):
+    def test_append_syllable_calls_grow_linearly(self, monkeypatch):
         # a deterministic scaling guard: doubling the flats at most 2.5x the
         # syllable work of build_beta and verify_separation together
         real, calls = raag._append_syllable, [0]
@@ -851,10 +863,9 @@ class TestBeta:
 
         counts = []
         for L in (60, 120):
-            gamma = build_gamma(L, ckg)
             calls[0] = 0
             monkeypatch.setattr(raag, "_append_syllable", counted)
-            verify_separation(build_beta(4, L, gamma=gamma))
+            verify_separation(build_beta(4, L))
             monkeypatch.undo()
             counts.append(calls[0])
         assert 0 < counts[1] <= 2.5 * counts[0]
@@ -867,7 +878,7 @@ def assert_matches_oracle(got, want):
     equal."""
     names = [f.name for f in dataclasses.fields(BetaSegment)]
     assert [tuple(getattr(s, n) for n in names) for s in got.segments] == list(want.choices)
-    shift = GroupElement.identity(got.gamma.ck.graph)
+    shift = GroupElement.identity(got.gamma.graph)
     for s, start, global_start in zip(got.segments, segment_starts(got), want.starts):
         if s.index > 1 and s.index % 4 == 1:
             shift = shift * got.gamma.period
@@ -878,18 +889,13 @@ def assert_matches_oracle(got, want):
 
 class TestBetaOracle:
     @pytest.mark.parametrize("delta, L", [(4, 120), (8, 119)])
-    def test_fixed_cases(self, ckg, delta, L):
-        gamma = build_gamma(L, ckg)
-        got = build_beta(delta, L, gamma=gamma)
-        assert_matches_oracle(got, build_beta_by_global_frame(delta, L, gamma=gamma))
+    def test_fixed_cases(self, delta, L):
+        assert_matches_oracle(build_beta(delta, L), build_beta_by_global_frame(delta, L))
 
-    @given(delta=st.integers(4, 9), L=st.integers(1, 48), extra=st.integers(0, 5))
+    @given(delta=st.integers(4, 9), L=st.integers(1, 48))
     @settings(max_examples=30, deadline=None)
-    def test_random_inputs(self, delta, L, extra):
-        # gamma may run past the path's last flat
-        gamma = build_gamma(L + extra)
-        got = build_beta(delta, L, gamma=gamma)
-        assert_matches_oracle(got, build_beta_by_global_frame(delta, L, gamma=gamma))
+    def test_random_inputs(self, delta, L):
+        assert_matches_oracle(build_beta(delta, L), build_beta_by_global_frame(delta, L))
 
 
 class TestSeparation:
@@ -927,13 +933,13 @@ class TestSeparation:
 
 class TestSeparationFrames:
     @pytest.mark.parametrize("delta, L", [(4, 12), (5, 40), (8, 42), (6, 119)])
-    def test_segment_frames_match_global_frame(self, ckg, delta, L):
-        beta = build_beta(delta, L, ck=ckg)
+    def test_segment_frames_match_global_frame(self, delta, L):
+        beta = build_beta(delta, L)
         assert verify_separation(beta) == verify_separation_by_global_frame(beta)
 
     @pytest.mark.parametrize("delta, L, asked", [(4, 120, 4), (8, 119, 5), (8, 119, 11)])
-    def test_fixed_cases_with_explicit_delta(self, ckg, delta, L, asked):
-        beta = build_beta(delta, L, ck=ckg)
+    def test_fixed_cases_with_explicit_delta(self, delta, L, asked):
+        beta = build_beta(delta, L)
         want = verify_separation_by_global_frame(beta, asked)
         assert verify_separation(beta, asked) == want
         # the walks stop at asked + 3 and asked + 1 walls
@@ -948,10 +954,10 @@ class TestSeparationFrames:
             beta, delta=asked
         )
 
-    def test_side_reads_only_short_words(self, ckg, monkeypatch):
+    def test_side_reads_only_short_words(self, monkeypatch):
         # in the frames no certificate step reads a long word: every gate
         # read, and every inverse, is of a word of at most 8 syllables
-        beta = build_beta(4, 40, ck=ckg)
+        beta = build_beta(4, 40)
         real_inverse, real_gate, long_words = (
             GroupElement.inverse, constructions.line_gate_exponent, []
         )
@@ -972,9 +978,9 @@ class TestSeparationFrames:
         assert rep.ok and len(rep.segments) == 39
         assert long_words == []
 
-    def test_reads_gates_not_sides(self, ckg, monkeypatch):
+    def test_reads_gates_not_sides(self, monkeypatch):
         # five gate reads per segment answer every side check
-        beta = build_beta(6, 120, ck=ckg)
+        beta = build_beta(6, 120)
         real_gate, gates = constructions.line_gate_exponent, []
 
         def gate_recorded(x, g):
@@ -1114,7 +1120,7 @@ class TestCertifyQuasigeodesic:
         assert rep.min_margin == 0
 
     def test_backtrack_fails(self, ckg):
-        p = RunPath(ckg.origin, ((ckg.gen("a"), 1), (ckg.gen("b"), 1), (ckg.gen("b"), -1)))
+        p = RunPath(GroupElement.identity(ckg), ((ckg.gen_index("a"), 1), (ckg.gen_index("b"), 1), (ckg.gen_index("b"), -1)))
         rep = certify_quasigeodesic(p, 1, 0)
         assert not rep.certified
         assert rep.min_margin < 0
@@ -1124,24 +1130,24 @@ class TestCertifyQuasigeodesic:
             certify_quasigeodesic(gamma12.runpath(), Fraction(1, 2), 0)
 
     @pytest.mark.parametrize("delta, L, evaluations", [(6, 41, 1033), (4, 120, 3127)])
-    def test_pinned_certificates(self, ckg, delta, L, evaluations):
-        rep = certify_quasigeodesic(build_beta(delta, L, ck=ckg).path, 8, 1)
+    def test_pinned_certificates(self, delta, L, evaluations):
+        rep = certify_quasigeodesic(build_beta(delta, L).path, 8, 1)
         assert rep.certified
         assert (rep.min_margin, rep.witness, rep.evaluations) == (
             Fraction(15, 8), (0, 1), evaluations
         )
 
-    def test_evaluations_grow_linearly(self, ckg):
+    def test_evaluations_grow_linearly(self):
         # walking every pair of runs would ask 16 times as many at 4 times the flats
         small, large = (
-            certify_quasigeodesic(build_beta(4, L, ck=ckg).path, 8, 1) for L in (120, 480)
+            certify_quasigeodesic(build_beta(4, L).path, 8, 1) for L in (120, 480)
         )
         assert large.certified
         assert (large.min_margin, large.witness) == (Fraction(15, 8), (0, 1))
         assert large.evaluations <= 5 * small.evaluations
 
-    def test_cell_minima_asked_once(self, ckg, monkeypatch):
-        path = build_beta(6, 41, ck=ckg).path
+    def test_cell_minima_asked_once(self, monkeypatch):
+        path = build_beta(6, 41).path
         real, asked = runpaths._min_1d, []
 
         def recorded(alpha, lam, fixed, *rest):
@@ -1164,36 +1170,36 @@ class TestContracting:
         assert rep.pairs_tested == 2133
 
     def test_flat_ray_fails_every_constant(self, ckg):
-        ray = RunPath(ckg.origin, ((ckg.gen("c"), 8),))
+        ray = RunPath(GroupElement.identity(ckg), ((ckg.gen_index("c"), 8),))
         rep = check_contracting(ray, 0, 3)
         assert not rep.passed and rep.exhaustive
         x, y, diam, dy = rep.witness
         assert diam > 0 and dy >= 1
 
     def test_flat_ray_exhaustive_at_radius_five(self, ckg):
-        ray = RunPath(ckg.origin, ((ckg.gen("c"), 10),))
+        ray = RunPath(GroupElement.identity(ckg), ((ckg.gen_index("c"), 10),))
         rep = check_contracting(ray, 1, 5)
         assert not rep.passed and rep.exhaustive
         assert rep.pairs_tested == 396_190
         assert rep.witness == ("b^-3", "b^-3 c^2", 2, 3)
 
-    def test_gamma_fails_const_three_at_radius_four(self, ckg):
-        rep = check_contracting(build_gamma(4, ckg).runpath(), "const 3", 4)
+    def test_gamma_fails_const_three_at_radius_four(self):
+        rep = check_contracting(build_gamma(4).runpath(), "const 3", 4)
         assert not rep.passed and rep.exhaustive
         assert rep.pairs_tested == 22_604
         assert rep.witness == ("b^-1 c", "b^-1 c^3", 5, 3)
 
     def test_flat_ray_passes_one_at_radius_four(self, ckg):
-        rep = check_contracting(RunPath(ckg.origin, ((ckg.gen("c"), 10),)), 1, 4)
+        rep = check_contracting(RunPath(GroupElement.identity(ckg), ((ckg.gen_index("c"), 10),)), 1, 4)
         assert rep.passed and rep.exhaustive
         assert rep.pairs_tested == 23_006
         assert rep.witness is None
 
     @pytest.mark.parametrize("radius", [3, 4])
-    def test_products_are_the_projections(self, ckg, radius, monkeypatch):
+    def test_products_are_the_projections(self, radius, monkeypatch):
         # distances inside the ball come from its adjacency, so the only
         # products are one per (ball vertex, vertex of S)
-        gamma = build_gamma(4, ckg).runpath()
+        gamma = build_gamma(4).runpath()
         n_s = len({gamma.vertex_at(t) for t in range(gamma.length + 1)})
         n_b = len(ball(gamma.origin, radius))
         real, calls = GroupElement.__mul__, []
@@ -1207,7 +1213,7 @@ class TestContracting:
         assert len(calls) <= n_b * n_s
 
     def test_single_vertex_passes_zero(self, ckg):
-        rep = check_contracting([ckg.origin], 0, 2)
+        rep = check_contracting([GroupElement.identity(ckg)], 0, 2)
         assert rep.passed and rep.pairs_tested > 0
 
     def test_monotone_in_radius(self, gamma12):
@@ -1218,7 +1224,7 @@ class TestContracting:
 
     def test_cap_exceeded_propagates(self, ckg):
         with pytest.raises(BallCapExceeded):
-            check_contracting([ckg.origin], 0, 5, cap=4)
+            check_contracting([GroupElement.identity(ckg)], 0, 5, cap=4)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigError):
@@ -1229,17 +1235,17 @@ def contracting_cases(ckg, gamma12):
     """The TestContracting inputs and the golden word:c^8 case, as
     (S, rho, radius)."""
     pre = runpath_prefix(gamma12.runpath(), 8)
-    c = ckg.gen("c")
+    c = ckg.gen_index("c")
     return {
         "gamma_rho2": (pre, 2, 3),
         "gamma_rho3": (pre, 3, 3),
         "gamma_radius2": (pre, 3, 2),
-        "flat_ray": (RunPath(ckg.origin, ((c, 8),)), 0, 3),
-        "single_vertex": ([ckg.origin], 0, 2),
-        "golden_word": (RunPath.from_word(parse_word("c c c c c c c c", ckg.graph)), 0, 3),
+        "flat_ray": (RunPath(GroupElement.identity(ckg), ((c, 8),)), 0, 3),
+        "single_vertex": ([GroupElement.identity(ckg)], 0, 2),
+        "golden_word": (RunPath.from_word(parse_word("c c c c c c c c", ckg)), 0, 3),
         # a ball centred off the identity
         "offset_path": (
-            RunPath(ckg.parse("d^-1"), ((ckg.gen("b"), 2), (ckg.gen("a"), 1))), 1, 3
+            RunPath(normal_form("d^-1", ckg), ((ckg.gen_index("b"), 2), (ckg.gen_index("a"), 1))), 1, 3
         ),
     }
 
@@ -1333,8 +1339,8 @@ class TestDichotomy:
         assert rep.bound_ok and rep.residual_min is None
 
     def test_orthogonal_ray_is_case_two(self, ckg):
-        Z = RunPath(ckg.origin, ((ckg.gen("b"), 30),))
-        beta = RunPath(ckg.origin, ((ckg.gen("c"), 40),))
+        Z = RunPath(GroupElement.identity(ckg), ((ckg.gen_index("b"), 30),))
+        beta = RunPath(GroupElement.identity(ckg), ((ckg.gen_index("c"), 40),))
         rep = check_divergence_dichotomy(Z, beta, 0, 1, 0)
         assert rep.case == 2
         assert rep.T0 == 3
@@ -1354,8 +1360,8 @@ class TestDichotomy:
         assert rep.bound_ok
 
     def test_far_start_rejected(self, ckg):
-        Z = RunPath(ckg.origin, ((ckg.gen("b"), 30),))
-        far = RunPath(ckg.origin.append_run(ckg.gen("c"), 10), ((ckg.gen("c"), 3),))
+        Z = RunPath(GroupElement.identity(ckg), ((ckg.gen_index("b"), 30),))
+        far = RunPath(GroupElement.identity(ckg).append_run(ckg.gen_index("c"), 10), ((ckg.gen_index("c"), 3),))
         with pytest.raises(PreconditionFailed):
             check_divergence_dichotomy(Z, far, 0, 1, 0)
 
@@ -1399,7 +1405,7 @@ def test_crosses_matches_scan_in_any_frame(data):
     # any direction, asked in frame k against the scan of its global image
     # P^k·h
     gamma = build_gamma(8)
-    graph = gamma.ck.graph
+    graph = gamma.graph
     j = data.draw(st.integers(-4, 12))
     i = data.draw(st.integers(0, 7))
     k = data.draw(st.integers(-3, 40))
@@ -1412,12 +1418,13 @@ def test_crosses_matches_scan_in_any_frame(data):
     assert gamma_crosses(gamma, h, k) == want
 
 
-def gamma_line(ck, lo, hi):
+def gamma_line(lo, hi):
     """G(t) for lo <= t <= hi and W_t for lo <= t < hi: the vertices and
     walls of the line through 1 that repeats gamma's period word in both
     directions."""
-    period = [lt.gen for lt in build_gamma(1, ck).period_letters]
-    one = GroupElement.identity(ck.graph)
+    gamma = build_gamma(1)
+    period = [lt.gen for lt in gamma.period_letters]
+    one = GroupElement.identity(gamma.graph)
     vertex = {0: one}
     for t in range(hi):
         vertex[t + 1] = vertex[t].append_letter(period[t % 8], 1)
@@ -1426,12 +1433,12 @@ def gamma_line(ck, lo, hi):
     return vertex, {t: wall_of_edge(vertex[t], Letter(period[t % 8], 1)) for t in range(lo, hi)}
 
 
-def test_gamma_line_crossings(ckg):
+def test_gamma_line_crossings():
     # the finite facts behind the scan oracle's growth bound (see
     # tests/oracles.py): crossing walls of the line are at most 24 apart,
     # and among those each wall crosses at most four before it and four
     # after
-    _, W = gamma_line(ckg, -40, 80)
+    _, W = gamma_line(-40, 80)
     for t in range(16, 24):
         before = sum(crosses(W[t - r], W[t]) for r in range(1, 25))
         after = sum(crosses(W[t + r], W[t]) for r in range(1, 25))
@@ -1441,31 +1448,31 @@ def test_gamma_line_crossings(ckg):
     ) == 4
 
 
-def test_gamma_line_bounds_are_tight(ckg):
+def test_gamma_line_bounds_are_tight():
     # the scan oracle's bounds: runs stay at most 3 and |base of W_t| >=
     # |t| - 4 on both sides, with equality on both sides, so its horizon
     # cannot be narrowed
-    _, W = gamma_line(ckg, -160, 160)
+    _, W = gamma_line(-160, 160)
     slack = {t: h.base.length - abs(t) for t, h in W.items()}
     assert all(abs(e) <= 3 for h in W.values() for _, e in h.base.syllables)
     assert min(slack.values()) == -LENGTH_SLACK
     assert min(v for t, v in slack.items() if t < 0) == min(v for t, v in slack.items() if t >= 0)
     # the walls agree with gamma's own, and W_t, at level t // 8, is
     # crossed from that level's frame on and not from the one before
-    gamma = build_gamma(20, ckg)
-    assert all(W[t] == w for t, w in enumerate(gamma_by_global_words(20, ckg).walls))
+    gamma = build_gamma(20)
+    assert all(W[t] == w for t, w in enumerate(gamma_by_global_words(20).walls))
     for t in (-160, -41, -9, -1, 0, 7, 8, 77, 159):
         j = t // 8
         assert gamma_crosses(gamma, W[t], -j)
         assert not gamma_crosses(gamma, W[t], -j - 1)
 
 
-def test_gamma_exit_line_window(ckg):
+def test_gamma_exit_line_window():
     # the finite facts behind line_wall_counts' window: the exit line
     # through G(u), u = 2l, is cut by exactly three walls of the line, all
     # with u - 3 <= t <= u + 2
-    vertex, W = gamma_line(ckg, -40, 80)
-    gamma = build_gamma(4, ckg)
+    vertex, W = gamma_line(-40, 80)
+    gamma = build_gamma(4)
     offsets = set()
     for l in range(-8, 24):
         u = 2 * l
@@ -1477,7 +1484,7 @@ def test_gamma_exit_line_window(ckg):
 
 
 @pytest.mark.parametrize("L", [40, 160])
-def test_quotients_take_short_words(ckg, monkeypatch, L):
+def test_quotients_take_short_words(monkeypatch, L):
     # gamma, the escape path's choices and its certificate ask raag.quotient
     # and wall_of_edge only of frame words, and the certificate forms every
     # segment start as one: a global word of the path never reaches them
@@ -1499,8 +1506,7 @@ def test_quotients_take_short_words(ckg, monkeypatch, L):
         starts.append(x)
         return real_contains(line, x)
 
-    gamma = build_gamma(L, ckg)
-    beta = build_beta(4, L, gamma=gamma)
+    beta = build_beta(4, L)
     # verify_separation asks a line only whether segment l >= 2 starts on it
     monkeypatch.setattr(Line, "contains", contains_recorded)
     verify_separation(beta)
@@ -1511,7 +1517,7 @@ def test_quotients_take_short_words(ckg, monkeypatch, L):
     assert max(len(x.syllables) for x in starts) <= 8
 
 
-def test_gamma_builds_one_period(ckg, monkeypatch):
+def test_gamma_builds_one_period(monkeypatch):
     # build_gamma makes as many walls, flats and lines at 960 flats as at 12
     counts = []
     for L in (12, 960):
@@ -1524,14 +1530,14 @@ def test_gamma_builds_one_period(ckg, monkeypatch):
                 real(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        build_gamma(L, ckg)
+        build_gamma(L)
         monkeypatch.undo()
         counts.append(made)
     assert counts[0] == counts[1]
     assert counts[0][Flat] == 4 and counts[0][Line] == 4
 
 
-def assert_scan_agrees(ck, walls, rng):
+def assert_scan_agrees(walls, rng):
     """gamma_crosses equals the scan on a fresh gamma, whatever order it is
     asked in: shuffled with the longest wall first, and then shortest
     first on another fresh gamma. Returns how many of the walls are
@@ -1541,10 +1547,10 @@ def assert_scan_agrees(ck, walls, rng):
     longest = max(walls, key=lambda h: h.base.length)
     walls.remove(longest)
     walls.insert(0, longest)
-    gamma = build_gamma(8, ck)
+    gamma = build_gamma(8)
     want = {h: gamma_crosses_by_scan(gamma, h) for h in walls}
     assert [gamma_crosses(gamma, h) for h in walls] == [want[h] for h in walls]
-    gamma = build_gamma(8, ck)
+    gamma = build_gamma(8)
     ascending = sorted(walls, key=lambda h: h.base.length)
     assert [gamma_crosses(gamma, h) for h in ascending] == [want[h] for h in ascending]
     return sum(want.values())
@@ -1555,7 +1561,7 @@ def assert_scan_agrees(ck, walls, rng):
 def test_certify_wrapper_matches_engine(data):
     from cubemorse.runpaths import certify_quasigeodesic_runs
 
-    graph = build_croke_kleiner().graph
+    graph = build_croke_kleiner()
     n = data.draw(st.integers(1, 6))
     runs = tuple(
         (

@@ -12,7 +12,6 @@ from cubemorse.raag import (
     DefiningGraph,
     GroupElement,
     Letter,
-    LetterSeq,
     MalformedExponent,
     MixedGraphs,
     UnknownGenerator,
@@ -98,8 +97,8 @@ class TestParsing:
             parse_word("a^0", z3z)
 
     def test_runs_merge_maximally(self, z3z):
-        assert parse_word("a^2 a", z3z).letters == LetterSeq([(0, 3)])
-        assert parse_word("a^2 a^-1", z3z).letters == LetterSeq([(0, 2), (0, -1)])
+        assert parse_word("a^2 a", z3z).runs == ((0, 3),)
+        assert parse_word("a^2 a^-1", z3z).runs == ((0, 2), (0, -1))
 
     def test_indexing_and_slicing(self, z3z):
         w = parse_word("a^3 d b^-2", z3z)
@@ -111,7 +110,52 @@ class TestParsing:
     def test_huge_exponent_stays_cheap(self, z3z):
         w = parse_word("a^999999999999 b", z3z)
         assert len(w) == 1000000000000
-        assert len(w.letters.runs) == 2
+        assert len(w.runs) == 2
+
+
+class TestWord:
+    @seed(2803)
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_list_of_its_letters(self, z3z, ck, data):
+        graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+        n = len(graph.generators)
+        runs = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 3).filter(bool)), max_size=6)
+        )
+        w = Word(graph, runs)
+        letters = [Letter(g, 1 if e > 0 else -1) for g, e in runs for _ in range(abs(e))]
+        k = len(letters)
+        assert len(w) == k and list(w) == letters
+        assert [w[i] for i in range(-k, k)] == letters + letters
+        for i in (k, -k - 1):
+            with pytest.raises(IndexError):
+                w[i]
+        bounds = st.none() | st.integers(-k - 3, k + 3)
+        for _ in range(6):
+            a, b = data.draw(bounds), data.draw(bounds)
+            assert w[a:b] == Word(graph, letters[a:b])
+            assert list(w[a:b]) == letters[a:b]
+        with pytest.raises(WordError):
+            w[:: data.draw(st.sampled_from((-2, -1, 2, 3)))]
+        # one run per letter merges back into the same maximal runs
+        split = Word(graph, letters)
+        assert split == w and hash(split) == hash(w)
+        assert all(
+            g1 != g2 or (e1 > 0) != (e2 > 0) for (g1, e1), (g2, e2) in zip(w.runs, w.runs[1:])
+        )
+
+    def test_slice_inside_a_huge_run_stays_cheap(self, z3z):
+        w = Word(z3z, ((0, -(10**12)), (1, 2)))
+        assert w[10**11 : 10**11 + 5].runs == ((0, -5),)
+        assert w[-4:].runs == ((0, -2), (1, 2))
+        assert w[10**12 - 1] == Letter(0, -1) and w[-2] == Letter(1, 1)
+
+    def test_rejects_zero_and_out_of_range_runs(self, z3z):
+        with pytest.raises(ZeroExponent):
+            Word(z3z, ((0, 1), (1, 0)))
+        with pytest.raises(WordError, match="out of range"):
+            Word(z3z, ((4, 1),))
 
 
 class TestNormalForm:
@@ -152,14 +196,14 @@ class TestNormalForm:
     @given(letters=letters_st)
     def test_matches_piling_oracle(self, z3z, letters):
         nf = normal_form(Word(z3z, letters))
-        assert _pile_key(z3z, letters) == _pile_key(z3z, list(nf.letters()))
+        assert _pile_key(z3z, letters) == _pile_key(z3z, list(nf.normal))
         beads = sum(1 for col in _pile_key(z3z, letters) for b in col if b)
         assert beads == nf.length
 
     @given(letters=letters_st)
     def test_matches_piling_oracle_path_graph(self, ck, letters):
         nf = normal_form(Word(ck, letters))
-        assert _pile_key(ck, letters) == _pile_key(ck, list(nf.letters()))
+        assert _pile_key(ck, letters) == _pile_key(ck, list(nf.normal))
 
     @seed(2202)
     @given(data=st.data())
@@ -172,7 +216,7 @@ class TestNormalForm:
         )
         nf = normal_form(Word(graph, letters))
         pile = _pile_key(graph, letters)
-        assert pile == _pile_key(graph, list(nf.letters()))
+        assert pile == _pile_key(graph, list(nf.normal))
         assert sum(1 for col in pile for b in col if b) == nf.length
         assert normal_form(nf.normal) == nf
 

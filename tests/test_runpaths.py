@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from cubemorse.constructions import build_beta, build_croke_kleiner, build_gamma, runpath_prefix
+from cubemorse.constructions import build_beta, build_gamma, runpath_prefix
 from cubemorse.raag import GroupElement, Word, WordError, distance, normal_form, parse_word
 from cubemorse.runpaths import (
     RunPath,
@@ -262,8 +262,7 @@ def escape_paths():
     """The escape path at (4, 12) and (6, 41), and gamma over 20 flats: their
     clusters have at most three runs and span at most five, so most of the
     cells of a long prefix are far."""
-    ck = build_croke_kleiner()
-    return build_beta(4, 12, ck=ck).path, build_beta(6, 41, ck=ck).path, build_gamma(20, ck).runpath()
+    return build_beta(4, 12).path, build_beta(6, 41).path, build_gamma(20).runpath()
 
 
 class TestRandomGraphOracles:
