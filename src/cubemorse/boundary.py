@@ -378,10 +378,11 @@ def ray_walls(ray: BoundaryRay, depth: int) -> tuple[Wall, ...]:
 
 
 def _check_same_base(x: BoundaryRay, e: BoundaryRay) -> None:
-    if x.base != e.base:
-        raise MismatchedBase("rays are anchored at different base vertices")
+    # graphs first: bases over different graphs are never equal
     if x.graph is not e.graph and x.graph != e.graph:
         raise MismatchedBase("rays live over different defining graphs")
+    if x.base != e.base:
+        raise MismatchedBase("rays are anchored at different base vertices")
 
 
 def bracket_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductValue:

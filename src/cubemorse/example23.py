@@ -17,6 +17,7 @@ from .raag import (
     CertificateViolation,
     ConfigError,
     DefiningGraph,
+    MixedGraphs,
     PreconditionFailed,
     Word,
     parse_word,
@@ -384,8 +385,8 @@ def small_cancellation_check(relators: Sequence[Word]) -> SmallCancellationRepor
     graph = relators[0].graph
     encoded: list[bytes] = []
     for w in relators:
-        if w.graph is not graph:
-            raise ValueError("relators must share one alphabet")
+        if w.graph is not graph and w.graph != graph:
+            raise MixedGraphs("relators must share one alphabet")
         b = _encode(w)
         if not b:
             raise ValueError("empty relator")

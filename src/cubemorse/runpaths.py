@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .raag import (
     CertificateViolation,
@@ -65,10 +65,8 @@ class RunPath:
         return self.origin.graph
 
     @classmethod
-    def from_word(cls, w: Word, origin: Optional[GroupElement] = None) -> "RunPath":
-        if origin is None:
-            origin = GroupElement.identity(w.graph)
-        return cls(origin, w.runs)
+    def from_word(cls, w: Word) -> "RunPath":
+        return cls(GroupElement.identity(w.graph), w.runs)
 
     @cached_property
     def length(self) -> int:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from cubemorse.raag import GroupElement, Letter, Word, distance, normal_form
+from cubemorse.raag import DefiningGraph, GroupElement, Letter, Word, distance, normal_form
 from cubemorse.walls import Wall, wall_of_edge, walls_separating_point_from_wall
 from cubemorse.boundary import (
     BoundaryRay,
@@ -149,6 +149,18 @@ class TestBracketProduct:
         other = ray(z3z, "a^4|d", GroupElement.from_text(z3z, "c"))
         with pytest.raises(MismatchedBase):
             bracket_product(w, other, DEPTH)
+
+    def test_different_graphs_are_named(self, z3z, ck):
+        with pytest.raises(MismatchedBase, match="different defining graphs"):
+            bracket_product(ray(z3z, "a|d"), ray(ck, "a|d"), DEPTH)
+
+    def test_equal_graphs_mix(self, z3z):
+        twin = DefiningGraph.from_data(
+            {"generators": ["a", "b", "c", "d"], "edges": [["a", "b"], ["a", "c"], ["b", "c"]]}
+        )
+        assert twin is not z3z and twin == z3z
+        pv = bracket_product(ray(z3z, "a^4|d"), ray(twin, "a^4 b|d"), DEPTH)
+        assert (pv.value, pv.certified) == (0, True)
 
     def test_symmetry(self, z3z, ck):
         random.seed(3)

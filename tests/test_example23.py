@@ -20,6 +20,7 @@ from cubemorse.raag import (
     CertificateViolation,
     ConfigError,
     GroupElement,
+    MixedGraphs,
     PreconditionFailed,
     parse_word,
 )
@@ -305,6 +306,19 @@ class TestSmallCancellation:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             small_cancellation_check([])
+
+    def test_equal_graphs_give_the_same_report(self):
+        texts = ["a b1^3 c", "d1 b1^-3 d2"]
+        one = free_alphabet_graph()
+        shared = small_cancellation_check([parse_word(t, one) for t in texts])
+        apart = small_cancellation_check([parse_word(t, free_alphabet_graph()) for t in texts])
+        assert apart == shared
+
+    def test_different_graphs_raise(self, z3z):
+        w1 = parse_word("a b", z3z)
+        w2 = parse_word("a b1^3 c", free_alphabet_graph())
+        with pytest.raises(MixedGraphs, match="relators must share one alphabet"):
+            small_cancellation_check([w1, w2])
 
     def test_inverse_pair_detected(self):
         g = free_alphabet_graph()
