@@ -330,11 +330,11 @@ def _cmd_refine(args):
 
 
 def _cmd_kappa(args):
-    from .constructions import as_gauge, kappa, kappa_prime
+    from .constructions import _kappa_prime, as_gauge, kappa
 
     rho = as_gauge(args.rho)
     k = kappa(rho, args.K, args.C)
-    kp = kappa_prime(rho, args.K, args.C)
+    kp = _kappa_prime(k, args.K, args.C)
     return {
         "rho": rho.text(),
         "kappa": _num(k, True),

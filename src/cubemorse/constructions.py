@@ -13,7 +13,7 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -269,9 +269,11 @@ def kappa(rho: RhoLike, K, C) -> Fraction:
 
 def kappa_prime(rho: RhoLike, K, C) -> Fraction:
     """(K^2 + 2) * (2*kappa + C), the neighbourhood radius of case (1)."""
-    K = Fraction(K)
-    C = Fraction(C)
-    return (K * K + 2) * (2 * kappa(rho, K, C) + C)
+    return _kappa_prime(kappa(rho, K, C), Fraction(K), Fraction(C))
+
+
+def _kappa_prime(kap: Fraction, K: Fraction, C: Fraction) -> Fraction:
+    return (K * K + 2) * (2 * kap + C)
 
 
 # --- the four-generator path group --------------------------------------------
@@ -955,14 +957,9 @@ def check_contracting(
         dist_to_s.append(m)
         proj.append(tuple(i for i, dv in enumerate(ds) if dv == m))
 
-    spair: dict[tuple[int, int], int] = {}
-
-    def sdist(i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        if key not in spair:
-            spair[key] = distance(sverts[key[0]], sverts[key[1]])
-        return spair[key]
-
+    # memoised for the call: few distinct pairs recur over many tested pairs
+    sdist = lru_cache(maxsize=None)(lambda i, j: distance(sverts[i], sverts[j]))
+    below = lru_cache(maxsize=None)(lambda dy, diam: rho.cmp_at(dy, diam) < 0)
     annulus: dict[int, int] = {}
     witness = None
     passed = True
@@ -980,7 +977,7 @@ def check_contracting(
             diam = max((sdist(i, j) for i in union for j in union if i < j), default=0)
             if diam > annulus.get(dy, -1):
                 annulus[dy] = diam
-            if passed and rho.cmp_at(dy, diam) < 0:
+            if passed and below(dy, diam):
                 passed = False
                 witness = (B[x].text(), B[y].text(), diam, dy)
 
@@ -1047,7 +1044,7 @@ def check_divergence_dichotomy(
     Kp = Fraction(K_prime)
     Cp = Fraction(C_prime)
     kap = kappa(rho, Kp, Cp)
-    kap2 = kappa_prime(rho, Kp, Cp)
+    kap2 = _kappa_prime(kap, Kp, Cp)
 
     knots = set_distance_knots(beta, Z)
     if knots[0][1] > kap:
@@ -1065,11 +1062,11 @@ def check_divergence_dichotomy(
         return DichotomyReport(1, kap, kap2, T0, max_d, True, None, beta.length, Z.length)
     residual_min: Optional[Fraction] = None
     if T0 < end:
+        # with K' = num/den the slack is (2*num*dt - den*(t - T0)) / (2*num)
+        # + 2(C' + kappa), least where the integer numerator is least
+        num, den = Kp.numerator, Kp.denominator
         candidates = [(T0 + 1, d + T0 + 1 - t)] + [kn for kn in knots[k + 1:] if kn[0] > T0 + 1]
-        for t, dt in candidates:
-            bound = Fraction(t - T0, 1) / (2 * Kp) - 2 * (Cp + kap)
-            r = Fraction(dt) - bound
-            if residual_min is None or r < residual_min:
-                residual_min = r
+        least = min(2 * num * dt - den * (t - T0) for t, dt in candidates)
+        residual_min = Fraction(least, 2 * num) + 2 * (Cp + kap)
     bound_ok = residual_min is None or residual_min >= 0
     return DichotomyReport(2, kap, kap2, T0, max_d, bound_ok, residual_min, beta.length, Z.length)

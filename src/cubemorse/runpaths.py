@@ -31,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from itertools import accumulate
 from math import lcm
 from typing import Iterable
 
@@ -117,6 +118,21 @@ class RunPath:
             key, m = _star_frame(self.graph, start, g)
             out.append((keys.setdefault(key, key), m))
         return tuple(out)
+
+    @cached_property
+    def _wall_steps(self) -> tuple[dict, tuple[int, ...]]:
+        """Each cluster's (T, level) of the steps T -> T+1 across its walls,
+        and each step's sign: -1 iff it crosses back a wall crossed oddly."""
+        crossings: dict = {}
+        odd: dict = {}  # cluster -> levels of the walls crossed oddly so far
+        signs: list = []
+        for (key, m), (_, e) in zip(self._frames, self.runs):
+            at, own = crossings.setdefault(key, []), odd.setdefault(key, set())
+            for level in range(m, m + e) if e > 0 else range(m - 1, m + e - 1, -1):
+                at.append((len(signs), level))
+                signs.append(-1 if level in own else 1)
+                own ^= {level}
+        return crossings, tuple(signs)
 
 
 class _StarKey:
@@ -481,20 +497,23 @@ def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
 # envelope of these V shapes: slopes +-1, so it is linear on the integers
 # between its apexes and the crossings of neighbouring V's.
 #
-# Against the vertices Z_T of a path Z, run i's V shapes come in pieces.
-# Write row_i[T] = d(x_i, Z_T), x_i the run ends, and delta_T =
-# row_i+1[T] - row_i[T]. Run i crosses the walls (key_i, l), lo <= l < hi,
-# each of which separates x_i from x_i+1; every other wall has x_i and
-# x_i+1 on one side and counts alike in both rows. So delta_T is +1 for
-# each of run i's walls with Z_T on x_i's side and -1 for each of the
-# others. The step Z_T -> Z_T+1 crosses one wall h, so delta_T+1 = delta_T
-# unless h is one of run i's walls; then Z crosses from x_i's side to
-# x_i+1's or back, row_i steps by +1 or -1, and delta by -2 times that
-# step. Between such steps delta is constant: the apex a = (A - delta)/2
-# is shared, the geodesic check, on d0 + dA - A = 2*d0 + delta - A and on
-# |d0 - dA| = |delta|, reads delta only, and the V shape with the least
-# row_i[T] lies below the piece's others. On gamma:160 a cluster holds at
-# most 3 of Z's steps, so a run's row has at most 4 pieces.
+# Against the vertices Z_T of a path Z, write row_i[T] = d(x_i, Z_T), x_i
+# the run ends. The step Z_T -> Z_T+1 crosses one wall h, and row_0 falls
+# by 1 there iff the walk from x_0 across the connector to Z_0 and along Z
+# to Z_T crosses h oddly. RunPath._wall_steps keeps Z's share of that
+# parity once per Z, as each step's sign; a call negates the signs where
+# the connector crosses h oddly, and row_0 is their prefix sum from
+# d(x_0, Z_0).
+#
+# Run i crosses the walls (key_i, l), lo <= l < hi, which separate x_i from
+# x_i+1; every other wall counts alike in both rows. So delta_T =
+# row_i+1[T] - row_i[T] starts at the table total's change when run i is
+# added and changes only at Z's steps across run i's walls, by -2 times
+# row_i's step. On each piece between them delta is constant: the apex
+# a = (A - delta)/2 is shared, the geodesic check, on d0 + dA - A =
+# 2*d0 + delta - A and on |d0 - dA| = |delta|, reads delta only, and the V
+# with the least row_i[T] lies below the piece's others. On gamma:160 a
+# cluster holds at most 3 of Z's steps, so a run's row has at most 4 pieces.
 
 
 def _envelope_knots(vees, A: int) -> list[tuple[int, int]]:
@@ -532,37 +551,18 @@ def _envelope_knots(vees, A: int) -> list[tuple[int, int]]:
 def set_distance_knots(path: RunPath, Z: RunPath) -> tuple[tuple[int, int], ...]:
     """Exact t -> d(path(t), Z), Z the vertex set of a path, as knots
     (t, distance) from t = 0 to path.length. Between consecutive knots the
-    distance is linear on the integers, with slope -1, 0 or +1.
-
-    Row 0, d(x_0, Z_T) for the path's origin x_0 and every T, takes one
-    pass over Z's walls. The step Z_T -> Z_T+1 crosses one wall h and
-    comes nearer to x_0 iff h separates the two, iff the walk from x_0
-    across the connector to Z_0 and along Z to Z_T crosses h an odd number
-    of times: the connector's parity at h plus Z's own.
-
-    Row i+1 is row i plus delta, and delta is constant on each piece of Z
-    between the steps that cross run i's walls (see the comment above).
-    At T = 0 it is the change of d(x_i, Z_0), the total of the table that
-    holds the connector and the path's runs before i, when run i is added
-    to it, and at each piece end it changes by -2 times row i's step
-    there. Each piece is checked once, against its first column, and
-    gives the one V shape that can reach the envelope. The rows are one
-    list plus a shift: the longest piece moves by the shift and the others
-    are rewritten in place. So a run costs O(pieces) Python steps, plus a
-    C-level min and slice per piece, whatever its length."""
+    distance is linear on the integers, with slope -1, 0 or +1. Row 0 costs
+    Python steps only at Z's steps in the connector's clusters, and a run
+    O(pieces) Python steps plus a C-level min and slice per piece, whatever
+    its length: the rows are one list plus a shift (see the comment above)."""
     outer = _origin_table(path, Z)
-    crossings: dict = {}  # cluster -> (T, level) of Z's steps across it
-    odd: dict = {}  # cluster -> levels of Z's walls crossed oddly so far
-    row = [outer.total]
-    flips_of = outer.flips.get
-    for (key, m), (_, e) in zip(Z._frames, Z.runs):
-        flips, d = flips_of(key, ()), row[-1]
-        at, own = crossings.setdefault(key, []), odd.setdefault(key, set())
-        for level in range(m, m + e) if e > 0 else range(m - 1, m + e - 1, -1):
-            at.append((len(row) - 1, level))
-            d += -1 if (bisect_right(flips, level) & 1) ^ (level in own) else 1
-            own ^= {level}
-            row.append(d)
+    crossings, signs = Z._wall_steps
+    signs = list(signs)
+    for key, flips in outer.flips.items():
+        for T, level in crossings.get(key, ()):
+            if bisect_right(flips, level) & 1:
+                signs[T] = -signs[T]
+    row = list(accumulate(signs, initial=outer.total))
     knots = [(0, min(row))]
     shift = 0  # row_i[T] = row[T] + shift
     for i, ((key, m), (_, e)) in enumerate(zip(path._frames, path.runs)):

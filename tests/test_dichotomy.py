@@ -146,6 +146,56 @@ def test_knots_add_no_table_run_per_step_of_Z(escape, monkeypatch):
     assert calls[0] <= len(Z.runs) + len(beta.runs) + len(connector.syllables)
 
 
+class CountedRuns(tuple):
+    """Runs that count the steps every walk over them visits."""
+
+    visits = 0
+
+    def __iter__(self):
+        for g, e in tuple.__iter__(self):
+            self.visits += abs(e)
+            yield g, e
+
+
+def test_z_steps_are_walked_once_for_all_queries(escape):
+    # an operation count: 30 dichotomy queries on one Z walk Z's steps no
+    # more often than the first query does, so row 0 is not rebuilt over
+    # all of Z's steps per call
+    Z, beta = escape
+    runs = CountedRuns(Z.runs)
+    Z = RunPath(Z.origin, runs)
+    prefixes = [runpath_prefix(beta, round(100 * 20 ** (i / 29))) for i in range(30)]
+    reports = [check_divergence_dichotomy(Z, prefixes[0], 0, 8, 1)]
+    first = runs.visits
+    reports += [check_divergence_dichotomy(Z, pre, 0, 8, 1) for pre in prefixes[1:]]
+    assert runs.visits == first, (first, runs.visits)
+    assert {rep.case for rep in reports} == {1, 2}
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_z_serves_paths_from_any_origin(ck, z3z, data):
+    # Z keeps its step signs across calls. A path from Z_0 has an empty
+    # connector; one from Z_T != Z_0 has a connector that crosses the walls
+    # between Z_0 and Z_T oddly, all of them in Z's clusters, and negates
+    # their signs for its own call only
+    graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+    one = GroupElement.identity(graph)
+    # Z's origin is the identity or a short walk from it
+    Z = runpaths_on(graph, data, runpaths_on(graph, data, one, 2).endpoint(), 5, min_runs=1)
+    far = [T for T in range(1, Z.length + 1) if Z.vertex_at(T) != Z.origin]
+    assume(far)
+    origins = [Z.origin]
+    for _ in range(3):
+        T = data.draw(st.sampled_from(far))
+        hop = runpaths_on(graph, data, one, 1).endpoint()  # may be the identity
+        origins += [Z.vertex_at(T) * hop, Z.origin]
+    for origin in origins:
+        path = runpaths_on(graph, data, origin, 4)
+        want = outcome(set_distance_knots_by_tables, path, Z)
+        assert outcome(set_distance_knots, path, Z) == want
+
+
 def test_far_start_message_matches(ck):
     Z = RunPath(GroupElement.identity(ck), ((1, 30),))
     far = RunPath(GroupElement.identity(ck).append_run(2, 10), ((2, 3),))
