@@ -125,8 +125,7 @@ class SublinearFn:
 
     def cmp_at(self, r, m) -> int:
         """Sign of rho(r) - m, exact. r must be >= 0."""
-        r = Fraction(r)
-        m = Fraction(m)
+        r, m = Fraction(r), Fraction(m)
         if r < 0:
             raise ValueError("gauge argument must be nonnegative")
         if self.kind == "constant" or (self.kind == "power" and self.alpha == 0):
@@ -162,9 +161,9 @@ class SublinearFn:
             p, q = self.alpha.numerator, self.alpha.denominator
             # slope*R = a*R^alpha  <=>  R^(q-p) = (a/slope)^q
             target = (self.a / slope) ** q
-            root = _nth_root_fraction(target, q - p)
-            if root is not None:
-                return root
+            num, den = (_iroot_exact(v, q - p) for v in (target.numerator, target.denominator))
+            if num is not None and den is not None:  # an exact rational root
+                return Fraction(num, den)
             lo = Fraction(0)
         else:
             # log kind: slope*r - a*log(1+r) is increasing past a/slope - 1
@@ -207,19 +206,6 @@ def _log_cmp(r: Fraction, target: Fraction) -> int:
     raise ArithmeticError("log comparison did not resolve")
 
 
-def _nth_root_fraction(x: Fraction, n: int) -> Optional[Fraction]:
-    """Exact n-th root of a nonnegative rational, or None."""
-    if n <= 0:
-        raise ValueError("root order must be positive")
-    if x < 0:
-        return None
-    num = _iroot_exact(x.numerator, n)
-    den = _iroot_exact(x.denominator, n)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
 def _iroot_exact(v: int, n: int) -> Optional[int]:
     if v in (0, 1):
         return v
@@ -259,8 +245,7 @@ def as_gauge(rho: RhoLike) -> SublinearFn:
 def kappa(rho: RhoLike, K, C) -> Fraction:
     """max(3K^2, 3C, 1 + the threshold past which rho(r) <= 3K^2 * r)."""
     rho = as_gauge(rho)
-    K = Fraction(K)
-    C = Fraction(C)
+    K, C = Fraction(K), Fraction(C)
     if K < 1 or C < 0:
         raise ConfigError("need K >= 1 and C >= 0")
     slope = 3 * K * K
@@ -431,9 +416,15 @@ class GammaPath:
         return "".join(names[t % 8] for t in range(2 * self.L))
 
     @cached_property
-    def _sums(self) -> tuple[tuple[int, ...], ...]:
-        """The exponent sums by generator of G(0) .. G(8); the last is P's."""
-        return tuple(map(_exponent_sums, self.period_vertices))
+    def _sum_test(self) -> tuple:
+        """By generator g: P's exponent sums, the generators off lk(g), and
+        (sums of G(i), W_i) for each step i along g (_crossed_by_sums)."""
+        per, lk = _exponent_sums(self.period), self.graph.link
+        at = list(zip(map(_exponent_sums, self.period_vertices), self.period_walls))
+        return tuple(
+            (per, [x for x in range(len(per)) if x not in lk(g)], [a for a in at if a[1].gen == g])
+            for g in range(len(per))
+        )
 
 
 def build_gamma(L: int) -> GammaPath:
@@ -448,9 +439,8 @@ def build_gamma(L: int) -> GammaPath:
     the exit line holds the second step; the next flat starts there and
     has the line's generator, so it holds the line. Left translation by
     P^k keeps cuts and memberships, so flats 4k+1 .. 4k+4 are laid out as
-    flats 1 .. 4 are. The tests check all of this against a step-by-step
-    walk. Each call builds its own build_croke_kleiner() graph; values
-    over equal graphs mix freely."""
+    flats 1 .. 4 are. Each call builds its own build_croke_kleiner()
+    graph; values over equal graphs mix freely."""
     if L < 1:
         raise ConfigError("need at least one flat")
     graph = build_croke_kleiner()
@@ -516,42 +506,43 @@ def translate_wall(g: GroupElement, h: Wall) -> Wall:
     return Wall(g * h.base, h.gen)
 
 
-def _exponent_sums(x: GroupElement) -> tuple[int, ...]:
+def _exponent_sums(x: GroupElement) -> list[int]:
     sums = [0] * len(x.graph.generators)
     for g, e in x.syllables:
         sums[g] += e
-    return tuple(sums)
+    return sums
+
+
+def _crossed_by_sums(
+    gamma: GammaPath, g: int, sums: list[int], k: int, wall: Callable[[], Wall]
+) -> bool:
+    """Whether gamma, seen from frame k, crosses the g-wall wall(), whose
+    base has the exponent sums `sums` off lk(g).
+
+    Frame k crosses the walls W_(8j+i) = P^j·W_i with j >= -k. Each x-sum
+    eps_x is a homomorphism onto Z, constant for x off lk g on a coset
+    b<lk g>, whose g-edges are those of Wall(b, g); so if the wall is
+    P^j·W_i, then eps_x(base) = j·eps_x(P) + eps_x(G(i)) for each such x,
+    g among them. Every letter of P is positive, so eps_g(P) >= 1 and
+    eps_g fixes j. Only a W_i whose j is a whole number at least -k, with
+    the other sums agreeing, is translated and compared with wall(), which
+    is called only then; a wall the sums rule out costs no power of P."""
+    per, off_link, steps = gamma._sum_test[g]
+    for at, w in steps:
+        j, r = divmod(sums[g] - at[g], per[g])
+        if not r and j >= -k and all(sums[x] == j * per[x] + at[x] for x in off_link):
+            if translate_wall(gamma.period ** j, w) == wall():
+                return True
+    return False
 
 
 def gamma_crosses(gamma: GammaPath, h: Wall, k: int = 0) -> bool:
     """Whether the infinite periodic extension of gamma, seen from frame k,
-    crosses h: whether P^-k·gamma crosses h, which is whether gamma
-    crosses P^k·h.
-
-    gamma crosses the walls W_(8j+i) = P^j·W_i with j >= 0, so frame k
-    crosses those with j >= -k. Each x-exponent sum eps_x is a homomorphism
-    onto Z, and for x not in lk g it is constant on a coset b<lk g>, whose
-    g-edges are those of the wall Wall(b, g). So if h = P^j·W_i, then
-    eps_x(h.base) = j·eps_x(P) + eps_x(G(i)) for every such x, g = h.gen
-    among them. Every letter of P is positive, so eps_g(P) >= 1 and eps_g
-    fixes j. A W_i in direction g is translated and compared with h only
-    when that j is a whole number at least -k and the other sums agree; a
-    wall the sums rule out costs no power of P, however far it is. No
-    translate is kept, so no answer depends on earlier queries."""
+    crosses h: whether gamma crosses P^k·h. No translate is kept, so no
+    answer depends on earlier queries."""
     if h.graph is not gamma.graph and h.graph != gamma.graph:
         raise MixedGraphs("wall belongs to a different group")
-    g = h.gen
-    sums, per = _exponent_sums(h.base), gamma._sums[8]
-    link = h.graph.link(g)
-    for lt, at, w in zip(gamma.period_letters, gamma._sums, gamma.period_walls):
-        if lt.gen != g:
-            continue
-        j, r = divmod(sums[g] - at[g], per[g])
-        if not r and j >= -k:
-            if all(sums[x] == j * per[x] + at[x] for x in range(len(sums)) if x not in link):
-                if translate_wall(gamma.period ** j, w) == h:
-                    return True
-    return False
+    return _crossed_by_sums(gamma, h.gen, _exponent_sums(h.base), k, lambda: h)
 
 
 # --- the flat-hopping quasi-geodesic ------------------------------------------
@@ -735,19 +726,24 @@ class SeparationReport:
         return min(c.separation for c in self.segments)
 
 
+def _step_wall(start: GroupElement, g: int, s: int, k: int) -> Wall:
+    """The wall of the k-th step along g^s from start."""
+    return wall_of_edge(start.append_run(g, s * k), Letter(g, s))
+
+
 def _uncrossed_steps(
     gamma: GammaPath, frame: int, start: GroupElement, g: int, s: int, steps: int, want: int
-) -> list[tuple[int, Wall]]:
-    """(k, wall) for the first `want` of the first `steps` edges along g^s
-    from start whose walls gamma does not cross; k counts the steps. start
-    and the walls are in the coordinates of the given period frame."""
-    out: list[tuple[int, Wall]] = []
-    x = start
+) -> list[int]:
+    """The first `want` of the first `steps` steps k along g^s from start
+    whose walls gamma, seen from the given frame, does not cross, tested
+    by exponent sums (see verify_separation)."""
+    out: list[int] = []
+    sums = _exponent_sums(start)
+    first = sums[g] - (s < 0)
     for k in range(steps):
-        h = wall_of_edge(x, Letter(g, s))
-        x = x.append_letter(g, s)
-        if not gamma_crosses(gamma, h, frame):
-            out.append((k, h))
+        sums[g] = first + s * k
+        if not _crossed_by_sums(gamma, g, sums, frame, lambda: _step_wall(start, g, s, k)):
+            out.append(k)
             if len(out) >= want:
                 break
     return out
@@ -759,46 +755,45 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
 
     Each certificate is a list of walls crossed by neither gamma nor the
     covered piece of the segment, with the piece and gamma on opposite
-    sides. Every such wall separates each covered vertex from all of
-    gamma, so the list size bounds the distance from below. The escape
-    run is covered by walls cutting the entry line between the segment
-    start and gamma; the connector run by the escape run's own walls.
-    Single-direction runs change sides only across walls in their own
-    direction, so the endpoint side checks certify whole runs. The walks
-    stop at delta + 3 walls for the escape run and delta + 1 for the
-    connector run, so min_separation is a lower bound on the distance,
-    capped at delta + 1.
+    sides; each separates every covered vertex from all of gamma, so the
+    list size bounds the distance from below. The escape run is covered
+    by walls cutting the entry line between the segment start and gamma,
+    the connector run by the escape run's own walls. A run in one
+    direction changes sides only across walls in that direction, so side
+    checks at its ends certify it whole. The walks stop at delta + 3 and
+    delta + 1 walls, so min_separation is capped at delta + 1; delta < 0
+    is refused. gamma's side of a wall is read at its entry vertex of
+    flat l: a wall gamma does not cross has all of gamma on one side.
 
-    gamma's side of a wall is read at its entry vertex of flat l, which
-    the segment start's line passes through. That is the side of all of
-    gamma: the walls kept are those gamma does not cross, and a wall
-    gamma does not cross has gamma's connected path on one side.
+    The walks run in the period frame of flat l, translated by P^-n for
+    4n < l <= 4n + 4; sides, cosets and crossings are invariant under
+    left translation. There gamma's entry vertex and the exit line of
+    flat l - 1 are the period's, and the segment start, formed from the
+    segments' runs with one quotient by P at a frame change, is a word of
+    a few syllables whose P^n-translate is the vertex of BetaReport.path.
 
-    The checks run in two frames; sides, cosets and crossings are
-    invariant under left translation. The walks toward gamma and along
-    the escape run run in the period frame of flat l, translated by P^-n
-    for 4n < l <= 4n + 4. There gamma's entry vertex and the exit line of
-    flat l - 1 are the period's, and gamma_crosses is asked in frame n.
-    The segment start is formed there from the segments' runs, a word of a
-    few syllables: segment 1 starts at 1, each later segment where the one
-    before ends, with one quotient by P at a frame change. So P^n·start is
-    the vertex of BetaReport.path, which the segments' runs spell from 1.
-    The side checks run in the segment's frame, translated by the
-    start^-1: the start becomes 1, the end of the escape run p^N, the
-    segment's end p^N q^M, gamma's entry vertex w one syllable lg^-m, and
-    the k-th wall along g^s from the start the wall W_k of the edge
-    g^(s*k) to g^(s*(k+1)).
-    x is beyond W_k iff s*e > k, g^e being x's gate on <g>: left-strip
-    nf(x) = l g^e r' by <lk g> (e = 0 unless the kept half starts with
-    g); l commutes with g and no g or lk(g) syllable of r' reaches its
-    front, so l g^(e-j) r' is geodesic for g^-j x. One strip per point
-    and line decides each side check (line_gate_exponent)."""
+    A walk tests the wall of its k-th step along g^s without building it.
+    That wall is Wall(start·g^(s·k - [s < 0]), g), as wall_of_edge steps
+    back one g when s < 0, and Wall strips only lk(g) syllables, so off
+    lk(g) its base has start's exponent sums, the g-sum raised by
+    s·k - [s < 0]: all that _crossed_by_sums reads, in frame n. A wall is
+    built only where they admit a period translate, to compare it
+    exactly, or for a message.
+
+    The side checks run in the segment's frame, translated by start^-1:
+    the start becomes 1, the end of the escape run p^N, the segment's end
+    p^N q^M, gamma's entry vertex w one syllable lg^-m, and the k-th wall
+    along g^s the wall W_k of the edge g^(s*k) to g^(s*(k+1)). x is beyond
+    W_k iff s*e > k, g^e being x's gate on <g>, so one strip per point and
+    line decides each side check (line_gate_exponent)."""
     if len(beta.segments) < 2:
         raise ConfigError(
             "separation is certified from segment 2 on, so it needs at least "
             f"2 flats, got {len(beta.segments)}"
         )
     delta = beta.delta if delta is None else delta
+    if delta < 0:
+        raise ConfigError(f"need delta >= 0, got {delta}")
     gamma = beta.gamma
     one = GroupElement.identity(gamma.graph)
     ok = True
@@ -823,28 +818,27 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
         w = quotient(start, entry)
         budget = w.length
         toward = 1 if distance(one.append_letter(lg, 1), w) < budget else -1
-        where = f"P^{frame}·"  # names a frame wall by its global image
 
         mid_l, w_l = (toward * line_gate_exponent(x, lg) for x in (mid, w))
         H_p = _uncrossed_steps(gamma, frame, start, lg, toward, budget, delta + 3)
-        for k, h in H_p:
-            if mid_l > k:
-                raise CertificateViolation(f"segment {l}: escape run crosses {where}{h}")
-            if w_l <= k:
+        for k in H_p:
+            if mid_l > k or w_l <= k:  # name the wall by its global image
+                h = f"P^{frame}·{_step_wall(start, lg, toward, k)}"
                 raise CertificateViolation(
-                    f"segment {l}: {where}{h} does not separate the escape run"
+                    f"segment {l}: escape run crosses {h}" if mid_l > k
+                    else f"segment {l}: {h} does not separate the escape run"
                 )
 
         mid_p, end_p, w_p = (
             seg.p_sign * line_gate_exponent(x, seg.p_gen) for x in (mid, end, w)
         )
         H_q = _uncrossed_steps(gamma, frame, start, seg.p_gen, seg.p_sign, seg.N, delta + 1)
-        for k, h in H_q:
-            if (mid_p > k) != (end_p > k):
-                raise CertificateViolation(f"segment {l}: connector run crosses {where}{h}")
-            if (w_p > k) == (mid_p > k):
+        for k in H_q:
+            if (mid_p > k) != (end_p > k) or (w_p > k) == (mid_p > k):
+                h = f"P^{frame}·{_step_wall(start, seg.p_gen, seg.p_sign, k)}"
                 raise CertificateViolation(
-                    f"segment {l}: {where}{h} does not separate the connector run"
+                    f"segment {l}: connector run crosses {h}" if (mid_p > k) != (end_p > k)
+                    else f"segment {l}: {h} does not separate the connector run"
                 )
 
         cert = SegmentCertificate(l, len(H_p), len(H_q))
@@ -865,8 +859,7 @@ def certify_quasigeodesic(path: RunPath, K, C) -> QuasiGeodesicReport:
     margin divided by K: min_margin is the exact minimum of
     d - ((t-s)/K - C), a Fraction, and witness attains it. The upper bound
     d <= t-s holds for every unit-speed edge path."""
-    K = Fraction(K)
-    C = Fraction(C)
+    K, C = Fraction(K), Fraction(C)
     rep = certify_quasigeodesic_runs(path, K, K * C)
     return replace(rep, C=C, min_margin=Fraction(rep.min_margin) / K)
 
@@ -982,13 +975,7 @@ def check_contracting(
                 witness = (B[x].text(), B[y].text(), diam, dy)
 
     return ContractionReport(
-        passed,
-        radius,
-        rho.text(),
-        tested,
-        True,
-        tuple(sorted(annulus.items())),
-        witness,
+        passed, radius, rho.text(), tested, True, tuple(sorted(annulus.items())), witness
     )
 
 
@@ -1041,8 +1028,7 @@ def check_divergence_dichotomy(
     maximum and residual_min are read off the knots, the run ends and
     T0 + 1."""
     rho = as_gauge(rho)
-    Kp = Fraction(K_prime)
-    Cp = Fraction(C_prime)
+    Kp, Cp = Fraction(K_prime), Fraction(C_prime)
     kap = kappa(rho, Kp, Cp)
     kap2 = _kappa_prime(kap, Kp, Cp)
 

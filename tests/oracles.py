@@ -712,21 +712,25 @@ def runs_bounded(h) -> bool:
     return all(abs(e) <= RUN_BOUND for _, e in h.base.syllables)
 
 
-_SCAN_LEVELS: dict = {}  # period -> (translates of levels 0 .. n - 1, P^n)
+_SCAN_LEVELS: dict = {}  # period -> [translates of levels 0 .. n - 1, their union, P^n]
 
 
-def _scan_level(gamma, k: int) -> frozenset:
-    """The period translates at level k, each checked against the run bound
-    and the growth bound once, when its level is first scanned."""
-    levels, shift = _SCAN_LEVELS.get(gamma.period, ((), GroupElement.identity(gamma.graph)))
-    while len(levels) <= k:
+def _scan_levels(gamma, n: int) -> list:
+    """[levels, union, P^n]: the period translates at levels 0 .. n - 1 or
+    more, and all of them in one set. Each level is checked against the
+    run bound and the growth bound once, when first scanned."""
+    scanned = _SCAN_LEVELS.get(gamma.period)
+    if scanned is None:
+        scanned = _SCAN_LEVELS[gamma.period] = [[], set(), GroupElement.identity(gamma.graph)]
+    levels, union, shift = scanned
+    while len(levels) < n:
         floor = 8 * len(levels) - LENGTH_SLACK
         level = frozenset(translate_wall(shift, w) for w in gamma.period_walls)
         assert all(runs_bounded(t) and t.base.length >= floor for t in level)
-        levels += (level,)
-        shift = shift * gamma.period
-    _SCAN_LEVELS[gamma.period] = (levels, shift)
-    return levels[k]
+        levels.append(level)
+        union |= level
+        shift = scanned[2] = shift * gamma.period
+    return scanned
 
 
 def gamma_crosses_by_scan(gamma, h) -> bool:
@@ -738,19 +742,38 @@ def gamma_crosses_by_scan(gamma, h) -> bool:
     if not runs_bounded(h):
         return False
     target = h.base.length
-    k = 0
-    while 8 * k - LENGTH_SLACK <= target:
-        if h in _scan_level(gamma, k):
-            return True
-        k += 1
-    assert all(t.base.length > target for t in _scan_level(gamma, k))
-    return False
+    # the first level k with 8k - LENGTH_SLACK > target
+    top = (target + LENGTH_SLACK) // 8 + 1
+    levels, union, _ = _scan_levels(gamma, top + 1)
+    assert all(t.base.length > target for t in levels[top])
+    # a translate at level top or later outgrows h, so h is one of them
+    # only if it is one of the levels before top
+    return h in union
+
+
+def uncrossed_steps_by_walls(gamma, frame, start, g, s, steps, want, crosses=gamma_crosses):
+    """Reference: (k, wall) for the first `want` of the first `steps` edges
+    along g^s from start whose walls gamma, seen from the given frame, does
+    not cross; k counts the steps. Each step's wall is built and asked of
+    crosses(gamma, wall, frame)."""
+    out = []
+    x = start
+    for k in range(steps):
+        h = wall_of_edge(x, Letter(g, s))
+        x = x.append_letter(g, s)
+        if not crosses(gamma, h, frame):
+            out.append((k, h))
+            if len(out) >= want:
+                break
+    return out
 
 
 def verify_separation_by_global_frame(beta, delta=None):
     """Reference: the separation certificate with every side check asked
     in place, on the global walls and vertices."""
     delta = beta.delta if delta is None else delta
+    if delta < 0:
+        raise ConfigError(f"need delta >= 0, got {delta}")
     gamma = beta.gamma
     g = gamma_by_global_words(gamma.L)
     o = GroupElement.identity(gamma.graph)
@@ -768,30 +791,21 @@ def verify_separation_by_global_frame(beta, delta=None):
         budget = distance(v_prev, w_prev)
         toward = 1 if distance(v_prev.append_letter(lg, 1), w_prev) < budget else -1
 
-        H_p = []
-        x = v_prev
-        for _ in range(budget):
-            h = wall_of_edge(x, Letter(lg, toward))
-            x = x.append_letter(lg, toward)
-            if not gamma_crosses(gamma, h):
-                H_p.append(h)
-                if len(H_p) >= delta + 3:
-                    break
+        H_p = [
+            h for _, h in uncrossed_steps_by_walls(gamma, 0, v_prev, lg, toward, budget, delta + 3)
+        ]
         for h in H_p:
             if side(h, v_prev) != side(h, mid):
                 raise CertificateViolation(f"segment {l}: escape run crosses {h}")
             if side(h, o) == side(h, v_prev):
                 raise CertificateViolation(f"segment {l}: {h} does not separate the escape run")
 
-        H_q = []
-        x = v_prev
-        for _ in range(seg.N):
-            h = wall_of_edge(x, Letter(seg.p_gen, seg.p_sign))
-            x = x.append_letter(seg.p_gen, seg.p_sign)
-            if not gamma_crosses(gamma, h):
-                H_q.append(h)
-                if len(H_q) >= delta + 1:
-                    break
+        H_q = [
+            h
+            for _, h in uncrossed_steps_by_walls(
+                gamma, 0, v_prev, seg.p_gen, seg.p_sign, seg.N, delta + 1
+            )
+        ]
         for h in H_q:
             if side(h, mid) != side(h, end):
                 raise CertificateViolation(f"segment {l}: connector run crosses {h}")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import decimal
+import itertools
 import math
 import random
 import textwrap
@@ -70,6 +71,7 @@ from oracles import (
     random_graphs,
     runs_bounded,
     segment_starts,
+    uncrossed_steps_by_walls,
     verify_separation_by_global_frame,
 )
 
@@ -635,21 +637,34 @@ class TestGammaCrosses:
             gamma_crosses(gamma12, h)
 
     def test_matches_scan_on_certificate_walls(self, monkeypatch):
-        # every wall that build_beta and verify_separation ask about; a wall
-        # asked in the frame P^-k·gamma stands for its global image P^k·h,
-        # and the frame's answer must be the scan's answer for that image
+        # every wall that build_beta asks about, and the wall of every step
+        # that verify_separation's walks decide; a wall asked in the frame
+        # P^-k·gamma stands for its global image P^k·h, and the frame's
+        # answer must be the scan's answer for that image
         asked: set = set()
         framed: list = []
-        real_crosses = constructions.gamma_crosses
+        real_crosses, real_walk = constructions.gamma_crosses, constructions._uncrossed_steps
 
-        def crosses_recorded(gamma, h, k=0):
+        def record(gamma, k, h, answer):
             image = translate_wall(period_power(gamma, k), h)
             asked.add(image)
-            answer = real_crosses(gamma, h, k)
             framed.append((gamma, image, answer))
+
+        def crosses_recorded(gamma, h, k=0):
+            answer = real_crosses(gamma, h, k)
+            record(gamma, k, h, answer)
             return answer
 
+        def walk_recorded(gamma, frame, start, g, s, steps, want):
+            # the walk decides each step up to its last kept one, or all
+            kept = real_walk(gamma, frame, start, g, s, steps, want)
+            for k in range(kept[-1] + 1 if len(kept) == want else steps):
+                h = wall_of_edge(start.append_run(g, s * k), Letter(g, s))
+                record(gamma, frame, h, k not in kept)
+            return kept
+
         monkeypatch.setattr(constructions, "gamma_crosses", crosses_recorded)
+        monkeypatch.setattr(constructions, "_uncrossed_steps", walk_recorded)
         stripped = record_strips(monkeypatch)
         for delta, L in ((4, 12), (6, 41)):
             verify_separation(build_beta(delta, L))
@@ -874,6 +889,18 @@ class TestSeparation:
         for c in rep.segments:
             assert (c.p_wall_count, c.q_wall_count) == (7, 5)
 
+    @pytest.mark.parametrize("asked", [-1, -10])
+    def test_rejects_negative_delta(self, asked):
+        # a walk that wants no wall would still keep one, so a negative
+        # delta would break the cap of delta + 1 on min_separation
+        beta = build_beta(4, 6)
+        for fn in (verify_separation, verify_separation_by_global_frame):
+            with pytest.raises(ConfigError, match="need delta >= 0"):
+                fn(beta, asked)
+        rep = verify_separation(beta, 0)
+        assert rep == verify_separation_by_global_frame(beta, 0)
+        assert rep.min_separation == 1
+
     def test_one_flat_has_no_segment_to_certify(self):
         # separation starts at segment 2, so one flat would give a vacuous
         # report whose min_separation is a min over nothing
@@ -960,6 +987,70 @@ class TestSeparationFrames:
         assert len(rep.segments) == 119
         assert strips == []
         assert len(gates) == 5 * 119
+
+
+class TestSeparationWalk:
+    def test_matches_the_wall_by_wall_walk(self, monkeypatch):
+        # from every vertex within distance 3 of gamma's vertex G(4) and of
+        # a segment start, along every generator and sign, in frame k of
+        # their flats, k = 0..30: the exponent-sum walk keeps the steps that
+        # the walk building each step's wall keeps, that wall asked of the
+        # scan of its global image P^k·h. Each walk wants 2 of 3 steps
+        real_crossed, admitted = constructions._crossed_by_sums, []
+
+        def crossed_recorded(gamma, g, sums, k, wall):
+            # records the answer of each step whose sums admit a translate
+            asked = []
+            answer = real_crossed(gamma, g, sums, k, lambda: asked.append(1) or wall())
+            if asked:
+                admitted.append(answer)
+            return answer
+
+        monkeypatch.setattr(constructions, "_crossed_by_sums", crossed_recorded)
+        starts = segment_starts(build_beta(4, 124))
+        decided = crossed = 0
+        for k in range(31):
+            gamma = build_gamma(4 * k + 4)
+            shift, scanned = period_power(gamma, k), {}
+
+            def scan(gamma, h, frame):
+                if h not in scanned:
+                    scanned[h] = gamma_crosses_by_scan(gamma, translate_wall(shift, h))
+                return scanned[h]
+
+            for v in (gamma.period_vertices[4], starts[4 * k + 1]):
+                for x in ball(v, 3):
+                    for g, s in itertools.product(range(4), (1, -1)):
+                        ref = uncrossed_steps_by_walls(gamma, k, x, g, s, 3, 2, scan)
+                        got = constructions._uncrossed_steps(gamma, k, x, g, s, 3, 2)
+                        assert got == [j for j, _ in ref], (k, x, g, s)
+                        n = got[-1] + 1 if len(got) == 2 else 3
+                        decided += n
+                        crossed += n - len(got)
+        assert decided > 250_000 and crossed > 25_000
+        # steps whose sums admit a period translate: equal to their wall,
+        # or told apart from it only by the exact comparison
+        assert admitted.count(True) > 25_000 and admitted.count(False) > 5_000
+
+    def test_walks_build_no_wall_the_sums_rule_out(self, monkeypatch):
+        # an operation count: the certificate decides each step by its
+        # exponent sums, asks gamma_crosses nothing, and builds a Wall only
+        # where a step's sums admit a period translate: the translate and
+        # the step's own wall
+        beta = build_beta(8, 119)
+        asked, built = [], []
+        real_crosses, real_init = constructions.gamma_crosses, Wall.__post_init__
+        monkeypatch.setattr(
+            constructions, "gamma_crosses", lambda *a: asked.append(a) or real_crosses(*a)
+        )
+        monkeypatch.setattr(Wall, "__post_init__", lambda h: built.append(h) or real_init(h))
+        translated = record_translations(monkeypatch)
+        rep = verify_separation(beta)
+        assert rep.ok and len(rep.segments) == 118
+        assert len(asked) == 0
+        assert len(built) <= 2 * len(translated), (len(built), len(translated))
+        # and on this beta no step's sums admit one
+        assert translated == []
 
 
 def negate_nth_gate(monkeypatch, n):
