@@ -53,7 +53,6 @@ _EXPORTS = {
         "find_separated_chain",
         "gromov_product",
         "hyp_member",
-        "metric_d",
         "ray_walls",
         "refine_to_single_wall",
         "validate_ray",

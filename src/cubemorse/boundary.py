@@ -437,12 +437,6 @@ def gromov_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductValu
     return ProductValue(value, certified, depth)
 
 
-def metric_d(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductValue:
-    """The metric d_o(ξ,η) = exp(-[ξ|η]_o), kept exact as the integer
-    exponent; +inf exponent means distance 0."""
-    return bracket_product(xi, eta, depth)
-
-
 class InfiniteTerm(ValueError):
     """A cross ratio summand is +inf because two arguments coincide."""
 

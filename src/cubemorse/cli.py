@@ -10,6 +10,7 @@ internal check (AssertionError).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -30,7 +31,6 @@ from .boundary import (
     find_separated_chain,
     gromov_product,
     hyp_member,
-    metric_d,
     refine_to_single_wall,
 )
 from .raag import (
@@ -38,7 +38,6 @@ from .raag import (
     DefiningGraph,
     GroupElement,
     distance,
-    normal_form,
     parse_word,
 )
 from .walls import (
@@ -82,7 +81,7 @@ def _load_graph(path: str | None) -> DefiningGraph:
 def _element(graph: DefiningGraph, text: str) -> GroupElement:
     if text.strip() in ("", "1"):
         return GroupElement.identity(graph)
-    return normal_form(parse_word(text, graph))
+    return GroupElement.from_text(graph, text)
 
 
 def _wall(graph: DefiningGraph, text: str) -> Wall:
@@ -92,17 +91,13 @@ def _wall(graph: DefiningGraph, text: str) -> Wall:
     return Wall(_element(graph, base_text), graph.gen_index(gen_name))
 
 
-def _ray(graph: DefiningGraph, text: str, base: GroupElement | None = None) -> BoundaryRay:
-    return BoundaryRay.from_text(graph, text, base)
-
-
 def _labeled_rays(graph, base, items, labels=("w", "x", "y", "z")):
     out = {}
     for item in items:
         name, sep, text = item.partition(":")
         if not sep or name not in labels or name in out:
             raise CLIError(f"expected {'/'.join(labels)}:\"PREFIX|PERIOD\", got {item!r}")
-        out[name] = _ray(graph, text, base)
+        out[name] = BoundaryRay.from_text(graph, text, base)
     if len(out) != len(labels):
         raise CLIError(f"need all of {', '.join(labels)}")
     return out
@@ -260,7 +255,7 @@ def _separated_chain(args, ray: BoundaryRay):
 
 def _cmd_chain(args):
     graph = _load_graph(args.graph)
-    ray = _ray(graph, args.ray)
+    ray = BoundaryRay.from_text(graph, args.ray)
     chain = _separated_chain(args, ray)
     return {
         "length": _num(len(chain), True),
@@ -274,25 +269,13 @@ def _cmd_chain(args):
 def _product_command(fn, args):
     graph = _load_graph(args.graph)
     base = _element(graph, args.base) if args.base else None
-    xi = _ray(graph, args.xi, base)
-    eta = _ray(graph, args.eta, base)
+    xi = BoundaryRay.from_text(graph, args.xi, base)
+    eta = BoundaryRay.from_text(graph, args.eta, base)
     p = fn(xi, eta, args.depth)
     return {
         "value": _num(p.value, p.certified),
         "depth_used": _num(p.depth_used, True),
     }, p.certified
-
-
-def _cmd_product(args):
-    return _product_command(gromov_product, args)
-
-
-def _cmd_bracket(args):
-    return _product_command(bracket_product, args)
-
-
-def _cmd_metric(args):
-    return _product_command(metric_d, args)
 
 
 def _cmd_crossratio(args):
@@ -306,7 +289,7 @@ def _cmd_crossratio(args):
 
 def _cmd_hyp(args):
     graph = _load_graph(args.graph)
-    ray = _ray(graph, args.ray)
+    ray = BoundaryRay.from_text(graph, args.ray)
     hs = [_wall(graph, w) for w in args.wall]
     if not hs:
         raise CLIError("need at least one --wall")
@@ -319,7 +302,7 @@ def _cmd_hyp(args):
 
 def _cmd_refine(args):
     graph = _load_graph(args.graph)
-    ray = _ray(graph, args.ray)
+    ray = BoundaryRay.from_text(graph, args.ray)
     hs = [_wall(graph, w) for w in (args.wall1, args.wall2)]
     chain = _separated_chain(args, ray)
     try:
@@ -508,12 +491,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--r", type=int, default=5)
     sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 
-    for name, handler, help_ in (
-        ("product", _cmd_product, "Gromov product of two rays"),
-        ("bracket", _cmd_bracket, "bracket product of two rays"),
-        ("metric", _cmd_metric, "boundary distance term of two rays"),
+    # the boundary metric d_o = exp(-[ξ|η]_o) is reported by its exponent,
+    # so metric prints the bracket product under the metric's name
+    for name, fn, help_ in (
+        ("product", gromov_product, "Gromov product of two rays"),
+        ("bracket", bracket_product, "bracket product of two rays"),
+        ("metric", bracket_product, "boundary distance term of two rays"),
     ):
-        sp = add(name, handler, help_)
+        sp = add(name, functools.partial(_product_command, fn), help_)
         sp.add_argument("--base", default=None, help="basepoint element")
         sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
         sp.add_argument("xi", metavar="PREFIX|PERIOD")

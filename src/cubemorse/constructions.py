@@ -453,7 +453,7 @@ def build_gamma(L: int) -> GammaPath:
             lt = Letter(gen(name), 1)
             walls_.append(wall_of_edge(v, lt))
             letters.append(lt)
-            v = v.append_letter(lt.gen, 1)
+            v = v.append_run(lt.gen, 1)
             vertices.append(v)
         lines.append(Line(v, gen(line)))
     return GammaPath(
@@ -663,7 +663,7 @@ def build_beta(delta: int, L: int) -> BetaReport:
             q_kept = [
                 s
                 for s in (1, -1)
-                if line_l.distance_to(mid_x.append_letter(q_gen, s)) == M - 1
+                if line_l.distance_to(mid_x.append_run(q_gen, s)) == M - 1
             ]
         else:
             if M != 1:
@@ -817,7 +817,7 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
             )
         w = quotient(start, entry)
         budget = w.length
-        toward = 1 if distance(one.append_letter(lg, 1), w) < budget else -1
+        toward = 1 if distance(one.append_run(lg, 1), w) < budget else -1
 
         mid_l, w_l = (toward * line_gate_exponent(x, lg) for x in (mid, w))
         H_p = _uncrossed_steps(gamma, frame, start, lg, toward, budget, delta + 3)
@@ -890,7 +890,7 @@ def _ball_adjacency(B: tuple[GroupElement, ...]) -> list[list[int]]:
     index = {v: k for k, v in enumerate(B)}
     moves = [(g, s) for g in range(len(B[0].graph.generators)) for s in (1, -1)]
     return [
-        [k for k in (index.get(v.append_letter(g, s)) for g, s in moves) if k is not None]
+        [k for k in (index.get(v.append_run(g, s)) for g, s in moves) if k is not None]
         for v in B
     ]
 

@@ -263,6 +263,8 @@ def basepoint_experiment(
     and the trees from o and from o' give the geodesics. The k-th vertex
     of a geodesic is k from its start, so the radius is the largest k
     with d(geo[k], R) <= kappa_val, or 0 when there is none."""
+    if kappa_val < 0:
+        raise ConfigError(f"need kappa >= 0, got {kappa_val}")
     g = ex.graph
     near = g._bfs(*ex.spine)
     trees = {b: g._bfs(b) for b in (ex.o, ex.o_prime)}

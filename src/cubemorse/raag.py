@@ -397,7 +397,7 @@ class GroupElement:
 
     @classmethod
     def from_text(cls, graph: DefiningGraph, text: str) -> "GroupElement":
-        return normal_form(parse_word(text, graph), graph)
+        return normal_form(parse_word(text, graph))
 
     @cached_property
     def length(self) -> int:
@@ -440,9 +440,6 @@ class GroupElement:
             return GroupElement(base.graph, ((g, e * abs(n)),))
         return base.append_syllables(base.syllables * (abs(n) - 1))
 
-    def append_letter(self, gen: int, sign: int) -> "GroupElement":
-        return self.append_run(gen, sign)
-
     def append_syllables(self, syllables) -> "GroupElement":
         """self times the element spelled by nonzero (gen, exp) syllables,
         which need not be canonical: the engine refolds them one by one."""
@@ -459,16 +456,9 @@ class GroupElement:
         return GroupElement(self.graph, tuple(out))
 
 
-def normal_form(w, graph: DefiningGraph | None = None) -> GroupElement:
+def normal_form(w: Word) -> GroupElement:
     """Unique shortlex-minimal geodesic representative."""
-    if isinstance(w, GroupElement):
-        return w
-    if isinstance(w, str):
-        if graph is None:
-            raise WordError("normal_form of a string needs a graph")
-        w = parse_word(w, graph)
-    graph = w.graph
-    return GroupElement(graph, _fold(graph, w.runs))
+    return GroupElement(w.graph, _fold(w.graph, w.runs))
 
 
 def quotient(a: GroupElement, b: GroupElement) -> GroupElement:

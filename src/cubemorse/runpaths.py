@@ -71,7 +71,7 @@ class RunPath:
 
     @cached_property
     def length(self) -> int:
-        return sum(abs(e) for _, e in self.runs)
+        return self._offsets[-1]
 
     @cached_property
     def _starts(self) -> tuple[GroupElement, ...]:

@@ -131,7 +131,7 @@ def _carrier_strip(x: GroupElement, h: Wall) -> tuple[tuple, int, int]:
 def wall_of_edge(v: Vertex, letter: Letter) -> Wall:
     """The wall dual to the edge from v in the given letter direction."""
     g, s = letter
-    p = v if s > 0 else v.append_letter(g, -1)
+    p = v if s > 0 else v.append_run(g, -1)
     return Wall(p, g)
 
 
@@ -146,7 +146,7 @@ def walls_between(x: Vertex, y: Vertex) -> tuple[Wall, ...]:
         s = 1 if e > 0 else -1
         for _ in range(abs(e)):
             out.append(wall_of_edge(p, Letter(g, s)))
-            p = p.append_letter(g, s)
+            p = p.append_run(g, s)
     return tuple(out)
 
 
@@ -290,6 +290,8 @@ def ball(o: Vertex, r: int, cap: int = DEFAULT_BALL_CAP) -> tuple[Vertex, ...]:
     """All vertices within distance r of o, sorted deterministically."""
     if r < 0:
         raise WordError("radius must be nonnegative")
+    if cap < 0:
+        raise WordError(f"ball cap must be nonnegative, got {cap}")
     if r > cap:
         raise BallCapExceeded(f"radius {r} above cap {cap}")
     graph = o.graph
@@ -300,7 +302,7 @@ def ball(o: Vertex, r: int, cap: int = DEFAULT_BALL_CAP) -> tuple[Vertex, ...]:
         nxt = []
         for v in frontier:
             for g, s in moves:
-                child = v.append_letter(g, s)
+                child = v.append_run(g, s)
                 if child not in seen:
                     seen.add(child)
                     nxt.append(child)

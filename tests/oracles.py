@@ -420,7 +420,7 @@ def wall_gate_and_distance_by_cosets(x, h):
     cosets."""
     mask = h.graph.adj_mask[h.gen]
     gate_minus, d_minus = coset_gate_and_distance(h.base, mask, x)
-    gate_plus, d_plus = coset_gate_and_distance(h.base.append_letter(h.gen, 1), mask, x)
+    gate_plus, d_plus = coset_gate_and_distance(h.base.append_run(h.gen, 1), mask, x)
     assert abs(d_minus - d_plus) == 1
     if d_minus < d_plus:
         return gate_minus, d_minus, -1
@@ -435,8 +435,8 @@ def carrier_gates(h1, h2):
     right-stripped by ⟨lk g2⟩, whose middle joins the two gates."""
     graph = h1.graph
     best = None
-    for r1 in (h1.base, h1.base.append_letter(h1.gen, 1)):
-        for r2 in (h2.base, h2.base.append_letter(h2.gen, 1)):
+    for r1 in (h1.base, h1.base.append_run(h1.gen, 1)):
+        for r2 in (h2.base, h2.base.append_run(h2.gen, 1)):
             t = r1.inverse() * r2
             removed, kept = _strip_left(graph, t.syllables, graph.adj_mask[h1.gen])
             middle, _ = _strip_right(graph, kept, graph.adj_mask[h2.gen])
@@ -546,8 +546,8 @@ def ray_index_by_steps(ray, depth):
         walls.append(wall_of_edge(v, letter))
         kept, _ = _strip_right(graph, u.syllables, graph.adj_mask[letter.gen])
         dists.append(sum(abs(e) for _, e in kept))
-        v = v.append_letter(letter.gen, letter.sign)
-        u = u.append_letter(letter.gen, letter.sign)
+        v = v.append_run(letter.gen, letter.sign)
+        u = u.append_run(letter.gen, letter.sign)
     return tuple(walls), tuple(dists)
 
 
@@ -649,7 +649,7 @@ def gamma_by_global_words(L: int) -> GlobalGamma:
             lt = Letter(graph.gen_index(name), 1)
             walls.append(wall_of_edge(v, lt))
             letters.append(lt)
-            v = v.append_letter(lt.gen, 1)
+            v = v.append_run(lt.gen, 1)
             vertices.append(v)
     flats = tuple(
         Flat(vertices[2 * l], tuple(map(graph.gen_index, _GAMMA_FLATS[l % 4]))) for l in range(L)
@@ -760,7 +760,7 @@ def uncrossed_steps_by_walls(gamma, frame, start, g, s, steps, want, crosses=gam
     x = start
     for k in range(steps):
         h = wall_of_edge(x, Letter(g, s))
-        x = x.append_letter(g, s)
+        x = x.append_run(g, s)
         if not crosses(gamma, h, frame):
             out.append((k, h))
             if len(out) >= want:
@@ -789,7 +789,7 @@ def verify_separation_by_global_frame(beta, delta=None):
         assert line_prev.contains(v_prev)
         lg = line_prev.gen
         budget = distance(v_prev, w_prev)
-        toward = 1 if distance(v_prev.append_letter(lg, 1), w_prev) < budget else -1
+        toward = 1 if distance(v_prev.append_run(lg, 1), w_prev) < budget else -1
 
         H_p = [
             h for _, h in uncrossed_steps_by_walls(gamma, 0, v_prev, lg, toward, budget, delta + 3)
@@ -905,7 +905,7 @@ def build_beta_by_global_frame(delta: int, L: int) -> GlobalBeta:
             q_kept = [
                 s
                 for s in (1, -1)
-                if line_l.distance_to(mid.append_letter(q_gen, s)) == M - 1
+                if line_l.distance_to(mid.append_run(q_gen, s)) == M - 1
             ]
         else:
             assert M == 1, "connector cases expect an adjacent exit line"
@@ -984,7 +984,7 @@ def dichotomy_by_steps(Z, beta, rho, K_prime, C_prime) -> DichotomyReport:
                     D[i] += delta
                 start = T + 1
                 cur = -cur
-            b = b.append_letter(g, s)
+            b = b.append_run(g, s)
             d_list.append(min(D))
 
     end = len(d_list) - 1

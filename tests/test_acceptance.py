@@ -22,7 +22,6 @@ from cubemorse.boundary import (
     cross_ratio_cr,
     find_separated_chain,
     gromov_product,
-    metric_d,
     ray_walls,
     refine_to_single_wall,
     validate_ray,
@@ -186,12 +185,12 @@ def test_ac2_ultrametric(z3z, ck):
             if not (pij.certified and pik.certified and pkj.certified):
                 continue
             assert pij.value >= min(pik.value, pkj.value)
-            a = metric_d(pool[i], pool[j], DEPTH)
-            b = metric_d(pool[j], pool[i], DEPTH)
+            a = bracket_product(pool[i], pool[j], DEPTH)
+            b = bracket_product(pool[j], pool[i], DEPTH)
             assert (a.value, a.certified) == (b.value, b.certified)
             done += 1
         for r in pool:
-            pv = metric_d(r, r, DEPTH)
+            pv = bracket_product(r, r, DEPTH)
             assert pv.value == math.inf and pv.certified  # exponent inf = distance 0
         triples += done
     status(
@@ -215,7 +214,7 @@ def _bfs_levels(graph, radius):
         for v in frontier:
             for g in gens:
                 for s in (1, -1):
-                    u = v.append_letter(g, s)
+                    u = v.append_run(g, s)
                     if u not in seen:
                         seen[u] = level
                         nxt.append(u)
@@ -252,7 +251,7 @@ def test_ac3_oracle_equivalence(ck):
         (v, g)
         for v in verts
         for g in range(4)
-        if v.append_letter(g, 1) in ball6
+        if v.append_run(g, 1) in ball6
     ]
     idx = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
@@ -266,14 +265,14 @@ def test_ac3_oracle_equivalence(ck):
     for v, g in edges:
         for h in ck.link(g):
             for s in (1, -1):
-                j = idx.get((v.append_letter(h, s), g))
+                j = idx.get((v.append_run(h, s), g))
                 if j is not None:
                     ri, rj = find(idx[(v, g)]), find(j)
                     if ri != rj:
                         parent[ri] = rj
 
     ball5 = {v for v, lvl in levels.items() if lvl <= 5}
-    inner = [(v, g) for (v, g) in edges if v in ball5 and v.append_letter(g, 1) in ball5]
+    inner = [(v, g) for (v, g) in edges if v in ball5 and v.append_run(g, 1) in ball5]
     root_of_wall = {}
     wall_of_root = {}
     for e in inner:
@@ -465,7 +464,7 @@ def test_ac8_refinement(z3z, ck):
                 # walls; its prefix ends at the dual-edge endpoint on the
                 # far side of k, so the prefix itself crosses k
                 if side(k, o) == -1:
-                    pfx = k.base.append_letter(k.gen, 1)
+                    pfx = k.base.append_run(k.gen, 1)
                 else:
                     pfx = k.base
                 assert pfx.length > 0 and side(k, pfx) != side(k, o)

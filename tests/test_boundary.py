@@ -24,7 +24,6 @@ from cubemorse.boundary import (
     find_separated_chain,
     gromov_product,
     hyp_member,
-    metric_d,
     ray_walls,
     refine_to_single_wall,
     validate_ray,
@@ -86,7 +85,7 @@ class TestRayBasics:
         expected = []
         for _ in range(3):
             expected.append(wall_of_edge(v, Letter(d, 1)))
-            v = v.append_letter(d, 1)
+            v = v.append_run(d, 1)
         assert list(walls) == expected
 
     def test_ray_walls_prefix(self, z3z):
@@ -274,9 +273,9 @@ class TestCrossRatios:
 
     def test_metric_exponent(self, z3z):
         w, x, _, _ = quadruple(z3z, 4)
-        pv = metric_d(w, x, DEPTH)
+        pv = bracket_product(w, x, DEPTH)
         assert pv.value == 0  # distance e^0 = 1
-        pv = metric_d(w, w, DEPTH)
+        pv = bracket_product(w, w, DEPTH)
         assert pv.value == math.inf  # distance 0
 
 

@@ -1,6 +1,7 @@
 """Command line reports: golden files, exit codes, determinism, and the
 layers each command loads."""
 
+import argparse
 import ast
 import json
 import os
@@ -201,6 +202,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, err", [
+        (["example23", "--tail", "20", "--kappa", "-1"], "error: need kappa >= 0, got -1\n"),
+        (["contracting", "word:c", "--radius", "0", "--cap", "-1"],
+         "error: ball cap must be nonnegative, got -1\n"),
+    ], ids=["example23-kappa", "contracting-cap"])
+    def test_negative_bound_is_bad_input(self, argv, err, capsys):
+        # nothing lies within a negative distance, and no other --cap settles
+        # a negative one, so both are bad input rather than a truncation limit
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == err
+
     @pytest.mark.parametrize(
         "option", [["--max-pairs", "5"], ["--seed", "1"]], ids=["max-pairs", "seed"]
     )
@@ -294,6 +309,189 @@ class TestReportShape:
         assert code == 2
         assert "(uncertified)" in out
         assert re.search(r"certified\s+no", out)
+
+
+# (graph, base, xi, eta, depth, certified), on both graphs
+METRIC_PAIRS = [
+    (Z3Z, None, "d a|d", "d b|d", "40", True),
+    (Z3Z, "d", "d^3 a|d", "d^3 b|d", "40", True),
+    (Z3Z, None, "a^50|d", "a^50 b|d", "3", False),
+    (Z3Z, "c^-2", "a^4|d", "a^-1 b^-1|d", "3", False),
+    (CK, None, "a d a|d", "a d a|b c", "40", False),
+    (CK, "a", "a^3 d|a d", "a^3 d^2|a d", "40", True),
+    (CK, "c", "|a d", "a|d", "2", False),
+]
+
+
+@pytest.mark.parametrize("graph, base, xi, eta, depth, certified", METRIC_PAIRS)
+def test_metric_is_the_bracket_product(graph, base, xi, eta, depth, certified, capsys):
+    # d_o(ξ, η) = exp(-[ξ|η]_o), so the metric command prints the bracket
+    # product's value and certificate under the metric's name
+    args = ["--graph", graph, "--depth", depth] + (["--base", base] if base else []) + [xi, eta]
+    reports = []
+    for command in ("metric", "bracket"):
+        code, out = normalized_json([command] + args, capsys)
+        assert code == (0 if certified else 2)
+        rep = json.loads(out)
+        reports.append({k: v for k, v in rep.items() if k not in ("command", "inputs", "timing_s")})
+    assert reports[0] == reports[1]
+    assert reports[0]["certified"] is certified
+
+
+# --- the exit-code and report contract, over every subcommand ---------------------
+
+# a few argument vectors per subcommand: one valid, then edge values such as
+# empty words, zero and negative bounds, bad gauges and bad specs
+CONTRACT_CASES = {
+    "nf": [
+        ["--graph", Z3Z, "c b a"],
+        ["--graph", Z3Z, ""],
+        ["--graph", CK, "a^0"],
+        ["c"],
+    ],
+    "dist": [
+        ["--graph", Z3Z, "a", "b d"],
+        ["--graph", CK, "", "1"],
+        ["--graph", CK, "a", "a q"],
+    ],
+    "walls": [
+        ["--graph", CK, "1", "a b"],
+        ["--graph", Z3Z, "", ""],
+        ["--graph", Z3Z, "a^-3", "d^"],
+    ],
+    "side": [
+        ["--graph", Z3Z, "--wall", "1@a", "a b"],
+        ["--graph", Z3Z, "--wall", "@a", ""],
+        ["--graph", CK, "--wall", "1@", "a"],
+        ["--graph", CK, "--wall", "1@q", "a"],
+    ],
+    "crosses": [
+        ["--graph", CK, "1@a", "1@b"],
+        ["--graph", CK, "1@a", "1@a"],
+        ["--graph", CK, "@", "@"],
+    ],
+    "separated": [
+        ["--graph", Z3Z, "1@d", "a@d"],
+        ["--graph", Z3Z, "1@a", "1@b"],
+        ["--graph", CK, "1@a", "1@a"],
+        ["--graph", CK, "", ""],
+    ],
+    "chain": [
+        ["--graph", CK, "--ray", "|a d", "--n", "1"],
+        ["--graph", CK, "--ray", "|a d", "--n", "-1"],
+        ["--graph", CK, "--ray", "|a d", "--r", "0"],
+        ["--graph", CK, "--ray", "|a d", "--depth", "0"],
+        ["--graph", CK, "--ray", "|a d", "--depth", "-1"],
+        ["--graph", CK, "--ray", ""],
+        ["--graph", CK, "--ray", "a|"],
+    ],
+    **{
+        command: [
+            ["--graph", Z3Z, "d a|d", "d b|d"],
+            ["--graph", Z3Z, "--depth", "3", "a^9|d", "a^9 b|d"],
+            ["--graph", CK, "--depth", "0", "|a d", "|d"],
+            ["--graph", CK, "--depth", "-1", "|a d", "|d"],
+            ["--graph", CK, "--base", "", "|a d", "|d"],
+            ["--graph", CK, "--base", "q", "|a d", "|d"],
+            ["--graph", CK, "|a a^-1", "|d"],
+            ["--graph", CK, "|a d", "a"],
+        ]
+        for command in ("product", "bracket", "metric")
+    },
+    "crossratio": [
+        GOLDEN_CASES["crossratio"][1:],
+        ["--graph", Z3Z, "--variant", "bfm", "--depth", "0", "w:|d", "x:a|d", "y:b|d", "z:c|d"],
+        ["--graph", Z3Z, "w:|d", "x:|d", "y:|d", "x:|d"],
+        ["--graph", Z3Z, "w:|d", "x:|d", "y:|d", "z:|d"],
+        ["--graph", Z3Z, "--depth", "-1", "w:|d", "x:a|d", "y:b|d", "z:c|d"],
+    ],
+    "hyp": [
+        ["--graph", CK, "--ray", "|a d", "--wall", "1@a"],
+        GOLDEN_CASES["hyp_shallow"][1:],
+        ["--graph", CK, "--ray", "|a d"],
+        ["--graph", CK, "--ray", "|a d", "--wall", "1@a", "--depth", "0"],
+        ["--graph", CK, "--ray", "|a d", "--wall", "1@a", "--depth", "-1"],
+    ],
+    "refine": [
+        ["--graph", CK, "--ray", "|b c c d c b b a", "1@b", "b@c"],
+        ["--graph", CK, "--ray", "|a d", "1@a", "1@a"],
+        ["--graph", CK, "--ray", "|a d", "1@a", "a d@d"],
+        ["--graph", CK, "--ray", "|a d", "1@a", "1@d", "--depth", "0"],
+    ],
+    "kappa": [
+        ["--rho", "power 2 1/2"],
+        ["--rho", "log 3", "--K", "0"],
+        ["--rho", "const -3"],
+        ["--rho", "bogus"],
+        ["--K", "-1", "--C", "-1"],
+        ["--rho", ""],
+    ],
+    "gamma": [["--flats", "3"], ["--flats", "0"], ["--flats", "-1"]],
+    "beta": [
+        ["--delta", "4", "--flats", "2"],
+        ["--delta", "4", "--flats", "2", "--certify", "--K", "1"],
+        ["--delta", "0", "--flats", "2"],
+        ["--delta", "4", "--flats", "0"],
+        ["--delta", "4", "--flats", "-1"],
+        ["--delta", "-4", "--flats", "2", "--certify"],
+    ],
+    "contracting": [
+        ["word:c c c", "--radius", "1"],
+        ["word:c", "--radius", "0", "--cap", "-1"],
+        ["word:c", "--radius", "-1"],
+        ["word:c", "--radius", "0", "--cap", "0"],
+        ["word:", "--radius", "1"],
+        ["word:c", "--rho", "bogus"],
+        ["gamma:x"],
+        ["--graph", CK, "gamma:0", "--radius", "1"],
+        ["--graph", CK, "word:a", "--radius", "13"],
+    ],
+    "dichotomy": [
+        ["--z", "gamma:4", "--path", "gamma:4"],
+        ["--z", "word:", "--path", "word:"],
+        ["--z", "gamma:4", "--path", "word:d", "--rho", "bogus"],
+        ["--z", "delta:3", "--path", "gamma:4"],
+        ["--z", "gamma:4", "--path", "gamma:4", "--K", "0"],
+        ["--z", "gamma:4", "--path", "gamma:4", "--C", "-1"],
+        ["--z", "gamma:-1", "--path", "gamma:4"],
+    ],
+    "example23": [
+        ["--tail", "8"],
+        ["--tail", "20", "--kappa", "-1"],
+        ["--tail", "0"],
+        ["--tail", "-1"],
+        ["--tail", "8", "--imax", "0"],
+        ["--tail", "8", "--kappa", "0"],
+        ["--tail", "8", "--f", "bogus"],
+    ],
+    "smallcancel": [[], ["--imax", "0"], ["--imax", "-1"], ["--f", "poly 0"], ["--f", ""]],
+}
+
+
+def test_contract_cases_cover_every_subcommand():
+    from cubemorse import cli
+
+    parser = cli._build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(CONTRACT_CASES) == set(commands)
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_CASES))
+def test_exit_code_and_report_contract(command, capsys):
+    for args in CONTRACT_CASES[command]:
+        argv = ["--json", command] + args
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, code, err)
+        if code == 1 or not out:
+            # bad input, or a truncation limit: one error line and no report
+            assert code != 0 and out == "", (argv, code)
+            assert re.fullmatch(r"error: [^\n]*\n", err), (argv, err)
+        else:
+            rep = json.loads(out)
+            assert sorted(rep) == ["certified", "command", "inputs", "outputs", "timing_s"]
+            assert (code == 0) is rep["certified"], (argv, code)
+            assert err == "", (argv, err)
 
 
 def test_console_entry_point():

@@ -97,7 +97,7 @@ def beta12():
 
 
 def wall_of(ckg, text, gen):
-    return Wall(normal_form(text, ckg), ckg.gen_index(gen))
+    return Wall(GroupElement.from_text(ckg, text), ckg.gen_index(gen))
 
 
 def period_power(gamma, k):
@@ -342,8 +342,8 @@ class TestKappa:
 
 class TestFlatsAndLines:
     def test_flat_base_canonicalized(self, ckg):
-        f1 = Flat(normal_form("b c^5", ckg), (ckg.gen_index("b"), ckg.gen_index("c")))
-        f2 = Flat(normal_form("c^-2 b^3", ckg), (ckg.gen_index("c"), ckg.gen_index("b")))
+        f1 = Flat(GroupElement.from_text(ckg, "b c^5"), (ckg.gen_index("b"), ckg.gen_index("c")))
+        f2 = Flat(GroupElement.from_text(ckg, "c^-2 b^3"), (ckg.gen_index("c"), ckg.gen_index("b")))
         assert f1 == f2
         assert f1.base.is_identity
 
@@ -354,16 +354,16 @@ class TestFlatsAndLines:
             Flat(GroupElement.identity(ckg), (ckg.gen_index("b"), ckg.gen_index("b")))
 
     def test_flat_distance_and_membership(self, ckg):
-        f = Flat(normal_form("b c^2 d", ckg), (ckg.gen_index("c"), ckg.gen_index("d")))
-        assert f.contains(normal_form("b d^4 c^-1", ckg))
+        f = Flat(GroupElement.from_text(ckg, "b c^2 d"), (ckg.gen_index("c"), ckg.gen_index("d")))
+        assert f.contains(GroupElement.from_text(ckg, "b d^4 c^-1"))
         assert f.distance_to(GroupElement.identity(ckg)) == 1
-        assert f.distance_to(normal_form("a", ckg)) == 2
+        assert f.distance_to(GroupElement.from_text(ckg, "a")) == 2
 
     def test_line_gate(self, ckg):
-        ln = Line(normal_form("b c^3 d b", ckg), ckg.gen_index("b"))
-        assert ln.base == normal_form("b c^3 d", ckg)
-        assert ln.contains(normal_form("b c^3 d b^-40", ckg))
-        assert ln.distance_to(normal_form("b c^-23 d", ckg)) == 26
+        ln = Line(GroupElement.from_text(ckg, "b c^3 d b"), ckg.gen_index("b"))
+        assert ln.base == GroupElement.from_text(ckg, "b c^3 d")
+        assert ln.contains(GroupElement.from_text(ckg, "b c^3 d b^-40"))
+        assert ln.distance_to(GroupElement.from_text(ckg, "b c^-23 d")) == 26
 
     def test_is_cut_by(self, ckg):
         f = Flat(GroupElement.identity(ckg), (ckg.gen_index("b"), ckg.gen_index("c")))
@@ -372,7 +372,7 @@ class TestFlatsAndLines:
         assert not f.is_cut_by(wall_of(ckg, "b c^3 d", "a"))
         # a d-wall in a parallel sheet misses the flat through the origin
         assert not f.is_cut_by(wall_of(ckg, "b", "d"))
-        ln = Line(normal_form("b", ckg), ckg.gen_index("c"))
+        ln = Line(GroupElement.from_text(ckg, "b"), ckg.gen_index("c"))
         assert ln.is_cut_by(wall_of(ckg, "c^7", "c"))
         assert not ln.is_cut_by(wall_of(ckg, "b", "b"))
 
@@ -1303,7 +1303,12 @@ def contracting_cases(ckg, gamma12):
         "golden_word": (RunPath.from_word(parse_word("c c c c c c c c", ckg)), 0, 3),
         # a ball centred off the identity
         "offset_path": (
-            RunPath(normal_form("d^-1", ckg), ((ckg.gen_index("b"), 2), (ckg.gen_index("a"), 1))), 1, 3
+            RunPath(
+                GroupElement.from_text(ckg, "d^-1"),
+                ((ckg.gen_index("b"), 2), (ckg.gen_index("a"), 1)),
+            ),
+            1,
+            3,
         ),
     }
 
@@ -1485,9 +1490,9 @@ def gamma_line(lo, hi):
     one = GroupElement.identity(gamma.graph)
     vertex = {0: one}
     for t in range(hi):
-        vertex[t + 1] = vertex[t].append_letter(period[t % 8], 1)
+        vertex[t + 1] = vertex[t].append_run(period[t % 8], 1)
     for t in range(0, lo, -1):
-        vertex[t - 1] = vertex[t].append_letter(period[(t - 1) % 8], -1)
+        vertex[t - 1] = vertex[t].append_run(period[(t - 1) % 8], -1)
     return vertex, {t: wall_of_edge(vertex[t], Letter(period[t % 8], 1)) for t in range(lo, hi)}
 
 

@@ -64,7 +64,7 @@ class TestRunPathBasics:
         acc = GroupElement.identity(ck)
         assert p.vertex_at(0) == acc
         for i, letter in enumerate(w):
-            acc = acc.append_letter(letter.gen, letter.sign)
+            acc = acc.append_run(letter.gen, letter.sign)
             assert p.vertex_at(i + 1) == acc
 
     def test_vertex_outside_range(self, ck):

@@ -61,7 +61,7 @@ def edges_in(graph, verts):
         (v, g)
         for v in verts
         for g in range(len(graph.generators))
-        if v.append_letter(g, 1) in vs
+        if v.append_run(g, 1) in vs
     ]
 
 
@@ -116,17 +116,17 @@ class TestWallOfEdge:
 
     def test_commuting_prefix_strips(self, z3z):
         one = GroupElement.identity(z3z)
-        assert wall_of_edge(normal_form("b", z3z), Letter(A, 1)) == Wall(one, A)
+        assert wall_of_edge(GroupElement.from_text(z3z, "b"), Letter(A, 1)) == Wall(one, A)
 
     def test_non_commuting_prefix_stays(self, z3z):
-        d = normal_form("d", z3z)
+        d = GroupElement.from_text(z3z, "d")
         w = wall_of_edge(d, Letter(A, 1))
         assert w == Wall(d, A)
         assert w != Wall(GroupElement.identity(z3z), A)
 
     def test_orientation_independent(self, z3z):
         one = GroupElement.identity(z3z)
-        assert wall_of_edge(normal_form("a", z3z), Letter(A, -1)) == Wall(one, A)
+        assert wall_of_edge(GroupElement.from_text(z3z, "a"), Letter(A, -1)) == Wall(one, A)
 
     def test_agrees_with_square_parallelism_oracle(self, ck):
         # union-find closure of elementary square parallelism over ball(5);
@@ -146,7 +146,7 @@ class TestWallOfEdge:
         for v, g in edges:
             for h in ck.link(g):
                 for s in (1, -1):
-                    j = idx.get((v.append_letter(h, s), g))
+                    j = idx.get((v.append_run(h, s), g))
                     if j is not None:
                         ri, rj = find(idx[(v, g)]), find(j)
                         if ri != rj:
@@ -154,7 +154,7 @@ class TestWallOfEdge:
 
         inner = set(ball(one, 3))
         sample = [
-            (v, g) for (v, g) in edges if v in inner and v.append_letter(g, 1) in inner
+            (v, g) for (v, g) in edges if v in inner and v.append_run(g, 1) in inner
         ]
         rng = random.Random(11)
         for _ in range(300):
@@ -168,17 +168,17 @@ class TestWallOfEdge:
 class TestWallsBetween:
     def test_basic(self, z3z):
         one = GroupElement.identity(z3z)
-        got = walls_between(one, normal_form("a b c", z3z))
+        got = walls_between(one, GroupElement.from_text(z3z, "a b c"))
         assert set(got) == {Wall(one, A), Wall(one, B), Wall(one, C)}
 
     def test_same_point(self, z3z):
-        x = normal_form("a b", z3z)
+        x = GroupElement.from_text(z3z, "a b")
         assert walls_between(x, x) == ()
 
     def test_parallel_edges_distinct(self, z3z):
         one = GroupElement.identity(z3z)
-        got = walls_between(one, normal_form("c^2", z3z))
-        assert set(got) == {Wall(one, C), Wall(normal_form("c", z3z), C)}
+        got = walls_between(one, GroupElement.from_text(z3z, "c^2"))
+        assert set(got) == {Wall(one, C), Wall(GroupElement.from_text(z3z, "c"), C)}
         assert len(got) == 2
 
     def test_count_is_distance_and_no_duplicates(self, ck, ck_space):
@@ -202,8 +202,8 @@ class TestSide:
     def test_base_convention(self, z3z):
         one = GroupElement.identity(z3z)
         assert side(Wall(one, A), one) == -1
-        assert side(Wall(one, A), normal_form("a b", z3z)) == 1
-        assert side(Wall(normal_form("d", z3z), A), one) == -1
+        assert side(Wall(one, A), GroupElement.from_text(z3z, "a b")) == 1
+        assert side(Wall(GroupElement.from_text(z3z, "d"), A), one) == -1
 
     def test_separation_characterization(self, ck_space):
         # h separates x from y iff the sides differ
@@ -259,11 +259,11 @@ class TestLineGate:
     def test_examples(self, ck):
         one = GroupElement.identity(ck)
         # a and c commute with b, so they strip off either side of b^3
-        assert line_gate_exponent(normal_form("a b^3 c", ck), B) == 3
-        assert line_gate_exponent(normal_form("c^2 b^-2 a", ck), B) == -2
+        assert line_gate_exponent(GroupElement.from_text(ck, "a b^3 c"), B) == 3
+        assert line_gate_exponent(GroupElement.from_text(ck, "c^2 b^-2 a"), B) == -2
         # d does not commute with b, so the gate of d b^2 on <b> is 1
-        assert line_gate_exponent(normal_form("d b^2", ck), B) == 0
-        x = normal_form("a b^3", ck)
+        assert line_gate_exponent(GroupElement.from_text(ck, "d b^2"), B) == 0
+        x = GroupElement.from_text(ck, "a b^3")
         e = line_gate_exponent(x, B)
         beyond = [side(Wall(one.append_run(B, k), B), x) == 1 for k in range(5)]
         assert beyond == [e > k for k in range(5)] == [True, True, True, False, False]
@@ -290,7 +290,7 @@ class TestCrosses:
     def test_examples(self, z3z):
         one = GroupElement.identity(z3z)
         assert crosses(Wall(one, A), Wall(one, B)) is True
-        assert crosses(Wall(one, A), Wall(normal_form("d", z3z), A)) is False
+        assert crosses(Wall(one, A), Wall(GroupElement.from_text(z3z, "d"), A)) is False
         assert crosses(Wall(one, A), Wall(one, D)) is False
         assert crosses(Wall(one, A), Wall(one, A)) is False
 
@@ -325,7 +325,7 @@ class TestCrosses:
 class TestCrossingCount:
     def test_strongly_separated_parallel_walls(self, z3z):
         one = GroupElement.identity(z3z)
-        d = normal_form("d", z3z)
+        d = GroupElement.from_text(z3z, "d")
         assert crossing_count(Wall(one, A), Wall(d, A)) == (0, True)
         assert strongly_separated(Wall(one, A), Wall(d, A))
 
@@ -340,7 +340,7 @@ class TestCrossingCount:
             return real(h1, h2)
 
         monkeypatch.setattr(walls_module, "_stripped_middle", counted)
-        h1, h2 = Wall(GroupElement.identity(ck), B), Wall(normal_form("d a", ck), C)
+        h1, h2 = Wall(GroupElement.identity(ck), B), Wall(GroupElement.from_text(ck, "d a"), C)
         assert strongly_separated(h1, h2)
         assert strips == [(h1, h2)]
         assert crossing_count(h1, h2) == (0, True)
@@ -355,14 +355,14 @@ class TestCrossingCount:
         one_ck, one_z = GroupElement.identity(ck), GroupElement.identity(z3z)
         cases = [
             (Wall(one_ck, B), Wall(one_ck, C)),
-            (Wall(one_ck, B), Wall(normal_form("d a", ck), C)),
+            (Wall(one_ck, B), Wall(GroupElement.from_text(ck, "d a"), C)),
             (Wall(one_ck, A), Wall(one_ck, A)),
-            (Wall(one_ck, A), Wall(normal_form("b c", ck), D)),
+            (Wall(one_ck, A), Wall(GroupElement.from_text(ck, "b c"), D)),
             (Wall(one_z, A), Wall(one_z, B)),
-            (Wall(one_z, A), Wall(normal_form("a", z3z), A)),
+            (Wall(one_z, A), Wall(GroupElement.from_text(z3z, "a"), A)),
             (Wall(one_z, D), Wall(one_z, D)),
-            (Wall(one_z, D), Wall(normal_form("c^-2 d", z3z), D)),
-            (Wall(one_z, A), Wall(normal_form("c^-2", z3z), D)),
+            (Wall(one_z, D), Wall(GroupElement.from_text(z3z, "c^-2 d"), D)),
+            (Wall(one_z, A), Wall(GroupElement.from_text(z3z, "c^-2"), D)),
         ]
         for h1, h2 in cases:
             for p, q in ((h1, h2), (h2, h1)):
@@ -390,7 +390,7 @@ class TestCrossingCount:
 
     def test_slab_walls_cross_infinitely(self, z3z):
         one = GroupElement.identity(z3z)
-        count = crossing_count(Wall(one, A), Wall(normal_form("a", z3z), A))
+        count = crossing_count(Wall(one, A), Wall(GroupElement.from_text(z3z, "a"), A))
         assert count == (math.inf, True)
 
     def test_equal_pair_rejected(self, z3z):
@@ -484,8 +484,8 @@ class TestCanonicalElements:
         # a^-1 b^-3; the crossing-count oracle appends such a half to a gate
         bad = record_noncanonical(monkeypatch)
         half = ((B, -3), (A, -1))
-        x = normal_form("c", ck).append_syllables(half)
-        assert x == normal_form("c b^-3 a^-1", ck)
+        x = GroupElement.from_text(ck, "c").append_syllables(half)
+        assert x == GroupElement.from_text(ck, "c b^-3 a^-1")
         assert bad == []
 
     def test_gates_and_crossing_counts(self, ck, z3z, monkeypatch):
@@ -494,12 +494,12 @@ class TestCanonicalElements:
         bad = record_noncanonical(monkeypatch)
         one = GroupElement.identity(ck)
         for text in ("c a b", "b^-3 c a^-1", "d c^2 b a"):
-            for h in (Wall(one, A), Wall(normal_form("c", ck), B), Wall(one, D)):
-                gate(normal_form(text, ck), h)
+            for h in (Wall(one, A), Wall(GroupElement.from_text(ck, "c"), B), Wall(one, D)):
+                gate(GroupElement.from_text(ck, text), h)
         assert crossing_count(Wall(one, B), Wall(one, D))[1] is True
-        assert crossing_count(Wall(normal_form("c a", ck), B), Wall(one, D))[1] is True
+        assert crossing_count(Wall(GroupElement.from_text(ck, "c a"), B), Wall(one, D))[1] is True
         one = GroupElement.identity(z3z)
-        assert crossing_count(Wall(one, A), Wall(normal_form("a", z3z), A))[1] is True
+        assert crossing_count(Wall(one, A), Wall(GroupElement.from_text(z3z, "a"), A))[1] is True
         assert bad == []
 
 
@@ -507,8 +507,8 @@ class TestGate:
     def test_examples(self, z3z):
         one = GroupElement.identity(z3z)
         assert gate(one, Wall(one, A)) == one
-        assert gate(normal_form("c^-2", z3z), Wall(one, C)) == one
-        assert gate(normal_form("d", z3z), Wall(one, A)) == one
+        assert gate(GroupElement.from_text(z3z, "c^-2"), Wall(one, C)) == one
+        assert gate(GroupElement.from_text(z3z, "d"), Wall(one, A)) == one
 
     def test_minimizes_uniquely(self, ck, ck_space):
         rng = random.Random(31)
@@ -536,14 +536,14 @@ class TestSeparatingWalls:
         one = GroupElement.identity(z3z)
         for m in (1, 3, 5):
             out = walls_separating_point_from_wall(
-                normal_form(f"c^-{m}", z3z), Wall(one, C)
+                GroupElement.from_text(z3z, f"c^-{m}"), Wall(one, C)
             )
             assert len(out) == m
             assert all(w.gen == C for w in out)
 
     def test_single_wall(self, z3z):
         one = GroupElement.identity(z3z)
-        out = walls_separating_point_from_wall(one, Wall(normal_form("c", z3z), C))
+        out = walls_separating_point_from_wall(one, Wall(GroupElement.from_text(z3z, "c"), C))
         assert out == (Wall(one, C),)
 
     def test_every_wall_separates_from_whole_carrier(self, ck, ck_space):
@@ -565,13 +565,13 @@ class TestSeparatingWalls:
         monkeypatch.setattr(walls_module, "wall_distance", lambda o, k: real(o, k) + 1)
         one = GroupElement.identity(z3z)
         with pytest.raises(CertificateViolation, match="crossed a stray wall"):
-            walls_separating_point_from_wall(normal_form("c^-3", z3z), Wall(one, C))
+            walls_separating_point_from_wall(GroupElement.from_text(z3z, "c^-3"), Wall(one, C))
 
     def test_stray_wall_is_a_violation_under_python_O(self):
         script = textwrap.dedent(
             """
             from cubemorse import walls
-            from cubemorse.raag import DefiningGraph, GroupElement, normal_form
+            from cubemorse.raag import DefiningGraph, GroupElement
             from cubemorse.runpaths import CertificateViolation
             graph = DefiningGraph.from_json("tests/data/z3z.json")
             real = walls.wall_distance
@@ -579,7 +579,7 @@ class TestSeparatingWalls:
             one = GroupElement.identity(graph)
             try:
                 walls.walls_separating_point_from_wall(
-                    normal_form("c^-3", graph), walls.Wall(one, 2)
+                    GroupElement.from_text(graph, "c^-3"), walls.Wall(one, 2)
                 )
             except CertificateViolation as e:
                 print("raised:", e)
@@ -607,7 +607,7 @@ class TestBall:
             for v in frontier:
                 for g in range(4):
                     for s in (1, -1):
-                        u = v.append_letter(g, s)
+                        u = v.append_run(g, s)
                         if u not in seen:
                             seen.add(u)
                             nxt.append(u)
@@ -632,7 +632,7 @@ class TestSigma:
     # i.e. side(h, y) for every wall h
     def test_examples(self, z3z):
         one = GroupElement.identity(z3z)
-        ab = normal_form("a b", z3z)
+        ab = GroupElement.from_text(z3z, "a b")
         assert side(Wall(one, A), one) == -1
         assert side(Wall(one, A), ab) == 1
         assert side(Wall(one, B), ab) == 1
