@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from .boundary import (
     DEFAULT_DEPTH,
     BoundaryRay,
-    ChainExhausted,
     UncertifiedDepth,
     UnstableRepresentative,
     bracket_product,
@@ -305,10 +304,7 @@ def _cmd_refine(args):
     ray = BoundaryRay.from_text(graph, args.ray)
     hs = [_wall(graph, w) for w in (args.wall1, args.wall2)]
     chain = _separated_chain(args, ray)
-    try:
-        k = refine_to_single_wall(ray, hs, chain, args.depth)
-    except (ChainExhausted, ValueError) as exc:
-        raise CLIError(str(exc)) from None
+    k = refine_to_single_wall(ray, hs, chain, args.depth)
     return {"wall": k.text(), "chain_length": _num(len(chain), True)}, True
 
 
@@ -433,7 +429,7 @@ def _cmd_example23(args):
 def _cmd_smallcancel(args):
     from .example23 import example23_relators, small_cancellation_check
 
-    rel = example23_relators(args.f, range(1, args.imax + 1))
+    rel = example23_relators(args.f, args.imax)
     rep = small_cancellation_check(rel)
     return {
         "relator_lengths": _num(list(rep.relator_lengths), True),

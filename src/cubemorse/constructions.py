@@ -819,29 +819,30 @@ def verify_separation(beta: BetaReport, delta: Optional[int] = None) -> Separati
         budget = w.length
         toward = 1 if distance(one.append_run(lg, 1), w) < budget else -1
 
+        # each walk's run goes from gate exponent a to b along g^s, and
+        # gamma's entry vertex w has gate exponent gw; the escape run starts
+        # at 1, whose gate exponent is 0
         mid_l, w_l = (toward * line_gate_exponent(x, lg) for x in (mid, w))
-        H_p = _uncrossed_steps(gamma, frame, start, lg, toward, budget, delta + 3)
-        for k in H_p:
-            if mid_l > k or w_l <= k:  # name the wall by its global image
-                h = f"P^{frame}·{_step_wall(start, lg, toward, k)}"
-                raise CertificateViolation(
-                    f"segment {l}: escape run crosses {h}" if mid_l > k
-                    else f"segment {l}: {h} does not separate the escape run"
-                )
-
         mid_p, end_p, w_p = (
             seg.p_sign * line_gate_exponent(x, seg.p_gen) for x in (mid, end, w)
         )
-        H_q = _uncrossed_steps(gamma, frame, start, seg.p_gen, seg.p_sign, seg.N, delta + 1)
-        for k in H_q:
-            if (mid_p > k) != (end_p > k) or (w_p > k) == (mid_p > k):
-                h = f"P^{frame}·{_step_wall(start, seg.p_gen, seg.p_sign, k)}"
-                raise CertificateViolation(
-                    f"segment {l}: connector run crosses {h}" if (mid_p > k) != (end_p > k)
-                    else f"segment {l}: {h} does not separate the connector run"
-                )
+        found = []
+        for run, g, s, steps, want, a, b, gw in (
+            ("escape", lg, toward, budget, delta + 3, 0, mid_l, w_l),
+            ("connector", seg.p_gen, seg.p_sign, seg.N, delta + 1, mid_p, end_p, w_p),
+        ):
+            H = _uncrossed_steps(gamma, frame, start, g, s, steps, want)
+            for k in H:
+                crossed = (a > k) != (b > k)
+                if crossed or (gw > k) == (a > k):  # name the wall by its global image
+                    h = f"P^{frame}·{_step_wall(start, g, s, k)}"
+                    raise CertificateViolation(
+                        f"segment {l}: {run} run crosses {h}" if crossed
+                        else f"segment {l}: {h} does not separate the {run} run"
+                    )
+            found.append(len(H))
 
-        cert = SegmentCertificate(l, len(H_p), len(H_q))
+        cert = SegmentCertificate(l, *found)
         certs.append(cert)
         ok = ok and cert.separation >= delta
     return SeparationReport(delta, tuple(certs), ok)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import lcm
 from typing import Iterable
@@ -220,52 +220,47 @@ def _breakpoints(flips: tuple, m: int, s: int, lo_u: int, hi_u: int) -> set:
     return out
 
 
-def _min_1d(alpha, lam, fixed, kind, m, e, lo_u, hi_u):
-    """Exact min over u in [lo_u, hi_u] of alpha*odd(fixed + partial(u)) +
-    lam*u, with the smallest u attaining it."""
+def _min_1d(alpha, lam, fixed, spec):
+    """Exact min over u in [lo, hi] of alpha*odd(fixed + partial(u)) +
+    lam*u, spec = (kind, m, e, lo, hi), with the smallest u attaining it."""
+    kind, m, e, lo, hi = spec
     s = 1 if e > 0 else -1
     flips = _anchored(fixed, kind, m, e)
     best = None
-    arg = lo_u
-    for u in sorted(_breakpoints(flips, m, s, lo_u, hi_u)):
+    arg = lo
+    for u in sorted(_breakpoints(flips, m, s, lo, hi)):
         val = alpha * _odd(_toggled(flips, m + s * u)) + lam * u
         if best is None or val < best:
             best, arg = val, u
     return best, arg
 
 
-def _min_2d(alpha, lam_u, lam_w, fixed, spec_u, spec_w, exclude_corner=False):
+def _min_2d(alpha, lam_u, lam_w, fixed, spec_u, spec_w):
     """Exact min of alpha*odd(fixed + partial_u(u) + partial_w(w)) +
-    lam_u*u + lam_w*w when both partial runs live in the same cluster, with
-    the lexicographically smallest (u, w) attaining it. The cost is linear
-    between the levels where a moving level meets a flip or the other
-    moving level, so the candidates are those levels and the bounds.
-    exclude_corner drops the degenerate pair (u=A, w=0) where both vertices
-    coincide at the shared run boundary; its neighbours u = A-1 and w = 1
-    join the candidates."""
-    kind_u, m_u, e_u, A = spec_u
-    kind_w, m_w, e_w, B = spec_w
+    lam_u*u + lam_w*w over the box of u in [lo_u, hi_u] and w in
+    [lo_w, hi_w], specs (kind, m, e, lo, hi), when both partial runs live
+    in the same cluster, with the lexicographically smallest (u, w)
+    attaining it. The cost is linear between the levels where a moving
+    level meets a flip or the other moving level, so the candidates are
+    those levels and the bounds."""
+    kind_u, m_u, e_u, lo_u, hi_u = spec_u
+    kind_w, m_w, e_w, lo_w, hi_w = spec_w
     s_u = 1 if e_u > 0 else -1
     s_w = 1 if e_w > 0 else -1
     flips = _anchored(_anchored(fixed, kind_u, m_u, e_u), kind_w, m_w, e_w)
-    U = _breakpoints(flips, m_u, s_u, 0, A)
-    W = _breakpoints(flips, m_w, s_w, 0, B)
-    if exclude_corner:
-        U.add(A - 1)
-        W.add(1)
+    U = _breakpoints(flips, m_u, s_u, lo_u, hi_u)
+    W = _breakpoints(flips, m_w, s_w, lo_w, hi_w)
     # where the two moving levels meet
     meet_w = [s_w * (m_u + s_u * u - m_w) for u in U]
     meet_u = [s_u * (m_w + s_w * w - m_u) for w in W]
-    U.update(u for u in meet_u if 0 <= u <= A)
-    W.update(w for w in meet_w if 0 <= w <= B)
+    U.update(u for u in meet_u if lo_u <= u <= hi_u)
+    W.update(w for w in meet_w if lo_w <= w <= hi_w)
     best = None
-    arg = (0, 0)
+    arg = (lo_u, lo_w)
     W = sorted(W)
     for u in sorted(U):
         base = _toggled(flips, m_u + s_u * u)
         for w in W:
-            if exclude_corner and u == A and w == 0:
-                continue
             val = alpha * _odd(_toggled(base, m_w + s_w * w)) + lam_u * u + lam_w * w
             if best is None or val < best:
                 best, arg = val, (u, w)
@@ -334,7 +329,11 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
     The upper bound d <= t-s is automatic for edge paths. Within a run the
     subpath is geodesic, so those pairs give margin (K-1)*(t-s) + C, least
     at gap 1. In a cell (i, j), s in run i and t in run j, the margin is
-    piecewise linear in each sliding endpoint, least at breakpoints. With
+    piecewise linear in each sliding endpoint, least at breakpoints. An
+    adjacent cell, j = i + 1, is the box u <= A - 1, w >= 1: with u = A or
+    w = 0 both vertices lie in one run, and such pairs never beat the gap-1
+    baseline, which wins every tie as it stands as i = j = -1; the
+    degenerate pair s = t goes with that row and column. With
     D the common denominator of K and C, the cells are evaluated on the
     integers D times the margin, (D*K)*d + D*C - D*(t-s); min_margin is an
     int when K and C are ints and a Fraction otherwise. Requires K >= 1 and
@@ -376,7 +375,8 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
     first: dict = {}
     W = max(1, *(i - first.setdefault(key, i) for i, (key, _) in enumerate(frames)))
     evaluations = 1
-    min_1d = lru_cache(maxsize=None)(partial(_min_1d, Kd))
+    # keyed on the spec's fields, so that no spec tuple is kept per entry
+    min_1d = lru_cache(maxsize=None)(lambda lam, fixed, *spec: _min_1d(Kd, lam, fixed, spec))
 
     def cell(i, j, table):
         """Least value of cell (i, j) and its (u, w), table holding the
@@ -384,27 +384,19 @@ def certify_quasigeodesic_runs(path: RunPath, K, C) -> QuasiGeodesicReport:
         nonlocal evaluations
         (key_i, m_i), (key_j, m_j) = frames[i], frames[j]
         e_i, e_j = runs[i][1], runs[j][1]
-        A, B = abs(e_i), abs(e_j)
+        adjacent = int(j == i + 1)  # u = A or w = 0 puts both vertices in one run
+        spec_i = ("tail", m_i, e_i, 0, abs(e_i) - adjacent)
+        spec_j = ("head", m_j, e_j, adjacent, abs(e_j))
         c0 = Cd - D * (offsets[j] - offsets[i])
-        adjacent = j == i + 1  # cell touches the degenerate pair s == t
         rest, li = table.total - table.odd_of(key_i), table.get(key_i)
         if key_i == key_j:
             evaluations += 1
-            vm, (u, w) = _min_2d(Kd, D, -D, li, ("tail", m_i, e_i, A),
-                                 ("head", m_j, e_j, B), exclude_corner=adjacent)
+            vm, (u, w) = _min_2d(Kd, D, -D, li, spec_i, spec_j)
             return Kd * rest + c0 + vm, u, w
         evaluations += 2
         rest, lj = rest - table.odd_of(key_j), table.get(key_j)
-        vw, w = min_1d(-D, lj, "head", m_j, e_j, 0, B)
-        if not adjacent:
-            vu, u = min_1d(D, li, "tail", m_i, e_i, 0, A)
-            return Kd * rest + c0 + vu + vw, u, w
-        # exclude (u=A, w=0): u <= A-1 with any w, or u = A with w >= 1
-        vu1, u1 = min_1d(D, li, "tail", m_i, e_i, 0, A - 1)
-        vw2, w2 = min_1d(-D, lj, "head", m_j, e_j, 1, B)
-        vuA = Kd * table.odd_of(key_i) + D * A
-        vm, (u, w) = min((vu1 + vw, (u1, w)), (vuA + vw2, (A, w2)), key=lambda c: c[0])
-        return Kd * rest + c0 + vm, u, w
+        (vu, u), (vw, w) = min_1d(D, li, *spec_i), min_1d(-D, lj, *spec_j)
+        return Kd * rest + c0 + vu + vw, u, w
 
     # pairs inside one run: geodesic, minimum at gap 1
     best = ((Kd - D) + Cd, -1, -1, (offsets[0], offsets[0] + 1))
@@ -472,14 +464,14 @@ def min_pair_distance(p1: RunPath, p2: RunPath) -> tuple[int, int, int]:
             A, B = abs(e_i), abs(e_j)
             if key_i != key_j:
                 rest = inner.total - inner.odd_of(key_i) - inner.odd_of(key_j)
-                vu, u = _min_1d(1, 0, inner.get(key_i), "head", m_i, e_i, 0, A)
-                vw, w = _min_1d(1, 0, inner.get(key_j), "head", m_j, e_j, 0, B)
+                vu, u = _min_1d(1, 0, inner.get(key_i), ("head", m_i, e_i, 0, A))
+                vw, w = _min_1d(1, 0, inner.get(key_j), ("head", m_j, e_j, 0, B))
                 val = rest + vu + vw
             else:
                 rest = inner.total - inner.odd_of(key_i)
                 vm, (u, w) = _min_2d(
                     1, 0, 0, inner.get(key_i),
-                    ("head", m_i, e_i, A), ("head", m_j, e_j, B),
+                    ("head", m_i, e_i, 0, A), ("head", m_j, e_j, 0, B),
                 )
                 val = rest + vm
             if val < best:

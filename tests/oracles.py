@@ -307,22 +307,23 @@ def _odd_walls(runs) -> int:
     return sum(c % 2 for c in crossings.values())
 
 
-def min_1d_by_levels(alpha, lam, runs, kind, m, e, lo_u, hi_u):
+def min_1d_by_levels(alpha, lam, runs, spec):
     """Reference for runpaths._min_1d on the cluster of the fixed runs: the
-    cost alpha*odd + lam*u at every u in [lo_u, hi_u], with the smallest u
-    attaining its minimum."""
+    cost alpha*odd + lam*u at every u in [lo, hi], spec = (kind, m, e, lo,
+    hi), with the smallest u attaining its minimum."""
+    kind, m, e, lo, hi = spec
     return min(
         (alpha * _odd_walls(list(runs) + [_partial_run(kind, m, e, u)]) + lam * u, u)
-        for u in range(lo_u, hi_u + 1)
+        for u in range(lo, hi + 1)
     )
 
 
-def min_2d_by_levels(alpha, lam_u, lam_w, runs, spec_u, spec_w, exclude_corner=False):
-    """Reference for runpaths._min_2d: the cost at every (u, w) of the box,
-    without the corner (A, 0) when exclude_corner, and the lexicographically
-    smallest pair attaining its minimum."""
-    kind_u, m_u, e_u, A = spec_u
-    kind_w, m_w, e_w, B = spec_w
+def min_2d_by_levels(alpha, lam_u, lam_w, runs, spec_u, spec_w):
+    """Reference for runpaths._min_2d: the cost at every (u, w) of the box
+    of specs (kind, m, e, lo, hi), and the lexicographically smallest pair
+    attaining its minimum."""
+    kind_u, m_u, e_u, lo_u, hi_u = spec_u
+    kind_w, m_w, e_w, lo_w, hi_w = spec_w
     return min(
         (
             alpha * _odd_walls(list(runs) + [_partial_run(kind_u, m_u, e_u, u),
@@ -330,9 +331,8 @@ def min_2d_by_levels(alpha, lam_u, lam_w, runs, spec_u, spec_w, exclude_corner=F
             + lam_u * u + lam_w * w,
             (u, w),
         )
-        for u in range(A + 1)
-        for w in range(B + 1)
-        if not (exclude_corner and (u, w) == (A, 0))
+        for u in range(lo_u, hi_u + 1)
+        for w in range(lo_w, hi_w + 1)
     )
 
 
@@ -367,33 +367,31 @@ def certify_quasigeodesic_all_pairs(path: RunPath, K, C) -> QuasiGeodesicReport:
             key_j, m_j = frames[j]
             B = abs(e_j)
             c0 = Cd - D * (offsets[j] - offsets[i])
-            adjacent = j == i + 1  # cell touches the degenerate pair s == t
+            if j == i + 1:
+                # every pair but the degenerate s == t at the shared boundary
+                # (u = A, w = 0): [0, A - 1] x [0, B] and {A} x [1, B]
+                boxes = (((0, A - 1), (0, B)), ((A, A), (1, B)))
+            else:
+                boxes = (((0, A), (0, B)),)
+            cands = []
+            for (lo_u, hi_u), (lo_w, hi_w) in boxes:
+                spec_i = ("tail", m_i, e_i, lo_u, hi_u)
+                spec_j = ("head", m_j, e_j, lo_w, hi_w)
+                if key_i != key_j:
+                    (vu, u), (vw, w) = (_min_1d(Kd, D, table.get(key_i), spec_i),
+                                        _min_1d(Kd, -D, table.get(key_j), spec_j))
+                    cands.append((vu + vw, (u, w)))
+                else:
+                    cands.append(_min_2d(Kd, D, -D, table.get(key_i), spec_i, spec_j))
+            # least value, then least (u, w): the first in row-major order
+            vm, (u, w) = min(cands)
             if key_i != key_j:
                 rest = table.total - table.odd_of(key_i) - table.odd_of(key_j)
-                li, lj = table.get(key_i), table.get(key_j)
-                vw, w = _min_1d(Kd, -D, lj, "head", m_j, e_j, 0, B)
-                if not adjacent:
-                    vu, u = _min_1d(Kd, D, li, "tail", m_i, e_i, 0, A)
-                    val = Kd * rest + c0 + vu + vw
-                else:
-                    # exclude (u=A, w=0): u <= A-1 with any w, or u = A with w >= 1
-                    vu1, u1 = _min_1d(Kd, D, li, "tail", m_i, e_i, 0, A - 1)
-                    cand1 = vu1 + vw, (u1, w)
-                    vuA = Kd * table.odd_of(key_i) + D * A
-                    vw2, w2 = _min_1d(Kd, -D, lj, "head", m_j, e_j, 1, B)
-                    cand2 = vuA + vw2, (A, w2)
-                    (vm, (u, w)) = min(cand1, cand2, key=lambda c: c[0])
-                    val = Kd * rest + c0 + vm
                 evaluations += 2
             else:
                 rest = table.total - table.odd_of(key_i)
-                vm, (u, w) = _min_2d(
-                    Kd, D, -D, table.get(key_i),
-                    ("tail", m_i, e_i, A), ("head", m_j, e_j, B),
-                    exclude_corner=adjacent,
-                )
-                val = Kd * rest + c0 + vm
                 evaluations += 1
+            val = Kd * rest + c0 + vm
             if val < best:
                 best = val
                 witness = (offsets[i] + u, offsets[j] + w)

@@ -411,7 +411,7 @@ def test_ac7_glued_graph():
         assert r.radius_o >= r.i, f"near-basepoint radius {r.radius_o} < {r.i}"
         assert r.radius_oprime <= kappa_val + 2
 
-    rel = example23_relators("poly 1 0 1", range(1, 7))
+    rel = example23_relators("poly 1 0 1", 6)
     sc = small_cancellation_check(rel)
     assert sc.max_ratio < Fraction(1, 6)
     assert sc.passes_sixth

@@ -216,6 +216,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == err
 
+    @pytest.mark.parametrize("argv", [
+        ["smallcancel", "--f", "poly 2 1"],
+        ["example23", "--f", "poly 2 1", "--tail", "10"],
+    ], ids=["smallcancel", "example23"])
+    def test_both_glued_graph_commands_share_one_f_domain(self, argv, capsys):
+        # f(i) = i + 2: f(i)/i falls, so neither command accepts it
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: f(i)/i does not increase at i = 1\n"
+
     @pytest.mark.parametrize(
         "option", [["--max-pairs", "5"], ["--seed", "1"]], ids=["max-pairs", "seed"]
     )
@@ -464,7 +476,9 @@ CONTRACT_CASES = {
         ["--tail", "8", "--kappa", "0"],
         ["--tail", "8", "--f", "bogus"],
     ],
-    "smallcancel": [[], ["--imax", "0"], ["--imax", "-1"], ["--f", "poly 0"], ["--f", ""]],
+    "smallcancel": [
+        [], ["--imax", "0"], ["--imax", "-1"], ["--f", "poly 0"], ["--f", ""], ["--f", "poly 2 1"],
+    ],
 }
 
 

@@ -39,7 +39,7 @@ def ex6():
 
 @pytest.fixture(scope="module")
 def relators6():
-    return example23_relators(SQUARES, range(1, 7))
+    return example23_relators(SQUARES, 6)
 
 
 class TestLabeledGraph:
@@ -255,7 +255,7 @@ class TestRelators:
 
     def test_rejects_unusable_f(self):
         with pytest.raises(PreconditionFailed):
-            example23_relators("poly 0 1", range(1, 3))
+            example23_relators("poly 0 1", 2)
 
 
 class TestSmallCancellation:

@@ -195,6 +195,27 @@ class TestQuasiGeodesicCertification:
         s, t = rep.witness
         assert s < t
 
+    @pytest.mark.parametrize("name, letters", [
+        ("z3z", (("a", 3), ("a", -2), ("b", 1), ("b", 1), ("c", -1))),
+        ("z3z", (("a", 3), ("a", 2), ("b", 1), ("b", 1), ("c", -1), ("d", 1))),
+        ("ck", (("a", 1), ("b", 1), ("b", -1), ("c", 2), ("c", 1), ("d", -1), ("a", 1))),
+        ("ck", (("a", 1), ("b", 1), ("b", 1), ("c", 2), ("c", 1), ("d", -1), ("a", 1))),
+    ], ids=["z3z-backtracks", "z3z-geodesic", "ck-backtracks", "ck-geodesic"])
+    def test_adjacent_cells_match_the_corner_exclusion(self, request, name, letters):
+        # unit runs and adjacent runs of one cluster: the boxes that leave
+        # out u = A and w = 0 agree with the oracle that leaves out only
+        # their corner. On the geodesic paths with K > 1 every pair s < t
+        # has margin above C, the corner's s == t margin
+        graph = request.getfixturevalue(name)
+        runs = tuple((graph.gen_index(g), e) for g, e in letters)
+        p = RunPath(GroupElement.identity(graph), runs)
+        for K, C in ((1, 0), (2, 0), (3, 2), (8, 1)) + FRACTIONAL_KC:
+            got = certify_quasigeodesic_runs(p, K, C)
+            want = certify_quasigeodesic_all_pairs(p, K, C)
+            assert (got.certified, got.min_margin, got.witness) == (
+                want.certified, want.min_margin, want.witness
+            )
+
     def test_coupled_cluster_revisits(self, ck, z3z):
         cases = [
             (ck, ((0, 6), (1, 3), (0, -4), (1, -3), (0, 5))),
@@ -352,32 +373,30 @@ def draw_cluster(data):
     return runs, table.get(0)
 
 
+def draw_spec(data):
+    """A partial run (kind, m, e) and bounds 0 <= lo <= hi <= |e| on u."""
+    kind, m, e = data.draw(kinds), data.draw(levels), data.draw(signed_lengths)
+    lo = data.draw(st.integers(0, abs(e)))
+    return kind, m, e, lo, data.draw(st.integers(lo, abs(e)))
+
+
 class TestCellMinimaAgainstLevels:
     @seed(2104)
     @given(data=st.data())
     @settings(max_examples=500, deadline=None)
     def test_min_1d(self, data):
         runs, flips = draw_cluster(data)
-        kind, m, e = data.draw(kinds), data.draw(levels), data.draw(signed_lengths)
-        lo = data.draw(st.integers(0, abs(e)))
-        hi = data.draw(st.integers(lo, abs(e)))
+        spec = draw_spec(data)
         alpha, lam = data.draw(st.integers(1, 9)), data.draw(st.integers(-9, 9))
-        assert _min_1d(alpha, lam, flips, kind, m, e, lo, hi) == min_1d_by_levels(
-            alpha, lam, runs, kind, m, e, lo, hi
-        )
+        assert _min_1d(alpha, lam, flips, spec) == min_1d_by_levels(alpha, lam, runs, spec)
 
     @seed(2105)
-    @given(data=st.data(), exclude_corner=st.booleans())
+    @given(data=st.data())
     @settings(max_examples=500, deadline=None)
-    def test_min_2d(self, data, exclude_corner):
+    def test_min_2d(self, data):
         runs, flips = draw_cluster(data)
-        specs = []
-        for _ in range(2):
-            kind, m, e = data.draw(kinds), data.draw(levels), data.draw(signed_lengths)
-            specs.append((kind, m, e, abs(e)))
+        specs = [draw_spec(data), draw_spec(data)]
         alpha = data.draw(st.integers(1, 9))
         lam_u, lam_w = data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9))
-        got = _min_2d(alpha, lam_u, lam_w, flips, *specs, exclude_corner=exclude_corner)
-        assert got == min_2d_by_levels(
-            alpha, lam_u, lam_w, runs, *specs, exclude_corner=exclude_corner
-        )
+        got = _min_2d(alpha, lam_u, lam_w, flips, *specs)
+        assert got == min_2d_by_levels(alpha, lam_u, lam_w, runs, *specs)
