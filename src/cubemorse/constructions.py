@@ -40,7 +40,7 @@ from .runpaths import (
 from .walls import (
     DEFAULT_BALL_CAP,
     Wall,
-    ball,
+    _ball_graph,
     line_gate_exponent,
     wall_of_edge,
 )
@@ -879,21 +879,19 @@ class ContractionReport:
     witness: Optional[tuple[str, str, int, int]]
 
 
-def _path_vertices(S) -> list[GroupElement]:
-    if isinstance(S, RunPath):
-        return [S.vertex_at(t) for t in range(S.length + 1)]
-    return list(S)
-
-
-def _ball_adjacency(B: tuple[GroupElement, ...]) -> list[list[int]]:
-    """For each vertex of the ball B, by its place in B, the places of its
-    neighbours that lie in B, in the order of the generators and signs."""
-    index = {v: k for k, v in enumerate(B)}
-    moves = [(g, s) for g in range(len(B[0].graph.generators)) for s in (1, -1)]
-    return [
-        [k for k in (index.get(v.append_run(g, s)) for g, s in moves) if k is not None]
-        for v in B
-    ]
+def _near_vertices(S, R: int) -> list[GroupElement]:
+    """The vertices of S within R of its first vertex, that one first. On a
+    RunPath, t -> d(S(0), S(t)) is read off set_distance_knots, linear
+    between knots, so only the t within R are visited."""
+    if not isinstance(S, RunPath):
+        S = list(S)
+        return S[:1] + [s for s in S[1:] if distance(S[0], s) <= R]
+    knots = set_distance_knots(S, RunPath(S.origin, ()))
+    ts = {0}
+    for (t1, d1), (t2, d2) in zip(knots, knots[1:]):
+        if min(d1, d2) <= R:
+            ts.update(range(t1 + max(d1 - R, 0), t2 - max(d2 - R, 0) + 1))
+    return [S.vertex_at(t) for t in sorted(ts)]
 
 
 def _bfs_depths(nbrs: list[list[int]], x: int, depth: int) -> dict[int, int]:
@@ -925,28 +923,43 @@ def check_contracting(
     Projections are exact argmin sets over S, and every ordered pair of
     ball vertices off S that passes the gate is tested.
 
-    d(x,y) is the BFS depth over the ball's own edges. The Cayley graph
-    is the 1-skeleton of a CAT(0) cube complex, a median graph, so the
-    median m of (s0, x, y), s0 the ball's centre, lies on a geodesic from
-    x to y. Every vertex on a geodesic from x to s0 lies within
-    d(s0, x) <= radius of s0, and m is on one, so a geodesic from x to m
-    stays in the ball; likewise from y. So x -> m -> y is a geodesic
-    inside the ball. A partner y has d(x,y) < d(S,y) <= top, top the
-    largest d(S, .) off S, so x's search stops at depth top - 1. Each x
-    takes its partners in ball order, so pairs are tested, and the
-    witness found, in the order of the all-pairs loop over the ball."""
+    Only S within 2r of its first vertex s0, the centre of the ball of
+    radius r, is read: a ball vertex v has d(v, s0) <= r, so an s with
+    d(s0, s) > 2r has d(v, s) > r >= d(v, s0) and is in no projection,
+    not even by a tie.
+
+    Distances inside the ball are BFS depths over the ball's own edges,
+    which one search finds with the ball: the Cayley graph is bipartite,
+    so each edge joins consecutive spheres and is met from its inner end.
+    The Cayley graph is the 1-skeleton of a CAT(0) cube complex, a median
+    graph, so the median m of (s0, x, y) lies on a geodesic from x to y.
+    Every vertex on a geodesic from x to s0 lies within d(s0, x) <= r of
+    s0, and m is on one, so a geodesic from x to m stays in the ball;
+    likewise from y. So x -> m -> y is a geodesic inside the ball, and d
+    from each s of S inside the ball is its search to depth 2r; an s
+    outside takes one product per ball vertex. A partner y has
+    d(x,y) < d(S,y) <= top, top the largest d(S, .) off S, so x's search
+    stops at depth top - 1. Each x takes its partners in ball order, so
+    pairs are tested, and the witness found, in the order of the
+    all-pairs loop over the ball."""
     rho = as_gauge(rho)
-    sverts = list(dict.fromkeys(_path_vertices(S)))
+    sverts = list(dict.fromkeys(_near_vertices(S, 2 * radius)))
     if not sverts:
         raise ConfigError("empty set cannot be tested")
-    B = ball(sverts[0], radius, cap)
-    nbrs = _ball_adjacency(B)
-
+    B, nbrs = _ball_graph(sverts[0], radius, cap)
+    place = {v: k for k, v in enumerate(B)}
+    inverses = None
+    rows = []  # d(v, s) for each s of S, over the ball vertices v
+    for s1 in sverts:
+        if s1 in place:
+            depths = _bfs_depths(nbrs, place[s1], 2 * radius)
+            rows.append([depths[k] for k in range(len(B))])
+        else:
+            inverses = inverses or [v.inverse() for v in B]
+            rows.append([(v_inv * s1).length for v_inv in inverses])
     dist_to_s: list[int] = []
     proj: list[tuple[int, ...]] = []
-    for v in B:
-        v_inv = v.inverse()
-        ds = [(v_inv * s1).length for s1 in sverts]
+    for ds in zip(*rows):
         m = min(ds)
         dist_to_s.append(m)
         proj.append(tuple(i for i, dv in enumerate(ds) if dv == m))

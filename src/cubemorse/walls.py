@@ -286,26 +286,44 @@ def walls_separating_point_from_wall(o: Vertex, k: Wall) -> tuple[Wall, ...]:
     return out
 
 
-def ball(o: Vertex, r: int, cap: int = DEFAULT_BALL_CAP) -> tuple[Vertex, ...]:
-    """All vertices within distance r of o, sorted deterministically."""
+def _ball_graph(
+    o: Vertex, r: int, cap: int = DEFAULT_BALL_CAP
+) -> tuple[tuple[Vertex, ...], list[list[int]]]:
+    """The ball of radius r about o, sorted as ball sorts it, and for each
+    of its vertices the places in it of its neighbours in it. Relators of a
+    RAAG have even length, so the Cayley graph is bipartite: no edge joins
+    two vertices of one sphere, and the search meets every edge of the ball
+    while it expands the edge's inner end."""
     if r < 0:
         raise WordError("radius must be nonnegative")
     if cap < 0:
         raise WordError(f"ball cap must be nonnegative, got {cap}")
     if r > cap:
         raise BallCapExceeded(f"radius {r} above cap {cap}")
-    graph = o.graph
-    moves = [(g, s) for g in range(len(graph.generators)) for s in (1, -1)]
-    seen = {o}
-    frontier = [o]
+    moves = [(g, s) for g in range(len(o.graph.generators)) for s in (1, -1)]
+    found = [o]
+    place = {o: 0}
+    edges: list[list[int]] = [[]]
+    start = 0
     for _ in range(r):
-        nxt = []
-        for v in frontier:
+        end = len(found)
+        for i in range(start, end):
             for g, s in moves:
-                child = v.append_run(g, s)
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda v: (v.length, v.syllables)))
+                child = found[i].append_run(g, s)
+                j = place.setdefault(child, len(found))
+                if j < start:  # child lies one sphere in: the edge was met from it
+                    continue
+                if j == len(found):
+                    found.append(child)
+                    edges.append([])
+                edges[i].append(j)
+                edges[j].append(i)
+        start = end
+    order = sorted(range(len(found)), key=lambda k: (found[k].length, found[k].syllables))
+    pos = {k: p for p, k in enumerate(order)}
+    return tuple(found[k] for k in order), [[pos[j] for j in edges[k]] for k in order]
 
+
+def ball(o: Vertex, r: int, cap: int = DEFAULT_BALL_CAP) -> tuple[Vertex, ...]:
+    """All vertices within distance r of o, sorted deterministically."""
+    return _ball_graph(o, r, cap)[0]

@@ -52,7 +52,6 @@ from cubemorse.constructions import (
     RhoLike,
     SegmentCertificate,
     SeparationReport,
-    _path_vertices,
     as_gauge,
     build_gamma,
     build_croke_kleiner,
@@ -1052,6 +1051,12 @@ def set_distance_knots_by_tables(path, Z):
         off = path._offsets[i]
         knots.extend((off + u, d) for u, d in _envelope_knots(vees, A)[1:])
     return tuple(knots)
+
+
+def _path_vertices(S) -> list[GroupElement]:
+    if isinstance(S, RunPath):
+        return [S.vertex_at(t) for t in range(S.length + 1)]
+    return list(S)
 
 
 def check_contracting_all_pairs(

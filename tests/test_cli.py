@@ -449,6 +449,7 @@ CONTRACT_CASES = {
     ],
     "contracting": [
         ["word:c c c", "--radius", "1"],
+        ["beta:4,12", "--radius", "1"],
         ["word:c", "--radius", "0", "--cap", "-1"],
         ["word:c", "--radius", "-1"],
         ["word:c", "--radius", "0", "--cap", "0"],
@@ -506,6 +507,12 @@ def test_exit_code_and_report_contract(command, capsys):
             assert sorted(rep) == ["certified", "command", "inputs", "outputs", "timing_s"]
             assert (code == 0) is rep["certified"], (argv, code)
             assert err == "", (argv, err)
+
+
+def test_contracting_reads_a_long_path_near_the_ball_only(capsys):
+    # beta:4,12 has 74 892 028 steps; the check reads those within 2r of its start
+    assert run(["--json", "contracting", "beta:4,12", "--radius", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["passed"] is True
 
 
 def test_console_entry_point():

@@ -1255,10 +1255,12 @@ class TestContracting:
 
     @pytest.mark.parametrize("radius", [3, 4])
     def test_products_are_the_projections(self, radius, monkeypatch):
-        # distances inside the ball come from its adjacency, so the only
-        # products are one per (ball vertex, vertex of S)
+        # distances from S inside the ball come from searches over its
+        # edges, and S beyond 2r is never read, so the only products are one
+        # per (ball vertex, vertex of S with r < d(s0, s) <= 2r)
         gamma = build_gamma(4).runpath()
-        n_s = len({gamma.vertex_at(t) for t in range(gamma.length + 1)})
+        verts = {gamma.vertex_at(t) for t in range(gamma.length + 1)}
+        n_mid = sum(radius < distance(gamma.origin, s) <= 2 * radius for s in verts)
         n_b = len(ball(gamma.origin, radius))
         real, calls = GroupElement.__mul__, []
 
@@ -1268,7 +1270,33 @@ class TestContracting:
 
         monkeypatch.setattr(GroupElement, "__mul__", counted)
         check_contracting(gamma, "const 3", radius)
-        assert len(calls) <= n_b * n_s
+        assert len(calls) <= n_b * n_mid
+
+    @pytest.mark.parametrize("radius", [3, 4])
+    def test_ball_edges_are_walked_once(self, radius, monkeypatch):
+        # the one search that builds the ball also gives its edges; S is a
+        # vertex list, so reading it takes no step along a run
+        gamma = build_gamma(4).runpath()
+        S = [gamma.vertex_at(t) for t in range(gamma.length + 1)]
+        real, calls = GroupElement.append_run, []
+
+        def counted(x, g, e):
+            calls.append(1)
+            return real(x, g, e)
+
+        monkeypatch.setattr(GroupElement, "append_run", counted)
+        ball(gamma.origin, radius)
+        in_ball = len(calls)
+        check_contracting(S, "const 3", radius)
+        assert len(calls) == 2 * in_ball > 0
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_escape_path_is_read_near_the_ball(self, radius):
+        # the certified (8, 1) bound gives d(s0, beta(t)) >= t/8 - 1, so every
+        # vertex within 2r of s0 lies in the first 16r + 8 steps
+        beta = build_beta(4, 12).path
+        want = check_contracting(runpath_prefix(beta, 16 * radius + 8), "const 3", radius)
+        assert check_contracting(beta, "const 3", radius) == want
 
     def test_single_vertex_passes_zero(self, ckg):
         rep = check_contracting([GroupElement.identity(ckg)], 0, 2)
@@ -1301,6 +1329,8 @@ def contracting_cases(ckg, gamma12):
         "flat_ray": (RunPath(GroupElement.identity(ckg), ((c, 8),)), 0, 3),
         "single_vertex": ([GroupElement.identity(ckg)], 0, 2),
         "golden_word": (RunPath.from_word(parse_word("c c c c c c c c", ckg)), 0, 3),
+        # s = c^6 lies at exactly 2r: it ties for the projection of c^3
+        "far_tie": ([GroupElement.identity(ckg), GroupElement.from_text(ckg, "c^6")], 0, 3),
         # a ball centred off the identity
         "offset_path": (
             RunPath(
@@ -1352,8 +1382,14 @@ class TestBallSearch:
         radius = data.draw(st.integers(1, 3))
         while len(ball(o, radius)) > 100:
             radius -= 1
-        B = ball(o, radius)
-        nbrs = constructions._ball_adjacency(B)
+        B, nbrs = walls._ball_graph(o, radius)
+        assert B == ball(o, radius)
+        # the bipartite edge lemma: the search records every edge of the ball
+        edges = {(x, y) for x in range(len(B)) for y in nbrs[x]}
+        assert all(len(set(ys)) == len(ys) for ys in nbrs)
+        assert edges == {
+            (x, y) for x in range(len(B)) for y in range(len(B)) if distance(B[x], B[y]) == 1
+        }
         # below the ball's diameter the search must stop at the depth asked
         depth = data.draw(st.integers(0, 2 * radius))
         for x in range(len(B)):
@@ -1369,7 +1405,7 @@ class TestContractingOracle:
     @pytest.mark.parametrize(
         "name",
         ["gamma_rho2", "gamma_rho3", "gamma_radius2", "flat_ray",
-         "single_vertex", "golden_word", "offset_path"],
+         "single_vertex", "golden_word", "far_tie", "offset_path"],
     )
     def test_fixed_cases(self, ckg, gamma12, name):
         S, rho, radius = contracting_cases(ckg, gamma12)[name]
