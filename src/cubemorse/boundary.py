@@ -32,15 +32,17 @@ memoised, so a pair of walls is tested at most once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .raag import (
+    DEFAULT_DEPTH,
     CertificateViolation,
     DefiningGraph,
     GroupElement,
+    TruncationLimit,
     Word,
+    _Frozen,
     _append_syllable,
     _strip_right,
     normal_form,
@@ -53,14 +55,12 @@ from .walls import (
     wall_distance,
 )
 
-DEFAULT_DEPTH = 40
-
 
 class InvalidRay(ValueError):
     """Ray fails geodesy or its representative does not stabilize."""
 
 
-class UnstableRepresentative(InvalidRay):
+class UnstableRepresentative(InvalidRay, TruncationLimit):
     """The ray's representative did not stabilize at the chosen depth: a
     truncation limit, not bad input."""
 
@@ -77,22 +77,28 @@ class MismatchedBase(ValueError):
     """Products require all rays anchored at the same base vertex."""
 
 
-@dataclass(frozen=True)
-class BoundaryRay:
+class BoundaryRay(_Frozen):
     """Eventually periodic ray: the boundary point of prefix·period^∞,
     anchored at base for product computations."""
 
-    base: GroupElement
-    prefix: Word
-    period: Word
-
-    def __post_init__(self) -> None:
-        if len(self.period) == 0:
+    def __init__(self, base: GroupElement, prefix: Word, period: Word):
+        if len(period) == 0:
             raise InvalidRay("period must be a nonempty word")
-        if self.prefix.graph is not self.base.graph and self.prefix.graph != self.base.graph:
+        if prefix.graph is not base.graph and prefix.graph != base.graph:
             raise InvalidRay("prefix and base use different defining graphs")
-        if self.period.graph is not self.base.graph and self.period.graph != self.base.graph:
+        if period.graph is not base.graph and period.graph != base.graph:
             raise InvalidRay("period and base use different defining graphs")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "period", period)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.prefix, self.period) == (other.base, other.prefix, other.period)
+
+    def __repr__(self) -> str:
+        return f"BoundaryRay(base={self.base!r}, prefix={self.prefix!r}, period={self.period!r})"
 
     @property
     def graph(self) -> DefiningGraph:
@@ -131,28 +137,55 @@ class BoundaryRay:
         return hash((self.base, self.prefix.runs, self.period.runs))
 
 
-@dataclass(frozen=True)
-class ProductValue:
+class ProductValue(_Frozen):
     """A wall-counting product at finite truncation.
 
     value is a nonnegative integer or math.inf; certified means the value
     cannot change at any larger depth; depth_used echoes the truncation.
     """
 
-    value: object
-    certified: bool
-    depth_used: int
+    def __init__(self, value: object, certified: bool, depth_used: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "depth_used", depth_used)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.certified, self.depth_used) == (
+            other.value, other.certified, other.depth_used
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.certified, self.depth_used))
+
+    def __repr__(self) -> str:
+        return (
+            f"ProductValue(value={self.value!r}, certified={self.certified!r}, "
+            f"depth_used={self.depth_used!r})"
+        )
 
 
-@dataclass(frozen=True)
-class SeparatedChain:
+class SeparatedChain(_Frozen):
     """Walls crossed by a ray, consecutive pairs certified n-separated and
     crossing points less than r apart."""
 
-    walls: tuple[Wall, ...]
-    gaps: tuple[int, ...]
-    n: int
-    r: int
+    def __init__(self, walls: tuple[Wall, ...], gaps: tuple[int, ...], n: int, r: int):
+        object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.walls, self.gaps, self.n, self.r) == (other.walls, other.gaps, other.n, other.r)
+
+    def __hash__(self) -> int:
+        return hash((self.walls, self.gaps, self.n, self.r))
+
+    def __repr__(self) -> str:
+        return f"SeparatedChain(walls={self.walls!r}, gaps={self.gaps!r}, n={self.n!r}, r={self.r!r})"
 
     def __len__(self) -> int:
         return len(self.walls)

@@ -10,7 +10,6 @@ internal check (AssertionError).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -19,41 +18,25 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .boundary import (
-    DEFAULT_DEPTH,
-    BoundaryRay,
-    UncertifiedDepth,
-    UnstableRepresentative,
-    bracket_product,
-    cross_ratio_bfm,
-    cross_ratio_cr,
-    find_separated_chain,
-    gromov_product,
-    hyp_member,
-    refine_to_single_wall,
-)
 from .raag import (
+    DEFAULT_BALL_CAP,
+    DEFAULT_DEPTH,
     CertificateViolation,
     DefiningGraph,
     GroupElement,
+    TruncationLimit,
     distance,
     parse_word,
 )
-from .walls import (
-    DEFAULT_BALL_CAP,
-    BallCapExceeded,
-    Wall,
-    crosses,
-    crossing_count,
-    side,
-    walls_between,
-)
 
 if TYPE_CHECKING:
+    from .boundary import BoundaryRay
     from .runpaths import RunPath
+    from .walls import Wall
 
-# constructions and runpaths are imported inside the handlers that run them,
-# so a boundary or wall command never compiles the escape-path layers
+# every layer above raag is imported inside the handlers that run it, so a
+# command compiles only the layers it uses: nf and dist load no walls, and
+# a wall command loads no boundary and no escape-path layer
 
 
 class CLIError(ValueError):
@@ -84,6 +67,8 @@ def _element(graph: DefiningGraph, text: str) -> GroupElement:
 
 
 def _wall(graph: DefiningGraph, text: str) -> Wall:
+    from .walls import Wall
+
     base_text, sep, gen_name = text.rpartition("@")
     if not sep or not gen_name:
         raise CLIError(f"wall syntax is BASE@GEN: {text!r}")
@@ -91,6 +76,8 @@ def _wall(graph: DefiningGraph, text: str) -> Wall:
 
 
 def _labeled_rays(graph, base, items, labels=("w", "x", "y", "z")):
+    from .boundary import BoundaryRay
+
     out = {}
     for item in items:
         name, sep, text = item.partition(":")
@@ -104,8 +91,9 @@ def _labeled_rays(graph, base, items, labels=("w", "x", "y", "z")):
 
 def _runpath_spec(text: str, graph) -> RunPath:
     """word:TEXT walks letters from the identity; gamma:L is the diagonal
-    geodesic; beta:DELTA,L[,PREFIX] is the escape path, optionally cut."""
-    from .constructions import build_beta, build_gamma, runpath_prefix
+    geodesic; beta:DELTA,L[,PREFIX] is the escape path, optionally cut.
+    gamma and beta live on the Croke-Kleiner graph, so they take no other."""
+    from .constructions import build_beta, build_croke_kleiner, build_gamma, runpath_prefix
     from .runpaths import RunPath
 
     kind, sep, rest = text.partition(":")
@@ -113,6 +101,8 @@ def _runpath_spec(text: str, graph) -> RunPath:
         kind, rest = "word", text
     if kind == "word":
         return RunPath.from_word(parse_word(rest, graph))
+    if kind in ("gamma", "beta") and graph != build_croke_kleiner():
+        raise CLIError(f"{kind} paths live on the Croke-Kleiner graph, not on the --graph given")
     try:
         parts = [int(p) for p in rest.split(",")]
     except ValueError:
@@ -212,6 +202,8 @@ def _cmd_dist(args):
 
 
 def _cmd_walls(args):
+    from .walls import walls_between
+
     graph = _load_graph(args.graph)
     x, y = _element(graph, args.x), _element(graph, args.y)
     hs = walls_between(x, y)
@@ -222,6 +214,8 @@ def _cmd_walls(args):
 
 
 def _cmd_side(args):
+    from .walls import side
+
     graph = _load_graph(args.graph)
     h = _wall(graph, args.wall)
     x = _element(graph, args.x)
@@ -229,12 +223,16 @@ def _cmd_side(args):
 
 
 def _cmd_crosses(args):
+    from .walls import crosses
+
     graph = _load_graph(args.graph)
     h1, h2 = _wall(graph, args.wall1), _wall(graph, args.wall2)
     return {"crosses": crosses(h1, h2)}, True
 
 
 def _cmd_separated(args):
+    from .walls import crossing_count
+
     graph = _load_graph(args.graph)
     h1, h2 = _wall(graph, args.wall1), _wall(graph, args.wall2)
     count, certified = crossing_count(h1, h2)
@@ -245,6 +243,8 @@ def _cmd_separated(args):
 
 
 def _separated_chain(args, ray: BoundaryRay):
+    from .boundary import find_separated_chain
+
     # crossing points on a geodesic are at least 1 apart and chain gaps stay
     # below r, so r < 2 admits no pair; a negative n is no separation at all
     if args.n < 0 or args.r < 2:
@@ -253,6 +253,8 @@ def _separated_chain(args, ray: BoundaryRay):
 
 
 def _cmd_chain(args):
+    from .boundary import BoundaryRay
+
     graph = _load_graph(args.graph)
     ray = BoundaryRay.from_text(graph, args.ray)
     chain = _separated_chain(args, ray)
@@ -265,7 +267,12 @@ def _cmd_chain(args):
     }, True
 
 
-def _product_command(fn, args):
+def _cmd_product(args):
+    from .boundary import BoundaryRay, bracket_product, gromov_product
+
+    # the boundary metric d_o = exp(-[ξ|η]_o) is reported by its exponent,
+    # so metric prints the bracket product under the metric's name
+    fn = gromov_product if args.command == "product" else bracket_product
     graph = _load_graph(args.graph)
     base = _element(graph, args.base) if args.base else None
     xi = BoundaryRay.from_text(graph, args.xi, base)
@@ -278,6 +285,8 @@ def _product_command(fn, args):
 
 
 def _cmd_crossratio(args):
+    from .boundary import cross_ratio_bfm, cross_ratio_cr
+
     graph = _load_graph(args.graph)
     base = _element(graph, args.base) if args.base else None
     rays = _labeled_rays(graph, base, args.rays)
@@ -287,6 +296,8 @@ def _cmd_crossratio(args):
 
 
 def _cmd_hyp(args):
+    from .boundary import BoundaryRay, UncertifiedDepth, hyp_member
+
     graph = _load_graph(args.graph)
     ray = BoundaryRay.from_text(graph, args.ray)
     hs = [_wall(graph, w) for w in args.wall]
@@ -300,6 +311,8 @@ def _cmd_hyp(args):
 
 
 def _cmd_refine(args):
+    from .boundary import BoundaryRay, refine_to_single_wall
+
     graph = _load_graph(args.graph)
     ray = BoundaryRay.from_text(graph, args.ray)
     hs = [_wall(graph, w) for w in (args.wall1, args.wall2)]
@@ -442,123 +455,88 @@ def _cmd_smallcancel(args):
     }, True
 
 
-def _build_parser() -> _Parser:
+def _arg(*flags, **options) -> tuple:
+    """One add_argument call, as data: (flags, options)."""
+    return flags, options
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The command line parser. When command names a subcommand, only that
+    subparser is built; otherwise, as for --help, an unknown command or
+    none, all of them are. The chosen subparser is the same either way, so
+    its help, errors and parsed namespace do not depend on which was built."""
+    graph = _arg("--graph", metavar="FILE", help="defining graph JSON")
+    depth = _arg("--depth", type=int, default=DEFAULT_DEPTH)
+    ray = _arg("--ray", required=True, metavar="PREFIX|PERIOD")
+    wall_pair = (_arg("wall1", metavar="BASE@GEN"), _arg("wall2", metavar="BASE@GEN"))
+    chain_bounds = (_arg("--n", type=int, default=0), _arg("--r", type=int, default=5))
+    ray_pair = (_arg("--base", default=None, help="basepoint element"), depth,
+                _arg("xi", metavar="PREFIX|PERIOD"), _arg("eta", metavar="PREFIX|PERIOD"))
+    # (name, handler, help, arguments), in --help order
+    commands = (
+        ("nf", _cmd_nf, "shortlex geodesic normal form of a word", (graph, _arg("word"))),
+        ("dist", _cmd_dist, "word metric distance between two elements",
+         (graph, _arg("x"), _arg("y"))),
+        ("walls", _cmd_walls, "walls separating two elements", (graph, _arg("x"), _arg("y"))),
+        ("side", _cmd_side, "which side of a wall an element lies on",
+         (graph, _arg("--wall", required=True, metavar="BASE@GEN"), _arg("x"))),
+        ("crosses", _cmd_crosses, "whether two walls are transverse", (graph, *wall_pair)),
+        ("separated", _cmd_separated, "walls crossing both of two disjoint walls",
+         (graph, *wall_pair)),
+        ("chain", _cmd_chain, "separated chain among a ray's walls",
+         (graph, ray, *chain_bounds, depth)),
+        ("product", _cmd_product, "Gromov product of two rays", (graph, *ray_pair)),
+        ("bracket", _cmd_product, "bracket product of two rays", (graph, *ray_pair)),
+        ("metric", _cmd_product, "boundary distance term of two rays", (graph, *ray_pair)),
+        ("crossratio", _cmd_crossratio, "cross ratio of four labeled rays",
+         (graph, _arg("--base", default=None), depth,
+          _arg("--variant", choices=("cr", "bfm"), default="cr"),
+          _arg("rays", nargs=4, metavar="LABEL:RAY"))),
+        ("hyp", _cmd_hyp, "whether a ray crosses every listed wall",
+         (graph, ray, _arg("--wall", action="append", default=[], metavar="BASE@GEN"), depth)),
+        ("refine", _cmd_refine, "single chain wall behind two crossed walls",
+         (graph, ray, *wall_pair, *chain_bounds, depth)),
+        ("kappa", _cmd_kappa, "trapping radius of a sublinear gauge",
+         (_arg("--rho", default="0", help='gauge: "const 3", "power 2 1/2", "log 3"'),
+          _arg("--K", type=fraction, default=Fraction(1)),
+          _arg("--C", type=fraction, default=Fraction(0)))),
+        ("gamma", _cmd_gamma, "periodic diagonal geodesic through the flat cycle",
+         (_arg("--flats", type=int, required=True),)),
+        ("beta", _cmd_beta, "flat-hopping escape path against gamma",
+         (_arg("--delta", type=int, required=True), _arg("--flats", type=int, required=True),
+          _arg("--certify", action="store_true",
+               help="run the quasi-geodesic and separation certificates"),
+          _arg("--K", type=fraction, default=Fraction(8)),
+          _arg("--C", type=fraction, default=Fraction(1)))),
+        ("contracting", _cmd_contracting, "exhaustive contraction check around a path",
+         (graph, _arg("path", metavar="SPEC", help="word:W, gamma:L or beta:D,L[,N]"),
+          _arg("--rho", default="0"), _arg("--radius", type=int, default=3),
+          _arg("--cap", type=int, default=DEFAULT_BALL_CAP))),
+        ("dichotomy", _cmd_dichotomy, "trapped-or-linear divergence classification",
+         (graph, _arg("--z", required=True, metavar="SPEC", help="contracting set path"),
+          _arg("--path", required=True, metavar="SPEC", help="path to classify"),
+          _arg("--rho", default="0"),
+          _arg("--K", type=fraction, default=Fraction(8)),
+          _arg("--C", type=fraction, default=Fraction(1)))),
+        ("example23", _cmd_example23, "glued graph basepoint experiment",
+         (_arg("--f", default="poly 1 0 1", help='branch scale, e.g. "poly 1 0 1"'),
+          _arg("--imax", type=int, default=6), _arg("--tail", type=int, required=True),
+          _arg("--kappa", type=int, default=2))),
+        ("smallcancel", _cmd_smallcancel, "piece overlap bound for the glued loops",
+         (_arg("--f", default="poly 1 0 1"), _arg("--imax", type=int, default=6))),
+    )
     p = _Parser(prog="cubemorse", description=__doc__)
     p.add_argument("--json", action="store_true", help="emit one JSON report")
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add(name: str, handler, help_: str, graph: bool = True) -> argparse.ArgumentParser:
+    for name, handler, help_, arguments in [c for c in commands if c[0] == command] or commands:
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(handler=handler)
         # accepted on either side of the subcommand; SUPPRESS keeps the
         # subparser from clobbering a --json given before it
         sp.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help=argparse.SUPPRESS)
-        if graph:
-            sp.add_argument("--graph", metavar="FILE", help="defining graph JSON")
-        return sp
-
-    sp = add("nf", _cmd_nf, "shortlex geodesic normal form of a word")
-    sp.add_argument("word")
-
-    sp = add("dist", _cmd_dist, "word metric distance between two elements")
-    sp.add_argument("x")
-    sp.add_argument("y")
-
-    sp = add("walls", _cmd_walls, "walls separating two elements")
-    sp.add_argument("x")
-    sp.add_argument("y")
-
-    sp = add("side", _cmd_side, "which side of a wall an element lies on")
-    sp.add_argument("--wall", required=True, metavar="BASE@GEN")
-    sp.add_argument("x")
-
-    sp = add("crosses", _cmd_crosses, "whether two walls are transverse")
-    sp.add_argument("wall1", metavar="BASE@GEN")
-    sp.add_argument("wall2", metavar="BASE@GEN")
-
-    sp = add("separated", _cmd_separated, "walls crossing both of two disjoint walls")
-    sp.add_argument("wall1", metavar="BASE@GEN")
-    sp.add_argument("wall2", metavar="BASE@GEN")
-
-    sp = add("chain", _cmd_chain, "separated chain among a ray's walls")
-    sp.add_argument("--ray", required=True, metavar="PREFIX|PERIOD")
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--r", type=int, default=5)
-    sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
-    # the boundary metric d_o = exp(-[ξ|η]_o) is reported by its exponent,
-    # so metric prints the bracket product under the metric's name
-    for name, fn, help_ in (
-        ("product", gromov_product, "Gromov product of two rays"),
-        ("bracket", bracket_product, "bracket product of two rays"),
-        ("metric", bracket_product, "boundary distance term of two rays"),
-    ):
-        sp = add(name, functools.partial(_product_command, fn), help_)
-        sp.add_argument("--base", default=None, help="basepoint element")
-        sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-        sp.add_argument("xi", metavar="PREFIX|PERIOD")
-        sp.add_argument("eta", metavar="PREFIX|PERIOD")
-
-    sp = add("crossratio", _cmd_crossratio, "cross ratio of four labeled rays")
-    sp.add_argument("--base", default=None)
-    sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    sp.add_argument("--variant", choices=("cr", "bfm"), default="cr")
-    sp.add_argument("rays", nargs=4, metavar="LABEL:RAY")
-
-    sp = add("hyp", _cmd_hyp, "whether a ray crosses every listed wall")
-    sp.add_argument("--ray", required=True, metavar="PREFIX|PERIOD")
-    sp.add_argument("--wall", action="append", default=[], metavar="BASE@GEN")
-    sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
-    sp = add("refine", _cmd_refine, "single chain wall behind two crossed walls")
-    sp.add_argument("--ray", required=True, metavar="PREFIX|PERIOD")
-    sp.add_argument("wall1", metavar="BASE@GEN")
-    sp.add_argument("wall2", metavar="BASE@GEN")
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--r", type=int, default=5)
-    sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
-    sp = add("kappa", _cmd_kappa, "trapping radius of a sublinear gauge", graph=False)
-    sp.add_argument("--rho", default="0", help='gauge: "const 3", "power 2 1/2", "log 3"')
-    sp.add_argument("--K", type=fraction, default=Fraction(1))
-    sp.add_argument("--C", type=fraction, default=Fraction(0))
-
-    sp = add("gamma", _cmd_gamma, "periodic diagonal geodesic through the flat cycle", graph=False)
-    sp.add_argument("--flats", type=int, required=True)
-
-    sp = add("beta", _cmd_beta, "flat-hopping escape path against gamma", graph=False)
-    sp.add_argument("--delta", type=int, required=True)
-    sp.add_argument("--flats", type=int, required=True)
-    sp.add_argument("--certify", action="store_true",
-                    help="run the quasi-geodesic and separation certificates")
-    sp.add_argument("--K", type=fraction, default=Fraction(8))
-    sp.add_argument("--C", type=fraction, default=Fraction(1))
-
-    sp = add("contracting", _cmd_contracting, "exhaustive contraction check around a path")
-    sp.add_argument("path", metavar="SPEC", help="word:W, gamma:L or beta:D,L[,N]")
-    sp.add_argument("--rho", default="0")
-    sp.add_argument("--radius", type=int, default=3)
-    sp.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
-
-    sp = add("dichotomy", _cmd_dichotomy, "trapped-or-linear divergence classification")
-    sp.add_argument("--z", required=True, metavar="SPEC", help="contracting set path")
-    sp.add_argument("--path", required=True, metavar="SPEC", help="path to classify")
-    sp.add_argument("--rho", default="0")
-    sp.add_argument("--K", type=fraction, default=Fraction(8))
-    sp.add_argument("--C", type=fraction, default=Fraction(1))
-
-    sp = add("example23", _cmd_example23, "glued graph basepoint experiment", graph=False)
-    sp.add_argument("--f", default="poly 1 0 1", help='branch scale, e.g. "poly 1 0 1"')
-    sp.add_argument("--imax", type=int, default=6)
-    sp.add_argument("--tail", type=int, required=True)
-    sp.add_argument("--kappa", type=int, default=2)
-
-    sp = add("smallcancel", _cmd_smallcancel, "piece overlap bound for the glued loops",
-             graph=False)
-    sp.add_argument("--f", default="poly 1 0 1")
-    sp.add_argument("--imax", type=int, default=6)
-
+        for flags, options in arguments:
+            sp.add_argument(*flags, **options)
     return p
 
 
@@ -573,7 +551,10 @@ def _assert_site(exc: AssertionError) -> str:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    # the top level's only options are --json and -h, so the first argument
+    # other than --json is the subcommand, or else argparse reports on it
+    # with the whole parser
+    parser = _build_parser(next((a for a in argv if a != "--json"), None))
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -595,7 +576,7 @@ def run(argv: list[str]) -> int:
     except AssertionError as exc:
         print(f"error: internal check failed: {_assert_site(exc)}", file=sys.stderr)
         return 3
-    except (BallCapExceeded, UnstableRepresentative) as exc:
+    except TruncationLimit as exc:
         # a truncation limit, not bad input: another --depth or --cap may settle it
         print(f"error: {exc}", file=sys.stderr)
         return 2

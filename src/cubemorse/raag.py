@@ -12,16 +12,15 @@ procedure here. Its test oracle, the piling invariant with a BFS distance,
 shares no code with it and lives in tests/oracles.py.
 
 CertificateViolation, the error every layer raises when a proof obligation
-fails, and the two input errors of the builders, ConfigError and
-PreconditionFailed, are defined here so that each layer can import them
-from the bottom one.
+fails, the two input errors of the builders, ConfigError and
+PreconditionFailed, and the truncation limits with their defaults are
+defined here so that each layer can import them from the bottom one.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
@@ -60,17 +59,57 @@ class PreconditionFailed(ValueError):
     """Input data violates a stated precondition of the construction."""
 
 
+class TruncationLimit(ValueError):
+    """A query reached a truncation limit, a ray depth or a ball cap; a
+    larger limit may settle it. Not bad input."""
+
+
+DEFAULT_DEPTH = 40  # letters of a ray read by the boundary products
+DEFAULT_BALL_CAP = 12  # largest ball radius enumerated
+
+
+class _Frozen:
+    """Base of the immutable records of the word, wall and ray layers.
+    Each subclass's __init__ sets its fields once with object.__setattr__,
+    which keeps them in the instance's compact attribute storage, and
+    nothing may assign or delete them later: their hashes key caches.
+    Equality follows the dataclass rule, field by field and only between
+    instances of one class. They are not dataclasses because a cold
+    command that loads these layers would then import dataclasses and
+    inspect and generate every method, which costs it more than its own
+    work on small inputs."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
-@dataclass(frozen=True)
-class DefiningGraph:
+class DefiningGraph(_Frozen):
     """Finite simplicial graph; vertices are generator names, edges are
     commutation relations. Generator order is file order and is total."""
 
-    generators: tuple[str, ...]
-    edges: frozenset[tuple[int, int]]
+    def __init__(self, generators: tuple[str, ...], edges: frozenset[tuple[int, int]]):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators, self.edges) == (other.generators, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.edges))
+
+    def __repr__(self) -> str:
+        return f"DefiningGraph(generators={self.generators!r}, edges={self.edges!r})"
 
     @classmethod
     def from_data(cls, data: dict) -> "DefiningGraph":
@@ -147,8 +186,7 @@ class Letter(NamedTuple):
     sign: int
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """A literal letter sequence; may be non-reduced.
 
     runs accepts any iterable of (gen, exp) runs with exp nonzero, and is
@@ -160,13 +198,10 @@ class Word:
     words.
     """
 
-    graph: DefiningGraph
-    runs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.graph.generators)
+    def __init__(self, graph: DefiningGraph, runs: Iterable[tuple[int, int]]):
+        n = len(graph.generators)
         merged: list[tuple[int, int]] = []
-        for g, e in self.runs:
+        for g, e in runs:
             if e == 0:
                 raise ZeroExponent("zero-length run")
             if not 0 <= g < n:
@@ -175,7 +210,19 @@ class Word:
                 merged[-1] = (g, merged[-1][1] + e)
             else:
                 merged.append((g, e))
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "runs", tuple(merged))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.runs) == (other.graph, other.runs)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.runs))
+
+    def __repr__(self) -> str:
+        return f"Word(graph={self.graph!r}, runs={self.runs!r})"
 
     @cached_property
     def _length(self) -> int:
@@ -366,13 +413,13 @@ def _strip_right(graph: DefiningGraph, syllables, gens_mask: int):
     return tuple(syllables[:stop]) + tuple(tail), tuple(removed)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
+class GroupElement(_Frozen):
     """A RAAG element in canonical form. Do not call the constructor with
     non-canonical syllables; use normal_form, *, or the methods."""
 
-    graph: DefiningGraph
-    syllables: tuple[tuple[int, int], ...]
+    def __init__(self, graph: DefiningGraph, syllables: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "syllables", syllables)
 
     # hot path: elements live in large sets during ball enumeration, so
     # equality short-circuits on syllables and the hash is cached (colliding

@@ -483,12 +483,15 @@ CONTRACT_CASES = {
 }
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 def test_contract_cases_cover_every_subcommand():
     from cubemorse import cli
 
-    parser = cli._build_parser()
-    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(CONTRACT_CASES) == set(commands)
+    assert set(CONTRACT_CASES) == set(_subcommands(cli._build_parser()))
 
 
 @pytest.mark.parametrize("command", sorted(CONTRACT_CASES))
@@ -507,6 +510,60 @@ def test_exit_code_and_report_contract(command, capsys):
             assert sorted(rep) == ["certified", "command", "inputs", "outputs", "timing_s"]
             assert (code == 0) is rep["certified"], (argv, code)
             assert err == "", (argv, err)
+
+
+def _parsed(parser: argparse.ArgumentParser, argv: list[str]):
+    from cubemorse.cli import CLIError
+
+    try:
+        return parser.parse_args(argv)
+    except CLIError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_CASES))
+def test_one_command_parser_matches_the_full_parser(command):
+    from cubemorse import cli
+
+    full, one = cli._build_parser(), cli._build_parser(command)
+    assert list(_subcommands(one)) == [command]
+    assert _subcommands(one)[command].format_help() == _subcommands(full)[command].format_help()
+    argvs = [["--json", command] + args for args in CONTRACT_CASES[command]]
+    argvs += [argv for argv in GOLDEN_CASES.values() if argv[0] == command]
+    argvs += [argv for argv in (README_DICHOTOMY, README_CONTRACTING) if argv[0] == command]
+    for argv in argvs:
+        assert _parsed(one, argv) == _parsed(full, argv), argv
+
+
+def test_help_and_unknown_commands_name_every_command(capsys):
+    commands = sorted(CONTRACT_CASES)
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    out = capsys.readouterr().out
+    assert [c for c in commands if not re.search(rf"^    {c}\b", out, re.M)] == []
+    assert run(["bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument COMMAND: invalid choice: 'bogus'"), err
+    assert [c for c in commands if f"'{c}'" not in err] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["contracting", "gamma:4", "--graph", Z3Z, "--radius", "1"],
+    ["contracting", "beta:4,2", "--graph", Z3Z, "--radius", "1"],
+    ["dichotomy", "--graph", Z3Z, "--z", "gamma:20", "--path", "gamma:20", "--K", "1", "--C", "0"],
+    ["dichotomy", "--graph", Z3Z, "--z", "word:a b", "--path", "beta:4,2,6"],
+])
+def test_escape_paths_refuse_another_graph(argv, capsys):
+    # gamma and beta are built on the Croke-Kleiner graph whatever --graph says
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: (gamma|beta) paths live on the Croke-Kleiner graph[^\n]*\n", err)
+
+
+def test_escape_paths_take_a_graph_equal_to_croke_kleiner(capsys):
+    assert run(["contracting", "gamma:4", "--graph", CK, "--radius", "1"]) == 0
+    assert run(["dichotomy", "--graph", CK, "--z", "gamma:20", "--path", "beta:4,2,6"]) == 0
 
 
 def test_contracting_reads_a_long_path_near_the_ball_only(capsys):
@@ -535,6 +592,7 @@ def test_cli_import_needs_only_stdlib():
 
 README_DICHOTOMY = ["dichotomy", "--z", "gamma:160", "--path", "beta:4,12",
                     "--rho", "0", "--K", "8", "--C", "1"]
+README_CONTRACTING = ["contracting", "gamma:4", "--rho", "const 3", "--radius", "3"]
 
 
 def test_full_escape_path_dichotomy(capsys):
@@ -684,9 +742,13 @@ import contextlib, io, json, sys
 from cubemorse.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cubemorse."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cubemorse.")
+                               or m in ("dataclasses", "inspect"))]))
 """
 ESCAPE_LAYERS = {"cubemorse.constructions", "cubemorse.runpaths"}
+WALL_LAYERS = {"cubemorse.walls", "cubemorse.boundary"}
+# the word, wall and ray layers are no dataclasses, and dataclasses imports inspect
+DATACLASSES = {"dataclasses", "inspect"}
 
 
 def _layers_loaded(argv: list[str]) -> tuple[int, set]:
@@ -696,12 +758,23 @@ def _layers_loaded(argv: list[str]) -> tuple[int, set]:
     return code, set(modules)
 
 
-# the glued-graph commands run on the word layer alone
-@pytest.mark.parametrize("name", ["nf", "crossratio", "example23", "smallcancel"])
+# command -> the modules its first contract case must not load; the
+# glued-graph commands run on the word layer alone
+SKIPPED_LAYERS = {
+    "nf": ESCAPE_LAYERS | WALL_LAYERS | DATACLASSES,
+    "dist": ESCAPE_LAYERS | WALL_LAYERS | DATACLASSES,
+    "crossratio": ESCAPE_LAYERS | DATACLASSES,
+    "example23": ESCAPE_LAYERS | WALL_LAYERS,
+    "smallcancel": ESCAPE_LAYERS | WALL_LAYERS,
+    **{name: {"cubemorse.boundary"} for name in ("kappa", "gamma", "beta", "contracting", "dichotomy")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIPPED_LAYERS))
 def test_boundary_commands_skip_escape_layers(name):
-    code, modules = _layers_loaded(GOLDEN_CASES[name])
+    code, modules = _layers_loaded([name] + CONTRACT_CASES[name][0])
     assert code == 0
-    assert not modules & ESCAPE_LAYERS, sorted(modules)
+    assert not modules & SKIPPED_LAYERS[name], sorted(modules)
 
 
 def test_escape_command_loads_escape_layers():
