@@ -57,6 +57,12 @@ _EXPORTS = {
         "refine_to_single_wall",
         "validate_ray",
     ),
+    "gauges": (
+        "SublinearFn",
+        "as_gauge",
+        "kappa",
+        "kappa_prime",
+    ),
     "constructions": (
         "BetaReport",
         "BetaSegment",
@@ -67,8 +73,6 @@ _EXPORTS = {
         "Line",
         "SegmentCertificate",
         "SeparationReport",
-        "SublinearFn",
-        "as_gauge",
         "build_beta",
         "build_croke_kleiner",
         "build_gamma",
@@ -76,8 +80,6 @@ _EXPORTS = {
         "check_contracting",
         "check_divergence_dichotomy",
         "gamma_crosses",
-        "kappa",
-        "kappa_prime",
         "runpath_prefix",
         "translate_wall",
         "verify_separation",

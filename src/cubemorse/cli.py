@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .raag import (
@@ -30,13 +29,16 @@ from .raag import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .boundary import BoundaryRay
     from .runpaths import RunPath
     from .walls import Wall
 
-# every layer above raag is imported inside the handlers that run it, so a
-# command compiles only the layers it uses: nf and dist load no walls, and
-# a wall command loads no boundary and no escape-path layer
+# every layer above raag, and fractions, is imported inside the handlers
+# that run it, so a command compiles only the layers it uses: nf and dist
+# load no walls, a wall command loads no boundary and no escape-path
+# layer, and kappa loads the gauges alone
 
 
 class CLIError(ValueError):
@@ -120,6 +122,8 @@ def fraction(text: str) -> Fraction:
     """A --K or --C value. argparse reports a ValueError from its type as
     bad input, but Fraction raises ZeroDivisionError for a zero
     denominator."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -136,7 +140,9 @@ def _num(value, certified: bool) -> dict:
 def _jsonable(v):
     if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
         return v
-    if isinstance(v, Fraction):
+    # no Fraction exists unless fractions is loaded, so this imports nothing
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(v, fractions.Fraction):
         return str(v) if v.denominator != 1 else int(v)
     if isinstance(v, float):
         return "inf" if math.isinf(v) else v
@@ -322,7 +328,7 @@ def _cmd_refine(args):
 
 
 def _cmd_kappa(args):
-    from .constructions import _kappa_prime, as_gauge, kappa
+    from .gauges import _kappa_prime, as_gauge, kappa
 
     rho = as_gauge(args.rho)
     k = kappa(rho, args.K, args.C)
@@ -365,8 +371,8 @@ def _cmd_beta(args):
         qg = certify_quasigeodesic(rep.path, args.K, args.C)
         sep = verify_separation(rep)
         outputs["quasi_geodesic"] = {
-            "K": _num(Fraction(args.K), True),
-            "C": _num(Fraction(args.C), True),
+            "K": _num(args.K, True),
+            "C": _num(args.C, True),
             "min_margin": _num(qg.min_margin, qg.certified),
             "passed": qg.certified,
         }
@@ -498,16 +504,16 @@ def _build_parser(command: str | None = None) -> _Parser:
          (graph, ray, *wall_pair, *chain_bounds, depth)),
         ("kappa", _cmd_kappa, "trapping radius of a sublinear gauge",
          (_arg("--rho", default="0", help='gauge: "const 3", "power 2 1/2", "log 3"'),
-          _arg("--K", type=fraction, default=Fraction(1)),
-          _arg("--C", type=fraction, default=Fraction(0)))),
+          _arg("--K", type=fraction, default="1"),
+          _arg("--C", type=fraction, default="0"))),
         ("gamma", _cmd_gamma, "periodic diagonal geodesic through the flat cycle",
          (_arg("--flats", type=int, required=True),)),
         ("beta", _cmd_beta, "flat-hopping escape path against gamma",
          (_arg("--delta", type=int, required=True), _arg("--flats", type=int, required=True),
           _arg("--certify", action="store_true",
                help="run the quasi-geodesic and separation certificates"),
-          _arg("--K", type=fraction, default=Fraction(8)),
-          _arg("--C", type=fraction, default=Fraction(1)))),
+          _arg("--K", type=fraction, default="8"),
+          _arg("--C", type=fraction, default="1"))),
         ("contracting", _cmd_contracting, "exhaustive contraction check around a path",
          (graph, _arg("path", metavar="SPEC", help="word:W, gamma:L or beta:D,L[,N]"),
           _arg("--rho", default="0"), _arg("--radius", type=int, default=3),
@@ -516,8 +522,8 @@ def _build_parser(command: str | None = None) -> _Parser:
          (graph, _arg("--z", required=True, metavar="SPEC", help="contracting set path"),
           _arg("--path", required=True, metavar="SPEC", help="path to classify"),
           _arg("--rho", default="0"),
-          _arg("--K", type=fraction, default=Fraction(8)),
-          _arg("--C", type=fraction, default=Fraction(1)))),
+          _arg("--K", type=fraction, default="8"),
+          _arg("--C", type=fraction, default="1"))),
         ("example23", _cmd_example23, "glued graph basepoint experiment",
          (_arg("--f", default="poly 1 0 1", help='branch scale, e.g. "poly 1 0 1"'),
           _arg("--imax", type=int, default=6), _arg("--tail", type=int, required=True),
@@ -555,6 +561,12 @@ def run(argv: list[str]) -> int:
     # other than --json is the subcommand, or else argparse reports on it
     # with the whole parser
     parser = _build_parser(next((a for a in argv if a != "--json"), None))
+    # exact values can have more digits than the interpreter lets an int
+    # convert to or from text (4 300 since 3.11), so the limit is lifted
+    # while the command runs
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -583,6 +595,9 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

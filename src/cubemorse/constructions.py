@@ -1,22 +1,21 @@
 """Explicit geometry on top of the wall engine.
 
-Sublinear gauges with exact escape thresholds, the path group on four
-generators with its periodic diagonal geodesic and the flat-hopping
-quasi-geodesic built against it, wall-counting separation certificates,
-an exhaustive contraction checker, and the divergence dichotomy for
-paths near a contracting set. The glued labeled graph of Example 2.3
-lives in cubemorse.example23.
+The path group on four generators with its periodic diagonal geodesic
+and the flat-hopping quasi-geodesic built against it, wall-counting
+separation certificates, an exhaustive contraction checker, and the
+divergence dichotomy for paths near a contracting set. The sublinear
+gauges and the kappa radii live in cubemorse.gauges, the glued labeled
+graph of Example 2.3 in cubemorse.example23.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
+from .gauges import RhoLike, _kappa_prime, as_gauge, kappa
 from .raag import (
     CertificateViolation,
     ConfigError,
@@ -30,6 +29,7 @@ from .raag import (
     distance,
     quotient,
 )
+from .records import _Record
 from .runpaths import (
     QuasiGeodesicReport,
     RunPath,
@@ -46,221 +46,6 @@ from .walls import (
 )
 
 
-# --- sublinear gauges ---------------------------------------------------------
-
-
-RhoLike = Union["SublinearFn", int, Fraction, str]
-
-
-@dataclass(frozen=True)
-class SublinearFn:
-    """A non-decreasing sublinear gauge r -> rho(r) with exact comparisons.
-
-    Three kinds: "constant" is rho = a, "power" is rho = a * r**alpha with
-    0 <= alpha < 1, and "log" is rho = a * log(1 + r). Comparisons against
-    rationals are decided in exact rational arithmetic for the first two
-    kinds. The log kind escalates working precision until the sign is
-    certain; a rational target never ties a*log(1+r) at r > 0, so this
-    terminates.
-    """
-
-    kind: str
-    a: Fraction
-    alpha: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("constant", "power", "log"):
-            raise ConfigError(f"unknown gauge kind: {self.kind!r}")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.a < 0:
-            raise ConfigError("gauge scale must be nonnegative")
-        if self.kind == "power":
-            if not 0 <= self.alpha < 1:
-                raise ConfigError("power exponent must satisfy 0 <= alpha < 1")
-        elif self.alpha != 0:
-            raise ConfigError("alpha only applies to the power kind")
-
-    @classmethod
-    def constant(cls, c) -> "SublinearFn":
-        return cls("constant", Fraction(c))
-
-    @classmethod
-    def power(cls, a, alpha) -> "SublinearFn":
-        return cls("power", Fraction(a), Fraction(alpha))
-
-    @classmethod
-    def log(cls, a) -> "SublinearFn":
-        return cls("log", Fraction(a))
-
-    @classmethod
-    def from_text(cls, text: str) -> "SublinearFn":
-        """Parse "const 3", "power 2 1/2", "log 3"; a bare number is a
-        constant."""
-        parts = text.replace(":", " ").split()
-        if not parts:
-            raise ConfigError("empty gauge spec")
-        head = parts[0].lower()
-        try:
-            if head in ("const", "constant"):
-                (val,) = parts[1:]
-                return cls.constant(Fraction(val))
-            if head == "power":
-                a, alpha = parts[1:]
-                return cls.power(Fraction(a), Fraction(alpha))
-            if head == "log":
-                (a,) = parts[1:]
-                return cls.log(Fraction(a))
-            (val,) = parts
-            return cls.constant(Fraction(val))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad gauge spec {text!r}: {exc}") from None
-
-    def text(self) -> str:
-        if self.kind == "constant":
-            return f"const {self.a}"
-        if self.kind == "power":
-            return f"power {self.a} {self.alpha}"
-        return f"log {self.a}"
-
-    def cmp_at(self, r, m) -> int:
-        """Sign of rho(r) - m, exact. r must be >= 0."""
-        r, m = Fraction(r), Fraction(m)
-        if r < 0:
-            raise ValueError("gauge argument must be nonnegative")
-        if self.kind == "constant" or (self.kind == "power" and self.alpha == 0):
-            return _sign(self.a - m)
-        if self.kind == "power":
-            if r == 0 or self.a == 0:
-                return _sign(-m)
-            if m < 0:
-                return 1
-            p, q = self.alpha.numerator, self.alpha.denominator
-            # a*r^(p/q) vs m, both nonnegative: compare q-th powers
-            return _sign(self.a**q * r**p - m**q)
-        # log kind
-        if self.a == 0 or r == 0:
-            return _sign(-m)
-        if m <= 0:
-            return 1
-        return _log_cmp(r, m / self.a)
-
-    def threshold(self, slope) -> Fraction:
-        """Least R with rho(r) <= slope*r for all r >= R, reported as a
-        certified upper bound within 2**-32 of the true value (exact for
-        the constant kind, for thresholds that are exact rational roots,
-        and for the slope-dominated log case)."""
-        slope = Fraction(slope)
-        if slope <= 0:
-            raise ConfigError("threshold needs a positive slope")
-        if self.kind == "constant" or (self.kind == "power" and self.alpha == 0):
-            return self.a / slope
-        if self.a == 0:
-            return Fraction(0)
-        if self.kind == "power":
-            p, q = self.alpha.numerator, self.alpha.denominator
-            # slope*R = a*R^alpha  <=>  R^(q-p) = (a/slope)^q
-            target = (self.a / slope) ** q
-            num, den = (_iroot_exact(v, q - p) for v in (target.numerator, target.denominator))
-            if num is not None and den is not None:  # an exact rational root
-                return Fraction(num, den)
-            lo = Fraction(0)
-        else:
-            # log kind: slope*r - a*log(1+r) is increasing past a/slope - 1
-            if slope >= self.a:
-                return Fraction(0)
-            lo = self.a / slope - 1
-
-        def holds(R: Fraction) -> bool:
-            return self.cmp_at(R, slope * R) <= 0
-
-        hi = max(2 * lo, Fraction(1))
-        while not holds(hi):
-            hi *= 2
-        return _bisect_up(holds, lo, hi)
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _log_cmp(r: Fraction, target: Fraction) -> int:
-    """Sign of log(1+r) - target for r > 0 and rational target.
-
-    log(1+r) is irrational for rational r > 0, so the difference is never
-    zero and precision escalation terminates. At p digits the five
-    correctly rounded steps below each err by at most half a unit in the
-    last place of a value no larger than the largest operand, so the sign
-    is certain once |diff| exceeds 10**(adjusted + 3 - p)."""
-    prec = 30
-    while prec <= 4000:
-        ctx = decimal.Context(prec=prec)
-        hi = ctx.ln(r.numerator + r.denominator)
-        lo = ctx.ln(r.denominator)
-        t = ctx.divide(target.numerator, target.denominator)
-        diff = ctx.subtract(ctx.subtract(hi, lo), t)
-        adjusted = max(hi.adjusted(), lo.adjusted(), t.adjusted())
-        if abs(diff) > decimal.Decimal(10) ** (adjusted + 3 - prec):
-            return 1 if diff > 0 else -1
-        prec *= 2
-    raise ArithmeticError("log comparison did not resolve")
-
-
-def _iroot_exact(v: int, n: int) -> Optional[int]:
-    if v in (0, 1):
-        return v
-    lo, hi = 0, 1
-    while hi**n < v:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**n < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**n == v else None
-
-
-def _bisect_up(holds: Callable[[Fraction], bool], lo: Fraction, hi: Fraction) -> Fraction:
-    """Shrink [lo, hi] with holds(hi) true and the predicate upward-closed
-    on the bracket; returns hi as a certified bound."""
-    eps = Fraction(1, 2**32)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def as_gauge(rho: RhoLike) -> SublinearFn:
-    if isinstance(rho, SublinearFn):
-        return rho
-    if isinstance(rho, str):
-        return SublinearFn.from_text(rho)
-    return SublinearFn.constant(rho)
-
-
-def kappa(rho: RhoLike, K, C) -> Fraction:
-    """max(3K^2, 3C, 1 + the threshold past which rho(r) <= 3K^2 * r)."""
-    rho = as_gauge(rho)
-    K, C = Fraction(K), Fraction(C)
-    if K < 1 or C < 0:
-        raise ConfigError("need K >= 1 and C >= 0")
-    slope = 3 * K * K
-    return max(slope, 3 * C, 1 + rho.threshold(slope))
-
-
-def kappa_prime(rho: RhoLike, K, C) -> Fraction:
-    """(K^2 + 2) * (2*kappa + C), the neighbourhood radius of case (1)."""
-    return _kappa_prime(kappa(rho, K, C), Fraction(K), Fraction(C))
-
-
-def _kappa_prime(kap: Fraction, K: Fraction, C: Fraction) -> Fraction:
-    return (K * K + 2) * (2 * kap + C)
-
-
 # --- the four-generator path group --------------------------------------------
 
 
@@ -275,8 +60,7 @@ def build_croke_kleiner() -> DefiningGraph:
     return DefiningGraph.from_data(_CK_DATA)
 
 
-@dataclass(frozen=True)
-class _Coset:
+class _Coset(_Record):
     """Coset base * <gens>, with the stored base normalized to the coset's
     minimal representative, so two handles for the same coset compare and
     hash equal. That representative is the coset's gate at the identity;
@@ -329,7 +113,6 @@ class _Coset:
         )
 
 
-@dataclass(frozen=True)
 class Flat(_Coset):
     """Coset base * <g1, g2> of a commuting pair: a combinatorial plane."""
 
@@ -352,7 +135,6 @@ class Flat(_Coset):
         return f"Flat({self.base.text()!r}, {names})"
 
 
-@dataclass(frozen=True)
 class Line(_Coset):
     """Coset base * <gen>: a combinatorial line."""
 
@@ -378,8 +160,7 @@ class Line(_Coset):
 _GAMMA_PERIOD = (("b", "c", "c"), ("c", "d", "c"), ("c", "b", "b"), ("b", "a", "b"))
 
 
-@dataclass(frozen=True)
-class GammaPath:
+class GammaPath(_Record):
     """The first L flats of the P-periodic geodesic G through the flat
     cycle B, C, B, A: two steps per flat, repeating b c | c d | c b | b a.
 
@@ -551,8 +332,7 @@ def gamma_crosses(gamma: GammaPath, h: Wall, k: int = 0) -> bool:
 _BETA_CASES = (3, 2, 3, 1)  # by (l-1) % 4
 
 
-@dataclass(frozen=True)
-class BetaSegment:
+class BetaSegment(_Record):
     """One flat's worth of the construction: a long escape run p and a
     short connector run q. Where it starts is not stored: it is where the
     segments before it end, and its vertices are those of BetaReport.path."""
@@ -571,8 +351,7 @@ class BetaSegment:
         return self.N + self.M
 
 
-@dataclass(frozen=True)
-class BetaReport:
+class BetaReport(_Record):
     """The escape path, recorded once as its segments' runs: the run path
     and the family sequence are read off them."""
 
@@ -702,8 +481,7 @@ def build_beta(delta: int, L: int) -> BetaReport:
 # --- separation certificates ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SegmentCertificate:
+class SegmentCertificate(_Record):
     index: int
     p_wall_count: int
     q_wall_count: int
@@ -713,8 +491,7 @@ class SegmentCertificate:
         return min(self.p_wall_count, self.q_wall_count)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(_Record):
     delta: int
     segments: tuple[SegmentCertificate, ...]
     ok: bool
@@ -862,14 +639,15 @@ def certify_quasigeodesic(path: RunPath, K, C) -> QuasiGeodesicReport:
     d <= t-s holds for every unit-speed edge path."""
     K, C = Fraction(K), Fraction(C)
     rep = certify_quasigeodesic_runs(path, K, K * C)
-    return replace(rep, C=C, min_margin=Fraction(rep.min_margin) / K)
+    return QuasiGeodesicReport(
+        rep.certified, rep.K, C, Fraction(rep.min_margin) / K, rep.witness, rep.evaluations
+    )
 
 
 # --- contraction checking -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(_Record):
     passed: bool
     radius: int
     rho_text: str
@@ -996,8 +774,7 @@ def check_contracting(
 # --- divergence dichotomy -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
+class DichotomyReport(_Record):
     case: int
     kappa_value: Fraction
     kappa_prime_value: Fraction

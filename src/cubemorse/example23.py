@@ -9,7 +9,6 @@ complex: words live in the free group on the 14 edge labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -22,6 +21,7 @@ from .raag import (
     Word,
     parse_word,
 )
+from .records import _Record
 
 
 # --- glued labeled graph ---------------------------------------------------------
@@ -35,8 +35,7 @@ def free_alphabet_graph() -> DefiningGraph:
     return DefiningGraph.from_data({"generators": list(ALPHABET14), "edges": []})
 
 
-@dataclass(frozen=True)
-class PolySpec:
+class PolySpec(_Record):
     """Integer-coefficient polynomial, coefficients by ascending degree."""
 
     coeffs: tuple[Fraction, ...]
@@ -154,8 +153,7 @@ def _path_to(tree: dict[str, tuple[int, Optional[str]]], u: str, v: str) -> list
     return out[::-1]
 
 
-@dataclass(frozen=True)
-class Example23:
+class Example23(_Record):
     """Finite truncation of the glued ray space.
 
     The base ray R runs o, a1 .. a{tail} with label a. Branch ray R_i
@@ -238,8 +236,7 @@ def build_example23(f, i_max: int, tail: int) -> Example23:
     return Example23(g, tuple(sorted(values.items())), i_max, tail)
 
 
-@dataclass(frozen=True)
-class BasepointRow:
+class BasepointRow(_Record):
     i: int
     d_o: int
     d_oprime: int
@@ -307,8 +304,7 @@ def example23_relators(f, i_max: int) -> tuple[Word, ...]:
 # --- small cancellation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmallCancellationReport:
+class SmallCancellationReport(_Record):
     max_ratio: Fraction
     piece_length: int
     relator_pair: tuple[int, int]

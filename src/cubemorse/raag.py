@@ -69,7 +69,8 @@ DEFAULT_BALL_CAP = 12  # largest ball radius enumerated
 
 
 class _Frozen:
-    """Base of the immutable records of the word, wall and ray layers.
+    """Base of the immutable records of the word, wall and ray layers,
+    and of cubemorse.records._Record, the base of all the others.
     Each subclass's __init__ sets its fields once with object.__setattr__,
     which keeps them in the instance's compact attribute storage, and
     nothing may assign or delete them later: their hashes key caches.

@@ -28,7 +28,6 @@ certifier walks only the near ones.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -44,10 +43,10 @@ from .raag import (
     _strip_right,
     quotient,
 )
+from .records import _Record
 
 
-@dataclass(frozen=True)
-class RunPath:
+class RunPath(_Record):
     """An edge path from origin, stored as nonzero-exponent runs."""
 
     origin: GroupElement
@@ -304,8 +303,7 @@ class _ClusterTable:
         return out
 
 
-@dataclass(frozen=True)
-class QuasiGeodesicReport:
+class QuasiGeodesicReport(_Record):
     """Outcome of certifying (t-s) <= K*d(s,t) + C over all vertex pairs.
 
     min_margin is the exact global minimum of K*d(s,t) + C - (t-s) and

@@ -49,18 +49,15 @@ from cubemorse.constructions import (
     GammaPath,
     Line,
     PreconditionFailed,
-    RhoLike,
     SegmentCertificate,
     SeparationReport,
-    as_gauge,
     build_gamma,
     build_croke_kleiner,
     gamma_crosses,
-    kappa,
-    kappa_prime,
     translate_wall,
 )
 from cubemorse.example23 import BasepointRow
+from cubemorse.gauges import RhoLike, as_gauge, kappa, kappa_prime
 from cubemorse.raag import (
     CertificateViolation,
     DefiningGraph,

@@ -31,8 +31,6 @@ from cubemorse.constructions import (
     build_croke_kleiner,
     build_gamma,
     certify_quasigeodesic,
-    kappa,
-    kappa_prime,
     verify_separation,
 )
 from cubemorse.example23 import (
@@ -41,6 +39,7 @@ from cubemorse.example23 import (
     example23_relators,
     small_cancellation_check,
 )
+from cubemorse.gauges import kappa, kappa_prime
 from cubemorse.raag import GroupElement, Letter, distance
 from cubemorse.walls import (
     Wall,

@@ -6,6 +6,7 @@ import ast
 import json
 import os
 import re
+import sys
 import textwrap
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 from childproc import REPO, run_python
 from cubemorse.cli import run
+from cubemorse.gauges import kappa
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -697,6 +699,32 @@ def test_one_flat_beta_report(capsys):
     }
 
 
+def test_reports_print_values_past_the_int_digit_limit():
+    # kappa is 1 + (100000/3)^1000, whose numerator has 5 001 digits: more
+    # than the interpreter converts to text by default
+    rho = "power 100000 999/1000"
+    proc = run_python("-m", "cubemorse", "--json", "kappa", "--rho", rho)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["certified"] is True
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = str(kappa(rho, 1, 0))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300
+    assert rep["outputs"]["kappa"] == {"value": want, "certified": True}
+
+
+def test_run_restores_the_int_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert run(["kappa", "--rho", "power 100000 999/1000"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_glued_graph_miscount_exits_3(monkeypatch, capsys):
     from cubemorse import example23
 
@@ -735,6 +763,19 @@ def test_program_code_holds_no_assert():
     assert found == []
 
 
+def test_program_code_imports_no_dataclasses():
+    # every value class is a record on raag._Frozen, so no command pays for
+    # dataclasses and the inspect it imports
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((REPO / "src" / "cubemorse").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
 # --- import guards: a command loads only the layers it runs ---------------------
 
 LOADED_LAYERS = """
@@ -743,11 +784,11 @@ from cubemorse.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("cubemorse.")
-                               or m in ("dataclasses", "inspect"))]))
+                               or m in ("dataclasses", "inspect", "fractions"))]))
 """
 ESCAPE_LAYERS = {"cubemorse.constructions", "cubemorse.runpaths"}
 WALL_LAYERS = {"cubemorse.walls", "cubemorse.boundary"}
-# the word, wall and ray layers are no dataclasses, and dataclasses imports inspect
+# no value class is a dataclass, and dataclasses imports inspect
 DATACLASSES = {"dataclasses", "inspect"}
 
 
@@ -758,23 +799,35 @@ def _layers_loaded(argv: list[str]) -> tuple[int, set]:
     return code, set(modules)
 
 
-# command -> the modules its first contract case must not load; the
-# glued-graph commands run on the word layer alone
+# the word, wall and ray layers use neither the record base nor fractions
+LEAN = {"cubemorse.records", "fractions"}
+# command -> the modules its first contract case must not load, besides
+# dataclasses and inspect, which none loads; the glued-graph commands run
+# on the word layer alone and kappa on the gauges
 SKIPPED_LAYERS = {
-    "nf": ESCAPE_LAYERS | WALL_LAYERS | DATACLASSES,
-    "dist": ESCAPE_LAYERS | WALL_LAYERS | DATACLASSES,
-    "crossratio": ESCAPE_LAYERS | DATACLASSES,
+    "nf": ESCAPE_LAYERS | WALL_LAYERS | LEAN,
+    "dist": ESCAPE_LAYERS | WALL_LAYERS | LEAN,
+    **{name: ESCAPE_LAYERS | {"cubemorse.boundary"} | LEAN
+       for name in ("walls", "side", "crosses", "separated")},
+    **{name: ESCAPE_LAYERS | LEAN
+       for name in ("chain", "product", "bracket", "metric", "crossratio", "hyp", "refine")},
+    "kappa": ESCAPE_LAYERS | WALL_LAYERS,
+    **{name: {"cubemorse.boundary"} for name in ("gamma", "beta", "contracting", "dichotomy")},
     "example23": ESCAPE_LAYERS | WALL_LAYERS,
     "smallcancel": ESCAPE_LAYERS | WALL_LAYERS,
-    **{name: {"cubemorse.boundary"} for name in ("kappa", "gamma", "beta", "contracting", "dichotomy")},
 }
+
+
+def test_import_guards_cover_every_command():
+    assert set(SKIPPED_LAYERS) == set(CONTRACT_CASES)
+    assert len(SKIPPED_LAYERS) == 20
 
 
 @pytest.mark.parametrize("name", sorted(SKIPPED_LAYERS))
 def test_boundary_commands_skip_escape_layers(name):
     code, modules = _layers_loaded([name] + CONTRACT_CASES[name][0])
     assert code == 0
-    assert not modules & SKIPPED_LAYERS[name], sorted(modules)
+    assert not modules & (SKIPPED_LAYERS[name] | DATACLASSES), sorted(modules)
 
 
 def test_escape_command_loads_escape_layers():
@@ -787,12 +840,14 @@ def test_escape_command_loads_escape_layers():
 # and from every layer below them, and from nothing else
 LAYERS = {
     "raag": (),
+    "records": ("raag",),
     "walls": ("raag",),
-    "runpaths": ("raag",),
+    "runpaths": ("raag", "records"),
+    "gauges": ("raag", "records"),
     "boundary": ("walls",),
-    "constructions": ("raag", "walls", "runpaths"),
-    "example23": ("raag",),
-    "cli": ("raag", "walls", "boundary", "runpaths", "constructions", "example23"),
+    "constructions": ("raag", "records", "walls", "runpaths", "gauges"),
+    "example23": ("raag", "records"),
+    "cli": ("raag", "walls", "boundary", "runpaths", "gauges", "constructions", "example23"),
     "__main__": ("cli",),
     "__init__": (),
 }
@@ -825,7 +880,9 @@ def test_glued_graph_module_loads_only_the_word_layer():
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['cubemorse', 'cubemorse.example23', 'cubemorse.raag']"
+    assert proc.stdout.strip() == (
+        "['cubemorse', 'cubemorse.example23', 'cubemorse.raag', 'cubemorse.records']"
+    )
 
 
 def test_bare_import_loads_no_submodule():

@@ -1,6 +1,5 @@
 """Gauges, the diagonal geodesic, the escape path, and its certificates."""
 
-import dataclasses
 import decimal
 import itertools
 import math
@@ -20,9 +19,6 @@ from cubemorse.constructions import (
     Flat,
     Line,
     PreconditionFailed,
-    SublinearFn,
-    _log_cmp,
-    as_gauge,
     build_beta,
     build_croke_kleiner,
     build_gamma,
@@ -30,13 +26,12 @@ from cubemorse.constructions import (
     check_contracting,
     check_divergence_dichotomy,
     gamma_crosses,
-    kappa,
-    kappa_prime,
     line_wall_counts,
     runpath_prefix,
     translate_wall,
     verify_separation,
 )
+from cubemorse.gauges import SublinearFn, _log_cmp, as_gauge, kappa, kappa_prime
 from cubemorse.raag import (
     DefiningGraph,
     GroupElement,
@@ -858,7 +853,7 @@ def assert_matches_oracle(got, want):
     starts at P^k·start, start its frame start walked from its runs, the
     oracle's global start, and the run paths and family sequences are
     equal."""
-    names = [f.name for f in dataclasses.fields(BetaSegment)]
+    names = BetaSegment._fields
     assert [tuple(getattr(s, n) for n in names) for s in got.segments] == list(want.choices)
     shift = GroupElement.identity(got.gamma.graph)
     for s, start, global_start in zip(got.segments, segment_starts(got), want.starts):
@@ -1066,11 +1061,17 @@ def negate_nth_gate(monkeypatch, n):
     monkeypatch.setattr(constructions, "line_gate_exponent", negated)
 
 
+def replaced(record, **fields):
+    """A copy of record with the given fields replaced, built from the
+    fields its class names."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **fields})
+
+
 def with_segment(beta, i, **fields):
     """beta with the given fields of its segment i (0-based) replaced."""
     segs = list(beta.segments)
-    segs[i] = dataclasses.replace(segs[i], **fields)
-    return dataclasses.replace(beta, segments=tuple(segs))
+    segs[i] = replaced(segs[i], **fields)
+    return replaced(beta, segments=tuple(segs))
 
 
 def separation_outcome(fn, beta, errors=CertificateViolation):
