@@ -13,20 +13,22 @@ crossed j pairwise strongly separated walls, any wall it crosses later is
 separated from the base by at least j-1 of them.
 
 Every product reads a ray through one index per (ray, depth), kept in a
-single bounded cache: the walls in crossing order and their positions,
-each wall's distance from the base, the strong-separation relation among
-the walls, and the greedy separated chains. A wall's distance is read
-from the ray's own prefix while the walls are built: one right strip of
-the vertex reached so far, seen from the base, with no inverse or
-product. A greedy chain is a walk along next pointers: from each wall to
-the first later wall strongly separated from it, within the gap bound.
-The pointers and the chain lengths they give are memoised per gap bound,
-so the chains from all starts share one walk. A product only asks
-whether the tail bound exceeds one number, and the index answers by
-scanning starts in order until some chain is long enough, resuming there
-on the next question. Only the walls and their distances are computed
-when the index is built; each relation is filled on first use and
-memoised, so a pair of walls is tested at most once.
+single bounded cache: the ray's letters, a key per wall in crossing order
+and the keys' positions, each wall's distance from the base, the
+strong-separation relation among the walls, and the greedy separated
+chains. A key, (generator, canonical base syllables), names a Wall; it and
+the distance are each one right strip of the vertex reached, read off the
+ray's own prefix with no group element. A Wall is made only when a caller
+reads the walls. Two walls' separation is read off the letters between
+their crossings (see _RayIndex.separated). A greedy chain is a walk along
+next pointers: from each wall to the first later wall strongly separated
+from it, within the gap bound. The pointers and the chain lengths they
+give are memoised per gap bound, so the chains from all starts share one
+walk. A product only asks whether the tail bound exceeds one number, and
+the index answers by scanning starts in order until some chain is long
+enough, resuming there on the next question. Only the keys and distances
+are computed when the index is built; each relation is filled on first
+use and memoised, so a pair of walls is tested at most once.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from .raag import (
 )
 from .walls import (
     Wall,
+    _separation_mask,
     crosses,
-    strongly_separated,
     wall_distance,
 )
 
@@ -267,10 +269,14 @@ def _representative_letters(ray: BoundaryRay, depth: int):
 class _RayIndex:
     """The walls of one ray at one depth, their distances from the base and
     the relations among them that the products read. Built once per
-    (ray, depth) by _ray_index, which reads each distance from the ray's
-    prefix as it builds the walls (see dist); the relations are filled in
-    place on first use and memoised, so a query pays only for the pairs it
-    touches. Not safe for concurrent filling from several threads.
+    (ray, depth) by _ray_index, which reads each key and distance from the
+    ray's prefix (see dist); the relations are filled in place on first use
+    and memoised, so a query pays only for the pairs it touches. Not safe
+    for concurrent filling from several threads.
+
+    Wall t is keyed by (generator, canonical base syllables), its name as
+    Wall.__post_init__ makes it; pos maps keys to places, and walls builds
+    the Wall objects on first read.
 
     The greedy chain with gap bound r from start s is s, next_r(s),
     next_r(next_r(s)), ..., where next_r(s) is the first t with
@@ -283,23 +289,42 @@ class _RayIndex:
     every start. The tail test scans the starts in order and stops as soon
     as the longest chain so far settles its answer."""
 
-    __slots__ = ("walls", "pos", "_dists", "_known", "_sep", "_walks", "_scanned", "_tail")
+    __slots__ = ("graph", "letters", "keys", "pos", "_walls", "_dists",
+                 "_known", "_sep", "_walks", "_scanned", "_tail")
 
-    def __init__(self, walls: tuple[Wall, ...], dists: tuple[int, ...]):
-        self.walls = walls
-        self.pos = {w: t for t, w in enumerate(walls)}
-        if len(self.pos) != len(walls):
+    def __init__(self, graph: DefiningGraph, letters: list, keys: tuple, dists: tuple[int, ...]):
+        self.graph = graph
+        self.letters = letters
+        self.keys = keys
+        self.pos = {k: t for t, k in enumerate(keys)}
+        if len(self.pos) != len(keys):
             raise CertificateViolation("geodesic crossed a wall twice")
+        self._walls: Optional[tuple[Wall, ...]] = None
         self._dists = dists
         # bit j of _known[i] / _sep[i], i < j: pair tested / strongly separated
-        self._known = [0] * len(walls)
-        self._sep = [0] * len(walls)
-        # r -> (next_r, L_r); next_r(s) = len(walls) when the chain ends at s,
+        self._known = [0] * len(keys)
+        self._sep = [0] * len(keys)
+        # r -> (next_r, L_r); next_r(s) = len(keys) when the chain ends at s,
         # and L_r has one more entry, 0 at that end, None where not yet walked
         self._walks: dict[Optional[int], tuple[list[int], list[Optional[int]]]] = {}
         # the tail scan: starts folded in so far, max(0, their longest L_None - 1)
         self._scanned = 0
         self._tail = 0
+
+    @property
+    def walls(self) -> tuple[Wall, ...]:
+        """The walls in crossing order, built from their keys on first read."""
+        if self._walls is None:
+            graph = self.graph
+            self._walls = tuple(Wall(GroupElement(graph, base), gen) for gen, base in self.keys)
+        return self._walls
+
+    def key(self, w: Wall) -> Optional[tuple]:
+        """w's key, or None for a wall over another graph, which is no wall
+        of this ray even when its generator and syllables match one."""
+        if w.graph is not self.graph and w.graph != self.graph:
+            return None
+        return (w.gen, w.base.syllables)
 
     def dist(self, t: int) -> int:
         """wall_distance(base, wall t), read from the ray's prefix when the
@@ -322,10 +347,30 @@ class _RayIndex:
         return self._dists[t]
 
     def separated(self, i: int, j: int) -> bool:
-        """Whether walls i < j are strongly separated."""
+        """Whether walls i < j are strongly separated, read off the letters
+        X = letters[i+1:j] strictly between the two crossings.
+
+        Wall t is named from the vertex before letter t, or after it when
+        the letter is negative, less a ⟨lk g_t⟩ suffix. So b_i^-1·b_j lies
+        in ⟨lk g_i⟩·W·⟨lk g_j⟩, W = (g_i?)·X·(g_j^-1?), with g_i present
+        when letter i is positive and g_j^-1 when letter j is negative. W
+        is a piece of the ray's representative, literal or shortlex, so it
+        is geodesic, and _separation_mask reads it as it reads
+        nf(b_i^-1·b_j).
+
+        Dropping the optional letters changes neither answer. A leading g_i
+        is kept by the left strip and leaves its open mask as it was, since
+        adj_mask[g_i] = lk g_i; a trailing g_j^-1 does the same to the
+        right strip. So X's letters meet the same decisions in W as alone,
+        and W's middle is X's with at most g_i and g_j^-1 added, which
+        commute with every direction in lk g_i ∩ lk g_j: the mask stays.
+        The walls cross only when g_i and g_j commute; then g_i commutes
+        with ⟨lk g_i⟩ and lies in lk g_j, and g_j likewise, so W lies in
+        ⟨lk g_i⟩·⟨lk g_j⟩ exactly when X does."""
         bit = 1 << j
         if not self._known[i] & bit:
-            if strongly_separated(self.walls[i], self.walls[j]):
+            letters = self.letters
+            if _separation_mask(self.graph, letters[i][0], letters[i + 1:j], letters[j][0]) == 0:
                 self._sep[i] |= bit
             self._known[i] |= bit
         return bool(self._sep[i] & bit)
@@ -333,7 +378,7 @@ class _RayIndex:
     def _length(self, r: Optional[int], start: int) -> int:
         """L_r(start), following next pointers until a walked start and
         filling in the lengths on the way back."""
-        n = len(self.walls)
+        n = len(self.keys)
         if r not in self._walks:
             self._walks[r] = ([n] * n, [None] * n + [0])
         nxt, length = self._walks[r]
@@ -354,7 +399,7 @@ class _RayIndex:
         strongly separated and index gaps < r (r None = unbounded): the
         chain from the first start of greatest length. Crossing points of
         walls i and j on a geodesic are |i-j| apart."""
-        n = len(self.walls)
+        n = len(self.keys)
         s = max(range(n), key=lambda s: self._length(r, s), default=n)
         out = []
         while s < n:
@@ -373,7 +418,7 @@ class _RayIndex:
         longest chain so far decides the question: the running value only
         grows and ends at the tail bound, so once it exceeds x so does the
         bound, and when every start is scanned it is the bound."""
-        n = len(self.walls)
+        n = len(self.keys)
         while self._tail <= x and self._scanned < n:
             self._tail = max(self._tail, self._length(None, self._scanned) - 1)
             self._scanned += 1
@@ -384,24 +429,26 @@ class _RayIndex:
 def _ray_index(ray: BoundaryRay, depth: int) -> _RayIndex:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if depth == 0:
-        return _RayIndex((), ())
     graph = ray.graph
-    walls, dists = [], []
+    if depth == 0:
+        return _RayIndex(graph, [], (), ())
+    letters = _representative_letters(ray, depth)
+    adj = graph.adj_mask
+    keys, dists = [], []
     # v, the vertex reached, and u = base^-1·v, as syllable lists grown in
-    # place; each wall is named from v at the tail of its letter's g-edge,
-    # and the walk builds no group element but the walls' bases
+    # place; each wall is keyed from v at the tail of its letter's g-edge,
+    # right-stripped of ⟨lk g⟩ as Wall.__post_init__ strips it
     v, u = list(ray.base.syllables), []
-    for gen, sign in _representative_letters(ray, depth):
-        kept, _ = _strip_right(graph, u, graph.adj_mask[gen])
+    for gen, sign in letters:
+        kept, _ = _strip_right(graph, u, adj[gen])
         dists.append(sum(abs(e) for _, e in kept))
         _append_syllable(graph, u, gen, sign)
         if sign < 0:
             _append_syllable(graph, v, gen, sign)
-        walls.append(Wall(GroupElement(graph, tuple(v)), gen))
+        keys.append((gen, _strip_right(graph, v, adj[gen])[0]))
         if sign > 0:
             _append_syllable(graph, v, gen, sign)
-    return _RayIndex(tuple(walls), tuple(dists))
+    return _RayIndex(graph, letters, tuple(keys), tuple(dists))
 
 
 def ray_walls(ray: BoundaryRay, depth: int) -> tuple[Wall, ...]:
@@ -432,8 +479,8 @@ def bracket_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductVal
     _check_same_base(xi, eta)
     ix = _ray_index(xi, depth)
     ie = _ray_index(eta, depth)
-    dists = [ix.dist(t) for t, w in enumerate(ix.walls) if w not in ie.pos]
-    dists += [ie.dist(t) for t, w in enumerate(ie.walls) if w not in ix.pos]
+    dists = [ix.dist(t) for t, k in enumerate(ix.keys) if k not in ie.pos]
+    dists += [ie.dist(t) for t, k in enumerate(ie.keys) if k not in ix.pos]
     if not dists:
         return ProductValue(math.inf, xi.same_point_structurally(eta), depth)
     best = min(dists)
@@ -456,11 +503,11 @@ def gromov_product(xi: BoundaryRay, eta: BoundaryRay, depth: int) -> ProductValu
 
     def barrier_after(own: _RayIndex) -> bool:
         last = -1
-        for t, w in enumerate(own.walls):
-            if w in common:
+        for t, k in enumerate(own.keys):
+            if k in common:
                 last = t
         prev = None
-        for t in range(last + 1, len(own.walls)):
+        for t in range(last + 1, len(own.keys)):
             if prev is not None and own.separated(prev, t):
                 return True
             prev = t
@@ -511,7 +558,7 @@ def hyp_member(xi: BoundaryRay, walls: Iterable[Wall], depth: int) -> bool:
     bound is the negation of tail_exceeds(distance).
     """
     index = _ray_index(xi, depth)
-    missing = [w for w in walls if w not in index.pos]
+    missing = [w for w in walls if index.key(w) not in index.pos]
     if not missing:
         return True
     o = xi.base
@@ -535,10 +582,10 @@ def find_separated_chain(
     n-separated exactly when it is strongly separated, and the chain is the
     n = 0 chain. A negative n admits no pair."""
     index = _ray_index(xi, depth)
-    walls = index.walls
     idx = index.chain(r) if n >= 0 else ()
     if len(idx) < 2:
         return SeparatedChain((), (), n, r)
+    walls = index.walls
     gaps = tuple(idx[k + 1] - idx[k] for k in range(len(idx) - 1))
     return SeparatedChain(tuple(walls[k] for k in idx), gaps, n, r)
 
@@ -559,14 +606,15 @@ def refine_to_single_wall(
     If w does not cross k, k's carrier lies on w's far side from the base,
     so w separates. If w crosses k, w does not separate the base from
     that carrier."""
-    pos = _ray_index(xi, depth).pos
+    index = _ray_index(xi, depth)
+    pos = index.pos
     inputs = list(walls)
-    for w in inputs:
-        if w not in pos:
-            raise ValueError("input wall is not crossed by the ray at this depth")
-    after = max((pos[w] for w in inputs), default=-1)
+    places = [pos.get(index.key(w)) for w in inputs]
+    if None in places:
+        raise ValueError("input wall is not crossed by the ray at this depth")
+    after = max(places, default=-1)
     for k in chain.walls:
-        if pos.get(k, -1) > after and not any(crosses(w, k) for w in inputs):
+        if pos.get(index.key(k), -1) > after and not any(crosses(w, k) for w in inputs):
             return k
     raise ChainExhausted("no chain wall past the inputs separates as required")
 

@@ -173,18 +173,23 @@ def _log_cmp(r: Fraction, target: Fraction) -> int:
 
 
 def _iroot_exact(v: int, n: int) -> Optional[int]:
-    if v in (0, 1):
-        return v
-    lo, hi = 0, 1
-    while hi**n < v:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**n < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**n == v else None
+    """The integer r with r**n == v, or None when there is none (n >= 1).
+
+    Integer Newton iteration for the floor root r = floor(v^(1/n)). Each
+    step x -> floor(((n-1)·x + floor(v / x^(n-1))) / n) equals the floor of
+    the real step ((n-1)·x + v/x^(n-1)) / n, which is at least v^(1/n) by
+    the AM-GM inequality, so no step goes below r; and while x^n > v the
+    real step is below x, so the step strictly falls. The start
+    2^ceil(bits(v)/n) has start^n >= 2^bits(v) > v, so the steps fall to r
+    and stop there, the first step that does not fall."""
+    if v < 2:
+        return v if v >= 0 else None
+    x = 1 << -(-v.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + v // x ** (n - 1)) // n
+        if y >= x:
+            return x if x**n == v else None
+        x = y
 
 
 def _bisect_up(holds: Callable[[Fraction], bool], lo: Fraction, hi: Fraction) -> Fraction:

@@ -193,78 +193,80 @@ def line_gate_exponent(x: Vertex, g: int) -> int:
     return kept[0][1] if kept and kept[0][0] == g else 0
 
 
-def crosses(h1: Wall, h2: Wall) -> bool:
-    """Transversality: the generators commute and the carrier cosets meet.
+def _separation_mask(graph: DefiningGraph, g1: int, between, g2: int) -> int | None:
+    """The one double strip. For walls [b1⟨lk g1⟩, g1] and [b2⟨lk g2⟩, g2]
+    and `between` any geodesic word for an element of ⟨lk g1⟩·b1^-1·b2·⟨lk g2⟩:
+    None when the walls cross, and otherwise the bit mask of the generators
+    h such that some (equivalently, infinitely many) h-walls cross both.
 
-    Coset intersection b1⟨lk g1⟩ ∩ b2⟨lk g2⟩ is nonempty iff nf(b1^-1 b2)
-    lies in ⟨lk g1⟩·⟨lk g2⟩, decided by the double strip.
+    Left-strip ⟨lk g1⟩, then right-strip ⟨lk g2⟩: the middle m left is
+    empty iff the carriers meet, so the walls cross iff m is empty and g1,
+    g2 commute (equal walls share a generator, not adjacent to itself). A
+    wall crossing both has its generator in both links, and its carrier
+    meets both carriers, so the generator commutes with all of m.
+    Conversely, with the word = x·m·y, x in ⟨lk g1⟩ and y in ⟨lk g2⟩, such
+    an h gives for every k a wall [b1·x·h^k, h], as b1·x·h^k·m = b2·y^-1·h^k
+    lies on the second carrier. A right factor in ⟨lk g2⟩ names the same
+    second carrier, and a left one in ⟨lk g1⟩ is a translation that fixes
+    the first wall and keeps edge labels, so any element of the double
+    coset will do; and two geodesic words for it differ by swaps of
+    adjacent commuting letters, which change no letter's strip decision.
+
+    With lk(g1) ∩ lk(g2) empty and g1, g2 not commuting, the answer is 0
+    from the masks alone, as the strip would find.
     """
-    if h1 == h2:
-        return False
+    adj = graph.adj_mask
+    common = adj[g1] & adj[g2]
+    adjacent = (adj[g1] >> g2) & 1
+    if not common and not adjacent:
+        return 0
+    _, kept = _strip_left(graph, between, adj[g1])
+    middle, _ = _strip_right(graph, kept, adj[g2])
+    if not middle and adjacent:
+        return None
+    for g, _ in middle:
+        common &= adj[g]
+    return common
+
+
+def _wall_pair_mask(h1: Wall, h2: Wall) -> int | None:
+    """_separation_mask of two walls, read through nf(b1^-1·b2)."""
+    return _separation_mask(h1.graph, h1.gen, quotient(h1.base, h2.base).syllables, h2.gen)
+
+
+def crosses(h1: Wall, h2: Wall) -> bool:
+    """Transversality: the generators commute and the carrier cosets meet,
+    decided by the double strip (see _separation_mask)."""
     if not h1.graph.adjacent(h1.gen, h2.gen):
         return False
-    return not _stripped_middle(h1, h2)
-
-
-def _stripped_middle(h1: Wall, h2: Wall) -> tuple:
-    """nf(b1^-1 b2) left-stripped by ⟨lk g1⟩ and then right-stripped by
-    ⟨lk g2⟩: what remains between the carrier cosets b1⟨lk g1⟩ and
-    b2⟨lk g2⟩ after pulling off everything either coset can absorb."""
-    graph = h1.graph
-    _, kept = _strip_left(graph, quotient(h1.base, h2.base).syllables, graph.adj_mask[h1.gen])
-    middle, _ = _strip_right(graph, kept, graph.adj_mask[h2.gen])
-    return middle
+    return _wall_pair_mask(h1, h2) is None
 
 
 def common_transversal_directions(h1: Wall, h2: Wall) -> frozenset[int] | None:
     """Generators h such that some (equivalently, infinitely many) walls with
-    generator h cross both h1 and h2; None when h1 and h2 cross, which the
-    same strip decides (see crosses).
-
-    A wall crossing both needs its generator adjacent to both g1 and g2, and
-    its carrier coset must meet both carriers; that forces the generator to
-    commute with the whole separator between the carriers. Conversely, write
-    nf(b1^-1 b2) = x·m·y with x in ⟨lk g1⟩, y in ⟨lk g2⟩ and m the stripped
-    middle. For such a generator h, every k gives a wall [b1·x·h^k, h]:
-    b1·x·h^k lies on the first carrier and b1·x·h^k·m = b2·y^-1·h^k on the
-    second, so it crosses both, and distinct k give distinct walls.
-
-    When lk(g1) ∩ lk(g2) is empty and g1, g2 do not commute, the answer is
-    the empty set whatever the bases, and the strip is skipped. A wall
-    crossing both would need its generator in both links, so there is
-    none; and two walls cross only when their generators commute, so h1
-    and h2 do not cross. The strip reaches the same empty set.
-    """
-    graph = h1.graph
-    common = graph.link(h1.gen) & graph.link(h2.gen)
-    if not common and not graph.adjacent(h1.gen, h2.gen):
-        return frozenset()
-    middle = _stripped_middle(h1, h2)
-    if not middle and h1 != h2 and graph.adjacent(h1.gen, h2.gen):
+    generator h cross both h1 and h2; None when h1 and h2 cross. See
+    _separation_mask."""
+    mask = _wall_pair_mask(h1, h2)
+    if mask is None:
         return None
-    sep = {g for g, _ in middle}
-    out = set()
-    for g in common:
-        if all(graph.adjacent(g, s) for s in sep):
-            out.add(g)
-    return frozenset(out)
+    return frozenset(g for g in range(len(h1.graph.generators)) if (mask >> g) & 1)
 
 
 def strongly_separated(h1: Wall, h2: Wall) -> bool:
     """No wall crosses both (0-separation). Exact, no search."""
-    return common_transversal_directions(h1, h2) == frozenset()
+    return _wall_pair_mask(h1, h2) == 0
 
 
 def crossing_count(h1: Wall, h2: Wall) -> tuple[float, bool]:
     """How many walls cross both h1 and h2: (0, True) when no common
     transversal direction exists, and (math.inf, True) otherwise. Both
-    answers are exact; see common_transversal_directions."""
+    answers are exact; see _separation_mask."""
     if h1 == h2:
         raise InvalidPair("crossing_count needs two distinct walls")
-    directions = common_transversal_directions(h1, h2)
-    if directions is None:
+    mask = _wall_pair_mask(h1, h2)
+    if mask is None:
         raise WallsCross("walls are transverse; no separation to measure")
-    return (math.inf, True) if directions else (0, True)
+    return (math.inf, True) if mask else (0, True)
 
 
 def gate(x: Vertex, h: Wall) -> Vertex:

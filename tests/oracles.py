@@ -85,7 +85,6 @@ from cubemorse.runpaths import (
 from cubemorse.walls import (
     DEFAULT_BALL_CAP,
     Wall,
-    _stripped_middle,
     ball,
     crosses,
     side,
@@ -465,7 +464,8 @@ def common_transversal_directions_by_strip(h1, h2):
     cross; otherwise the link generators of both that commute with the
     whole stripped middle between the carriers."""
     graph = h1.graph
-    middle = _stripped_middle(h1, h2)
+    _, kept = _strip_left(graph, quotient(h1.base, h2.base).syllables, graph.adj_mask[h1.gen])
+    middle, _ = _strip_right(graph, kept, graph.adj_mask[h2.gen])
     if not middle and h1 != h2 and graph.adjacent(h1.gen, h2.gen):
         return None
     sep = {g for g, _ in middle}

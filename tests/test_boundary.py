@@ -7,7 +7,15 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from cubemorse.raag import DefiningGraph, GroupElement, Letter, Word, distance, normal_form
+from cubemorse.raag import (
+    DefiningGraph,
+    GroupElement,
+    Letter,
+    MixedGraphs,
+    Word,
+    distance,
+    normal_form,
+)
 from cubemorse.walls import Wall, wall_of_edge, walls_separating_point_from_wall
 from cubemorse.boundary import (
     BoundaryRay,
@@ -400,3 +408,21 @@ class TestHypAndRefine:
         last = chain.walls[-1]
         with pytest.raises(ChainExhausted):
             refine_to_single_wall(r, {last}, chain, DEPTH)
+
+    def test_walls_over_another_graph_are_not_ray_walls(self, z3z, ck):
+        # d^3@d over ck has the generator and base syllables of the fourth
+        # wall of |d over z3z, but it is a wall of another complex: the ray
+        # does not cross it, and a chain made of such walls offers none
+        r = ray(z3z, "|d")
+        d = ck.gen_index("d")
+        assert d == z3z.gen_index("d")
+        foreign = [Wall(GroupElement.from_text(ck, f"d^{k}"), d) for k in (3, 4)]
+        here = ray_walls(r, DEPTH)[3]
+        assert (foreign[0].gen, foreign[0].base.syllables) == (here.gen, here.base.syllables)
+        with pytest.raises(MixedGraphs):
+            hyp_member(r, [foreign[0]], DEPTH)
+        chain = find_separated_chain(r, 0, 5, DEPTH)
+        with pytest.raises(ValueError, match="not crossed"):
+            refine_to_single_wall(r, [foreign[0]], chain, DEPTH)
+        with pytest.raises(ChainExhausted):
+            refine_to_single_wall(r, [here], SeparatedChain(tuple(foreign), (1,), 0, 5), DEPTH)

@@ -31,7 +31,7 @@ from cubemorse.constructions import (
     translate_wall,
     verify_separation,
 )
-from cubemorse.gauges import SublinearFn, _log_cmp, as_gauge, kappa, kappa_prime
+from cubemorse.gauges import SublinearFn, _iroot_exact, _log_cmp, as_gauge, kappa, kappa_prime
 from cubemorse.raag import (
     DefiningGraph,
     GroupElement,
@@ -201,6 +201,21 @@ class TestSublinearFn:
         R = f.threshold(1)
         assert f.cmp_at(R, R) <= 0
         assert f.cmp_at(R - Fraction(1, 4), R - Fraction(1, 4)) > 0
+
+    @pytest.mark.parametrize(
+        "v, n, root",
+        [
+            (0, 1, 0), (0, 5, 0), (1, 7, 1), (2, 1, 2), (2, 2, None), (3, 2, None),
+            (4, 2, 2), (8, 3, 2), (9, 3, None), (26, 3, None), (27, 3, 3), (28, 3, None),
+            (2**64, 64, 2), (2**64 - 1, 64, None), (2**64 + 1, 64, None),
+            (3**300, 100, 27), (3**300 + 1, 100, None), (10**600, 3, 10**200),
+            ((10**1000 + 7) ** 3, 3, 10**1000 + 7), ((10**1000 + 7) ** 3 - 1, 3, None),
+            ((10**50 - 1) ** 9, 9, 10**50 - 1), (12345678987654321, 1, 12345678987654321),
+            (-8, 3, None),
+        ],
+    )
+    def test_exact_integer_roots(self, v, n, root):
+        assert _iroot_exact(v, n) == root
 
     def test_threshold_needs_positive_slope(self):
         with pytest.raises(ConfigError):

@@ -1,8 +1,10 @@
 """The per-ray wall index behind the boundary products, checked against
 brute force over walls.crosses / walls.strongly_separated."""
 
+import contextlib
 import random
 import textwrap
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -10,20 +12,25 @@ from hypothesis import strategies as st
 
 from childproc import run_python
 from cubemorse import boundary
+from cubemorse import raag as raag_module
 from cubemorse import walls as walls_module
 from cubemorse.boundary import (
     BoundaryRay,
+    InvalidRay,
+    ProductValue,
     _ray_index,
     bracket_product,
     cross_ratio_cr,
     find_separated_chain,
     gromov_product,
+    ray_walls,
     validate_ray,
 )
 from cubemorse.raag import GroupElement, Word, normal_form
-from cubemorse.walls import crossing_count, wall_distance
+from cubemorse.walls import Wall, crossing_count, wall_distance
 from oracles import (
     bracket_product_by_lower_bound,
+    common_transversal_directions_by_strip,
     draw_ray,
     oracle_chain,
     oracle_lower,
@@ -88,7 +95,8 @@ def test_index_matches_brute_force(rays, z3z, ck, depth):
             index = _ray_index(ray, depth)
             walls, dists = ray_index_by_steps(ray, depth)
             assert index.walls == walls
-            assert index.pos == {w: t for t, w in enumerate(walls)}
+            # positions are keyed by the names Wall gives its walls
+            assert index.pos == {(w.gen, w.base.syllables): t for t, w in enumerate(walls)}
             # the memo must not depend on which question filled it first
             queries = [("dist", t) for t in range(len(walls))]
             queries += [("chain", r) for r in (None, 2, 5)] + [("tail", None)]
@@ -200,24 +208,53 @@ def test_tail_exceeds_matches_oracle(z3z, ck, data):
     assert index.tail_exceeds(tail - 1) and not index.tail_exceeds(tail)
 
 
+@seed(2303)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_separated_matches_double_strip_of_walls(z3z, ck, data):
+    # the index separates two of its walls by the letters between their
+    # crossings; that must agree with the double strip of the two walls'
+    # own bases, on the literal representative and on the shortlex one
+    graph = data.draw(st.sampled_from((z3z, ck)) | random_graphs())
+    n = len(graph.generators)
+    syllable = st.tuples(st.integers(0, n - 1), st.sampled_from((-2, -1, 1, 2)))
+    base = normal_form(Word(graph, data.draw(st.lists(syllable, max_size=3))))
+    ray = draw_ray(data, graph, base)
+    shortlex = data.draw(st.booleans())
+    _ray_index.cache_clear()
+    # no literal letters: the index falls back to the shortlex representative
+    patch = mock.patch.object(boundary, "_literal_letters", lambda ray, depth: None)
+    with patch if shortlex else contextlib.nullcontext():
+        try:
+            index = _ray_index(ray, BRACKET_DEPTH)
+        except InvalidRay:
+            assume(False)
+    walls = index.walls
+    for j in range(len(walls)):
+        for i in range(j):
+            want = common_transversal_directions_by_strip(walls[i], walls[j]) == frozenset()
+            assert index.separated(i, j) == want, (ray, shortlex, i, j)
+
+
 def test_fresh_cross_ratio_separation_tests(z3z, monkeypatch):
     # a cold AC1 cross ratio stops each tail scan at the first chain long
     # enough to certify, so a deeper base costs no more separation tests;
     # and a pair of d walls, or of an a wall and a d wall, is separated by
-    # the defining graph alone, so most tests make no double strip
+    # the defining graph alone, so most tests make no double strip, whose
+    # first half is the left strip
     calls = {"separated": 0, "strip": 0}
-    real_separated, real_strip = boundary.strongly_separated, walls_module._stripped_middle
+    real_mask, real_strip = boundary._separation_mask, walls_module._strip_left
 
-    def separated(h1, h2):
+    def mask(graph, g1, between, g2):
         calls["separated"] += 1
-        return real_separated(h1, h2)
+        return real_mask(graph, g1, between, g2)
 
-    def strip(h1, h2):
+    def strip(graph, syllables, gens_mask):
         calls["strip"] += 1
-        return real_strip(h1, h2)
+        return real_strip(graph, syllables, gens_mask)
 
-    monkeypatch.setattr(boundary, "strongly_separated", separated)
-    monkeypatch.setattr(walls_module, "_stripped_middle", strip)
+    monkeypatch.setattr(boundary, "_separation_mask", mask)
+    monkeypatch.setattr(walls_module, "_strip_left", strip)
     counts = []
     for m in (2, 12):
         base = GroupElement.from_text(z3z, f"c^-{m}")
@@ -232,6 +269,41 @@ def test_fresh_cross_ratio_separation_tests(z3z, monkeypatch):
     assert counts[1][0] <= 160
     assert counts[0][0] == counts[1][0]
     assert counts[0][1] <= 64 and counts[1][1] <= 64
+
+
+def test_fresh_cross_ratio_builds_no_wall(z3z, monkeypatch):
+    # a cold AC1 query, the cross ratio and (w|x) as the benchmark asks
+    # them, compares walls by key and separates them by the letters between
+    # their crossings: no Wall is made and no quotient taken
+    calls = {"wall": 0, "quotient": 0}
+    real_wall = Wall.__post_init__
+
+    def wall(self):
+        calls["wall"] += 1
+        real_wall(self)
+
+    def counted_quotient(real):
+        def quotient(a, b):
+            calls["quotient"] += 1
+            return real(a, b)
+        return quotient
+
+    monkeypatch.setattr(Wall, "__post_init__", wall)
+    for module in (raag_module, walls_module):
+        monkeypatch.setattr(module, "quotient", counted_quotient(module.quotient))
+    base = GroupElement.from_text(z3z, "c^-5")
+    rays = [
+        BoundaryRay.from_text(z3z, t, base)
+        for t in ("a^3|d", "a^3 b|d", "a^-1 b^-1|d", "a^-1 b^-1 c|d")
+    ]
+    _ray_index.cache_clear()
+    assert cross_ratio_cr(*rays, 40) == (5, True)
+    assert gromov_product(rays[0], rays[1], 40) == ProductValue(8, True, 40)
+    assert calls == {"wall": 0, "quotient": 0}
+    # reading the walls builds each one once
+    assert len(ray_walls(rays[0], 40)) == 40 and calls["wall"] == 40
+    ray_walls(rays[0], 40)
+    assert calls["wall"] == 40
 
 
 def test_fresh_cross_ratio_reads_distances_from_prefixes(z3z, monkeypatch):

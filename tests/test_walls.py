@@ -18,6 +18,7 @@ from childproc import run_python
 from cubemorse.raag import (
     GroupElement,
     Letter,
+    MixedGraphs,
     Word,
     _fold,
     normal_form,
@@ -329,20 +330,29 @@ class TestCrossingCount:
         assert crossing_count(Wall(one, A), Wall(d, A)) == (0, True)
         assert strongly_separated(Wall(one, A), Wall(d, A))
 
+    def test_walls_over_different_graphs_are_refused(self, z3z, ck):
+        # d and d share no link generator on z3z, so the masks alone would
+        # call the pair separated; but the walls live in two complexes
+        h1 = Wall(GroupElement.identity(z3z), D)
+        h2 = Wall(GroupElement.from_text(ck, "d^2"), D)
+        for question in (strongly_separated, crossing_count, common_transversal_directions):
+            with pytest.raises(MixedGraphs):
+                question(h1, h2)
+
     def test_adjacent_pair_strips_once(self, ck, monkeypatch):
         # b and c commute, but d a separates the carriers 1<a, c> and
         # d a<b, d>: one strip decides both that the walls do not cross and
         # that no generator crosses both
-        real, strips = walls_module._stripped_middle, []
+        real, strips = walls_module._separation_mask, []
 
-        def counted(h1, h2):
-            strips.append((h1, h2))
-            return real(h1, h2)
+        def counted(graph, g1, between, g2):
+            strips.append((g1, tuple(between), g2))
+            return real(graph, g1, between, g2)
 
-        monkeypatch.setattr(walls_module, "_stripped_middle", counted)
+        monkeypatch.setattr(walls_module, "_separation_mask", counted)
         h1, h2 = Wall(GroupElement.identity(ck), B), Wall(GroupElement.from_text(ck, "d a"), C)
         assert strongly_separated(h1, h2)
-        assert strips == [(h1, h2)]
+        assert strips == [(B, GroupElement.from_text(ck, "d a").syllables, C)]
         assert crossing_count(h1, h2) == (0, True)
         assert len(strips) == 2
         assert not crosses(h1, h2)
